@@ -100,7 +100,7 @@ func BenchmarkParallelIdentify(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				matches := f.indexed.ParallelIdentify(f.queries, workers)
+				matches := fingerprint.ParallelIdentify(f.indexed, f.queries, workers)
 				for q, m := range matches {
 					if !m.OK || m.Index != f.chips[q] {
 						b.Fatalf("query %d → %+v, want chip %d", q, m, f.chips[q])

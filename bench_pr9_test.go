@@ -60,7 +60,7 @@ func pr9Backends(b testing.TB) *pr9Fixture {
 		f := &pr9Fixture{}
 		dbCfg := store.DBConfig{
 			Threshold: fingerprint.DefaultThreshold,
-			Sliced:    true, Probes: true, Workers: 4,
+			Probes:    true, Workers: 4,
 		}
 		dir, err := os.MkdirTemp("", "bench-pr9")
 		if err != nil {

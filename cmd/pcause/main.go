@@ -189,13 +189,11 @@ func cmdCharacterize(args []string) (err error) {
 }
 
 func cmdIdentify(args []string) (err error) {
-	fs, obsOpts := newFlagSet("identify", "identify -exact FILE -approx FILE -db FP[,FP...] [-threshold T] [-indexed] [-json]")
+	fs, obsOpts := newFlagSet("identify", "identify -exact FILE -approx FILE -db FP[,FP...] [-threshold T] [-json]")
 	exactPath := fs.String("exact", "", "exact data file")
 	approxPath := fs.String("approx", "", "approximate output file")
 	dbList := fs.String("db", "", "comma-separated fingerprint files")
 	threshold := fs.Float64("threshold", fingerprint.DefaultThreshold, "match threshold")
-	indexed := fs.Bool("indexed", false, "use the LSH-indexed lookup (sublinear in database size; identical results)")
-	sliced := fs.Bool("sliced", false, "use the bit-sliced lookup (block kernel + pruned fallback; identical results)")
 	asJSON := fs.Bool("json", false, "emit the verdict as one JSON object")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -248,22 +246,16 @@ func cmdIdentify(args []string) (err error) {
 		}
 		db.Add(filepath.Base(name), &fp)
 	}
-	var ident fingerprint.Identifier = db
-	switch {
-	case *sliced:
-		sx, err := fingerprint.SliceDB(db, fingerprint.SlicedConfig{})
-		if err != nil {
-			return err
-		}
-		ident = sx
-	case *indexed:
-		ix, err := fingerprint.IndexDB(db, fingerprint.IndexedConfig{})
-		if err != nil {
-			return err
-		}
-		ident = ix
+	// Distance is only defined over equal-length sets: refuse a database
+	// mixing lengths, or an output of another length, before scanning.
+	nbits, err := db.BitLen()
+	if err != nil {
+		return err
 	}
-	v := ident.Decide(es)
+	if db.Len() > 0 && es.Len() != nbits {
+		return fmt.Errorf("identify: the output's error string is %d bits, the database fingerprints %d", es.Len(), nbits)
+	}
+	v := db.Decide(es)
 	if *asJSON {
 		blob, err := json.Marshal(struct {
 			Match     bool    `json:"match"`
@@ -638,8 +630,8 @@ func cmdDemo(args []string) (err error) {
 		if err != nil {
 			return err
 		}
-		name, _, dist := db.IdentifyBest(es)
-		fmt.Printf("output from chip%d → identified as %s (distance %.4f)\n", i, name, dist)
+		v := db.Decide(es)
+		fmt.Printf("output from chip%d → identified as %s (distance %.4f)\n", i, v.Name, v.Distance)
 	}
 	return nil
 }

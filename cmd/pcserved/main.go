@@ -122,8 +122,7 @@ func run(args []string) (err error) {
 	snapshot := fs.String("snapshot", "", "database snapshot: loaded at startup when present, saved atomically on shutdown")
 	threshold := fs.Float64("threshold", 0, "match threshold (0: take it from the seed database)")
 	shards := fs.Int("shards", 0, fmt.Sprintf("database shard count (0: %d)", fingerprint.DefaultShards))
-	plain := fs.Bool("plain", false, "disable the per-shard LSH indexes (dense-scan shards)")
-	sliced := fs.Bool("sliced", false, "bit-sliced per-shard verification (block kernel + pruned fallback scans)")
+	plain := fs.Bool("plain", false, "exact reference engine: dense scan with no LSH candidate stage, exact matches")
 	probes := fs.Bool("probes", false, "multi-probe LSH candidate expansion (near-miss buckets)")
 	workers := fs.Int("workers", 0, "identification worker pool size (0: one per CPU)")
 	batchWindow := fs.Duration("batch.window", 500*time.Microsecond, "micro-batching coalescing window (0: dispatch immediately)")
@@ -267,7 +266,6 @@ func run(args []string) (err error) {
 		Threshold:      *threshold,
 		Shards:         *shards,
 		Plain:          *plain,
-		Sliced:         *sliced,
 		Probes:         *probes,
 		Workers:        *workers,
 		BatchWindow:    *batchWindow,
@@ -383,29 +381,10 @@ func run(args []string) (err error) {
 		return err
 	}
 	st := svc.DB().Stats()
-	fmt.Printf("pcserved: listening on %s (%d entries, %d shards)\n", ln.Addr(), st.Entries, len(st.PerShard))
-
-	httpSrv := &http.Server{Handler: handler}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case sig := <-stop:
-		fmt.Printf("pcserved: %s, draining\n", sig)
-	case err := <-serveErr:
-		return err
-	}
-
-	// Graceful drain: stop accepting, finish in-flight HTTP exchanges, then
-	// drain the identify queue so every admitted query gets its verdict.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		return fmt.Errorf("draining: %w", err)
-	}
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
+	// serve returns once in-flight HTTP exchanges finish; svc.Close below
+	// then drains the identify queue so every admitted query gets its
+	// verdict.
+	if err := serve(ln, handler, fmt.Sprintf("listening on %s (%d entries, %d shards)", ln.Addr(), st.Entries, len(st.PerShard))); err != nil {
 		return err
 	}
 	// Checkpoint before Close: compaction needs the WAL still open.
@@ -514,27 +493,7 @@ func runRouter(addr, backendList string, probe time.Duration, failoverAfter, ret
 	if err != nil {
 		return err
 	}
-	fmt.Printf("pcserved: router listening on %s (%d backends)\n", ln.Addr(), len(strings.Split(backendList, ",")))
-	httpSrv := &http.Server{Handler: router.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case sig := <-stop:
-		fmt.Printf("pcserved: %s, draining\n", sig)
-	case err := <-serveErr:
-		return err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		return fmt.Errorf("draining: %w", err)
-	}
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
+	return serve(ln, router.Handler(), fmt.Sprintf("router listening on %s (%d backends)", ln.Addr(), len(strings.Split(backendList, ","))))
 }
 
 // runScatterRouter serves the partitioned cluster's front door: identify
@@ -570,12 +529,22 @@ func runScatterRouter(addr, spec string, probe time.Duration, failoverAfter, ret
 	if err != nil {
 		return err
 	}
-	fmt.Printf("pcserved: scatter router listening on %s (%d partitions)\n", ln.Addr(), pmap.Len())
-	httpSrv := &http.Server{Handler: sr.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
+	return serve(ln, sr.Handler(), fmt.Sprintf("scatter router listening on %s (%d partitions)", ln.Addr(), pmap.Len()))
+}
+
+// serve announces the listener, serves handler on it until SIGINT or
+// SIGTERM, then stops accepting and waits for in-flight HTTP exchanges.
+// The signal handler is installed before the announcement, so a harness
+// that signals the moment it reads "listening on" always gets the graceful
+// drain, never the default kill; it stays installed, so a repeated signal
+// cannot cut short the checkpoint that follows the drain.
+func serve(ln net.Listener, handler http.Handler, announce string) error {
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
+	fmt.Printf("pcserved: %s\n", announce)
+	httpSrv := &http.Server{Handler: handler}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- httpSrv.Serve(ln) }()
 	select {
 	case sig := <-stop:
 		fmt.Printf("pcserved: %s, draining\n", sig)

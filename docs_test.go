@@ -96,9 +96,11 @@ var docFlagToken = regexp.MustCompile("`-([a-z][a-z0-9.-]*[a-z0-9])(?:[=* ][^`]*
 var goFlagReg = regexp.MustCompile(`\.(?:String|Bool|Int|Int64|Uint|Uint64|Float64|Duration)(?:Var)?\((?:&[\w.\[\]]+,\s*)?"([a-z][a-z0-9.-]*)"`)
 
 // TestFlagDocDrift is the grep-based doc-drift lint: every flag the
-// operator docs mention must still be registered by a binary. Removing
-// or renaming a pcserved flag without updating OPERATIONS.md or
-// CLUSTER.md fails here, not in an operator's incident.
+// operator docs and the README mention must still be registered by a
+// binary. Removing or renaming a flag without updating OPERATIONS.md,
+// CLUSTER.md or README.md fails here, not in an operator's incident.
+// DESIGN.md, EXPERIMENTS.md and ARCHITECTURE.md stay out: they backtick
+// tokens that are not flags (test and experiment options).
 func TestFlagDocDrift(t *testing.T) {
 	registered := map[string]bool{}
 	sources, err := filepath.Glob(filepath.Join("cmd", "*", "*.go"))
@@ -123,7 +125,7 @@ func TestFlagDocDrift(t *testing.T) {
 		"obs.": true, // the `-obs.*` family shorthand
 		"race": true, // the go test flag, mentioned when citing test evidence
 	}
-	for _, doc := range []string{"OPERATIONS.md", "CLUSTER.md"} {
+	for _, doc := range []string{"OPERATIONS.md", "CLUSTER.md", "README.md"} {
 		blob, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)

@@ -85,18 +85,37 @@ func TestCLIIdentifyVerdicts(t *testing.T) {
 	if v, code := identify(uniqueDB, stranger); code != 3 || v.Match || v.Ambiguous {
 		t.Fatalf("no match: exit %d, verdict %+v", code, v)
 	}
-	// Ambiguous: exit 4, verdict says so, and both the plain and -indexed
-	// paths agree.
-	for _, extra := range [][]string{nil, {"-indexed"}} {
-		v, code := identify(twinDB, probe, extra...)
-		if code != 4 || !v.Match || !v.Ambiguous || v.Matches < 2 {
-			t.Fatalf("ambiguous (%v): exit %d, verdict %+v", extra, code, v)
-		}
+	// Ambiguous: exit 4, and the verdict says so.
+	if v, code := identify(twinDB, probe); code != 4 || !v.Match || !v.Ambiguous || v.Matches < 2 {
+		t.Fatalf("ambiguous: exit %d, verdict %+v", code, v)
 	}
 
 	// The human-readable form carries the same verdicts.
 	out, code := runCLIStatus(t, pcause, "identify", "-exact", exactPath, "-approx", probe, "-db", twinDB)
 	if code != 4 || !strings.HasPrefix(out, "AMBIGUOUS") {
 		t.Fatalf("text ambiguous: exit %d, %q", code, out)
+	}
+
+	// Fingerprints of another memory size: a -db list mixing lengths, or an
+	// output whose length differs from the database's, is refused with both
+	// lengths named (exit 1), never a panic in the distance kernel.
+	shortExact := filepath.Join(dir, "short-exact.bin")
+	if err := os.WriteFile(shortExact, exact[:2048], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	shortOut := filepath.Join(dir, "short-out.bin")
+	if err := os.WriteFile(shortOut, append([]byte{1}, exact[1:2048]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fpShort := filepath.Join(dir, "short.fp")
+	runCLI(t, pcause, "characterize", "-exact", shortExact, "-approx", shortOut, "-o", fpShort)
+	for _, c := range []struct{ exact, approx, db string }{
+		{exactPath, probe, fpTwin + "," + fpShort},
+		{shortExact, shortOut, fpTwin},
+	} {
+		out, code := runCLIStatus(t, pcause, "identify", "-exact", c.exact, "-approx", c.approx, "-db", c.db)
+		if code != 1 || !strings.Contains(out, "32768") || !strings.Contains(out, "16384") || strings.Contains(out, "panic") {
+			t.Fatalf("mismatched lengths (db %s, output %s): exit %d, %q", c.db, c.approx, code, out)
+		}
 	}
 }

@@ -32,7 +32,7 @@ import (
 // so one sweep over the union upper-bounds every member's intersection at
 // once — the cardinality-bound prune the identification layer uses to skip
 // whole blocks whose modified-Jaccard threshold is provably unreachable
-// (see fingerprint.SlicedDB for the inequality).
+// (see fingerprint.FirstMatch for the inequality).
 
 // DefaultSlicedEntries is the block width B a zero value selects: wide
 // enough that the union prune amortizes its sweep over many entries (the
@@ -259,6 +259,10 @@ func (a *SlicedArena) NumBlocks() int { return len(a.blocks) }
 
 // Block returns block i; entry j of that block is global index i*BlockEntries+j.
 func (a *SlicedArena) Block(i int) *SlicedBlock { return a.blocks[i] }
+
+// Blocks returns the blocks in add order (shared, not copied) — the form
+// the identify engine sweeps.
+func (a *SlicedArena) Blocks() []*SlicedBlock { return a.blocks }
 
 // Add packs one fingerprint and returns its global index. The first Add
 // pins the arena's bit length when it was constructed with nbits 0.

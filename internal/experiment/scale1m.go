@@ -132,7 +132,7 @@ func RunScale1M(p Scale1MParams) (*Scale1MResult, error) {
 			CompactSegments: p.CompactSegments,
 		},
 		store.DBConfig{
-			Threshold: p.Threshold, Sliced: true, Probes: p.Probes,
+			Threshold: p.Threshold, Probes: p.Probes,
 			Workers: p.Workers, BlockEntries: p.BlockEntries,
 		})
 	if err != nil {

@@ -207,6 +207,30 @@ func (db *DB) Len() int { return len(db.entries) - db.deadCount }
 // alive reports whether entry i is not tombstoned.
 func (db *DB) alive(i int) bool { return db.deadCount == 0 || !db.dead[i] }
 
+// deadMask returns the tombstone flags in the form the identify engine
+// takes: nil when no entry is dead.
+func (db *DB) deadMask() []bool {
+	if db.deadCount == 0 {
+		return nil
+	}
+	return db.dead
+}
+
+// BitLen returns the fingerprint length (bits) every entry shares, 0 for an
+// empty database, or an error naming two lengths that differ: Distance is
+// only defined over equal-length sets, so a mixed database cannot serve.
+func (db *DB) BitLen() (int, error) {
+	n := 0
+	for i, e := range db.entries {
+		if i == 0 {
+			n = e.FP.Len()
+		} else if e.FP.Len() != n {
+			return 0, fmt.Errorf("fingerprint: database mixes %d-bit and %d-bit fingerprints (entry %q)", n, e.FP.Len(), e.Name)
+		}
+	}
+	return n, nil
+}
+
 // kill tombstones entry i in place: the entry slice keeps its shape (so
 // every index structure built over it stays valid) and the name index moves
 // to the next live entry under the same name. Reports whether i was live.
@@ -269,24 +293,36 @@ func (db *DB) Entries() []Entry { return db.entries }
 // distance to the error string is below the threshold, or ok=false if no
 // fingerprint matches ("return failed").
 func (db *DB) Identify(errorString *bitset.Set) (name string, index int, ok bool) {
+	return db.answer(errorString, db.firstMatch(errorString))
+}
+
+// firstMatch is Algorithm 2's accept loop without obs counters: the index of
+// the first live entry under the threshold in add order, or -1.
+func (db *DB) firstMatch(errorString *bitset.Set) int {
 	for i, e := range db.entries {
-		if !db.alive(i) {
-			continue
+		if db.alive(i) && Distance(errorString, e.FP) < db.threshold {
+			return i
 		}
-		if Distance(errorString, e.FP) < db.threshold {
-			if obs.On() {
-				cIdentifyHit.Inc()
-				if db.ambiguousAfter(errorString, i) {
-					cIdentifyAmbig.Inc()
-				}
-			}
-			return e.Name, i, true
+	}
+	return -1
+}
+
+// answer turns a first-match index (-1 for none) into Identify's triple,
+// recording the identify hit/miss/ambiguous counters.
+func (db *DB) answer(errorString *bitset.Set, i int) (name string, index int, ok bool) {
+	if i < 0 {
+		if obs.On() {
+			cIdentifyMiss.Inc()
 		}
+		return "", -1, false
 	}
 	if obs.On() {
-		cIdentifyMiss.Inc()
+		cIdentifyHit.Inc()
+		if db.ambiguousAfter(errorString, i) {
+			cIdentifyAmbig.Inc()
+		}
 	}
-	return "", -1, false
+	return db.entries[i].Name, i, true
 }
 
 // ambiguityProbes bounds the extra Distance calls the obs-mode ambiguity
@@ -309,7 +345,7 @@ func (db *DB) ambiguousAfter(errorString *bitset.Set, i int) bool {
 		stride = (len(rest) + ambiguityProbes - 1) / ambiguityProbes
 	}
 	for j := 0; j < len(rest); j += stride {
-		if !db.alive(i+1+j) {
+		if !db.alive(i + 1 + j) {
 			continue
 		}
 		if Distance(errorString, rest[j].FP) < db.threshold {
@@ -317,15 +353,6 @@ func (db *DB) ambiguousAfter(errorString *bitset.Set, i int) bool {
 		}
 	}
 	return false
-}
-
-// IdentifyBest returns the database entry with the minimum distance to the
-// error string along with that distance, regardless of threshold. Useful for
-// reporting margins; Identify is the paper's decision procedure and Decide
-// carries the full verdict (including the ambiguity count) in one value.
-func (db *DB) IdentifyBest(errorString *bitset.Set) (name string, index int, dist float64) {
-	v := db.Decide(errorString)
-	return v.Name, v.Index, v.Distance
 }
 
 // Clusterer implements Algorithm 4: online clustering of approximate outputs

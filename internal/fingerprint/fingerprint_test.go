@@ -168,19 +168,20 @@ func TestDBIdentify(t *testing.T) {
 	}
 }
 
+// TestDBIdentifyBest pins the margin Decide reports: the minimum-distance
+// entry and its distance.
 func TestDBIdentifyBest(t *testing.T) {
 	db := NewDB(DefaultThreshold)
 	db.Add("a", set(100, 1, 2, 3, 4))
 	db.Add("b", set(100, 1, 2, 3, 50))
 	es := set(100, 1, 2, 3, 4, 60)
-	name, idx, d := db.IdentifyBest(es)
-	if name != "a" || idx != 0 || d != 0 {
-		t.Fatalf("IdentifyBest = (%q, %d, %v)", name, idx, d)
+	if v := db.Decide(es); v.Name != "a" || v.Index != 0 || v.Distance != 0 {
+		t.Fatalf("Decide best = (%q, %d, %v)", v.Name, v.Index, v.Distance)
 	}
 	// Empty DB.
 	empty := NewDB(DefaultThreshold)
-	if _, idx, _ := empty.IdentifyBest(es); idx != -1 {
-		t.Fatal("IdentifyBest on empty DB should return index -1")
+	if v := empty.Decide(es); v.Index != -1 {
+		t.Fatal("Decide on empty DB should return index -1")
 	}
 }
 

@@ -30,7 +30,8 @@ type IndexedConfig struct {
 	// the correctness-preserving configuration: a hit the index misses is
 	// still found by the scan, so Identify only ever differs from the plain
 	// DB in speed. Set NoFallback for the pure-LSH ablation, where a recall
-	// shortfall should be visible rather than papered over.
+	// shortfall should be visible rather than papered over; SliceDB rejects
+	// it.
 	NoFallback bool
 	// Workers bounds the worker pool used to sign entries during bulk index
 	// construction (IndexDB). 0 or 1 signs serially.
@@ -45,11 +46,15 @@ type IndexedConfig struct {
 }
 
 // IndexedDB wraps a DB with a MinHash/LSH index over its fingerprints so
-// Identify and IdentifyBest verify only the entries whose signature collides
+// Identify and Decide verify only the entries whose signature collides
 // with the query in at least one band, instead of dense-scanning the whole
 // database (Algorithm 2's loop made sublinear). Candidates are verified with
 // the real Distance metric and visited in ascending entry order, so a hit
 // returns the same (name, index) the plain scan would.
+//
+// IndexedDB is the candidate stage inside SlicedDB and, on its own, the
+// scalar-verification baseline the scale experiment measures; the serving
+// engine is SlicedDB.
 type IndexedDB struct {
 	db    *DB
 	cfg   IndexedConfig
@@ -85,7 +90,7 @@ func IndexDB(db *DB, cfg IndexedConfig) (*IndexedDB, error) {
 	// so fan it across the pool; the index insert itself is serial.
 	sigs := make([]minhash.Signature, len(db.entries))
 	pool.Map(cfg.Workers, len(db.entries), func(i int) {
-		sigs[i] = x.sign(db.entries[i].FP)
+		sigs[i] = sign(cfg.Scheme, db.entries[i].FP)
 	})
 	for i, sig := range sigs {
 		x.index.Add(sig, i)
@@ -93,14 +98,13 @@ func IndexDB(db *DB, cfg IndexedConfig) (*IndexedDB, error) {
 	return x, nil
 }
 
-// sign computes the MinHash signature of a dense set via its sparse view.
-func (x *IndexedDB) sign(s *bitset.Set) minhash.Signature {
-	return x.cfg.Scheme.Sign(bitset.Sparse(s.Positions()))
-}
-
 // Add registers a fingerprint under a name and indexes its signature.
 func (x *IndexedDB) Add(name string, fp *bitset.Set) {
-	x.index.Add(x.sign(fp), len(x.db.entries))
+	x.add(name, fp, sign(x.cfg.Scheme, fp))
+}
+
+func (x *IndexedDB) add(name string, fp *bitset.Set, sig minhash.Signature) {
+	x.index.Add(sig, len(x.db.entries))
 	x.db.Add(name, fp)
 }
 
@@ -110,12 +114,12 @@ func (x *IndexedDB) Len() int { return x.db.Len() }
 // DB returns the underlying database (shared, not copied).
 func (x *IndexedDB) DB() *DB { return x.db }
 
-// candidates returns the entry indices colliding with the error string in at
-// least one band (or probe bucket), in ascending order so verification visits
+// candidates returns the entry indices colliding with the query in at least
+// one band (or probe bucket), in ascending order so verification visits
 // entries exactly as Algorithm 2's scan would. The index deduplicates the
 // merged probe buckets before returning, so no entry is verified twice.
-func (x *IndexedDB) candidates(errorString *bitset.Set) []int {
-	out := x.index.Candidates(x.sign(errorString))
+func (x *IndexedDB) candidates(q *Query) []int {
+	out := x.index.Candidates(q.signature(x.cfg.Scheme))
 	sortInts(out)
 	if obs.On() {
 		cIndexCandidates.Add(int64(len(out)))
@@ -131,7 +135,7 @@ func (x *IndexedDB) candidates(errorString *bitset.Set) []int {
 // candidate matches and the fallback is enabled (the default), it runs the
 // plain verified scan, so a true match missed by the index is still found.
 func (x *IndexedDB) Identify(errorString *bitset.Set) (name string, index int, ok bool) {
-	cands := x.candidates(errorString)
+	cands := x.candidates(NewQuery(errorString, x.cfg.Scheme))
 	for k, i := range cands {
 		if !x.db.alive(i) {
 			continue
@@ -174,52 +178,6 @@ func (x *IndexedDB) ambiguousAmong(errorString *bitset.Set, rest []int) bool {
 	return false
 }
 
-// IdentifyBest returns the minimum-distance entry among the candidate
-// buckets. When no candidate sits under the threshold and the fallback is
-// enabled, the verified full scan runs instead, so the result is exact
-// whenever it matters: a sub-threshold best is always in some candidate
-// bucket or found by the fallback, and a reported miss carries the true
-// global best. With NoFallback set the margin is computed over candidates
-// only.
-func (x *IndexedDB) IdentifyBest(errorString *bitset.Set) (name string, index int, dist float64) {
-	v := x.Decide(errorString)
-	return v.Name, v.Index, v.Distance
-}
-
-// ParallelIdentify runs Identify for every error string across a bounded
-// worker pool and returns the matches in input order. See
-// DB.ParallelIdentify for the determinism contract.
-func (x *IndexedDB) ParallelIdentify(errorStrings []*bitset.Set, workers int) []Match {
-	out := make([]Match, len(errorStrings))
-	pool.Map(workers, len(errorStrings), func(i int) {
-		name, idx, ok := x.Identify(errorStrings[i])
-		out[i] = Match{Name: name, Index: idx, OK: ok}
-	})
-	return out
-}
-
-// Match is one batch-identification outcome: the fields Identify returns,
-// in struct form so a batch can be returned as a slice.
-type Match struct {
-	Name  string
-	Index int
-	OK    bool
-}
-
-// ParallelIdentify runs Identify for every error string across a bounded
-// worker pool (pool.Workers semantics: workers <= 0 means one per CPU) and
-// returns the matches in input order. Each slot equals exactly what a serial
-// Identify call on that error string returns — the database is only read, so
-// fan-out cannot change any decision, just the wall-clock.
-func (db *DB) ParallelIdentify(errorStrings []*bitset.Set, workers int) []Match {
-	out := make([]Match, len(errorStrings))
-	pool.Map(workers, len(errorStrings), func(i int) {
-		name, idx, ok := db.Identify(errorStrings[i])
-		out[i] = Match{Name: name, Index: idx, OK: ok}
-	})
-	return out
-}
-
 // sortIntsCutoff is the length above which sortInts switches from insertion
 // sort to slices.Sort. Exact-index candidate lists run 0–2 entries, where
 // insertion sort is branch-cheap; multi-probe expansion at 100k entries makes
@@ -240,21 +198,19 @@ func sortInts(s []int) {
 	}
 }
 
-// Identifier is the shared identification surface of DB, IndexedDB, and
-// ShardedDB; experiment drivers and the serving layer take it so the scan,
-// indexed, and sharded paths are swappable.
+// Identifier is the shared identification surface of DB, IndexedDB,
+// SlicedDB, ShardedDB and the store backends; experiment drivers and the
+// batch helpers take it so the scan, indexed and sliced paths are
+// swappable.
 type Identifier interface {
 	Identify(errorString *bitset.Set) (name string, index int, ok bool)
-	IdentifyBest(errorString *bitset.Set) (name string, index int, dist float64)
 	Decide(errorString *bitset.Set) Verdict
-	ParallelIdentify(errorStrings []*bitset.Set, workers int) []Match
-	ParallelDecide(errorStrings []*bitset.Set, workers int) []Verdict
-	Len() int
 }
 
 var (
 	_ Identifier = (*DB)(nil)
 	_ Identifier = (*IndexedDB)(nil)
+	_ Identifier = (*SlicedDB)(nil)
 	_ Identifier = (*ShardedDB)(nil)
 )
 

@@ -60,10 +60,9 @@ func TestIndexedIdentifyMatchesScan(t *testing.T) {
 		if sn != in || si != ii || sok != iok {
 			t.Fatalf("output %d: scan (%s,%d,%v) != indexed (%s,%d,%v)", k, sn, si, sok, in, ii, iok)
 		}
-		bn, bi, bd := db.IdentifyBest(out)
-		xn, xi, xd := ix.IdentifyBest(out)
-		if bn != xn || bi != xi || bd != xd {
-			t.Fatalf("output %d: best scan (%s,%d,%g) != indexed (%s,%d,%g)", k, bn, bi, bd, xn, xi, xd)
+		bv, xv := db.Decide(out), ix.Decide(out)
+		if bv.Name != xv.Name || bv.Index != xv.Index || bv.Distance != xv.Distance {
+			t.Fatalf("output %d: best scan (%s,%d,%g) != indexed (%s,%d,%g)", k, bv.Name, bv.Index, bv.Distance, xv.Name, xv.Index, xv.Distance)
 		}
 	}
 	// Unknown device: must miss on both paths (fallback covers the scan).
@@ -122,7 +121,7 @@ func TestParallelIdentifyMatchesSerial(t *testing.T) {
 	}
 	for _, impl := range []Identifier{db, ix} {
 		for _, workers := range []int{1, 2, 8} {
-			got := impl.ParallelIdentify(outs, workers)
+			got := ParallelIdentify(impl, outs, workers)
 			for i := range got {
 				if got[i] != want[i] {
 					t.Fatalf("%T workers=%d: slot %d = %+v, want %+v", impl, workers, i, got[i], want[i])
@@ -156,7 +155,7 @@ func TestIndexedNoFallbackMisses(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		query.Set(2000 + 7*i)
 	}
-	if sameBand := mk(true).index.Candidates(mk(true).sign(query)); len(sameBand) != 0 {
+	if sameBand := mk(true).candidates(NewQuery(query, minhash.Scheme{Bands: 1, Rows: 32, Seed: 1})); len(sameBand) != 0 {
 		t.Skip("seed produced a colliding band; fallback path not exercised")
 	}
 	if _, _, ok := mk(true).Identify(query); ok {

@@ -10,7 +10,6 @@ import (
 	"probablecause/internal/bitset"
 	"probablecause/internal/minhash"
 	"probablecause/internal/obs"
-	"probablecause/internal/pool"
 	"probablecause/internal/prng"
 )
 
@@ -31,21 +30,15 @@ const DefaultShards = 8
 type ShardedConfig struct {
 	// Shards is the number of shards; 0 selects DefaultShards.
 	Shards int
-	// Index configures the per-shard LSH index (scheme, fallback, build
-	// workers). The zero value selects minhash.DefaultScheme with the
-	// verified fallback on.
+	// Index configures the per-shard LSH candidate stage (scheme, build
+	// workers, multi-probe). The zero value selects minhash.DefaultScheme.
 	Index IndexedConfig
-	// Plain disables the per-shard LSH indexes: every shard answers by dense
-	// scan. The ablation configuration, and the strictest correctness
-	// baseline (no index-recall caveats at all).
+	// Plain selects the exact reference engine: every shard answers by
+	// dense scan, with no candidate stage, so Matches is exact — the
+	// strictest correctness baseline (no index-recall caveats at all).
+	// Otherwise every shard runs the sliced engine (SlicedDB).
 	Plain bool
-	// Sliced puts the bit-sliced verification backend on every shard: the
-	// per-shard fallback scan runs over a band-major SlicedArena with block
-	// pruning instead of the entry slice (see SlicedDB). Verdicts are
-	// unchanged; only the miss path gets faster. Mutually exclusive with
-	// Plain.
-	Sliced bool
-	// BlockEntries is the sliced block width B when Sliced is set; 0 selects
+	// BlockEntries is the sliced block width B; 0 selects
 	// bitset.DefaultSlicedEntries.
 	BlockEntries int
 	// RebuildMinDead is the per-shard tombstone count at which Remove
@@ -63,21 +56,23 @@ type ShardedConfig struct {
 const DefaultRebuildMinDead = 64
 
 // ShardedDB distributes a fingerprint database over N shards, each an
-// independently locked (Indexed)DB, so concurrent adds and lookups scale
-// across cores: queries take per-shard read locks and mutations write-lock
-// only the one shard owning the entry. Entries are assigned to shards by a
-// hash folded over the MinHash signature's band keys — the same signature
-// the per-shard LSH index stores, computed once per Add.
+// independently locked SlicedDB (a dense DB when Plain), so concurrent adds
+// and lookups scale across cores: queries take per-shard read locks and
+// mutations write-lock only the one shard owning the entry. Entries are
+// assigned to shards by a hash folded over the MinHash signature's band
+// keys — the same signature the per-shard LSH index stores, computed once
+// per Add.
 //
 // Determinism contract: a ShardedDB built by any interleaving of the same
-// Add sequence answers Decide/Identify/IdentifyBest exactly as the plain DB
-// built from that sequence, with Verdict.Index and the identify index
-// reported as the entry's add-order id (stable across Removes, equal to the
-// DB slice index when nothing was removed). Cross-shard combination is by
-// (distance, id) lexicographic minimum for best-match decisions and minimum
-// id for first-match decisions, which reproduces the dense scan's
-// first-strictly-better / first-on-tie behavior. On indexed shards the
-// per-shard answers inherit IndexedDB's contract (verified fallback; with
+// Add sequence answers Decide/Identify exactly as the plain DB built from
+// that sequence, with Verdict.Index and the identify index reported as the
+// entry's add-order id (stable across Removes, equal to the DB slice index
+// when nothing was removed). Cross-shard combination is by (distance, id)
+// lexicographic minimum for best-match decisions and minimum id for
+// first-match decisions, which reproduces the dense scan's
+// first-strictly-better / first-on-tie behavior. Each query is signed once
+// and the signature shared by every shard. Outside Plain the per-shard
+// answers inherit the engine's candidate-stage contract (see BestMatch: with
 // several sub-threshold entries the Matches count inspects candidates only).
 type ShardedDB struct {
 	threshold float64
@@ -93,37 +88,22 @@ type ShardedDB struct {
 	rebuilds atomic.Int64 // physical shard compactions triggered by Remove
 }
 
-// dbShard is one shard: a plain DB, its optional LSH-indexed view, the
-// optional bit-sliced view over the same index, and the local-index →
-// add-order-id mapping.
+// dbShard is one shard: a plain DB, the sliced engine over it, and the
+// local-index → add-order-id mapping.
 type dbShard struct {
 	mu  sync.RWMutex
 	db  *DB
-	ix  *IndexedDB // nil when ShardedConfig.Plain; sx.x when ShardedConfig.Sliced
-	sx  *SlicedDB  // nil unless ShardedConfig.Sliced
+	sx  *SlicedDB // nil when ShardedConfig.Plain
 	ids []int
 }
 
-// build constructs the shard's indexed (and sliced) views over its DB,
-// used at construction and after a Remove rebuild.
-func (sh *dbShard) build(cfg ShardedConfig) error {
-	if cfg.Plain {
-		return nil
+// build constructs the shard's sliced engine over its DB, used at
+// construction and after a Remove rebuild.
+func (sh *dbShard) build(cfg ShardedConfig) (err error) {
+	if !cfg.Plain {
+		sh.sx, err = SliceDB(sh.db, SlicedConfig{Index: cfg.Index, BlockEntries: cfg.BlockEntries})
 	}
-	if cfg.Sliced {
-		sx, err := SliceDB(sh.db, SlicedConfig{Index: cfg.Index, BlockEntries: cfg.BlockEntries})
-		if err != nil {
-			return err
-		}
-		sh.sx, sh.ix = sx, sx.x
-		return nil
-	}
-	ix, err := IndexDB(sh.db, cfg.Index)
-	if err != nil {
-		return err
-	}
-	sh.ix = ix
-	return nil
+	return err
 }
 
 // NewShardedDB returns an empty sharded database using the given
@@ -140,9 +120,6 @@ func NewShardedDB(threshold float64, cfg ShardedConfig) (*ShardedDB, error) {
 	}
 	if err := cfg.Index.Scheme.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Plain && cfg.Sliced {
-		return nil, fmt.Errorf("fingerprint: Plain and Sliced are mutually exclusive")
 	}
 	if cfg.RebuildMinDead == 0 {
 		cfg.RebuildMinDead = DefaultRebuildMinDead
@@ -209,30 +186,7 @@ func (s *ShardedDB) shardFor(sig minhash.Signature) int {
 // permitted; Get and Remove address the earliest-added live entry under
 // the name.
 func (s *ShardedDB) Add(name string, fp *bitset.Set) int {
-	sig := s.scheme.Sign(bitset.Sparse(fp.Positions()))
-	si := s.shardFor(sig)
-	s.mu.Lock()
-	id := s.nextID
-	s.nextID++
-	s.names[name] = append(s.names[name], si)
-	sh := s.shards[si]
-	sh.mu.Lock()
-	if sh.ix != nil {
-		sh.ix.index.Add(sig, len(sh.db.entries))
-	}
-	sh.db.Add(name, fp)
-	if sh.sx != nil {
-		sh.sx.arena.Add(fp)
-	}
-	sh.ids = append(sh.ids, id)
-	sh.mu.Unlock()
-	s.count.Add(1)
-	s.gen.Add(1)
-	s.mu.Unlock()
-	if obs.On() {
-		cShardAdds.Inc()
-	}
-	return id
+	return s.add(-1, name, fp)
 }
 
 // AddWithID registers a fingerprint under an explicit, caller-chosen id
@@ -243,21 +197,27 @@ func (s *ShardedDB) Add(name string, fp *bitset.Set) int {
 // meaningless. nextID advances past the explicit id so later plain Adds
 // never collide. The caller owns id uniqueness.
 func (s *ShardedDB) AddWithID(id int, name string, fp *bitset.Set) {
-	sig := s.scheme.Sign(bitset.Sparse(fp.Positions()))
+	s.add(id, name, fp)
+}
+
+// add registers fp under id, or under the next add-order id when id < 0.
+func (s *ShardedDB) add(id int, name string, fp *bitset.Set) int {
+	sig := sign(s.scheme, fp)
 	si := s.shardFor(sig)
 	s.mu.Lock()
+	if id < 0 {
+		id = s.nextID
+	}
 	if id >= s.nextID {
 		s.nextID = id + 1
 	}
 	s.names[name] = append(s.names[name], si)
 	sh := s.shards[si]
 	sh.mu.Lock()
-	if sh.ix != nil {
-		sh.ix.index.Add(sig, len(sh.db.entries))
-	}
-	sh.db.Add(name, fp)
 	if sh.sx != nil {
-		sh.sx.arena.Add(fp)
+		sh.sx.add(name, fp, sig)
+	} else {
+		sh.db.Add(name, fp)
 	}
 	sh.ids = append(sh.ids, id)
 	sh.mu.Unlock()
@@ -267,6 +227,7 @@ func (s *ShardedDB) AddWithID(id int, name string, fp *bitset.Set) {
 	if obs.On() {
 		cShardAdds.Inc()
 	}
+	return id
 }
 
 // Get returns the fingerprint stored under name, or ok=false.
@@ -335,7 +296,7 @@ func (sh *dbShard) compact(cfg ShardedConfig, threshold float64) {
 		ndb.Add(e.Name, e.FP)
 		nids = append(nids, sh.ids[i])
 	}
-	sh.db, sh.ids, sh.ix, sh.sx = ndb, nids, nil, nil
+	sh.db, sh.ids, sh.sx = ndb, nids, nil
 	// The scheme was validated at construction, so the build cannot fail here.
 	if err := sh.build(cfg); err != nil {
 		panic("fingerprint: sharded index rebuild: " + err.Error())
@@ -347,19 +308,16 @@ func (sh *dbShard) compact(cfg ShardedConfig, threshold float64) {
 // rebuild until RebuildMinDead removals accumulate.
 func (s *ShardedDB) Rebuilds() int64 { return s.rebuilds.Load() }
 
-// decideRaw answers over one shard without obs verdict counters, mapping the
+// decide answers over one shard without obs verdict counters, mapping the
 // local best index to its add-order id.
-func (sh *dbShard) decideRaw(errorString *bitset.Set) Verdict {
+func (sh *dbShard) decide(q *Query) Verdict {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	var v Verdict
-	switch {
-	case sh.sx != nil:
-		v = sh.sx.decideRaw(errorString)
-	case sh.ix != nil:
-		v = sh.ix.decideRaw(errorString)
-	default:
-		v = sh.db.decideRaw(errorString)
+	if sh.sx != nil {
+		v = sh.sx.decide(q)
+	} else {
+		v = sh.db.decideRaw(q.Set)
 	}
 	if v.Index >= 0 {
 		v.Index = sh.ids[v.Index]
@@ -367,29 +325,26 @@ func (sh *dbShard) decideRaw(errorString *bitset.Set) Verdict {
 	return v
 }
 
-// firstMatch answers Algorithm 2 over one shard, mapping the local index to
-// its add-order id.
-func (sh *dbShard) firstMatch(errorString *bitset.Set) (name string, id int, ok bool) {
+// firstMatch answers Algorithm 2 over one shard: the matched entry's name
+// and add-order id, or id -1.
+func (sh *dbShard) firstMatch(q *Query) (name string, id int) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	var local int
-	switch {
-	case sh.sx != nil:
-		name, local, ok = sh.sx.firstMatch(errorString)
-	case sh.ix != nil:
-		name, local, ok = sh.ix.firstMatch(errorString)
-	default:
-		name, local, ok = sh.db.firstMatch(errorString)
+	var i int
+	if sh.sx != nil {
+		i = sh.sx.firstMatch(q)
+	} else {
+		i = sh.db.firstMatch(q.Set)
 	}
-	if !ok {
-		return "", -1, false
+	if i < 0 {
+		return "", -1
 	}
-	return name, sh.ids[local], true
+	return sh.db.entries[i].Name, sh.ids[i]
 }
 
 // MergeVerdict folds one component's answer into the running cross-component
 // verdict: match counts accumulate and the (distance, id)-lexicographic
-// minimum wins — the single combination rule Decide, DecideCtx, and the
+// minimum wins — the single combination rule the sharded fan-out and the
 // tiered storage engine's memtable+segment combine share, so neither tracing
 // nor flush timing can ever change an answer.
 func MergeVerdict(v *Verdict, sv Verdict) {
@@ -406,37 +361,7 @@ func MergeVerdict(v *Verdict, sv Verdict) {
 // (distance, id)-lexicographic best entry and the total sub-threshold match
 // count.
 func (s *ShardedDB) Decide(errorString *bitset.Set) Verdict {
-	v := Verdict{Index: -1, Distance: 2}
-	for _, sh := range s.shards {
-		MergeVerdict(&v, sh.decideRaw(errorString))
-	}
-	recordVerdict(v)
-	return v
-}
-
-// DecideRaw is Decide without the obs verdict counters, for callers (the
-// tiered storage engine) that merge this database's answer with other
-// components' before recording one decision.
-func (s *ShardedDB) DecideRaw(errorString *bitset.Set) Verdict {
-	v := Verdict{Index: -1, Distance: 2}
-	for _, sh := range s.shards {
-		MergeVerdict(&v, sh.decideRaw(errorString))
-	}
-	return v
-}
-
-// FirstMatch is Identify without the obs counters: the minimum add-order id
-// under the threshold, for callers that merge first-match answers across
-// components.
-func (s *ShardedDB) FirstMatch(errorString *bitset.Set) (name string, index int, ok bool) {
-	index = -1
-	for _, sh := range s.shards {
-		n, id, hit := sh.firstMatch(errorString)
-		if hit && (index < 0 || id < index) {
-			name, index = n, id
-		}
-	}
-	return name, index, index >= 0
+	return s.DecideCtx(context.Background(), errorString)
 }
 
 // DecideCtx is Decide with request-scoped tracing: when ctx carries a
@@ -445,24 +370,36 @@ func (s *ShardedDB) FirstMatch(errorString *bitset.Set) (name string, index int,
 // cross-shard combine. The verdict is identical to Decide's — spans
 // observe the scan, they never reorder it.
 func (s *ShardedDB) DecideCtx(ctx context.Context, errorString *bitset.Set) Verdict {
-	parent := obs.SpanFrom(ctx)
-	if parent == nil {
-		return s.Decide(errorString)
-	}
+	v := s.decide(obs.SpanFrom(ctx), NewQuery(errorString, s.scheme))
+	recordVerdict(v)
+	return v
+}
+
+// DecideRaw is Decide without the obs verdict counters.
+func (s *ShardedDB) DecideRaw(errorString *bitset.Set) Verdict {
+	return s.DecideQuery(NewQuery(errorString, s.scheme))
+}
+
+// DecideQuery is DecideRaw over a prepared query, for callers (the tiered
+// storage engine) that share one signature across components and merge
+// their answers before recording one decision.
+func (s *ShardedDB) DecideQuery(q *Query) Verdict { return s.decide(nil, q) }
+
+// decide fans q over the shards and folds their verdicts; span may be nil.
+func (s *ShardedDB) decide(span *obs.RSpan, q *Query) Verdict {
 	svs := make([]Verdict, len(s.shards))
 	for i, sh := range s.shards {
-		sp := parent.Child("shard.identify")
+		sp := span.Child("shard.identify")
 		sp.SetAttr("shard", i)
-		svs[i] = sh.decideRaw(errorString)
+		svs[i] = sh.decide(q)
 		sp.End()
 	}
-	dsp := parent.Child("decide")
+	dsp := span.Child("decide")
 	v := Verdict{Index: -1, Distance: 2}
 	for _, sv := range svs {
 		MergeVerdict(&v, sv)
 	}
 	dsp.End()
-	recordVerdict(v)
 	return v
 }
 
@@ -472,18 +409,7 @@ func (s *ShardedDB) DecideCtx(ctx context.Context, errorString *bitset.Set) Verd
 // matches surface from more than one shard (a lower bound on the true
 // ambiguity, which Decide counts exactly).
 func (s *ShardedDB) Identify(errorString *bitset.Set) (name string, index int, ok bool) {
-	index = -1
-	matchedShards := 0
-	for _, sh := range s.shards {
-		n, id, hit := sh.firstMatch(errorString)
-		if !hit {
-			continue
-		}
-		matchedShards++
-		if index < 0 || id < index {
-			name, index = n, id
-		}
-	}
+	name, index, matchedShards := s.identify(NewQuery(errorString, s.scheme))
 	if obs.On() {
 		if index < 0 {
 			cIdentifyMiss.Inc()
@@ -497,48 +423,27 @@ func (s *ShardedDB) Identify(errorString *bitset.Set) (name string, index int, o
 	return name, index, index >= 0
 }
 
-// IdentifyBest returns the minimum-distance entry across all shards; see
-// Decide for the combination rule.
-func (s *ShardedDB) IdentifyBest(errorString *bitset.Set) (name string, index int, dist float64) {
-	v := s.Decide(errorString)
-	return v.Name, v.Index, v.Distance
+// IdentifyQuery is Identify without the obs counters over a prepared query,
+// for callers (the tiered storage engine) that merge first-match answers
+// across components.
+func (s *ShardedDB) IdentifyQuery(q *Query) (name string, index int, ok bool) {
+	name, index, _ = s.identify(q)
+	return name, index, index >= 0
 }
 
-// ParallelIdentify runs Identify for every error string across a bounded
-// worker pool; see DB.ParallelIdentify for the determinism contract.
-func (s *ShardedDB) ParallelIdentify(errorStrings []*bitset.Set, workers int) []Match {
-	out := make([]Match, len(errorStrings))
-	pool.Map(workers, len(errorStrings), func(i int) {
-		name, idx, ok := s.Identify(errorStrings[i])
-		out[i] = Match{Name: name, Index: idx, OK: ok}
-	})
-	return out
-}
-
-// ParallelDecide runs Decide for every error string across a bounded worker
-// pool; each slot equals a serial Decide call.
-func (s *ShardedDB) ParallelDecide(errorStrings []*bitset.Set, workers int) []Verdict {
-	out := make([]Verdict, len(errorStrings))
-	pool.Map(workers, len(errorStrings), func(i int) {
-		out[i] = s.Decide(errorStrings[i])
-	})
-	return out
-}
-
-// ParallelDecideCtx is ParallelDecide with per-query trace contexts: slot i
-// answers errorStrings[i] under ctxs[i] (nil or missing contexts fall back
-// untraced), so a coalesced batch records each originating request's shard
-// fan-out in that request's own span tree.
-func (s *ShardedDB) ParallelDecideCtx(ctxs []context.Context, errorStrings []*bitset.Set, workers int) []Verdict {
-	out := make([]Verdict, len(errorStrings))
-	pool.Map(workers, len(errorStrings), func(i int) {
-		ctx := context.Background()
-		if i < len(ctxs) && ctxs[i] != nil {
-			ctx = ctxs[i]
+func (s *ShardedDB) identify(q *Query) (name string, index, matchedShards int) {
+	index = -1
+	for _, sh := range s.shards {
+		n, id := sh.firstMatch(q)
+		if id < 0 {
+			continue
 		}
-		out[i] = s.DecideCtx(ctx, errorStrings[i])
-	})
-	return out
+		matchedShards++
+		if index < 0 || id < index {
+			name, index = n, id
+		}
+	}
+	return name, index, matchedShards
 }
 
 // ShardStats summarizes the sharded database for the /v1/db endpoint.
@@ -602,6 +507,6 @@ func (s *ShardedDB) ExportIDs() []IDEntry {
 
 // String renders a small summary for logs.
 func (s *ShardedDB) String() string {
-	return fmt.Sprintf("shardeddb(entries=%d, shards=%d, indexed=%v, sliced=%v)",
-		s.Len(), len(s.shards), !s.cfg.Plain, s.cfg.Sliced)
+	return fmt.Sprintf("shardeddb(entries=%d, shards=%d, plain=%v)",
+		s.Len(), len(s.shards), s.cfg.Plain)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"probablecause/internal/bitset"
+	"probablecause/internal/obs"
 	"probablecause/internal/prng"
 )
 
@@ -48,8 +49,11 @@ func buildEquivalent(t *testing.T, n int, cfg ShardedConfig) (*DB, *ShardedDB) {
 }
 
 // TestShardedMatchesPlainDB is the core equivalence property: for any shard
-// count, indexed or plain shards, Decide/Identify/IdentifyBest agree with
-// the dense-scan DB on matching, missing, and near-miss queries.
+// count, the serving engine (LSH-indexed candidates, then the sliced block
+// sweep) and the plain dense-scan shards agree with the dense-scan DB on
+// Decide and Identify for matching, missing, and near-miss queries. The
+// "indexed" mode is the default configuration; "sliced" narrows the blocks
+// so every sweep crosses several blocks with partial tails.
 func TestShardedMatchesPlainDB(t *testing.T) {
 	const entries = 60
 	for _, shards := range []int{1, 2, 7, 16} {
@@ -57,7 +61,6 @@ func TestShardedMatchesPlainDB(t *testing.T) {
 			t.Run(fmt.Sprintf("shards=%d_%s", shards, mode), func(t *testing.T) {
 				cfg := ShardedConfig{Shards: shards, Plain: mode == "plain"}
 				if mode == "sliced" {
-					cfg.Sliced = true
 					cfg.BlockEntries = 8 // force multiple blocks with partial tails
 				}
 				db, sh := buildEquivalent(t, entries, cfg)
@@ -86,18 +89,46 @@ func TestShardedMatchesPlainDB(t *testing.T) {
 					}
 				}
 				// The batch APIs must agree slot-for-slot with the serial calls.
-				for i, v := range sh.ParallelDecide(queries, 4) {
+				for i, v := range ParallelDecide(sh, queries, 4) {
 					if want := db.Decide(queries[i]); v != want {
 						t.Errorf("ParallelDecide[%d] = %+v, want %+v", i, v, want)
 					}
 				}
-				for i, m := range sh.ParallelIdentify(queries, 4) {
+				for i, m := range ParallelIdentify(sh, queries, 4) {
 					wn, wi, wok := db.Identify(queries[i])
 					if m.Name != wn || m.Index != wi || m.OK != wok {
 						t.Errorf("ParallelIdentify[%d] = %+v, want (%s,%d,%v)", i, m, wn, wi, wok)
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestShardedSignsOnce: one Decide or Identify signs the query once and
+// hands the signature to every shard; the exact (Plain) engine never signs.
+func TestShardedSignsOnce(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	q := testSet(0xF00D, 4096, 64)
+	for _, plain := range []bool{false, true} {
+		_, sh := buildEquivalent(t, 40, ShardedConfig{Shards: 8, Plain: plain})
+		want := int64(1)
+		if plain {
+			want = 0
+		}
+		for _, op := range []struct {
+			name string
+			run  func()
+		}{
+			{"Decide", func() { sh.Decide(q) }},
+			{"Identify", func() { sh.Identify(q) }},
+		} {
+			before := cSignatures.Value()
+			op.run()
+			if got := cSignatures.Value() - before; got != want {
+				t.Errorf("plain=%v %s: %d signatures, want %d", plain, op.name, got, want)
+			}
 		}
 	}
 }
@@ -248,7 +279,7 @@ func TestShardedConcurrentMutation(t *testing.T) {
 // the LSH index and the sliced arena; post-remove answers must track the
 // surviving entries and the removed fingerprint must stop matching.
 func TestShardedSlicedRemoveRebuild(t *testing.T) {
-	sh, err := NewShardedDB(DefaultThreshold, ShardedConfig{Shards: 2, Sliced: true, BlockEntries: 4})
+	sh, err := NewShardedDB(DefaultThreshold, ShardedConfig{Shards: 2, BlockEntries: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,13 +306,6 @@ func TestShardedSlicedRemoveRebuild(t *testing.T) {
 	}
 }
 
-// TestShardedRejectsPlainSliced: the two backends are mutually exclusive.
-func TestShardedRejectsPlainSliced(t *testing.T) {
-	if _, err := NewShardedDB(DefaultThreshold, ShardedConfig{Plain: true, Sliced: true}); err == nil {
-		t.Fatal("Plain+Sliced config accepted")
-	}
-}
-
 // TestShardedRemoveTombstone: Remove must exclude the entry from every
 // verdict path immediately while deferring the O(shard) physical rebuild
 // until RebuildMinDead tombstones accumulate — the PR 8 regression where
@@ -290,7 +314,7 @@ func TestShardedRemoveTombstone(t *testing.T) {
 	for _, cfg := range []ShardedConfig{
 		{Shards: 1, Plain: true, RebuildMinDead: 4},
 		{Shards: 1, RebuildMinDead: 4},
-		{Shards: 1, Sliced: true, BlockEntries: 4, RebuildMinDead: 4},
+		{Shards: 1, BlockEntries: 4, RebuildMinDead: 4},
 	} {
 		sh, err := NewShardedDB(DefaultThreshold, cfg)
 		if err != nil {

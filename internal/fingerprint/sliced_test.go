@@ -10,9 +10,8 @@ import (
 )
 
 // TestSlicedIdentifyMatchesScan: every SlicedDB decision must be bit-identical
-// to the dense scan — Identify triple, IdentifyBest distance, full Verdict —
-// across block widths (including width 1 and a partial tail block) and both
-// probing modes.
+// to the dense scan — Identify triple and full Verdict — across block widths
+// (including width 1 and a partial tail block) and both probing modes.
 func TestSlicedIdentifyMatchesScan(t *testing.T) {
 	fps, outs, _ := mkChipWorld(t, 12, 4, 4096, 0x51C)
 	db := NewDB(DefaultThreshold)
@@ -89,11 +88,11 @@ func sparseFP(nbits, card int, seed uint64) *bitset.Set {
 }
 
 // TestSlicedInvariance100k: at 100k entries the scan, indexed, and sliced
-// paths must agree on every verdict, serially and under ParallelIdentify /
-// ParallelDecide with arbitrary worker counts. This is the randomized
-// invariance suite the PR-8 acceptance criteria name; it runs under -race in
-// CI, so the corpus is sized for the detector (1024-bit fingerprints,
-// ~13 MB of words).
+// paths must agree on every verdict, serially and under the ParallelIdentify
+// / ParallelDecide batch helpers with arbitrary worker counts. This is the
+// randomized invariance suite the PR-8 acceptance criteria name; it runs
+// under -race in CI, so the corpus is sized for the detector (1024-bit
+// fingerprints, ~13 MB of words).
 func TestSlicedInvariance100k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k corpus; skipped in -short mode")
@@ -155,17 +154,17 @@ func TestSlicedInvariance100k(t *testing.T) {
 
 	// Any worker count: a seeded-random count plus the serial and small-prime
 	// cases. Slot i must equal the serial answer on every path.
-	serial := db.ParallelDecide(queries, 1)
+	serial := ParallelDecide(db, queries, 1)
 	workerCounts := []int{1, 3, 4 + int(prng.Hash(seed, 0xC)%5)}
 	for _, w := range workerCounts {
 		for _, ident := range []Identifier{ix, sx} {
-			got := ident.ParallelDecide(queries, w)
+			got := ParallelDecide(ident, queries, w)
 			for i := range serial {
 				if got[i] != serial[i] {
 					t.Fatalf("workers=%d %T slot %d: %+v != serial %+v", w, ident, i, got[i], serial[i])
 				}
 			}
-			matches := ident.ParallelIdentify(queries, w)
+			matches := ParallelIdentify(ident, queries, w)
 			for i, m := range matches {
 				if m.OK != serial[i].OK() || (m.OK && m.Index != serial[i].Index) {
 					t.Fatalf("workers=%d %T slot %d: identify %+v vs verdict %+v", w, ident, i, m, serial[i])

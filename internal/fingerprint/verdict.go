@@ -1,6 +1,8 @@
 package fingerprint
 
 import (
+	"context"
+
 	"probablecause/internal/bitset"
 	"probablecause/internal/obs"
 	"probablecause/internal/pool"
@@ -8,11 +10,12 @@ import (
 
 // Verdict is the full outcome of one identification decision: the
 // best-matching entry, its distance, and how many database entries sat under
-// the threshold. It subsumes Identify (OK ⇔ Matches ≥ 1) and IdentifyBest
-// (Name/Index/Distance) and adds the ambiguity verdict the serving layer and
-// the pcause CLI surface: Matches ≥ 2 means the error string matched more
-// than one registered fingerprint, so the name returned is a guess between
-// colliding devices (Table 2's false-positive regime), not an identification.
+// the threshold. It subsumes Identify (OK ⇔ Matches ≥ 1), carries the
+// margin (Name/Index/Distance, regardless of threshold), and adds the
+// ambiguity verdict the serving layer and the pcause CLI surface: Matches ≥
+// 2 means the error string matched more than one registered fingerprint, so
+// the name returned is a guess between colliding devices (Table 2's
+// false-positive regime), not an identification.
 type Verdict struct {
 	// Name and Index locate the minimum-distance entry. Index is -1 when the
 	// database is empty; for ShardedDB it is the entry's stable add-order id
@@ -51,6 +54,18 @@ func recordVerdict(v Verdict) {
 	}
 }
 
+// observe folds one entry into a running verdict in scan order: a strictly
+// smaller distance takes the lead, so ties keep the earlier index. Index is
+// whatever position the caller scans by; the caller resolves the name.
+func (v *Verdict) observe(i int, d, threshold float64) {
+	if d < threshold {
+		v.Matches++
+	}
+	if d < v.Distance {
+		v.Index, v.Distance = i, d
+	}
+}
+
 // Decide runs the full identification decision against the database: one
 // dense scan yielding the best entry, its distance, and the number of
 // entries under the threshold.
@@ -65,32 +80,19 @@ func (db *DB) Decide(errorString *bitset.Set) Verdict {
 func (db *DB) decideRaw(errorString *bitset.Set) Verdict {
 	v := Verdict{Index: -1, Distance: 2} // above any possible distance
 	for i, e := range db.entries {
-		if !db.alive(i) {
-			continue
-		}
-		d := Distance(errorString, e.FP)
-		if d < db.threshold {
-			v.Matches++
-		}
-		if d < v.Distance {
-			v.Name, v.Index, v.Distance = e.Name, i, d
+		if db.alive(i) {
+			v.observe(i, Distance(errorString, e.FP), db.threshold)
 		}
 	}
-	return v
+	return db.named(v)
 }
 
-// firstMatch is Algorithm 2's accept loop without obs counters: the first
-// entry under the threshold in add order.
-func (db *DB) firstMatch(errorString *bitset.Set) (name string, index int, ok bool) {
-	for i, e := range db.entries {
-		if !db.alive(i) {
-			continue
-		}
-		if Distance(errorString, e.FP) < db.threshold {
-			return e.Name, i, true
-		}
+// named fills in the name of the verdict's entry.
+func (db *DB) named(v Verdict) Verdict {
+	if v.Index >= 0 {
+		v.Name = db.entries[v.Index].Name
 	}
-	return "", -1, false
+	return v
 }
 
 // Decide is DB.Decide over the candidate buckets. When no candidate sits
@@ -108,17 +110,9 @@ func (x *IndexedDB) Decide(errorString *bitset.Set) Verdict {
 
 func (x *IndexedDB) decideRaw(errorString *bitset.Set) Verdict {
 	v := Verdict{Index: -1, Distance: 2}
-	for _, i := range x.candidates(errorString) {
-		if !x.db.alive(i) {
-			continue
-		}
-		e := x.db.entries[i]
-		d := Distance(errorString, e.FP)
-		if d < x.db.threshold {
-			v.Matches++
-		}
-		if d < v.Distance {
-			v.Name, v.Index, v.Distance = e.Name, i, d
+	for _, i := range x.candidates(NewQuery(errorString, x.cfg.Scheme)) {
+		if x.db.alive(i) {
+			v.observe(i, Distance(errorString, x.db.entries[i].FP), x.db.threshold)
 		}
 	}
 	if v.Matches == 0 && !x.cfg.NoFallback {
@@ -127,35 +121,34 @@ func (x *IndexedDB) decideRaw(errorString *bitset.Set) Verdict {
 		}
 		return x.db.decideRaw(errorString)
 	}
-	return v
+	return x.db.named(v)
 }
 
-// firstMatch is the indexed analogue of DB.firstMatch: first candidate under
-// the threshold, with the verified fallback scan when no candidate matches.
-func (x *IndexedDB) firstMatch(errorString *bitset.Set) (name string, index int, ok bool) {
-	for _, i := range x.candidates(errorString) {
-		if !x.db.alive(i) {
-			continue
-		}
-		e := x.db.entries[i]
-		if Distance(errorString, e.FP) < x.db.threshold {
-			return e.Name, i, true
-		}
-	}
-	if !x.cfg.NoFallback {
-		if obs.On() {
-			cIndexFallbacks.Inc()
-		}
-		return x.db.firstMatch(errorString)
-	}
-	return "", -1, false
+// Match is one batch-identification outcome: the fields Identify returns,
+// in struct form so a batch can be returned as a slice.
+type Match struct {
+	Name  string
+	Index int
+	OK    bool
 }
 
-// ParallelDecide runs Decide for every error string across a bounded worker
-// pool and returns the verdicts in input order, with the same determinism
-// contract as ParallelIdentify: the database is only read, so each slot
-// equals a serial Decide call.
-func (db *DB) ParallelDecide(errorStrings []*bitset.Set, workers int) []Verdict {
+// ParallelIdentify runs db.Identify for every error string across a bounded
+// worker pool (pool.Workers semantics: workers <= 0 means one per CPU) and
+// returns the matches in input order. The database is only read, so each
+// slot equals exactly what a serial Identify call returns: fan-out changes
+// the wall-clock, never a decision.
+func ParallelIdentify(db Identifier, errorStrings []*bitset.Set, workers int) []Match {
+	out := make([]Match, len(errorStrings))
+	pool.Map(workers, len(errorStrings), func(i int) {
+		name, idx, ok := db.Identify(errorStrings[i])
+		out[i] = Match{Name: name, Index: idx, OK: ok}
+	})
+	return out
+}
+
+// ParallelDecide is ParallelIdentify for full verdicts: slot i equals a
+// serial db.Decide(errorStrings[i]).
+func ParallelDecide(db Identifier, errorStrings []*bitset.Set, workers int) []Verdict {
 	out := make([]Verdict, len(errorStrings))
 	pool.Map(workers, len(errorStrings), func(i int) {
 		out[i] = db.Decide(errorStrings[i])
@@ -163,12 +156,24 @@ func (db *DB) ParallelDecide(errorStrings []*bitset.Set, workers int) []Verdict 
 	return out
 }
 
-// ParallelDecide runs Decide for every error string across a bounded worker
-// pool; see DB.ParallelDecide.
-func (x *IndexedDB) ParallelDecide(errorStrings []*bitset.Set, workers int) []Verdict {
+// TracedDecider is a decision surface that records its fan-out under the
+// request span a context carries (ShardedDB and the store backends).
+type TracedDecider interface {
+	DecideCtx(ctx context.Context, errorString *bitset.Set) Verdict
+}
+
+// ParallelDecideCtx is ParallelDecide with per-query trace contexts: slot i
+// answers errorStrings[i] under ctxs[i] (nil or missing contexts run
+// untraced), so a coalesced batch records each originating request's
+// fan-out in that request's own span tree.
+func ParallelDecideCtx(db TracedDecider, ctxs []context.Context, errorStrings []*bitset.Set, workers int) []Verdict {
 	out := make([]Verdict, len(errorStrings))
 	pool.Map(workers, len(errorStrings), func(i int) {
-		out[i] = x.Decide(errorStrings[i])
+		ctx := context.Background()
+		if i < len(ctxs) && ctxs[i] != nil {
+			ctx = ctxs[i]
+		}
+		out[i] = db.DecideCtx(ctx, errorStrings[i])
 	})
 	return out
 }

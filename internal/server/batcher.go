@@ -44,7 +44,7 @@ type pending struct {
 // batcher is the micro-batching dispatcher on the identify path. Requests
 // land in a bounded queue; a single dispatcher goroutine coalesces whatever
 // arrived within the window (up to maxBatch) into one batch and runs it
-// through the sharded database's ParallelDecide, amortizing dispatch
+// through fingerprint.ParallelDecideCtx over the backend, amortizing dispatch
 // overhead across concurrent requests. Results are per-query and
 // order-independent, so coalescing never changes any verdict — only the
 // wall-clock (see the invariance tests).

@@ -223,6 +223,10 @@ func (s *Service) EnableEnrollment(cfg EnrollConfig, watermark uint64) error {
 // preserved exactly.
 func BootDurable(seed *fingerprint.DB, cfg Config, ecfg EnrollConfig) (*Service, error) {
 	if cfg.Store.Backend == store.BackendTiered {
+		// New boots the store unseeded here, so it cannot vet the seed.
+		if _, err := seedBitLen(seed); err != nil {
+			return nil, err
+		}
 		s, err := New(nil, cfg)
 		if err != nil {
 			return nil, err

@@ -37,7 +37,7 @@ func propQueries(db *fingerprint.DB, seed uint64) []propQuery {
 }
 
 // checkVerdict holds a served verdict to the offline dense-scan one. Matches
-// is exact on plain shards; on LSH-indexed shards it is the documented
+// is exact on plain shards; on the serving engine it is the documented
 // candidates-only count, so only the matched/ambiguous-capable floor is
 // checked.
 func checkVerdict(t *testing.T, label string, got, want fingerprint.Verdict, plain bool) {
@@ -55,16 +55,17 @@ func checkVerdict(t *testing.T, label string, got, want fingerprint.Verdict, pla
 }
 
 // TestServeInvariance is the serving-path determinism property: for any shard
-// count, any batch window, cache on or off, plain or indexed shards, every
-// verdict the batched+sharded+cached service returns equals the direct
-// fingerprint.DB.Decide dense scan — concurrency moves wall-clock only.
+// count, any batch window, cache on or off, the exact (plain) or the serving
+// engine, every verdict the batched+sharded+cached service returns equals
+// the direct fingerprint.DB.Decide dense scan — concurrency moves wall-clock
+// only.
 func TestServeInvariance(t *testing.T) {
 	type combo struct {
 		shards int
 		window time.Duration
 		cache  int
 		plain  bool
-		sliced bool
+		sliced bool // narrow blocks: sweeps cross several blocks with partial tails
 		probes bool
 	}
 	combos := []combo{
@@ -88,15 +89,19 @@ func TestServeInvariance(t *testing.T) {
 			db.Add("twinB", twin.Clone())
 			qs := propQueries(db, seed)
 
+			blockEntries := 0
+			if cb.sliced {
+				blockEntries = 4
+			}
 			s, err := New(db, Config{
-				Shards:      cb.shards,
-				Plain:       cb.plain,
-				Sliced:      cb.sliced,
-				Probes:      cb.probes,
-				Workers:     2,
-				BatchWindow: cb.window,
-				MaxBatch:    7, // forces multi-dispatch splits
-				CacheSize:   cb.cache,
+				Shards:       cb.shards,
+				Plain:        cb.plain,
+				BlockEntries: blockEntries,
+				Probes:       cb.probes,
+				Workers:      2,
+				BatchWindow:  cb.window,
+				MaxBatch:     7, // forces multi-dispatch splits
+				CacheSize:    cb.cache,
 			})
 			if err != nil {
 				t.Fatal(err)

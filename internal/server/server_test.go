@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"probablecause/internal/faults"
 	"probablecause/internal/fingerprint"
 	"probablecause/internal/prng"
+	"probablecause/internal/store"
 )
 
 // fixtureLen is the error-string bit-length shared by every test fixture.
@@ -173,6 +175,27 @@ func TestServeValidation(t *testing.T) {
 	if code, _ := postJSON(t, h, "GET", "/v1/identify", nil); code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET identify: %d, want 405", code)
 	}
+}
+
+// TestNewRejectsMixedSeedLengths: a seed mixing fingerprint lengths (a -db
+// list of fingerprints from different memory sizes) is refused at boot with
+// both lengths named — in memory and on the tiered durable path — instead
+// of booting and panicking in the distance kernel at the first identify.
+func TestNewRejectsMixedSeedLengths(t *testing.T) {
+	seed := fixtureDB(3)
+	seed.Add("short", bitset.FromPositions(fixtureLen/2, []uint32{1, 2, 3}))
+	check := func(label string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "4096") || !strings.Contains(err.Error(), "2048") {
+			t.Fatalf("%s: mixed-length seed gave %v, want an error naming 4096 and 2048", label, err)
+		}
+	}
+	_, err := New(seed, Config{})
+	check("memory", err)
+	dir := t.TempDir()
+	_, err = BootDurable(seed, Config{Store: store.Config{Backend: store.BackendTiered, Dir: filepath.Join(dir, "store")}},
+		EnrollConfig{Dir: dir})
+	check("tiered", err)
 }
 
 // TestServeDBEndpoints exercises stats, add, remove, characterize, and cache

@@ -10,8 +10,8 @@
 //     take per-shard RW locks, so registration traffic does not serialize
 //     identification traffic;
 //   - a micro-batching dispatcher (batcher): concurrent identify requests
-//     coalesce over a short window into one ParallelDecide batch, amortizing
-//     dispatch overhead;
+//     coalesce over a short window into one fingerprint.ParallelDecideCtx
+//     batch, amortizing dispatch overhead;
 //   - an LRU result cache (verdictCache) keyed by the error string's SHA-256
 //     digest and invalidated generationally on every DB mutation;
 //   - production guards: bounded queue with 429 backpressure, per-request
@@ -22,9 +22,12 @@
 //
 // Determinism contract: batching, sharding, and caching change wall-clock
 // behavior only. Every identify answer equals what a serial
-// fingerprint.DB.Decide scan over the same entries returns (on indexed
-// shards, modulo IndexedDB's documented candidates-only Matches count); the
-// golden and invariance tests in this package hold the service to that.
+// fingerprint.DB.Decide scan over the same entries returns. With
+// Config.Plain (the exact reference engine) that holds for the whole
+// Verdict; the serving engine counts Matches over LSH candidates when one
+// matches (see fingerprint.BestMatch), so there it holds for Name, Index,
+// Distance and OK. The golden and invariance tests in this package hold the
+// service to that.
 package server
 
 import (
@@ -52,14 +55,11 @@ type Config struct {
 	Threshold float64
 	// Shards is the database shard count; 0 selects fingerprint.DefaultShards.
 	Shards int
-	// Plain disables the per-shard LSH indexes (dense-scan shards).
+	// Plain selects the exact reference engine: dense-scan shards and
+	// segment sweeps with no LSH candidate stage, so Matches is exact.
 	Plain bool
-	// Sliced puts the bit-sliced verification backend on every shard
-	// (band-major block kernel with cardinality-bound pruning on the
-	// fallback scan); mutually exclusive with Plain.
-	Sliced bool
-	// Probes enables multi-probe LSH candidate expansion on the per-shard
-	// indexes (leave-one-out near-miss buckets).
+	// Probes enables multi-probe LSH candidate expansion (leave-one-out
+	// near-miss buckets).
 	Probes bool
 	// Workers bounds the pool a dispatched batch fans across; 0 means one
 	// worker per CPU.
@@ -97,7 +97,7 @@ type Config struct {
 	// the in-memory ShardedDB (the pre-tiering behavior); "tiered" puts the
 	// database behind mmap'd immutable segment files in Store.Dir.
 	Store store.Config
-	// BlockEntries sizes the bit-sliced blocks on sliced shards and in tiered
+	// BlockEntries sizes the bit-sliced blocks in memtable shards and tiered
 	// segment files; 0 selects the fingerprint package default.
 	BlockEntries int
 	// Partition scopes the service to one partition of a partitioned
@@ -171,9 +171,13 @@ type Service struct {
 // only accepted into an empty store (BootDurable manages the combination).
 func New(seed *fingerprint.DB, cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults(seed)
+	seedBits, err := seedBitLen(seed)
+	if err != nil {
+		return nil, err
+	}
 	db, err := store.Open(cfg.Store, store.DBConfig{
 		Threshold: cfg.Threshold, Shards: cfg.Shards,
-		Plain: cfg.Plain, Sliced: cfg.Sliced, Probes: cfg.Probes,
+		Plain: cfg.Plain, Probes: cfg.Probes,
 		Workers: cfg.Workers, BlockEntries: cfg.BlockEntries,
 	})
 	if err != nil {
@@ -192,8 +196,8 @@ func New(seed *fingerprint.DB, cfg Config) (*Service, error) {
 	// Seeding advanced the DB generation; align the cache's accepted
 	// generation so post-startup Puts are not dropped as stale.
 	s.cache.Purge(db.Generation())
-	if seed != nil && seed.Len() > 0 {
-		s.fpLen.Store(int64(seed.Entries()[0].FP.Len()))
+	if seedBits > 0 {
+		s.fpLen.Store(int64(seedBits))
 	} else if b, ok := db.(interface{ FPBits() int }); ok {
 		// A recovered tiered store pins the query-length check without
 		// materializing any entry.
@@ -212,9 +216,23 @@ func New(seed *fingerprint.DB, cfg Config) (*Service, error) {
 	}
 	s.slow = obs.NewSlowRing(slowK)
 	s.batch = newBatcher(cfg.QueueDepth, cfg.MaxBatch, cfg.BatchWindow, func(ctxs []context.Context, ess []*bitset.Set) []fingerprint.Verdict {
-		return db.ParallelDecideCtx(ctxs, ess, cfg.Workers)
+		return fingerprint.ParallelDecideCtx(db, ctxs, ess, cfg.Workers)
 	})
 	return s, nil
+}
+
+// seedBitLen returns the fingerprint length a seed database pins (0 for no
+// seed or an empty one), refusing a seed that mixes lengths — a -db list of
+// fingerprints from different memory sizes — before any of it is served.
+func seedBitLen(seed *fingerprint.DB) (int, error) {
+	if seed == nil {
+		return 0, nil
+	}
+	n, err := seed.BitLen()
+	if err != nil {
+		return 0, fmt.Errorf("server: seed: %w", err)
+	}
+	return n, nil
 }
 
 // SLO exposes the service's SLO engine (nil without objectives).

@@ -2,7 +2,10 @@
 // serving layer has always used, satisfying Backend with a no-op Close.
 package store
 
-import "probablecause/internal/fingerprint"
+import (
+	"probablecause/internal/bitset"
+	"probablecause/internal/fingerprint"
+)
 
 // Memory is the in-RAM backend: the fingerprint.ShardedDB the serving layer
 // has always used, unchanged, satisfying Backend with a no-op Close.
@@ -21,5 +24,10 @@ func OpenMemory(dbCfg DBConfig) (*Memory, error) {
 
 // Close releases nothing; the database is garbage-collected.
 func (m *Memory) Close() error { return nil }
+
+// ParallelDecide is fingerprint.ParallelDecide over the backend.
+func (m *Memory) ParallelDecide(errorStrings []*bitset.Set, workers int) []fingerprint.Verdict {
+	return fingerprint.ParallelDecide(m, errorStrings, workers)
+}
 
 var _ Backend = (*Memory)(nil)

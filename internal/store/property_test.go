@@ -14,14 +14,16 @@ import (
 // randomized interleavings of add / remove / flush / compact / identify /
 // decide, the tiered backend must answer exactly like an in-memory Memory
 // backend fed the same Add/Remove sequence — flush and compaction timing can
-// never change an answer or an id.
+// never change an answer or an id — and like the dense scan, a Plain Memory
+// backend fed the same tape.
 //
 // Equality scoping follows the package contract: with DBConfig.Plain the full
-// Verdict (including Matches) is byte-identical; on indexed and probed
-// configurations per-tier candidate sets legitimately differ from per-shard
-// ones, so (Name, Index, Distance, OK) is pinned. Reads run from a pool of
-// goroutines at each checkpoint so the suite exercises concurrent access
-// under -race.
+// Verdict (including Matches) is byte-identical; on the serving engine
+// ("indexed" is the default configuration, "sliced-probes" adds multi-probe
+// candidates) per-tier candidate sets legitimately differ from per-shard
+// ones, so (Name, Index, Distance, OK) is pinned, while Identify must match
+// the dense scan exactly. Reads run from a pool of goroutines at each
+// checkpoint so the suite exercises concurrent access under -race.
 func TestTieredScanEquivalence(t *testing.T) {
 	const nbits = 1024
 	configs := []struct {
@@ -31,7 +33,7 @@ func TestTieredScanEquivalence(t *testing.T) {
 	}{
 		{"plain", DBConfig{Threshold: fingerprint.DefaultThreshold, Shards: 2, Plain: true, BlockEntries: 8}, true},
 		{"indexed", DBConfig{Threshold: fingerprint.DefaultThreshold, Shards: 2, BlockEntries: 8}, false},
-		{"sliced-probes", DBConfig{Threshold: fingerprint.DefaultThreshold, Shards: 2, Sliced: true, Probes: true, BlockEntries: 8}, false},
+		{"sliced-probes", DBConfig{Threshold: fingerprint.DefaultThreshold, Shards: 2, Probes: true, BlockEntries: 8}, false},
 	}
 	for _, cfg := range configs {
 		for _, workers := range []int{1, 4} {
@@ -55,6 +57,12 @@ func runScanEquivalence(t *testing.T, dbCfg DBConfig, full bool, workers, nbits 
 	if err != nil {
 		t.Fatal(err)
 	}
+	denseCfg := dbCfg
+	denseCfg.Plain = true
+	dense, err := OpenMemory(denseCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// The op tape: a fingerprint pool with same-device noisy queries so
 	// identifications actually hit, plus names that get re-enrolled after
@@ -69,6 +77,9 @@ func runScanEquivalence(t *testing.T, dbCfg DBConfig, full bool, workers, nbits 
 	}
 	var queries []*bitset.Set
 
+	sameAnswer := func(a, b fingerprint.Verdict) bool {
+		return a.Name == b.Name && a.Index == b.Index && a.Distance == b.Distance && a.OK() == b.OK()
+	}
 	check := func(step int) {
 		t.Helper()
 		if tiered.Len() != oracle.Len() {
@@ -83,21 +94,30 @@ func runScanEquivalence(t *testing.T, dbCfg DBConfig, full bool, workers, nbits 
 				defer wg.Done()
 				for qi := w; qi < len(queries); qi += workers {
 					q := queries[qi]
-					gv, wv := tiered.Decide(q), oracle.Decide(q)
+					gv, wv, dv := tiered.Decide(q), oracle.Decide(q), dense.Decide(q)
 					if full {
 						if gv != wv {
 							errs <- fmt.Sprintf("step %d query %d: Decide %+v != oracle %+v", step, qi, gv, wv)
 							return
 						}
-					} else if gv.Name != wv.Name || gv.Index != wv.Index || gv.Distance != wv.Distance || gv.OK() != wv.OK() {
+					} else if !sameAnswer(gv, wv) {
 						errs <- fmt.Sprintf("step %d query %d: Decide (%s,%d,%v,%v) != oracle (%s,%d,%v,%v)",
 							step, qi, gv.Name, gv.Index, gv.Distance, gv.OK(), wv.Name, wv.Index, wv.Distance, wv.OK())
+						return
+					}
+					if !sameAnswer(gv, dv) {
+						errs <- fmt.Sprintf("step %d query %d: Decide (%s,%d,%v,%v) != dense (%s,%d,%v,%v)",
+							step, qi, gv.Name, gv.Index, gv.Distance, gv.OK(), dv.Name, dv.Index, dv.Distance, dv.OK())
 						return
 					}
 					gn, gi, gok := tiered.Identify(q)
 					wn, wi, wok := oracle.Identify(q)
 					if gn != wn || gi != wi || gok != wok {
 						errs <- fmt.Sprintf("step %d query %d: Identify (%s,%d,%v) != oracle (%s,%d,%v)", step, qi, gn, gi, gok, wn, wi, wok)
+						return
+					}
+					if dn, di, dok := dense.Identify(q); gn != dn || gi != di || gok != dok {
+						errs <- fmt.Sprintf("step %d query %d: Identify (%s,%d,%v) != dense (%s,%d,%v)", step, qi, gn, gi, gok, dn, di, dok)
 						return
 					}
 				}
@@ -128,16 +148,17 @@ func runScanEquivalence(t *testing.T, dbCfg DBConfig, full bool, workers, nbits 
 			d := pool[src.Intn(len(pool))]
 			gid := tiered.Add(d.name, d.fp)
 			wid := oracle.Add(d.name, d.fp)
-			if gid != wid {
-				t.Fatalf("step %d: Add(%s) id %d != oracle %d", step, d.name, gid, wid)
+			if did := dense.Add(d.name, d.fp); gid != wid || gid != did {
+				t.Fatalf("step %d: Add(%s) id %d != oracle %d / dense %d", step, d.name, gid, wid, did)
 			}
 			if len(queries) < 60 {
 				queries = append(queries, noisy(d.fp, uint64(step), 2))
 			}
 		case op < 60: // remove
 			d := pool[src.Intn(len(pool))]
-			if got, want := tiered.Remove(d.name), oracle.Remove(d.name); got != want {
-				t.Fatalf("step %d: Remove(%s) %v != oracle %v", step, d.name, got, want)
+			got, want := tiered.Remove(d.name), oracle.Remove(d.name)
+			if dok := dense.Remove(d.name); got != want || got != dok {
+				t.Fatalf("step %d: Remove(%s) %v != oracle %v / dense %v", step, d.name, got, want, dok)
 			}
 		case op < 72: // flush (tiered only — the oracle has no tiers)
 			if err := tiered.Flush(); err != nil {

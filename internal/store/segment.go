@@ -1,5 +1,6 @@
 // segment.go: the immutable PCSEG01 segment file — columnar encoding,
-// CRC-rooted load-time verification, and the per-segment query kernels.
+// CRC-rooted load-time verification, and the per-segment candidate stage in
+// front of the shared identify engine.
 package store
 
 import (
@@ -77,16 +78,10 @@ type colData struct {
 	lshIdx   []uint32
 }
 
-// entryKeys returns the LSH keys a fingerprint is indexed (and queried)
-// under: the probe key set when multi-probe is on, the plain band keys
-// otherwise — matching minhash.Index's symmetric use of the same key set on
-// both sides.
+// entryKeys returns the LSH keys a fingerprint is indexed under: the keys a
+// query holding the same set probes with, so both sides use one key set.
 func entryKeys(scheme minhash.Scheme, probes bool, fp *bitset.Set) []uint64 {
-	sig := scheme.Sign(bitset.Sparse(fp.Positions()))
-	if probes {
-		return scheme.ProbeKeys(sig)
-	}
-	return scheme.BandKeys(sig)
+	return fingerprint.NewQuery(fp, scheme).Keys(scheme, probes)
 }
 
 type keyPair struct {
@@ -707,11 +702,16 @@ func (seg *Segment) findName(name string) (int, bool) {
 	return 0, false
 }
 
-// candidates returns the live entry positions colliding with the query in at
-// least one LSH key, ascending and deduplicated.
-func (seg *Segment) candidates(q *bitset.Set) []int {
+// candidates returns the entry positions colliding with the query in at
+// least one LSH key, ascending and deduplicated — nil under plain, the
+// exact reference engine, which has no candidate stage. The query's shared
+// signature serves unless this segment was written under another scheme.
+func (seg *Segment) candidates(q *fingerprint.Query, plain bool) []int {
+	if plain {
+		return nil
+	}
 	var out []int
-	for _, k := range entryKeys(seg.scheme, seg.probes, q) {
+	for _, k := range q.Keys(seg.scheme, seg.probes) {
 		keys := seg.col.lshKeys
 		i := sort.Search(len(keys), func(i int) bool { return keys[i] >= k })
 		for ; i < len(keys) && keys[i] == k; i++ {
@@ -730,103 +730,33 @@ func (seg *Segment) candidates(q *bitset.Set) []int {
 	return out[:w]
 }
 
-// kernelAt runs the fused Algorithm 3 kernel for entry pos against q,
-// reading only that entry's column of the mmap'd block.
-func (seg *Segment) kernelAt(q *bitset.Set, pos int) bitset.KernelResult {
-	return seg.blocks[pos/seg.blockEntries].MinCardAndNotCountOne(q, pos%seg.blockEntries)
+// deadMask returns the tombstone flags in the form the identify engine
+// takes: nil when no entry is dead.
+func (seg *Segment) deadMask() []bool {
+	if seg.deadCount == 0 {
+		return nil
+	}
+	return seg.dead
 }
 
-// pruned replicates fingerprint.SlicedDB's cardinality-bound block prune
-// (sound for first-match only; see that type's derivation).
-func (seg *Segment) prunedBlock(blk *bitset.SlicedBlock, q *bitset.Set, qc int, threshold float64) bool {
-	if qc == 0 {
-		return false
+// firstMatch is Algorithm 2 over the segment through the shared engine
+// (fingerprint.FirstMatch): the first live entry under the threshold, as
+// (name, add-order id).
+func (seg *Segment) firstMatch(q *fingerprint.Query, threshold float64, plain bool) (string, int, bool) {
+	pos := fingerprint.FirstMatch(seg.blocks, seg.deadMask(), seg.candidates(q, plain), q.Set, threshold)
+	if pos < 0 {
+		return "", -1, false
 	}
-	cLow := blk.MinCard()
-	if qc < cLow {
-		cLow = qc
-	}
-	tUp := threshold * (1 + 1e-9)
-	return float64(cLow)*(1-tUp) >= float64(blk.UnionAndCount(q))
+	return seg.col.name(pos), seg.ID(pos), true
 }
 
-// firstMatch is Algorithm 2 over the segment: LSH candidates in id order
-// first (plain=false), then the pruned block sweep — the first live entry
-// under the threshold, as (name, add-order id).
-func (seg *Segment) firstMatch(q *bitset.Set, threshold float64, plain bool) (string, int, bool) {
-	if !plain {
-		for _, pos := range seg.candidates(q) {
-			if seg.dead[pos] {
-				continue
-			}
-			if fingerprint.KernelDistance(seg.kernelAt(q, pos)) < threshold {
-				return seg.col.name(pos), int(seg.col.ids[pos]), true
-			}
-		}
-	}
-	qc := q.Count()
-	b := seg.blockEntries
-	var dst []bitset.KernelResult
-	for bi, blk := range seg.blocks {
-		if seg.prunedBlock(blk, q, qc, threshold) {
-			continue
-		}
-		dst = blk.MinCardAndNotCounts(q, dst)
-		for j, r := range dst {
-			pos := bi*b + j
-			if seg.dead[pos] {
-				continue
-			}
-			if fingerprint.KernelDistance(r) < threshold {
-				return seg.col.name(pos), int(seg.col.ids[pos]), true
-			}
-		}
-	}
-	return "", -1, false
-}
-
-// decideRaw is the full decision over the segment. With plain=true it is an
-// exact unpruned sweep (Matches counts every live sub-threshold entry —
-// byte-identical to a dense scan). Otherwise candidates answer first and the
-// sweep is the fallback, inheriting IndexedDB's candidates-only Matches
-// caveat. Index carries the add-order id.
-func (seg *Segment) decideRaw(q *bitset.Set, threshold float64, plain bool) fingerprint.Verdict {
-	v := fingerprint.Verdict{Index: -1, Distance: 2}
-	if !plain {
-		for _, pos := range seg.candidates(q) {
-			if seg.dead[pos] {
-				continue
-			}
-			d := fingerprint.KernelDistance(seg.kernelAt(q, pos))
-			if d < threshold {
-				v.Matches++
-			}
-			if d < v.Distance {
-				v.Name, v.Index, v.Distance = seg.col.name(pos), int(seg.col.ids[pos]), d
-			}
-		}
-		if v.Matches > 0 {
-			return v
-		}
-		v = fingerprint.Verdict{Index: -1, Distance: 2}
-	}
-	b := seg.blockEntries
-	var dst []bitset.KernelResult
-	for bi, blk := range seg.blocks {
-		dst = blk.MinCardAndNotCounts(q, dst)
-		for j, r := range dst {
-			pos := bi*b + j
-			if seg.dead[pos] {
-				continue
-			}
-			d := fingerprint.KernelDistance(r)
-			if d < threshold {
-				v.Matches++
-			}
-			if d < v.Distance {
-				v.Name, v.Index, v.Distance = seg.col.name(pos), int(seg.col.ids[pos]), d
-			}
-		}
+// decide is the full decision over the segment through the shared engine
+// (fingerprint.BestMatch), with Index carrying the add-order id. Under plain
+// it is the exact unpruned sweep, byte-identical to a dense scan.
+func (seg *Segment) decide(q *fingerprint.Query, threshold float64, plain bool) fingerprint.Verdict {
+	v := fingerprint.BestMatch(seg.blocks, seg.deadMask(), seg.candidates(q, plain), q.Set, threshold)
+	if v.Index >= 0 {
+		v.Name, v.Index = seg.col.name(v.Index), seg.ID(v.Index)
 	}
 	return v
 }
@@ -876,7 +806,7 @@ func VerifySegment(path string) error {
 	// The columnar kernel must agree with the scalar one on a live entry.
 	for pos := 0; pos < seg.count; pos += 1 + seg.count/64 {
 		fp := seg.FP(pos)
-		r := seg.kernelAt(fp, pos)
+		r := seg.blocks[pos/seg.blockEntries].MinCardAndNotCountOne(fp, pos%seg.blockEntries)
 		if r.Diff != 0 || r.MinCard != fp.Count() {
 			return &CorruptError{Path: path, Offset: 0, Reason: fmt.Sprintf("self-distance of entry %d is not zero", pos)}
 		}

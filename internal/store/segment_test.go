@@ -91,14 +91,14 @@ func TestSegmentRoundTrip(t *testing.T) {
 		thr := fingerprint.DefaultThreshold
 		for i := 0; i < n; i += 7 {
 			q := noisy(entries[i].FP, uint64(i), 2)
-			v := seg.decideRaw(q, thr, true)
+			v := seg.decide(fingerprint.NewQuery(q, minhash.DefaultScheme), thr, true)
 			if !v.OK() || v.Index != entries[i].ID || v.Name != entries[i].Name {
 				t.Fatalf("probes=%v plain decide for entry %d = %+v", probes, i, v)
 			}
 			if got := fingerprint.Distance(q, entries[i].FP); v.Distance != got {
 				t.Fatalf("distance %v != scalar %v", v.Distance, got)
 			}
-			if name, id, ok := seg.firstMatch(q, thr, false); !ok || id != entries[i].ID || name != entries[i].Name {
+			if name, id, ok := seg.firstMatch(fingerprint.NewQuery(q, minhash.DefaultScheme), thr, false); !ok || id != entries[i].ID || name != entries[i].Name {
 				t.Fatalf("probes=%v firstMatch for entry %d = (%s,%d,%v)", probes, i, name, id, ok)
 			}
 		}
@@ -110,7 +110,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 		if _, ok := seg.findName("dev007"); ok {
 			t.Fatal("tombstoned name still found")
 		}
-		if v := seg.decideRaw(noisy(entries[7].FP, 7, 2), thr, true); v.OK() && v.Index == entries[7].ID {
+		if v := seg.decide(fingerprint.NewQuery(noisy(entries[7].FP, 7, 2), minhash.DefaultScheme), thr, true); v.OK() && v.Index == entries[7].ID {
 			t.Fatalf("tombstoned entry still matches: %+v", v)
 		}
 		if seg.Live() != n-1 {
@@ -204,5 +204,33 @@ func TestSegmentRejectsEmpty(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "seg-000000.pcseg")
 	if err := WriteSegment(path, nil, minhash.DefaultScheme, false, 8); err == nil {
 		t.Fatal("empty segment accepted")
+	}
+}
+
+// TestSegmentOwnScheme: a segment written under another LSH scheme than the
+// query's signs the query under its own, so its candidate stage still finds
+// the entry instead of leaving every answer to the fallback sweep.
+func TestSegmentOwnScheme(t *testing.T) {
+	entries := testEntries(20, 1024)
+	path := filepath.Join(t.TempDir(), "seg-000000.pcseg")
+	if err := WriteSegment(path, entries, minhash.Scheme{Bands: 4, Rows: 2, Seed: 9}, false, 8); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := LoadSegment(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	q := fingerprint.NewQuery(noisy(entries[5].FP, 5, 2), minhash.DefaultScheme)
+	q.Keys(minhash.DefaultScheme, false) // a default-scheme component signed it first
+	found := false
+	for _, pos := range seg.candidates(q, false) {
+		found = found || pos == 5
+	}
+	if !found {
+		t.Fatal("own-scheme segment produced no candidate for its entry")
+	}
+	if name, id, ok := seg.firstMatch(q, fingerprint.DefaultThreshold, false); !ok || id != entries[5].ID || name != entries[5].Name {
+		t.Fatalf("firstMatch = (%s,%d,%v), want entry 5", name, id, ok)
 	}
 }

@@ -15,16 +15,24 @@
 //     compaction merges them (dropping tombstones); a JSON manifest committed
 //     by atomic rename is the engine's commit point.
 //
+// Both tiers run one identify engine: each query is signed once, the
+// memtable shards and every segment turn the shared signature into LSH
+// candidates, and fingerprint.FirstMatch / fingerprint.BestMatch verify
+// them with the sliced block kernel, sweeping the blocks when no candidate
+// matches. DBConfig.Plain selects the exact reference engine instead: dense
+// memtable shards and segment sweeps with no candidate stage.
+//
 // Determinism contract: a Tiered backend built by any interleaving of the
 // same Add/Remove sequence — under any flush or compaction timing — answers
 // Identify/Decide with the same (distance, id)-lexicographic winner and the
-// same stable add-order ids as the Memory backend built from that sequence.
-// With DBConfig.Plain the full Verdict (including the Matches count) is
-// byte-identical; on indexed configurations the per-tier candidate sets
-// differ from the per-shard ones, so only the (Name, Index, Distance, OK)
-// answer is pinned, exactly as IndexedDB documents for its candidates-only
-// Matches count. The property suite in property_test.go holds the engine to
-// this under randomized interleavings and -race.
+// same stable add-order ids as the Memory backend built from that sequence,
+// and as the dense scan. With DBConfig.Plain the full Verdict (including the
+// Matches count) is byte-identical to the dense scan. Otherwise Matches is
+// counted over LSH candidates when one matches, and per-tier candidate sets
+// differ from per-shard ones, so only the (Name, Index, Distance, OK) answer
+// is pinned (see fingerprint.BestMatch). The property suite in
+// property_test.go holds the engine to this under randomized interleavings
+// and -race.
 package store
 
 import (
@@ -58,12 +66,10 @@ type Backend interface {
 	ExportIDs() []fingerprint.IDEntry
 
 	Identify(errorString *bitset.Set) (name string, index int, ok bool)
-	IdentifyBest(errorString *bitset.Set) (name string, index int, dist float64)
 	Decide(errorString *bitset.Set) fingerprint.Verdict
 	DecideCtx(ctx context.Context, errorString *bitset.Set) fingerprint.Verdict
-	ParallelIdentify(errorStrings []*bitset.Set, workers int) []fingerprint.Match
+	// ParallelDecide is fingerprint.ParallelDecide over the backend.
 	ParallelDecide(errorStrings []*bitset.Set, workers int) []fingerprint.Verdict
-	ParallelDecideCtx(ctxs []context.Context, errorStrings []*bitset.Set, workers int) []fingerprint.Verdict
 
 	// Close releases the backend's resources (mappings, file handles).
 	Close() error
@@ -104,12 +110,11 @@ type SegmentSnapshotter interface {
 
 // DBConfig parameterizes the in-memory database both backends build (the
 // whole DB for Memory, the memtable for Tiered) — the knobs server.Config
-// already exposes.
+// already exposes. Plain selects the exact reference engine in both tiers.
 type DBConfig struct {
 	Threshold    float64
 	Shards       int
 	Plain        bool
-	Sliced       bool
 	Probes       bool
 	Workers      int
 	BlockEntries int
@@ -117,7 +122,7 @@ type DBConfig struct {
 
 func (c DBConfig) newShardedDB() (*fingerprint.ShardedDB, error) {
 	scfg := fingerprint.ShardedConfig{
-		Shards: c.Shards, Plain: c.Plain, Sliced: c.Sliced, BlockEntries: c.BlockEntries,
+		Shards: c.Shards, Plain: c.Plain, BlockEntries: c.BlockEntries,
 	}
 	scfg.Index.Workers = c.Workers
 	scfg.Index.Probes = c.Probes

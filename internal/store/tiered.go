@@ -18,7 +18,6 @@ import (
 	"probablecause/internal/fingerprint"
 	"probablecause/internal/minhash"
 	"probablecause/internal/obs"
-	"probablecause/internal/pool"
 )
 
 // Tiered is the LSM-shaped storage backend: an in-RAM memtable (a
@@ -246,18 +245,20 @@ func (t *Tiered) EndFlush()           { t.flushReq.Store(false) }
 
 // Identify implements Algorithm 2 across the tiers: every tier reports its
 // first match and the minimum global id wins — exactly the in-memory
-// ShardedDB's cross-shard rule lifted to memtable+segments.
+// ShardedDB's cross-shard rule lifted to memtable+segments. The query is
+// signed once for all of them.
 func (t *Tiered) Identify(errorString *bitset.Set) (name string, index int, ok bool) {
+	q := fingerprint.NewQuery(errorString, t.scheme)
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	index = -1
 	for _, seg := range t.segs {
-		n, id, hit := seg.firstMatch(errorString, t.dbCfg.Threshold, t.dbCfg.Plain)
+		n, id, hit := seg.firstMatch(q, t.dbCfg.Threshold, t.dbCfg.Plain)
 		if hit && (index < 0 || id < index) {
 			name, index = n, id
 		}
 	}
-	if n, local, hit := t.mem.FirstMatch(errorString); hit {
+	if n, local, hit := t.mem.IdentifyQuery(q); hit {
 		if id := t.memBase + local; index < 0 || id < index {
 			name, index = n, id
 		}
@@ -265,29 +266,28 @@ func (t *Tiered) Identify(errorString *bitset.Set) (name string, index int, ok b
 	return name, index, index >= 0
 }
 
-// IdentifyBest returns the minimum-distance entry across the tiers.
-func (t *Tiered) IdentifyBest(errorString *bitset.Set) (name string, index int, dist float64) {
-	v := t.Decide(errorString)
-	return v.Name, v.Index, v.Distance
-}
-
 // Decide merges the memtable's verdict with every segment's through
 // fingerprint.MergeVerdict — the same (distance, id)-lexicographic rule the
-// sharded scan uses, so flush timing can never change an answer. With
-// DBConfig.Plain every tier sweeps densely and the Matches count is exact;
-// indexed tiers inherit the candidates-only caveat.
+// sharded scan uses, so flush timing can never change an answer.
 func (t *Tiered) Decide(errorString *bitset.Set) fingerprint.Verdict {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.decideLocked(errorString)
+	return t.DecideCtx(context.Background(), errorString)
 }
 
-func (t *Tiered) decideLocked(errorString *bitset.Set) fingerprint.Verdict {
+// DecideCtx is Decide under the request span ctx may carry: one
+// store.decide child records the tier fan-out; the verdict is identical to
+// Decide's. The query is signed once for every tier.
+func (t *Tiered) DecideCtx(ctx context.Context, errorString *bitset.Set) fingerprint.Verdict {
+	q := fingerprint.NewQuery(errorString, t.scheme)
+	sp := obs.SpanFrom(ctx).Child("store.decide")
+	defer sp.End()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	sp.SetAttr("segments", len(t.segs))
 	v := fingerprint.Verdict{Index: -1, Distance: 2}
 	for _, seg := range t.segs {
-		fingerprint.MergeVerdict(&v, seg.decideRaw(errorString, t.dbCfg.Threshold, t.dbCfg.Plain))
+		fingerprint.MergeVerdict(&v, seg.decide(q, t.dbCfg.Threshold, t.dbCfg.Plain))
 	}
-	mv := t.mem.DecideRaw(errorString)
+	mv := t.mem.DecideQuery(q)
 	if mv.Index >= 0 {
 		mv.Index += t.memBase
 	}
@@ -295,53 +295,9 @@ func (t *Tiered) decideLocked(errorString *bitset.Set) fingerprint.Verdict {
 	return v
 }
 
-// DecideCtx is Decide under a request span: one store.decide child records
-// the tier fan-out; the verdict is identical to Decide's.
-func (t *Tiered) DecideCtx(ctx context.Context, errorString *bitset.Set) fingerprint.Verdict {
-	parent := obs.SpanFrom(ctx)
-	if parent == nil {
-		return t.Decide(errorString)
-	}
-	sp := parent.Child("store.decide")
-	t.mu.RLock()
-	sp.SetAttr("segments", len(t.segs))
-	v := t.decideLocked(errorString)
-	t.mu.RUnlock()
-	sp.End()
-	return v
-}
-
-// ParallelIdentify runs Identify across a bounded worker pool; see
-// fingerprint.DB.ParallelIdentify for the determinism contract.
-func (t *Tiered) ParallelIdentify(errorStrings []*bitset.Set, workers int) []fingerprint.Match {
-	out := make([]fingerprint.Match, len(errorStrings))
-	pool.Map(workers, len(errorStrings), func(i int) {
-		name, idx, ok := t.Identify(errorStrings[i])
-		out[i] = fingerprint.Match{Name: name, Index: idx, OK: ok}
-	})
-	return out
-}
-
-// ParallelDecide runs Decide across a bounded worker pool.
+// ParallelDecide is fingerprint.ParallelDecide over the backend.
 func (t *Tiered) ParallelDecide(errorStrings []*bitset.Set, workers int) []fingerprint.Verdict {
-	out := make([]fingerprint.Verdict, len(errorStrings))
-	pool.Map(workers, len(errorStrings), func(i int) {
-		out[i] = t.Decide(errorStrings[i])
-	})
-	return out
-}
-
-// ParallelDecideCtx is ParallelDecide with per-query trace contexts.
-func (t *Tiered) ParallelDecideCtx(ctxs []context.Context, errorStrings []*bitset.Set, workers int) []fingerprint.Verdict {
-	out := make([]fingerprint.Verdict, len(errorStrings))
-	pool.Map(workers, len(errorStrings), func(i int) {
-		ctx := context.Background()
-		if i < len(ctxs) && ctxs[i] != nil {
-			ctx = ctxs[i]
-		}
-		out[i] = t.DecideCtx(ctx, errorStrings[i])
-	})
-	return out
+	return fingerprint.ParallelDecide(t, errorStrings, workers)
 }
 
 // ExportIDs returns the live entries with their global ids, in id order —

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"probablecause/internal/fingerprint"
+	"probablecause/internal/obs"
 )
 
 func openTestTiered(t *testing.T, dir string, compact int) *Tiered {
@@ -301,5 +302,53 @@ func TestTieredGenerationStability(t *testing.T) {
 	}
 	if got := tb.Generation(); got != gen+6 {
 		t.Fatalf("generation = %d after remove, want %d", got, gen+6)
+	}
+}
+
+// TestTieredSignsOnce: a Decide or Identify over several segments and a
+// non-empty memtable signs the query once — every segment and memtable shard
+// reuses the signature — and the exact (Plain) engine never signs.
+func TestTieredSignsOnce(t *testing.T) {
+	const n, nbits = 24, 1024
+	entries := testEntries(n, nbits)
+	signatures := obs.C("fingerprint.signatures")
+	for _, plain := range []bool{false, true} {
+		tb, err := OpenTiered(Config{Dir: t.TempDir(), CompactSegments: 8},
+			DBConfig{Threshold: fingerprint.DefaultThreshold, Plain: plain, BlockEntries: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tb.Close()
+		for i, e := range entries {
+			tb.Add(e.Name, e.FP)
+			if i%8 == 7 && i < n-1 {
+				if err := tb.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if tb.SegmentCount() != 2 || tb.mem.Len() == 0 {
+			t.Fatalf("fixture: %d segments, %d memtable entries; want 2 and some", tb.SegmentCount(), tb.mem.Len())
+		}
+		want := int64(1)
+		if plain {
+			want = 0
+		}
+		q := noisy(entries[3].FP, 3, 2)
+		obs.Enable()
+		for _, op := range []struct {
+			name string
+			run  func()
+		}{
+			{"Decide", func() { tb.Decide(q) }},
+			{"Identify", func() { tb.Identify(q) }},
+		} {
+			before := signatures.Value()
+			op.run()
+			if got := signatures.Value() - before; got != want {
+				t.Errorf("plain=%v %s: %d signatures, want %d", plain, op.name, got, want)
+			}
+		}
+		obs.Disable()
 	}
 }

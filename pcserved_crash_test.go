@@ -22,7 +22,11 @@ import (
 // the daemon in the middle of a concurrent /v1/enroll burst, restart it
 // on the same WAL directory, and require that
 //
-//   - every acknowledged observation survived (acked ⊆ replayed),
+//   - every acknowledged observation survived (acked ⊆ replayed): each
+//     session recovers at least the state its last ack reported — as many
+//     folded observations, the promotion, and a sequence at or past every
+//     acked one (observations after promotion are durable but not folded,
+//     so the sequence is what proves they replayed),
 //   - nothing was invented (replayed ⊆ sent),
 //   - the recovered database is byte-identical to an independent
 //     in-process replay of the same WAL — the state is a deterministic
@@ -58,13 +62,14 @@ func TestPcservedCrashRecovery(t *testing.T) {
 
 	// Concurrent enrollment burst, killed mid-flight. Each session sends
 	// its observations in order and stops at the first failed request, so
-	// per session: acked count ≤ replayed count ≤ sent count.
+	// per session the recovered state is at least the last acked one and
+	// folds at most the observations sent.
 	var (
 		totalAcked atomic.Int64
 		killOnce   sync.Once
 		wg         sync.WaitGroup
 	)
-	acked := make([]int, sessions)
+	acked := make([]server.EnrollState, sessions) // the last ack's reported state
 	sent := make([]int, sessions)
 	kill := func() {
 		killOnce.Do(func() {
@@ -87,12 +92,13 @@ func TestPcservedCrashRecovery(t *testing.T) {
 				if err != nil {
 					return // the kill raced this request; it may or may not be durable
 				}
-				ok := resp.StatusCode == http.StatusOK
+				var st server.EnrollState
+				ok := resp.StatusCode == http.StatusOK && json.NewDecoder(resp.Body).Decode(&st) == nil
 				resp.Body.Close()
 				if !ok {
 					return
 				}
-				acked[i]++
+				acked[i] = st
 				if totalAcked.Add(1) >= killAt {
 					kill()
 				}
@@ -130,9 +136,15 @@ func TestPcservedCrashRecovery(t *testing.T) {
 
 	// acked ⊆ replayed ⊆ sent, session by session.
 	for i := 0; i < sessions; i++ {
-		got := refStates[i].Observations
-		if got < acked[i] || got > sent[i] {
-			t.Errorf("session %d: replayed %d observations, acked %d, sent %d", i, got, acked[i], sent[i])
+		got, ack := refStates[i], acked[i]
+		if got.Observations < ack.Observations || got.Observations > sent[i] {
+			t.Errorf("session %d: replayed %d observations, last ack reported %d, sent %d", i, got.Observations, ack.Observations, sent[i])
+		}
+		if ack.Promoted && !got.Promoted {
+			t.Errorf("session %d: acked promotion lost in replay", i)
+		}
+		if got.Seq < ack.Seq {
+			t.Errorf("session %d: replayed to seq %d, last ack at seq %d", i, got.Seq, ack.Seq)
 		}
 	}
 	if t.Failed() {

@@ -30,11 +30,7 @@ func startPcserved(t *testing.T, args ...string) (string, *exec.Cmd) {
 // OBS_REPORT) appended to the inherited environment.
 func startPcservedEnv(t *testing.T, env []string, args ...string) (string, *exec.Cmd) {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "pcserved")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/pcserved").CombinedOutput(); err != nil {
-		t.Fatalf("building pcserved: %v\n%s", err, out)
-	}
-	cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
+	cmd := exec.Command(buildPcserved(t), append([]string{"-addr", "127.0.0.1:0"}, args...)...)
 	if len(env) > 0 {
 		cmd.Env = append(os.Environ(), env...)
 	}
@@ -64,6 +60,69 @@ func startPcservedEnv(t *testing.T, env []string, args ...string) (string, *exec
 	}
 	t.Fatalf("pcserved never reported its address (scan err: %v)", sc.Err())
 	return "", nil
+}
+
+// buildPcserved compiles the daemon into the test's temp directory.
+func buildPcserved(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "pcserved")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/pcserved").CombinedOutput(); err != nil {
+		t.Fatalf("building pcserved: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// TestPcservedSIGTERMAtStartup: a SIGTERM sent the moment pcserved announces
+// its address must get the graceful drain — exit 0, and on a durable node
+// the drain checkpoint — never the default kill, in all three modes. The
+// window between the announcement and serving is narrow, so each mode
+// starts repeatedly.
+func TestPcservedSIGTERMAtStartup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	bin := buildPcserved(t)
+	dead := "http://127.0.0.1:1" // nothing listens; probes fail fast
+	modes := []struct {
+		name string
+		args func() []string
+		runs int
+		want string
+	}{
+		{"serve", func() []string { return []string{"-wal.dir", t.TempDir()} }, 10, "pcserved: checkpointed 0 entries"},
+		{"router", func() []string { return []string{"-mode=router", "-router.backends", dead} }, 3, "terminated, draining"},
+		{"scatter", func() []string { return []string{"-mode=router", "-partitions", "p0=" + dead} }, 3, "terminated, draining"},
+	}
+	for _, m := range modes {
+		for run := 0; run < m.runs; run++ {
+			cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, m.args()...)...)
+			stdout, err := cmd.StdoutPipe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cmd.Stderr = cmd.Stdout
+			if err := cmd.Start(); err != nil {
+				t.Fatal(err)
+			}
+			var out strings.Builder
+			sc := bufio.NewScanner(stdout)
+			for sc.Scan() {
+				out.WriteString(sc.Text() + "\n")
+				if strings.Contains(sc.Text(), "listening on ") {
+					if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+						t.Fatal(err)
+					}
+					break
+				}
+			}
+			for sc.Scan() {
+				out.WriteString(sc.Text() + "\n")
+			}
+			if err := cmd.Wait(); err != nil || !strings.Contains(out.String(), m.want) {
+				t.Fatalf("%s run %d: SIGTERM at start-up gave %v, want exit 0 and %q; output:\n%s", m.name, run, err, m.want, out.String())
+			}
+		}
+	}
 }
 
 // TestPcservedEndToEnd boots the daemon on a real socket, identifies a
