@@ -153,6 +153,96 @@ func FuzzSlicedKernel(f *testing.F) {
 	})
 }
 
+// FuzzBoundedKernel: the bounded block kernel may only give a block up when
+// every live entry's exact distance is at or above the threshold, and when
+// it completes its triples must equal MinCardAndNotCounts' bit for bit.
+// Byte 0 picks the bit length (rarely a multiple of 64), byte 1 the block
+// width (so tail blocks are partial), byte 2 the query (empty or a copy of
+// an entry, then bits added — a query larger than the entries — or
+// removed), byte 3 the threshold in [0, 1.5], byte 4 the tombstone pattern,
+// and the rest seeds the entries, which range from empty to dense.
+func FuzzBoundedKernel(f *testing.F) {
+	f.Add([]byte{100, 3, 8, 17, 0, 1, 2, 3})
+	f.Add([]byte{255, 64, 0, 255, 5})
+	f.Add([]byte{1, 1, 255, 0, 0, 9})
+	f.Add([]byte{200, 8, 131, 17, 6, 4, 4, 4, 7, 11, 0, 3})
+	f.Add([]byte{128, 4, 73, 85, 0, 2, 3, 5, 7, 11, 13})
+	f.Add([]byte{30, 3, 1, 32, 0, 16, 7, 11}) // the query is entry 0, two bits
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			return
+		}
+		nbits := int(data[0])%700 + 1
+		width := int(data[1])%9 + 1
+		qknob := int(data[2])
+		threshold := float64(data[3]) / 170
+		arena := NewSlicedArena(nbits, width)
+		var sets []*Set
+		for k, b := range data[5:] {
+			if k >= 2*width+1 {
+				break
+			}
+			s := New(nbits)
+			if stride := int(b) % 17; stride > 0 {
+				for i := k % stride; i < nbits; i += stride {
+					s.Set(i)
+				}
+			}
+			sets = append(sets, s)
+			arena.Add(s)
+		}
+		if len(sets) == 0 {
+			return
+		}
+		q := New(nbits)
+		if qknob&1 == 1 {
+			q = sets[(qknob>>1)%len(sets)].Clone()
+		}
+		if stride := (qknob >> 3) % 9; stride > 0 {
+			for i := qknob % stride; i < nbits; i += 3 * stride {
+				if qknob&2 != 0 {
+					q.Set(i)
+				} else {
+					q.Clear(i)
+				}
+			}
+		}
+		need := DiffLimits(threshold, q.Count())
+		var dst []KernelResult
+		for bi := 0; bi < arena.NumBlocks(); bi++ {
+			blk := arena.Block(bi)
+			var dead []bool // nil when no entry is dead, as the engine passes it
+			if data[4] != 0 {
+				dead = make([]bool, blk.Len())
+				for j := range dead {
+					dead[j] = data[4]>>((bi*width+j)%8)&1 == 1
+				}
+			}
+			exact := blk.MinCardAndNotCounts(q, nil)
+			var ok bool
+			dst, ok = blk.MinCardAndNotCountsBounded(q, need, dead, dst)
+			for j, r := range exact {
+				if ok && dst[j] != r {
+					t.Fatalf("block %d entry %d: completed bounded kernel %+v != exact %+v", bi, j, dst[j], r)
+				}
+				if ok || (dead != nil && dead[j]) {
+					continue
+				}
+				d := 1.0
+				switch {
+				case r.MinCard > 0:
+					d = float64(r.Diff) / float64(r.MinCard)
+				case r.MaxCard == 0:
+					d = 0
+				}
+				if d < threshold {
+					t.Fatalf("block %d abandoned, but live entry %d has distance %v < %v", bi, j, d, threshold)
+				}
+			}
+		}
+	})
+}
+
 // FuzzUnmarshalSparse: same contract for the sparse decoder, which must
 // also enforce strictly increasing positions.
 func FuzzUnmarshalSparse(f *testing.F) {

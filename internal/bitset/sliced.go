@@ -2,6 +2,7 @@ package bitset
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -30,16 +31,17 @@ import (
 // Each block additionally caches the OR-union of its member words and its
 // minimum member cardinality. |q ∩ e| ≤ |q ∩ (e₁∪…∪e_B)| for every member e,
 // so one sweep over the union upper-bounds every member's intersection at
-// once — the cardinality-bound prune the identification layer uses to skip
-// whole blocks whose modified-Jaccard threshold is provably unreachable
-// (see fingerprint.FirstMatch for the inequality).
+// once — the first test of the bounded kernel (MinCardAndNotCountsBounded),
+// which skips whole blocks whose modified-Jaccard threshold is provably
+// unreachable.
 
 // DefaultSlicedEntries is the block width B a zero value selects: wide
-// enough that the union prune amortizes its sweep over many entries (the
-// prune pass touches 1/B of the words a full scan would), narrow enough
-// that at the ~1 % fingerprint densities the corpus produces the union stays
-// sparse (≈ 1−(1−0.01)^64 ≈ 47 % occupancy) and the bound keeps separating
-// non-matching blocks from the threshold.
+// enough that one pass over the query's words amortizes over many entries
+// (and the union test touches 1/B of the words a full sweep would), narrow
+// enough that the union stays informative for sparse fingerprints — about
+// half ones at 15–25 cells of 2048 bits, where the union test skips most
+// blocks. At 40–80 cells it is 85 % ones and the word-by-word bound does
+// the ruling out.
 const DefaultSlicedEntries = 64
 
 // KernelResult is one entry's verification outcome: exactly the values
@@ -191,6 +193,124 @@ func (blk *SlicedBlock) MinCardAndNotCounts(q *Set, dst []KernelResult) []Kernel
 		}
 	}
 	return dst
+}
+
+// DiffLimits returns need[mc] for every minimum cardinality mc in [0, qc]:
+// the least difference count D with float64(D)/float64(mc) >= t, so an
+// entry whose MinCard is mc sits at or above the threshold t under
+// Algorithm 3's distance Diff/MinCard exactly when its Diff reaches
+// need[mc]. Correctly rounded division is monotone in D, so the comparison
+// needs no float slack. need[mc] is mc+1, out of reach, when no Diff ≤ mc
+// gets there (t > 1, or NaN); need[0] is math.MaxInt, since a MinCard-0
+// entry's distance is 0 or 1 whatever its Diff.
+func DiffLimits(t float64, qc int) []int {
+	need := make([]int, qc+1)
+	need[0] = math.MaxInt
+	d := 0 // non-decreasing in mc: D/mc only shrinks as mc grows
+	for mc := 1; mc <= qc; mc++ {
+		for d <= mc && !(float64(d)/float64(mc) >= t) {
+			d++
+		}
+		need[mc] = d
+	}
+	return need
+}
+
+// MinCardAndNotCountsBounded is MinCardAndNotCounts that gives a block up as
+// soon as it provably holds no live entry under a threshold t. need is
+// DiffLimits(t, |q|); dead flags the block's tombstoned entries (nil when
+// none is), which never hold a block open. It returns ok = false when it
+// gives the block up — dst's contents are then unspecified — and otherwise
+// completes with dst holding exactly what MinCardAndNotCounts returns.
+//
+// Two tests rule entries out, both against need:
+//
+//   - The OR-union test, one pass over the union words. Every member has
+//     Diff = MinCard − |e ∩ q| ≥ MinCard − I with I = |q ∩ union|, and
+//     mc − need[mc] is non-decreasing in mc, so when lo − need[lo] ≥ I for
+//     lo = min(block MinCard, |q|) no member can reach the threshold.
+//   - The AND-NOT sweep, word by word. Each entry accumulates the count
+//     |smaller \ larger| of its fingerprint role (the smaller of e and q),
+//     which after the last word is its Diff; after any prefix of the words
+//     it can only have grown towards that Diff, so once it reaches
+//     need[MinCard] the entry is out whatever the remaining words hold. The
+//     block is given up when every live entry is out.
+func (blk *SlicedBlock) MinCardAndNotCountsBounded(q *Set, need []int, dead []bool, dst []KernelResult) (_ []KernelResult, ok bool) {
+	blk.checkQuery(q)
+	qc := q.card
+	if len(need) != qc+1 {
+		panic(fmt.Sprintf("bitset: %d diff limits for a %d-bit query", len(need), qc))
+	}
+	if lo := min(blk.minCard, qc); lo-need[lo] >= blk.UnionAndCount(q) {
+		return dst, false
+	}
+	n := blk.n
+	// Per entry: the running count, the count that rules it out, and a mask
+	// selecting the role — all ones when the entry is larger than the query,
+	// so the sweep counts q \ e instead of e \ q. They live on the stack for
+	// blocks up to the default width.
+	var counts, limits [DefaultSlicedEntries]int
+	var roles [DefaultSlicedEntries]uint64
+	count, limit, role := counts[:], limits[:], roles[:]
+	if n > DefaultSlicedEntries {
+		count, limit, role = make([]int, n), make([]int, n), make([]uint64, n)
+	}
+	count, limit, role = count[:n], limit[:n], role[:n]
+	for j, ec := range blk.cards[:n] {
+		r := uint64((qc - ec) >> 63)
+		role[j] = r
+		limit[j] = need[ec^(ec^qc)&int(r)] // need[MinCard], branch-free
+	}
+	if dead != nil {
+		for j, d := range dead[:n] {
+			if d {
+				limit[j] = 0
+			}
+		}
+	}
+	// Entries before first are ruled out; counts only grow, so they stay so.
+	first := 0
+	for first < n && count[first] >= limit[first] {
+		first++
+	}
+	for w := 0; w < blk.wordsPW && first < n; {
+		row, qa := blk.words[w*blk.b:w*blk.b+n], q.words[w]
+		count, role := count[:len(row)], role[:len(row)] // no bounds checks below
+		if w+1 < blk.wordsPW {
+			// Two rows a pass halve the loads and stores of the counts.
+			next, qb := blk.words[(w+1)*blk.b : (w+1)*blk.b+n][:len(row)], q.words[w+1]
+			for j, ea := range row {
+				eb, m := next[j], role[j]
+				xa, xb := ea^qa, eb^qb // e \ q is x & e; q \ e is x & q = x & (e ^ x)
+				count[j] += bits.OnesCount64(xa&(ea^xa&m)) + bits.OnesCount64(xb&(eb^xb&m))
+			}
+			w += 2
+		} else {
+			for j, ea := range row {
+				xa := ea ^ qa
+				count[j] += bits.OnesCount64(xa & (ea ^ xa&role[j]))
+			}
+			w++
+		}
+		for first < n && count[first] >= limit[first] {
+			first++
+		}
+	}
+	if first == n {
+		return dst, false
+	}
+	if cap(dst) < n {
+		dst = make([]KernelResult, n)
+	}
+	dst = dst[:n]
+	for j, ec := range blk.cards[:n] {
+		if ec <= qc {
+			dst[j] = KernelResult{MinCard: ec, MaxCard: qc, Diff: count[j]}
+		} else {
+			dst[j] = KernelResult{MinCard: qc, MaxCard: ec, Diff: count[j]}
+		}
+	}
+	return dst, true
 }
 
 // MinCardAndNotCountOne runs the fused kernel for the single packed entry j —

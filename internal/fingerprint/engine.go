@@ -9,16 +9,20 @@ import (
 // This file is the identify engine every serving path runs — LSH
 // candidates verified by the single-slot block kernel, then a block sweep
 // when no candidate matches. SlicedDB (the memtable shards) and the tiered
-// store's mmap'd segments both call FirstMatch and BestMatch, so the two
-// tiers share one implementation of the sweep and its prune.
+// store's mmap'd segments are both Components, so the two tiers share one
+// implementation of the sweep and its bounds: FirstMatch for Identify, and
+// Decision for a Decide across every component of a node.
 
 // Engine metrics: signatures computed (one per query, however many shards
-// and segments it visits, plus one per added entry), blocks skipped by the
-// OR-union prune, and the batch sizes the block kernel verified per sweep.
+// and segments it visits, plus one per added entry), blocks an Identify
+// sweep ruled out, bounded Decide sweeps and the blocks they abandoned, and
+// the batch sizes the block kernel verified in full.
 var (
-	cSignatures     = obs.C("fingerprint.signatures")
-	cIdentifyPruned = obs.C("fingerprint.identify.pruned")
-	hBlockBatch     = obs.H("fingerprint.identify.block_batch")
+	cSignatures      = obs.C("fingerprint.signatures")
+	cIdentifyPruned  = obs.C("fingerprint.identify.pruned")
+	cBoundedSweeps   = obs.C("fingerprint.decide.bounded_sweeps")
+	cBlocksAbandoned = obs.C("fingerprint.decide.blocks_abandoned")
+	hBlockBatch      = obs.H("fingerprint.identify.block_batch")
 )
 
 // sign computes the MinHash signature of a dense set via its sparse view.
@@ -32,12 +36,15 @@ func sign(scheme minhash.Scheme, s *bitset.Set) minhash.Signature {
 // Query is one error string on its way through the engine. Its MinHash
 // signature is computed on first use and shared by every shard and segment
 // indexed under the query's scheme, so one Decide or Identify signs the
-// query once however many components it visits. A Query is not safe for
+// query once however many components it visits; the bounded sweep's
+// difference limits are likewise built once. A Query is not safe for
 // concurrent use.
 type Query struct {
 	Set    *bitset.Set
 	scheme minhash.Scheme
 	sig    minhash.Signature
+	needT  float64
+	need   []int
 }
 
 // NewQuery prepares an error string for lookups under scheme. Nothing is
@@ -57,6 +64,15 @@ func (q *Query) signature(scheme minhash.Scheme) minhash.Signature {
 		q.sig = sign(scheme, q.Set)
 	}
 	return q.sig
+}
+
+// diffLimits returns bitset.DiffLimits for the query at threshold t, built
+// on first use.
+func (q *Query) diffLimits(t float64) []int {
+	if q.need == nil || q.needT != t {
+		q.need, q.needT = bitset.DiffLimits(t, q.Set.Count()), t
+	}
+	return q.need
 }
 
 // Keys returns the query's LSH keys under scheme: the multi-probe key set
@@ -92,83 +108,83 @@ func slotDistance(blocks []*bitset.SlicedBlock, q *bitset.Set, i int) float64 {
 
 func live(dead []bool, i int) bool { return dead == nil || !dead[i] }
 
-// FirstMatch is Algorithm 2 over one sliced corpus: entry i lives in
-// blocks[i/B] slot i%B, and dead masks tombstoned entries (nil when none
-// are). The LSH candidates (ascending positions; nil for the exact engine)
-// are verified first; when none is under the threshold the blocks are swept
-// in order, skipping every block the OR-union bound excludes. It returns
-// the position of the first live entry under the threshold, or -1.
-//
-// The prune: an entry matches iff d = (minCard − |q∩e|)/minCard < t with
-// minCard = min(|e|, |q|), i.e. iff |q∩e| > minCard·(1−t). Every member's
-// intersection is bounded by I = |q ∩ union|, and every member's minCard is
-// at least cLow = min(blockMinCard, |q|), so when cLow·(1−t) ≥ I no member
-// can cross the threshold and the block is skipped. t is nudged up by 1e-9
-// relative slack so float rounding can only make the prune more
-// conservative, never unsound. An empty query never prunes: cLow = 0 would
-// discard the d = 0 match an empty entry owes it. First-match semantics make
-// the prune safe — a skipped block holds no entry under the threshold — but
-// a skipped block can still hold the minimum distance, which is why
-// BestMatch sweeps every block.
-func FirstMatch(blocks []*bitset.SlicedBlock, dead []bool, cands []int, q *bitset.Set, threshold float64) int {
+// Component is one independently indexed part of a node's corpus — a
+// memtable shard or a tiered segment — as the engine reads it. Positions
+// number its entries in add order: position p lives in block p/B, slot p%B.
+type Component interface {
+	// Blocks returns the component's sliced blocks and its tombstone mask,
+	// indexed by position (nil when no entry is dead).
+	Blocks() (blocks []*bitset.SlicedBlock, dead []bool)
+	// Entry resolves a position to the entry's name and add-order id.
+	Entry(pos int) (name string, id int)
+}
+
+// FirstMatch is Algorithm 2 over one component: the position of the first
+// live entry under the threshold, or -1. The LSH candidates (ascending
+// positions; nil for the exact engine) are verified first; when none is
+// under the threshold the blocks are swept in order through the bounded
+// kernel, which skips every block it proves holds no live entry under the
+// threshold — an entry at or above it can never be a first match.
+func FirstMatch(c Component, cands []int, q *Query, threshold float64) int {
+	blocks, dead := c.Blocks()
 	for _, i := range cands {
-		if live(dead, i) && slotDistance(blocks, q, i) < threshold {
+		if live(dead, i) && slotDistance(blocks, q.Set, i) < threshold {
 			return i
 		}
 	}
 	if obs.On() {
 		cIndexFallbacks.Inc()
 	}
-	qc := q.Count()
-	keep := 1 - threshold*(1+1e-9)
+	pos := -1
+	abandoned := sweepBounded(blocks, dead, q, threshold, func(i int, d float64) bool {
+		if d < threshold {
+			pos = i
+		}
+		return pos >= 0
+	})
+	if obs.On() {
+		cIdentifyPruned.Add(int64(abandoned))
+	}
+	return pos
+}
+
+// sweepBounded is the one bounded sweep: each block goes through
+// bitset.MinCardAndNotCountsBounded at the threshold, and visit sees every
+// live entry of each block the kernel completes, in position order, with its
+// exact distance; visit returning true stops the sweep. It returns the
+// number of blocks the kernel abandoned, every one of which holds only
+// entries at or above the threshold.
+func sweepBounded(blocks []*bitset.SlicedBlock, dead []bool, q *Query, threshold float64, visit func(pos int, d float64) bool) (abandoned int) {
+	need := q.diffLimits(threshold)
 	var dst []bitset.KernelResult
 	for bi, blk := range blocks {
-		if qc > 0 && float64(min(blk.MinCard(), qc))*keep >= float64(blk.UnionAndCount(q)) {
-			if obs.On() {
-				cIdentifyPruned.Inc()
-			}
+		base := bi * blk.Cap()
+		var blockDead []bool
+		if dead != nil {
+			blockDead = dead[base : base+blk.Len()]
+		}
+		var ok bool
+		if dst, ok = blk.MinCardAndNotCountsBounded(q.Set, need, blockDead, dst); !ok {
+			abandoned++
 			continue
 		}
-		dst = blk.MinCardAndNotCounts(q, dst)
 		if obs.On() {
 			hBlockBatch.Observe(int64(blk.Len()))
 		}
-		base := bi * blk.Cap()
 		for j, r := range dst {
-			if kernelDistance(r) < threshold && live(dead, base+j) {
-				return base + j
+			if live(blockDead, j) && visit(base+j, kernelDistance(r)) {
+				return abandoned
 			}
 		}
 	}
-	return -1
+	return abandoned
 }
 
-// BestMatch is the full decision over one sliced corpus (layout as for
-// FirstMatch): the minimum-distance live entry, first in position order on
-// ties, and the number under the threshold. When a candidate is under the
-// threshold the candidates decide; otherwise every block is swept unpruned,
-// so a reported miss carries the exact global best. With candidates the
-// Matches count inspects candidates only, and can undercount a dense scan
-// when the index misses a second sub-threshold entry; with nil candidates
-// (the exact engine) it is exact.
-//
-// The returned Verdict's Index is the winning position (-1 when no entry is
-// live) and its Name is empty: callers resolve both to their own names and
-// ids.
-func BestMatch(blocks []*bitset.SlicedBlock, dead []bool, cands []int, q *bitset.Set, threshold float64) Verdict {
+// sweepExact is the exact sweep: every live entry's distance from the plain
+// block kernel, folded into the minimum-distance entry (first in position
+// order on ties) and the number under the threshold. Index is a position.
+func sweepExact(blocks []*bitset.SlicedBlock, dead []bool, q *bitset.Set, threshold float64) Verdict {
 	v := Verdict{Index: -1, Distance: 2}
-	for _, i := range cands {
-		if live(dead, i) {
-			v.observe(i, slotDistance(blocks, q, i), threshold)
-		}
-	}
-	if v.Matches > 0 {
-		return v
-	}
-	if obs.On() {
-		cIndexFallbacks.Inc()
-	}
-	v = Verdict{Index: -1, Distance: 2}
 	var dst []bitset.KernelResult
 	for bi, blk := range blocks {
 		dst = blk.MinCardAndNotCounts(q, dst)
@@ -183,4 +199,115 @@ func BestMatch(blocks []*bitset.SlicedBlock, dead []bool, cands []int, q *bitset
 		}
 	}
 	return v
+}
+
+// SweepStats accumulates, over the components a Decision was given it
+// with, how many were swept under the bound and how many of their blocks the
+// bound abandoned.
+type SweepStats struct {
+	Bounded   int
+	Abandoned int
+}
+
+// Decision is one Decide across every component of a node — its memtable
+// shards and tiered segments — in two phases. Add runs a component's
+// candidate stage; Verdict then sweeps the components whose candidates
+// found nothing.
+//
+// Once any entry under the threshold is known — a candidate that matched,
+// or a match an earlier sweep found — no entry at or above the threshold can
+// change the verdict: it does not count toward Matches, and its distance
+// cannot beat the known entry's. Every later sweep is therefore bounded
+// (bitset.MinCardAndNotCountsBounded): it abandons each block once every
+// live member provably sits at or above the threshold, usually after a
+// fraction of its words, and reports exact distances for the rest. Until a
+// match is known the sweep is exact, so a stranger's miss still carries the
+// true global best.
+//
+// The verdict equals folding every component's own answer through
+// MergeVerdict: its candidates' verdict when one matches, else its exact
+// sweep. With candidates, Matches counts the matching candidates of a
+// component they settle and can undercount a dense scan when the index
+// misses a second sub-threshold entry there; components without a
+// candidate stage count exactly.
+type Decision struct {
+	q         *Query
+	threshold float64
+	v         Verdict
+	misses    []miss
+}
+
+// miss is a component whose candidates found nothing, waiting for phase 2.
+type miss struct {
+	c  Component
+	st *SweepStats
+}
+
+// NewDecision starts a node-wide decision for q at the threshold.
+func NewDecision(q *Query, threshold float64) *Decision {
+	return &Decision{q: q, threshold: threshold, v: Verdict{Index: -1, Distance: 2}}
+}
+
+// Add is phase 1 for component c: its LSH candidates (ascending positions;
+// nil for the exact engine, which has no candidate stage) are verified, and
+// when one is under the threshold they settle c's answer. Otherwise c waits
+// for Verdict's sweep, and st (when non-nil) records what that sweep did.
+// An empty component has nothing to add. c must not change until Verdict
+// returns.
+func (d *Decision) Add(c Component, cands []int, st *SweepStats) {
+	blocks, dead := c.Blocks()
+	if len(blocks) == 0 {
+		return
+	}
+	v := Verdict{Index: -1, Distance: 2}
+	for _, i := range cands {
+		if live(dead, i) {
+			v.observe(i, slotDistance(blocks, d.q.Set, i), d.threshold)
+		}
+	}
+	if v.Matches == 0 {
+		d.misses = append(d.misses, miss{c: c, st: st})
+		return
+	}
+	d.merge(c, v)
+}
+
+// merge resolves v's winning position to c's name and id and folds it in.
+func (d *Decision) merge(c Component, v Verdict) {
+	if v.Index >= 0 {
+		v.Name, v.Index = c.Entry(v.Index)
+	}
+	MergeVerdict(&d.v, v)
+}
+
+// Verdict is phase 2: the components whose candidates found nothing are
+// swept in Add order — exactly while no entry under the threshold is known,
+// bounded from then on — and the node's verdict is returned.
+func (d *Decision) Verdict() Verdict {
+	for _, m := range d.misses {
+		if obs.On() {
+			cIndexFallbacks.Inc()
+		}
+		blocks, dead := m.c.Blocks()
+		if d.v.Matches == 0 {
+			d.merge(m.c, sweepExact(blocks, dead, d.q.Set, d.threshold))
+			continue
+		}
+		v := Verdict{Index: -1, Distance: 2}
+		abandoned := sweepBounded(blocks, dead, d.q, d.threshold, func(i int, dist float64) bool {
+			v.observe(i, dist, d.threshold)
+			return false
+		})
+		if obs.On() {
+			cBoundedSweeps.Inc()
+			cBlocksAbandoned.Add(int64(abandoned))
+		}
+		if m.st != nil {
+			m.st.Bounded++
+			m.st.Abandoned += abandoned
+		}
+		d.merge(m.c, v)
+	}
+	d.misses = nil
+	return d.v
 }

@@ -71,9 +71,10 @@ const DefaultRebuildMinDead = 64
 // lexicographic minimum for best-match decisions and minimum id for
 // first-match decisions, which reproduces the dense scan's
 // first-strictly-better / first-on-tie behavior. Each query is signed once
-// and the signature shared by every shard. Outside Plain the per-shard
-// answers inherit the engine's candidate-stage contract (see BestMatch: with
-// several sub-threshold entries the Matches count inspects candidates only).
+// and the signature shared by every shard, and Decide is one node-wide
+// Decision over the shards. Outside Plain the per-shard answers inherit the
+// engine's candidate-stage contract (see Decision: with several
+// sub-threshold entries the Matches count inspects candidates only).
 type ShardedDB struct {
 	threshold float64
 	cfg       ShardedConfig
@@ -308,21 +309,18 @@ func (sh *dbShard) compact(cfg ShardedConfig, threshold float64) {
 // rebuild until RebuildMinDead removals accumulate.
 func (s *ShardedDB) Rebuilds() int64 { return s.rebuilds.Load() }
 
-// decide answers over one shard without obs verdict counters, mapping the
-// local best index to its add-order id.
-func (sh *dbShard) decide(q *Query) Verdict {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	var v Verdict
-	if sh.sx != nil {
-		v = sh.sx.decide(q)
-	} else {
-		v = sh.db.decideRaw(q.Set)
-	}
-	if v.Index >= 0 {
-		v.Index = sh.ids[v.Index]
-	}
-	return v
+// shardPart is a sliced shard as a Decision component: positions resolve to
+// the shard's add-order ids, offset by base (the first global id of a tiered
+// store's memtable; 0 otherwise).
+type shardPart struct {
+	sh   *dbShard
+	base int
+}
+
+func (p shardPart) Blocks() ([]*bitset.SlicedBlock, []bool) { return p.sh.sx.Blocks() }
+
+func (p shardPart) Entry(pos int) (string, int) {
+	return p.sh.db.entries[pos].Name, p.base + p.sh.ids[pos]
 }
 
 // firstMatch answers Algorithm 2 over one shard: the matched entry's name
@@ -365,10 +363,11 @@ func (s *ShardedDB) Decide(errorString *bitset.Set) Verdict {
 }
 
 // DecideCtx is Decide with request-scoped tracing: when ctx carries a
-// request span (obs.StartRequest), the shard fan-out records one
-// shard.identify child span per shard and a decide span around the
-// cross-shard combine. The verdict is identical to Decide's — spans
-// observe the scan, they never reorder it.
+// request span (obs.StartRequest), the decision records one shard.identify
+// child span per shard around its candidate stage and a decide span around
+// the cross-shard phase — the sweeps of shards whose candidates missed,
+// bounded once a match is known, and the combine. The verdict is identical
+// to Decide's — spans observe the scan, they never reorder it.
 func (s *ShardedDB) DecideCtx(ctx context.Context, errorString *bitset.Set) Verdict {
 	v := s.decide(obs.SpanFrom(ctx), NewQuery(errorString, s.scheme))
 	recordVerdict(v)
@@ -377,28 +376,50 @@ func (s *ShardedDB) DecideCtx(ctx context.Context, errorString *bitset.Set) Verd
 
 // DecideRaw is Decide without the obs verdict counters.
 func (s *ShardedDB) DecideRaw(errorString *bitset.Set) Verdict {
-	return s.DecideQuery(NewQuery(errorString, s.scheme))
+	return s.decide(nil, NewQuery(errorString, s.scheme))
 }
 
-// DecideQuery is DecideRaw over a prepared query, for callers (the tiered
-// storage engine) that share one signature across components and merge
-// their answers before recording one decision.
-func (s *ShardedDB) DecideQuery(q *Query) Verdict { return s.decide(nil, q) }
-
-// decide fans q over the shards and folds their verdicts; span may be nil.
-func (s *ShardedDB) decide(span *obs.RSpan, q *Query) Verdict {
-	svs := make([]Verdict, len(s.shards))
+// AddTo runs phase 1 of the node-wide decision d over every shard, with
+// verdict ids offset by base — the tiered store joins its memtable's shards
+// to its segments' decision this way — recording one shard.identify span per
+// shard under span (nil when untraced). A dense (Plain) shard answers
+// exactly on the spot. The shards are read-locked in shard order and stay
+// locked — so each shard's candidate stage and sweep read one state — until
+// release is called, after d.Verdict.
+func (s *ShardedDB) AddTo(d *Decision, base int, span *obs.RSpan) (release func()) {
 	for i, sh := range s.shards {
 		sp := span.Child("shard.identify")
 		sp.SetAttr("shard", i)
-		svs[i] = sh.decide(q)
+		sh.mu.RLock()
+		if sh.sx != nil {
+			d.Add(shardPart{sh: sh, base: base}, sh.sx.x.candidates(d.q), nil)
+		} else {
+			v := sh.db.decideRaw(d.q.Set)
+			if v.Index >= 0 {
+				v.Index = base + sh.ids[v.Index]
+			}
+			MergeVerdict(&d.v, v)
+		}
 		sp.End()
 	}
-	dsp := span.Child("decide")
-	v := Verdict{Index: -1, Distance: 2}
-	for _, sv := range svs {
-		MergeVerdict(&v, sv)
+	return s.runlockShards
+}
+
+func (s *ShardedDB) runlockShards() {
+	for _, sh := range s.shards {
+		sh.mu.RUnlock()
 	}
+}
+
+// decide is the node-wide decision over the shards: their candidate stages
+// (one shard.identify span each under span, which may be nil), then a decide
+// span over the sweeps of the shards whose candidates missed and the fold.
+func (s *ShardedDB) decide(span *obs.RSpan, q *Query) Verdict {
+	d := NewDecision(q, s.threshold)
+	release := s.AddTo(d, 0, span)
+	defer release()
+	dsp := span.Child("decide")
+	v := d.Verdict()
 	dsp.End()
 	return v
 }

@@ -379,3 +379,163 @@ func TestShardedRemoveTombstone(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedBoundedDecideOracle pins ShardedDB.Decide — one node-wide
+// Decision whose sweeps are bounded once a match is known — to the
+// per-shard rule it replaced: each shard answers from its LSH candidates
+// when one is under the threshold, else from a full unpruned scan, and the
+// answers fold through MergeVerdict. Verdicts must be equal field for
+// field, Matches included, on random tapes with tombstones, empty sets,
+// near-duplicates in different shards (ambiguous verdicts) and queries that
+// are supersets of entries, across block widths, thresholds and concurrent
+// readers. The tiered store's twin is store.TestBoundedDecideOracle.
+func TestShardedBoundedDecideOracle(t *testing.T) {
+	bounded := obs.C("fingerprint.decide.bounded_sweeps")
+	abandoned := obs.C("fingerprint.decide.blocks_abandoned")
+	obs.Enable()
+	defer obs.Disable()
+	for _, b := range []int{1, 3, 8, 64} {
+		for _, th := range []float64{0, 0.1, 0.5, 1} {
+			for _, workers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("B%d/t%v/w%d", b, th, workers), func(t *testing.T) {
+					b0, a0 := bounded.Value(), abandoned.Value()
+					runShardedOracle(t, b, th, workers)
+					// Teeth: the bound must have run (and, at t = 0.1 over
+					// 512-bit entries, abandoned blocks); at t = 0 nothing is
+					// ever under the threshold, so every sweep stays exact.
+					switch nb, na := bounded.Value()-b0, abandoned.Value()-a0; {
+					case th == 0 && nb != 0:
+						t.Errorf("%d bounded sweeps at t = 0", nb)
+					case th > 0 && nb == 0:
+						t.Error("no sweep ran under the bound")
+					case th == 0.1 && na == 0:
+						t.Error("the bound never abandoned a block")
+					}
+				})
+			}
+		}
+	}
+}
+
+// oraclePool draws n fingerprints over nbits: some empty, most with 4–31
+// random bits, and about a quarter near-duplicates of an earlier member
+// (one extra bit, so each contains the other's bits and matches its
+// queries too).
+func oraclePool(src *prng.Source, nbits, n int) []*bitset.Set {
+	var pool []*bitset.Set
+	for len(pool) < n {
+		var s *bitset.Set
+		switch r := src.Intn(12); {
+		case r == 0:
+			s = bitset.New(nbits)
+		case r < 4 && len(pool) > 0:
+			s = pool[src.Intn(len(pool))].Clone()
+			s.Set(src.Intn(nbits))
+		default:
+			s = bitset.New(nbits)
+			for k := 4 + src.Intn(28); s.Count() < k; {
+				s.Set(src.Intn(nbits))
+			}
+		}
+		pool = append(pool, s)
+	}
+	return pool
+}
+
+// oracleQueries derives the queries a check asks: for some pool members a
+// copy missing one bit and a superset several times larger, plus a stranger
+// and the empty set.
+func oracleQueries(src *prng.Source, pool []*bitset.Set) []*bitset.Set {
+	nbits := pool[0].Len()
+	var qs []*bitset.Set
+	for i := 0; i < 10; i++ {
+		p := pool[src.Intn(len(pool))]
+		drop := p.Clone()
+		if pos := p.Positions(); len(pos) > 0 {
+			drop.Clear(int(pos[src.Intn(len(pos))]))
+		}
+		super := p.Clone()
+		for k := 3*p.Count() + 5; super.Count() < min(k, nbits); {
+			super.Set(src.Intn(nbits))
+		}
+		qs = append(qs, drop, super)
+	}
+	stranger := bitset.New(nbits)
+	for stranger.Count() < 20 {
+		stranger.Set(src.Intn(nbits))
+	}
+	return append(qs, stranger, bitset.New(nbits))
+}
+
+// perShardOracle is the rule Decision replaced, read off the shards'
+// internals with the scalar Distance: per shard, the candidates' verdict
+// when one matches, else a full scan; folded by MergeVerdict.
+func perShardOracle(s *ShardedDB, es *bitset.Set) Verdict {
+	q := NewQuery(es, s.scheme)
+	v := Verdict{Index: -1, Distance: 2}
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		scan := func(positions []int) Verdict {
+			sv := Verdict{Index: -1, Distance: 2}
+			for _, i := range positions {
+				if sh.db.alive(i) {
+					sv.observe(i, Distance(es, sh.db.entries[i].FP), s.threshold)
+				}
+			}
+			return sv
+		}
+		sv := scan(sh.sx.x.candidates(q))
+		if sv.Matches == 0 {
+			all := make([]int, len(sh.db.entries))
+			for i := range all {
+				all[i] = i
+			}
+			sv = scan(all)
+		}
+		if sv.Index >= 0 {
+			sv.Name, sv.Index = sh.db.entries[sv.Index].Name, sh.ids[sv.Index]
+		}
+		sh.mu.RUnlock()
+		MergeVerdict(&v, sv)
+	}
+	return v
+}
+
+func runShardedOracle(t *testing.T, b int, th float64, workers int) {
+	const nbits = 512
+	src := prng.New(uint64(b)<<16 ^ uint64(th*1000)<<4 ^ uint64(workers))
+	db, err := NewShardedDB(th, ShardedConfig{Shards: 3, BlockEntries: b, RebuildMinDead: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := oraclePool(src, nbits, 40)
+	check := func(step int) {
+		qs := oracleQueries(src, pool)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for qi := w; qi < len(qs); qi += workers {
+					if got, want := db.Decide(qs[qi]), perShardOracle(db, qs[qi]); got != want {
+						t.Errorf("step %d query %d: Decide %+v != per-shard oracle %+v", step, qi, got, want)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
+	for step := 0; step < 300 && !t.Failed(); step++ {
+		switch r := src.Intn(10); {
+		case r < 6:
+			i := src.Intn(len(pool))
+			db.Add(fmt.Sprintf("dev%02d", i%30), pool[i])
+		case r < 8:
+			db.Remove(fmt.Sprintf("dev%02d", src.Intn(30)))
+		default:
+			check(step)
+		}
+	}
+	check(300)
+}

@@ -24,9 +24,9 @@ type SlicedConfig struct {
 // of the fingerprints (bitset.SlicedArena). Candidates are verified with the
 // single-slot block kernel; when none matches, the blocked sweep runs —
 // one pass over the query's words verifies a whole block, and Identify's
-// cardinality-bound prune skips blocks whose threshold is provably
-// unreachable without touching their words. Both stages are the shared
-// engine (FirstMatch, BestMatch) the tiered store's segments run too.
+// bounded sweep gives up on blocks whose threshold is provably unreachable
+// after reading a fraction of their words. Both stages are the shared
+// engine (FirstMatch, Decision) the tiered store's segments run too.
 //
 // The verdict contract is bit-identical to DB/IndexedDB: the block kernel
 // returns the exact (minCard, maxCard, diff) triples the scalar
@@ -89,34 +89,38 @@ func (s *SlicedDB) Len() int { return s.x.db.Len() }
 func (s *SlicedDB) DB() *DB { return s.x.db }
 
 // Identify implements Algorithm 2: the first candidate under the threshold,
-// else the first entry the pruned block sweep finds.
+// else the first entry the bounded block sweep finds.
 func (s *SlicedDB) Identify(errorString *bitset.Set) (name string, index int, ok bool) {
 	return s.x.db.answer(errorString, s.firstMatch(NewQuery(errorString, s.x.cfg.Scheme)))
 }
 
-// Decide is the full decision: candidates first, then — when none matches
-// — the full, unpruned block sweep, so a reported miss carries the true
-// global best. The Matches caveat of the candidate stage applies (see
-// BestMatch).
+// Decide is the full decision, a one-component Decision: candidates first,
+// then — when none matches — the exact block sweep, so a reported miss
+// carries the true global best. The Matches caveat of the candidate stage
+// applies (see Decision).
 func (s *SlicedDB) Decide(errorString *bitset.Set) Verdict {
-	v := s.decide(NewQuery(errorString, s.x.cfg.Scheme))
+	q := NewQuery(errorString, s.x.cfg.Scheme)
+	d := NewDecision(q, s.x.db.threshold)
+	d.Add(s, s.x.candidates(q), nil)
+	v := d.Verdict()
 	recordVerdict(v)
 	return v
 }
 
-// firstMatch and decide run the shared engine over the arena without obs
-// verdict counters, for callers that aggregate several components.
+// firstMatch runs FirstMatch over the arena without obs verdict counters,
+// for callers that aggregate several components.
 func (s *SlicedDB) firstMatch(q *Query) int {
-	return FirstMatch(s.arena.Blocks(), s.x.db.deadMask(), s.x.candidates(q), q.Set, s.x.db.threshold)
+	return FirstMatch(s, s.x.candidates(q), q, s.x.db.threshold)
 }
 
-func (s *SlicedDB) decide(q *Query) Verdict {
-	v := BestMatch(s.arena.Blocks(), s.x.db.deadMask(), s.x.candidates(q), q.Set, s.x.db.threshold)
-	if v.Index >= 0 {
-		v.Name = s.x.db.entries[v.Index].Name
-	}
-	return v
+// Blocks returns the arena's blocks and the tombstone mask: a SlicedDB is a
+// Component whose positions are its DB indices.
+func (s *SlicedDB) Blocks() ([]*bitset.SlicedBlock, []bool) {
+	return s.arena.Blocks(), s.x.db.deadMask()
 }
+
+// Entry resolves a position to its entry's name; the position is the id.
+func (s *SlicedDB) Entry(pos int) (string, int) { return s.x.db.entries[pos].Name, pos }
 
 // String renders a small summary for logs.
 func (s *SlicedDB) String() string {

@@ -18,8 +18,8 @@ func TestSlicedIdentifyMatchesScan(t *testing.T) {
 	for i, fp := range fps {
 		db.Add(fmt.Sprintf("chip%02d", i), fp)
 	}
-	// Unknown devices exercise the pruned fallback scan (Identify) and the
-	// unpruned sweep (Decide).
+	// Unknown devices exercise the bounded fallback sweep (Identify) and the
+	// exact sweep (Decide).
 	unknownFPs, unknownOuts, _ := mkChipWorld(t, 2, 2, 4096, 0xFFFF)
 	queries := append(append([]*bitset.Set{}, outs...), unknownFPs...)
 	queries = append(queries, unknownOuts...)

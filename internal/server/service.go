@@ -25,7 +25,7 @@
 // fingerprint.DB.Decide scan over the same entries returns. With
 // Config.Plain (the exact reference engine) that holds for the whole
 // Verdict; the serving engine counts Matches over LSH candidates when one
-// matches (see fingerprint.BestMatch), so there it holds for Name, Index,
+// matches (see fingerprint.Decision), so there it holds for Name, Index,
 // Distance and OK. The golden and invariance tests in this package hold the
 // service to that.
 package server

@@ -1,0 +1,309 @@
+package store
+
+import (
+	"fmt"
+	"slices"
+	"sync"
+	"testing"
+
+	"probablecause/internal/bitset"
+	"probablecause/internal/fingerprint"
+	"probablecause/internal/obs"
+	"probablecause/internal/prng"
+)
+
+// TestBoundedDecideOracle pins Tiered.Decide — one node-wide Decision over
+// every segment and memtable shard, whose sweeps are bounded once a match is
+// known — to the per-component rule it replaced: each segment answers from
+// its LSH candidates when one is under the threshold, else from a full
+// unpruned scan, and the answers fold through MergeVerdict. The memtable's
+// part is its own ShardedDB.DecideRaw, which the fingerprint package's
+// TestShardedBoundedDecideOracle pins to the same rule per shard. Verdicts
+// must be equal field for field, Matches included, on random tapes with
+// tombstones, empty sets, duplicate fingerprints in different segments
+// (ambiguous verdicts) and queries that are supersets of entries, across
+// block widths, thresholds and concurrent readers.
+func TestBoundedDecideOracle(t *testing.T) {
+	bounded := obs.C("fingerprint.decide.bounded_sweeps")
+	obs.Enable()
+	defer obs.Disable()
+	for _, b := range []int{1, 3, 8, 64} {
+		for _, th := range []float64{0, 0.1, 0.5, 1} {
+			for _, workers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("B%d/t%v/w%d", b, th, workers), func(t *testing.T) {
+					before := bounded.Value()
+					runBoundedOracle(t, b, th, workers)
+					if n := bounded.Value() - before; (th == 0) != (n == 0) {
+						t.Errorf("%d bounded sweeps at t = %v", n, th)
+					}
+				})
+			}
+		}
+	}
+}
+
+// segmentOracle is the per-component rule for one segment, with every
+// distance the scalar one over the materialized fingerprint: the
+// candidates' verdict when one matches, else a full scan's.
+func segmentOracle(seg *Segment, q *fingerprint.Query, th float64) fingerprint.Verdict {
+	scan := func(positions []int) fingerprint.Verdict {
+		v := fingerprint.Verdict{Index: -1, Distance: 2}
+		for _, p := range positions {
+			if seg.dead[p] {
+				continue
+			}
+			d := fingerprint.Distance(q.Set, seg.FP(p))
+			if d < th {
+				v.Matches++
+			}
+			if d < v.Distance {
+				v.Index, v.Distance = p, d
+			}
+		}
+		return v
+	}
+	v := scan(seg.candidates(q, false))
+	if v.Matches == 0 {
+		all := make([]int, seg.Len())
+		for i := range all {
+			all[i] = i
+		}
+		v = scan(all)
+	}
+	if v.Index >= 0 {
+		v.Name, v.Index = seg.Entry(v.Index)
+	}
+	return v
+}
+
+// tieredOracle folds the segments' per-component answers with the
+// memtable's own decision.
+func tieredOracle(tb *Tiered, es *bitset.Set) fingerprint.Verdict {
+	q := fingerprint.NewQuery(es, tb.scheme)
+	tb.mu.RLock()
+	defer tb.mu.RUnlock()
+	v := fingerprint.Verdict{Index: -1, Distance: 2}
+	for _, seg := range tb.segs {
+		fingerprint.MergeVerdict(&v, segmentOracle(seg, q, tb.dbCfg.Threshold))
+	}
+	mv := tb.mem.DecideRaw(es)
+	if mv.Index >= 0 {
+		mv.Index += tb.memBase
+	}
+	fingerprint.MergeVerdict(&v, mv)
+	return v
+}
+
+// oracleFP draws a fingerprint for the oracle tapes: sometimes empty,
+// usually 4–31 random bits over nbits.
+func oracleFP(src *prng.Source, nbits int) *bitset.Set {
+	s := bitset.New(nbits)
+	if src.Intn(12) == 0 {
+		return s
+	}
+	for k := 4 + src.Intn(28); s.Count() < k; {
+		s.Set(src.Intn(nbits))
+	}
+	return s
+}
+
+func runBoundedOracle(t *testing.T, b int, th float64, workers int) {
+	const nbits = 512
+	src := prng.New(uint64(b)<<16 ^ uint64(th*1000)<<4 ^ uint64(workers) ^ 0x0BAD)
+	tb, err := OpenTiered(Config{Dir: t.TempDir(), FlushEntries: 1 << 20, CompactSegments: 3},
+		DBConfig{Threshold: th, Shards: 2, BlockEntries: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	// The pool is added over and over under fresh names, so one fingerprint
+	// lands in several segments and the memtable.
+	pool := make([]*bitset.Set, 30)
+	for i := range pool {
+		pool[i] = oracleFP(src, nbits)
+	}
+	var queries []*bitset.Set
+	for i := 0; i < 12; i++ {
+		p := pool[src.Intn(len(pool))]
+		drop := p.Clone()
+		if pos := p.Positions(); len(pos) > 0 {
+			drop.Clear(int(pos[src.Intn(len(pos))]))
+		}
+		super := p.Clone()
+		for k := 3*p.Count() + 5; super.Count() < k; {
+			super.Set(src.Intn(nbits))
+		}
+		queries = append(queries, drop, super)
+	}
+	queries = append(queries, oracleFP(src, nbits), bitset.New(nbits))
+
+	maxSegs := 0
+	check := func(step int) {
+		maxSegs = max(maxSegs, tb.SegmentCount())
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for qi := w; qi < len(queries); qi += workers {
+					if got, want := tb.Decide(queries[qi]), tieredOracle(tb, queries[qi]); got != want {
+						t.Errorf("step %d query %d: Decide %+v != per-component oracle %+v", step, qi, got, want)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
+	const steps = 240
+	for step := 0; step < steps && !t.Failed(); step++ {
+		switch r := src.Intn(20); {
+		case r < 11:
+			tb.Add(fmt.Sprintf("dev%03d", step), pool[src.Intn(len(pool))])
+		case r < 14:
+			tb.Remove(fmt.Sprintf("dev%03d", src.Intn(step+1)))
+		case r < 16:
+			if err := tb.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		case r < 17:
+			if err := tb.Checkpoint(uint64(step)); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			check(step)
+		}
+	}
+	check(steps)
+	if maxSegs < 2 {
+		t.Errorf("checks saw at most %d segments; the oracle needs several", maxSegs)
+	}
+}
+
+// coldCells draws n distinct cells of a 2048-bit error string outside avoid
+// (nil avoids nothing), the fingerprint shape of the sweep-cold workload.
+func coldCells(src *prng.Source, n int, avoid *bitset.Set) *bitset.Set {
+	s := bitset.New(2048)
+	for s.Count() < n {
+		if p := src.Intn(2048); avoid == nil || !avoid.Get(p) {
+			s.Set(p)
+		}
+	}
+	return s
+}
+
+// coldOutput is a noisy output of the device fp: at most 5 % of its cells
+// lost and 10–40 cells that failed only this time.
+func coldOutput(src *prng.Source, fp *bitset.Set) *bitset.Set {
+	out := fp.Clone()
+	pos := fp.Positions()
+	for i := src.Intn(len(pos)/20 + 1); i > 0; i-- {
+		out.Clear(int(pos[src.Intn(len(pos))]))
+	}
+	return out.Or(coldCells(src, 10+src.Intn(31), fp))
+}
+
+// sweepColdStore is a tiered store shaped like the sweep-cold workload,
+// scaled down: segs segments of per devices with random 40–80-cell
+// fingerprints of 2048 bits, in 64-entry blocks. The fingerprints come back
+// in id order.
+func sweepColdStore(tb testing.TB, segs, per int) (*Tiered, []*bitset.Set) {
+	tb.Helper()
+	t, err := OpenTiered(Config{Dir: tb.TempDir(), FlushEntries: 1 << 20, CompactSegments: segs},
+		DBConfig{Threshold: fingerprint.DefaultThreshold})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	src := prng.New(0x5C01D)
+	var fps []*bitset.Set
+	for s := 0; s < segs; s++ {
+		for i := 0; i < per; i++ {
+			fp := coldCells(src, 40+src.Intn(41), nil)
+			t.Add(fmt.Sprintf("dev%06d", len(fps)), fp)
+			fps = append(fps, fp)
+		}
+		if err := t.Flush(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if t.SegmentCount() != segs {
+		tb.Fatalf("%d segments, want %d", t.SegmentCount(), segs)
+	}
+	return t, fps
+}
+
+// TestBoundedDecideGuard is the machine-independent guard on the bound: on
+// an 8-segment store shaped like the sweep-cold workload, a known device's
+// Decide abandons at least 90 % of the blocks of the seven segments that do
+// not own it, and a stranger's abandons none and carries the exact sweep's
+// verdict. When the owning segment's LSH candidates miss the device, the
+// match is only known once that segment's exact sweep finds it, so the
+// guard then covers the segments after the owner.
+func TestBoundedDecideGuard(t *testing.T) {
+	const segs, per = 8, 1024
+	tb, fps := sweepColdStore(t, segs, per)
+	defer tb.Close()
+	dense := fingerprint.NewDB(fingerprint.DefaultThreshold)
+	for i, fp := range fps {
+		dense.Add(fmt.Sprintf("dev%06d", i), fp)
+	}
+	abandoned := obs.C("fingerprint.decide.blocks_abandoned")
+	obs.Enable()
+	defer obs.Disable()
+	src := prng.New(0x6A4D)
+	const blocksPerSeg = per / bitset.DefaultSlicedEntries
+	settled := 0
+	for k := 0; k < 16; k++ {
+		i := src.Intn(len(fps))
+		q := coldOutput(src, fps[i])
+		bounded := segs - 1 // the segments the bound may sweep
+		if !slices.Contains(tb.segs[i/per].candidates(fingerprint.NewQuery(q, tb.scheme), false), i%per) {
+			bounded = segs - 1 - i/per
+		} else {
+			settled++
+		}
+		before := abandoned.Value()
+		if v := tb.Decide(q); !v.OK() || v.Index != i {
+			t.Fatalf("device %d: verdict %+v", i, v)
+		}
+		if got, want := abandoned.Value()-before, int64(bounded*blocksPerSeg); 10*got < 9*want {
+			t.Errorf("device %d: %d of %d blocks abandoned, want ≥ 90 %%", i, got, want)
+		}
+	}
+	if settled < 12 {
+		t.Errorf("the owner's candidates found only %d of 16 devices", settled)
+	}
+	for k := 0; k < 8; k++ {
+		q := coldCells(src, 40+src.Intn(41), nil)
+		before := abandoned.Value()
+		if got, want := tb.Decide(q), dense.Decide(q); got != want {
+			t.Errorf("stranger %d: verdict %+v, exact sweep %+v", k, got, want)
+		}
+		if got := abandoned.Value() - before; got != 0 {
+			t.Errorf("stranger %d: %d blocks abandoned, want 0", k, got)
+		}
+	}
+}
+
+// BenchmarkTieredDecide times Tiered.Decide on a store shaped like the
+// sweep-cold workload (8 segments of 4096 devices): known devices, whose
+// seven non-owning segments the bound sweeps, and strangers, whose every
+// segment gets the exact sweep.
+func BenchmarkTieredDecide(b *testing.B) {
+	tb, fps := sweepColdStore(b, 8, 4096)
+	defer tb.Close()
+	src := prng.New(0xBE7C)
+	queries := map[string][]*bitset.Set{}
+	for k := 0; k < 64; k++ {
+		queries["known"] = append(queries["known"], coldOutput(src, fps[src.Intn(len(fps))]))
+		queries["stranger"] = append(queries["stranger"], coldCells(src, 40+src.Intn(41), nil))
+	}
+	for _, kind := range []string{"known", "stranger"} {
+		qs := queries[kind]
+		b.Run(kind, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tb.Decide(qs[i%len(qs)])
+			}
+		})
+	}
+}

@@ -730,35 +730,29 @@ func (seg *Segment) candidates(q *fingerprint.Query, plain bool) []int {
 	return out[:w]
 }
 
-// deadMask returns the tombstone flags in the form the identify engine
-// takes: nil when no entry is dead.
-func (seg *Segment) deadMask() []bool {
+// Blocks returns the mmap'd sliced blocks and the tombstone flags (nil when
+// no entry is dead): a segment is a fingerprint.Component whose positions
+// are its entry positions.
+func (seg *Segment) Blocks() ([]*bitset.SlicedBlock, []bool) {
 	if seg.deadCount == 0 {
-		return nil
+		return seg.blocks, nil
 	}
-	return seg.dead
+	return seg.blocks, seg.dead
 }
+
+// Entry resolves a position to the entry's name and add-order id.
+func (seg *Segment) Entry(pos int) (string, int) { return seg.col.name(pos), seg.ID(pos) }
 
 // firstMatch is Algorithm 2 over the segment through the shared engine
 // (fingerprint.FirstMatch): the first live entry under the threshold, as
 // (name, add-order id).
 func (seg *Segment) firstMatch(q *fingerprint.Query, threshold float64, plain bool) (string, int, bool) {
-	pos := fingerprint.FirstMatch(seg.blocks, seg.deadMask(), seg.candidates(q, plain), q.Set, threshold)
+	pos := fingerprint.FirstMatch(seg, seg.candidates(q, plain), q, threshold)
 	if pos < 0 {
 		return "", -1, false
 	}
-	return seg.col.name(pos), seg.ID(pos), true
-}
-
-// decide is the full decision over the segment through the shared engine
-// (fingerprint.BestMatch), with Index carrying the add-order id. Under plain
-// it is the exact unpruned sweep, byte-identical to a dense scan.
-func (seg *Segment) decide(q *fingerprint.Query, threshold float64, plain bool) fingerprint.Verdict {
-	v := fingerprint.BestMatch(seg.blocks, seg.deadMask(), seg.candidates(q, plain), q.Set, threshold)
-	if v.Index >= 0 {
-		v.Name, v.Index = seg.col.name(v.Index), seg.ID(v.Index)
-	}
-	return v
+	name, id := seg.Entry(pos)
+	return name, id, true
 }
 
 // exportLive appends the live entries (materialized) in id order.

@@ -52,6 +52,14 @@ func testEntries(n, nbits int) []fingerprint.IDEntry {
 	return entries
 }
 
+// decideSegment answers q from one segment alone: a Decision with the
+// segment as its only component.
+func decideSegment(seg *Segment, q *fingerprint.Query, threshold float64, plain bool) fingerprint.Verdict {
+	d := fingerprint.NewDecision(q, threshold)
+	d.Add(seg, seg.candidates(q, plain), nil)
+	return d.Verdict()
+}
+
 func writeTestSegment(t *testing.T, entries []fingerprint.IDEntry, probes bool) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "seg-000000.pcseg")
@@ -91,7 +99,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 		thr := fingerprint.DefaultThreshold
 		for i := 0; i < n; i += 7 {
 			q := noisy(entries[i].FP, uint64(i), 2)
-			v := seg.decide(fingerprint.NewQuery(q, minhash.DefaultScheme), thr, true)
+			v := decideSegment(seg, fingerprint.NewQuery(q, minhash.DefaultScheme), thr, true)
 			if !v.OK() || v.Index != entries[i].ID || v.Name != entries[i].Name {
 				t.Fatalf("probes=%v plain decide for entry %d = %+v", probes, i, v)
 			}
@@ -110,7 +118,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 		if _, ok := seg.findName("dev007"); ok {
 			t.Fatal("tombstoned name still found")
 		}
-		if v := seg.decide(fingerprint.NewQuery(noisy(entries[7].FP, 7, 2), minhash.DefaultScheme), thr, true); v.OK() && v.Index == entries[7].ID {
+		if v := decideSegment(seg, fingerprint.NewQuery(noisy(entries[7].FP, 7, 2), minhash.DefaultScheme), thr, true); v.OK() && v.Index == entries[7].ID {
 			t.Fatalf("tombstoned entry still matches: %+v", v)
 		}
 		if seg.Live() != n-1 {

@@ -17,9 +17,11 @@
 //
 // Both tiers run one identify engine: each query is signed once, the
 // memtable shards and every segment turn the shared signature into LSH
-// candidates, and fingerprint.FirstMatch / fingerprint.BestMatch verify
-// them with the sliced block kernel, sweeping the blocks when no candidate
-// matches. DBConfig.Plain selects the exact reference engine instead: dense
+// candidates, and fingerprint.FirstMatch / fingerprint.Decision verify them
+// with the sliced block kernel, sweeping the blocks when no candidate
+// matches. A Decide is one Decision across every segment and memtable
+// shard: once any of them holds a match, the sweeps of the rest are bounded
+// by it. DBConfig.Plain selects the exact reference engine instead: dense
 // memtable shards and segment sweeps with no candidate stage.
 //
 // Determinism contract: a Tiered backend built by any interleaving of the
@@ -30,9 +32,11 @@
 // Matches count) is byte-identical to the dense scan. Otherwise Matches is
 // counted over LSH candidates when one matches, and per-tier candidate sets
 // differ from per-shard ones, so only the (Name, Index, Distance, OK) answer
-// is pinned (see fingerprint.BestMatch). The property suite in
+// is pinned (see fingerprint.Decision). The property suite in
 // property_test.go holds the engine to this under randomized interleavings
-// and -race.
+// and -race, and bounded_test.go holds every Decide, Matches included, to
+// the per-component rule: each segment's candidates when one matches, else
+// its exact sweep.
 package store
 
 import (

@@ -243,55 +243,56 @@ func (t *Tiered) NeedsFlush() bool {
 func (t *Tiered) TryStartFlush() bool { return t.flushReq.CompareAndSwap(false, true) }
 func (t *Tiered) EndFlush()           { t.flushReq.Store(false) }
 
-// Identify implements Algorithm 2 across the tiers: every tier reports its
-// first match and the minimum global id wins — exactly the in-memory
-// ShardedDB's cross-shard rule lifted to memtable+segments. The query is
-// signed once for all of them.
+// Identify implements Algorithm 2 across the tiers: the first component in
+// id order with a match answers — segments hold strictly ascending id ranges
+// below the memtable's, so no later component can hold a smaller id. This is
+// the in-memory ShardedDB's minimum-id rule lifted to memtable+segments. The
+// query is signed once for all of them.
 func (t *Tiered) Identify(errorString *bitset.Set) (name string, index int, ok bool) {
 	q := fingerprint.NewQuery(errorString, t.scheme)
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	index = -1
 	for _, seg := range t.segs {
-		n, id, hit := seg.firstMatch(q, t.dbCfg.Threshold, t.dbCfg.Plain)
-		if hit && (index < 0 || id < index) {
-			name, index = n, id
+		if n, id, hit := seg.firstMatch(q, t.dbCfg.Threshold, t.dbCfg.Plain); hit {
+			return n, id, true
 		}
 	}
 	if n, local, hit := t.mem.IdentifyQuery(q); hit {
-		if id := t.memBase + local; index < 0 || id < index {
-			name, index = n, id
-		}
+		return n, t.memBase + local, true
 	}
-	return name, index, index >= 0
+	return "", -1, false
 }
 
-// Decide merges the memtable's verdict with every segment's through
-// fingerprint.MergeVerdict — the same (distance, id)-lexicographic rule the
+// Decide is one node-wide fingerprint.Decision over every segment and
+// memtable shard, folded by the same (distance, id)-lexicographic rule the
 // sharded scan uses, so flush timing can never change an answer.
 func (t *Tiered) Decide(errorString *bitset.Set) fingerprint.Verdict {
 	return t.DecideCtx(context.Background(), errorString)
 }
 
 // DecideCtx is Decide under the request span ctx may carry: one
-// store.decide child records the tier fan-out; the verdict is identical to
-// Decide's. The query is signed once for every tier.
+// store.decide child records the tier fan-out — the segment count, how many
+// segments were swept under the best-so-far bound and how many of their
+// blocks it abandoned; the verdict is identical to Decide's. The query is
+// signed once for every tier. t.mu freezes the segments and the memtable for
+// both phases of the decision.
 func (t *Tiered) DecideCtx(ctx context.Context, errorString *bitset.Set) fingerprint.Verdict {
 	q := fingerprint.NewQuery(errorString, t.scheme)
 	sp := obs.SpanFrom(ctx).Child("store.decide")
 	defer sp.End()
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	sp.SetAttr("segments", len(t.segs))
-	v := fingerprint.Verdict{Index: -1, Distance: 2}
+	d := fingerprint.NewDecision(q, t.dbCfg.Threshold)
+	var st fingerprint.SweepStats
 	for _, seg := range t.segs {
-		fingerprint.MergeVerdict(&v, seg.decide(q, t.dbCfg.Threshold, t.dbCfg.Plain))
+		d.Add(seg, seg.candidates(q, t.dbCfg.Plain), &st)
 	}
-	mv := t.mem.DecideQuery(q)
-	if mv.Index >= 0 {
-		mv.Index += t.memBase
-	}
-	fingerprint.MergeVerdict(&v, mv)
+	release := t.mem.AddTo(d, t.memBase, nil)
+	defer release()
+	v := d.Verdict()
+	sp.SetAttr("segments", len(t.segs))
+	sp.SetAttr("segments_bounded", st.Bounded)
+	sp.SetAttr("blocks_abandoned", st.Abandoned)
 	return v
 }
 
