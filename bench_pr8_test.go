@@ -1,8 +1,8 @@
 // PR8 benches: the bit-sliced identification engine against the LSH-indexed
 // path on a 100k-entry synthetic corpus. The query mix is half hits, half
 // misses — misses are where the paths diverge, because an indexed miss falls
-// back to the scalar full scan while a sliced miss runs the pruned band-major
-// block sweep. The companion TestBenchPR8Smoke (gated by BENCH_SMOKE=1)
+// back to the scalar full scan while a sliced miss runs the bit-major block
+// sweep. The companion TestBenchPR8Smoke (gated by BENCH_SMOKE=1)
 // guards the machine-independent indexed→sliced ratio recorded in
 // BENCH_PR8.json, with a hard ≥10× floor from the PR-8 acceptance criteria.
 package probablecause_test

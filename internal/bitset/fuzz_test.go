@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"bytes"
 	"math/bits"
 	"testing"
 )
@@ -94,20 +95,25 @@ func FuzzCachedCard(f *testing.F) {
 // FuzzSlicedKernel: the bit-sliced block kernel must return byte-identical
 // (minCard, maxCard, diff) triples to the scalar MinCardAndNotCount on
 // random shapes. The fuzz input encodes the geometry and the bit content:
-// byte 0 picks the bit length, byte 1 the block width, byte 2 the query
-// density knob, and the rest seeds entry/query bits, so the corpus explores
-// partial tail blocks, non-word-aligned lengths, empty sets, and both
-// cardinality orientations.
+// byte 0 picks the bit length, byte 1 the block width (1–64, so every lane
+// and transpose group is reachable), byte 2 the query density knob, and the
+// rest seeds entry/query bits, so the corpus explores partial tail blocks,
+// non-word-aligned lengths, empty sets, and both cardinality orientations.
+// Every block is checked twice — as the arena owns it and viewed strided in
+// a packed position-major matrix, as segments read it — along with the
+// single-slot kernel and the matrix's one-pass decode.
 func FuzzSlicedKernel(f *testing.F) {
 	f.Add([]byte{100, 3, 8, 1, 2, 3})
 	f.Add([]byte{255, 64, 0})
 	f.Add([]byte{1, 1, 255, 9})
+	f.Add(append([]byte{200, 63, 2}, bytes.Repeat([]byte{1, 3, 5, 7, 11, 16, 0}, 19)...))
+	f.Add(append([]byte{64, 63, 3}, bytes.Repeat([]byte{1}, 129)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
 		}
 		nbits := int(data[0])%700 + 1
-		width := int(data[1])%9 + 1
+		width := int(data[1])%MaxSlicedEntries + 1
 		qmod := int(data[2])%7 + 2
 		arena := NewSlicedArena(nbits, width)
 		var sets []*Set
@@ -133,20 +139,27 @@ func FuzzSlicedKernel(f *testing.F) {
 		for i := 0; i < nbits; i += qmod {
 			q.Set(i)
 		}
+		matrix := PackSlicedMatrix(nbits, width, sets)
+		for i, s := range DecodeSlicedMatrix(nbits, width, len(sets), matrix) {
+			if !s.Equal(sets[i]) {
+				t.Fatalf("entry %d: matrix decode diverges", i)
+			}
+		}
+		views := ViewSlicedMatrix(nbits, width, matrix, slicedCards(sets))
 		var dst []KernelResult
-		for bi := 0; bi < arena.NumBlocks(); bi++ {
-			blk := arena.Block(bi)
-			dst = blk.MinCardAndNotCounts(q, dst)
-			bound := blk.UnionAndCount(q)
-			for j, r := range dst {
-				g := bi*width + j
-				minC, maxC, diff := MinCardAndNotCount(sets[g], q)
-				if r.MinCard != minC || r.MaxCard != maxC || r.Diff != diff {
-					t.Fatalf("entry %d: kernel (%d,%d,%d) != scalar (%d,%d,%d)",
-						g, r.MinCard, r.MaxCard, r.Diff, minC, maxC, diff)
-				}
-				if inter := sets[g].AndCount(q); inter > bound {
-					t.Fatalf("entry %d: intersection %d exceeds union bound %d", g, inter, bound)
+		for _, blocks := range [][]*SlicedBlock{arena.Blocks(), views} {
+			for bi, blk := range blocks {
+				dst = blk.MinCardAndNotCounts(q, dst)
+				for j, r := range dst {
+					g := bi*width + j
+					minC, maxC, diff := MinCardAndNotCount(sets[g], q)
+					if r.MinCard != minC || r.MaxCard != maxC || r.Diff != diff {
+						t.Fatalf("entry %d: kernel (%d,%d,%d) != scalar (%d,%d,%d)",
+							g, r.MinCard, r.MaxCard, r.Diff, minC, maxC, diff)
+					}
+					if one := blk.MinCardAndNotCountOne(q, j); one != r {
+						t.Fatalf("entry %d: single-slot kernel %+v != block kernel %+v", g, one, r)
+					}
 				}
 			}
 		}
@@ -157,10 +170,12 @@ func FuzzSlicedKernel(f *testing.F) {
 // every live entry's exact distance is at or above the threshold, and when
 // it completes its triples must equal MinCardAndNotCounts' bit for bit.
 // Byte 0 picks the bit length (rarely a multiple of 64), byte 1 the block
-// width (so tail blocks are partial), byte 2 the query (empty or a copy of
-// an entry, then bits added — a query larger than the entries — or
+// width (1–64, so tail blocks are partial), byte 2 the query (empty or a
+// copy of an entry, then bits added — a query larger than the entries — or
 // removed), byte 3 the threshold in [0, 1.5], byte 4 the tombstone pattern,
-// and the rest seeds the entries, which range from empty to dense.
+// and the rest seeds the entries, which range from empty to dense. Blocks
+// are checked as the arena owns them and viewed strided in a packed
+// position-major matrix.
 func FuzzBoundedKernel(f *testing.F) {
 	f.Add([]byte{100, 3, 8, 17, 0, 1, 2, 3})
 	f.Add([]byte{255, 64, 0, 255, 5})
@@ -168,12 +183,14 @@ func FuzzBoundedKernel(f *testing.F) {
 	f.Add([]byte{200, 8, 131, 17, 6, 4, 4, 4, 7, 11, 0, 3})
 	f.Add([]byte{128, 4, 73, 85, 0, 2, 3, 5, 7, 11, 13})
 	f.Add([]byte{30, 3, 1, 32, 0, 16, 7, 11}) // the query is entry 0, two bits
+	f.Add(append([]byte{200, 63, 131, 17, 6}, bytes.Repeat([]byte{4, 7, 11, 0, 3, 16}, 22)...))
+	f.Add(append([]byte{255, 63, 65, 0, 0x81}, bytes.Repeat([]byte{2, 3, 5, 7, 11, 13}, 22)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 {
 			return
 		}
 		nbits := int(data[0])%700 + 1
-		width := int(data[1])%9 + 1
+		width := int(data[1])%MaxSlicedEntries + 1
 		qknob := int(data[2])
 		threshold := float64(data[3]) / 170
 		arena := NewSlicedArena(nbits, width)
@@ -208,35 +225,37 @@ func FuzzBoundedKernel(f *testing.F) {
 			}
 		}
 		need := DiffLimits(threshold, q.Count())
+		views := ViewSlicedMatrix(nbits, width, PackSlicedMatrix(nbits, width, sets), slicedCards(sets))
 		var dst []KernelResult
-		for bi := 0; bi < arena.NumBlocks(); bi++ {
-			blk := arena.Block(bi)
-			var dead []bool // nil when no entry is dead, as the engine passes it
-			if data[4] != 0 {
-				dead = make([]bool, blk.Len())
-				for j := range dead {
-					dead[j] = data[4]>>((bi*width+j)%8)&1 == 1
+		for _, blocks := range [][]*SlicedBlock{arena.Blocks(), views} {
+			for bi, blk := range blocks {
+				var dead []bool // nil when no entry is dead, as the engine passes it
+				if data[4] != 0 {
+					dead = make([]bool, blk.Len())
+					for j := range dead {
+						dead[j] = data[4]>>((bi*width+j)%8)&1 == 1
+					}
 				}
-			}
-			exact := blk.MinCardAndNotCounts(q, nil)
-			var ok bool
-			dst, ok = blk.MinCardAndNotCountsBounded(q, need, dead, dst)
-			for j, r := range exact {
-				if ok && dst[j] != r {
-					t.Fatalf("block %d entry %d: completed bounded kernel %+v != exact %+v", bi, j, dst[j], r)
-				}
-				if ok || (dead != nil && dead[j]) {
-					continue
-				}
-				d := 1.0
-				switch {
-				case r.MinCard > 0:
-					d = float64(r.Diff) / float64(r.MinCard)
-				case r.MaxCard == 0:
-					d = 0
-				}
-				if d < threshold {
-					t.Fatalf("block %d abandoned, but live entry %d has distance %v < %v", bi, j, d, threshold)
+				exact := blk.MinCardAndNotCounts(q, nil)
+				var ok bool
+				dst, ok = blk.MinCardAndNotCountsBounded(q, need, dead, dst)
+				for j, r := range exact {
+					if ok && dst[j] != r {
+						t.Fatalf("block %d entry %d: completed bounded kernel %+v != exact %+v", bi, j, dst[j], r)
+					}
+					if ok || (dead != nil && dead[j]) {
+						continue
+					}
+					d := 1.0
+					switch {
+					case r.MinCard > 0:
+						d = float64(r.Diff) / float64(r.MinCard)
+					case r.MaxCard == 0:
+						d = 0
+					}
+					if d < threshold {
+						t.Fatalf("block %d abandoned, but live entry %d has distance %v < %v", bi, j, d, threshold)
+					}
 				}
 			}
 		}

@@ -4,17 +4,16 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
-// This file is the band-major bit-sliced verification layout behind the
-// identification hot loop (PR 8). The scalar kernel — MinCardAndNotCount —
-// streams ONE fingerprint's words per call, so verifying a large candidate
-// set (or running the verified fallback scan at 100k+ entries) pays a
-// pointer chase and a fresh pass over the query per candidate. The sliced
-// layout transposes a block of B fingerprints so word w of all B entries is
-// adjacent in memory: one sweep of the query's words then verifies the whole
-// block with sequential loads, each query word loaded once per block instead
-// of once per entry.
+// This file is the bit-major sliced verification layout behind the
+// identification hot loop. A block of B ≤ 64 fingerprints keeps one uint64
+// per cell position, and bit j of position p's word is entry j's bit p. The
+// error strings the engine compares are sparse — tens of set cells out of
+// thousands — so the kernel walks the query's set cells and loads one word
+// per cell: each load verifies that cell for all B entries at once, and a
+// block costs |q| loads however long the fingerprints are.
 //
 // The kernel leans on a set identity that makes it orientation-free: for any
 // sets a, b,
@@ -24,25 +23,32 @@ import (
 // so whichever operand plays the fingerprint role (the smaller one, per the
 // paper's footnote), the difference count follows from the cached
 // cardinalities and the INTERSECTION count alone. The block kernel therefore
-// needs only AND+popcount per word pair — no per-entry role branch — and
-// still reproduces MinCardAndNotCount's (minCard, maxCard, diff) triple
-// bit-for-bit (the fuzz test in fuzz_test.go holds it to that).
+// only counts, lane by lane, how many of the loaded words have the lane's bit
+// set — in bit-sliced carry-save counters — and still reproduces
+// MinCardAndNotCount's (minCard, maxCard, diff) triple bit-for-bit (the fuzz
+// tests in fuzz_test.go hold it to that).
 //
-// Each block additionally caches the OR-union of its member words and its
-// minimum member cardinality. |q ∩ e| ≤ |q ∩ (e₁∪…∪e_B)| for every member e,
-// so one sweep over the union upper-bounds every member's intersection at
-// once — the first test of the bounded kernel (MinCardAndNotCountsBounded),
-// which skips whole blocks whose modified-Jaccard threshold is provably
-// unreachable.
+// Position p's word is words[p*stride]. A block built by Add owns its words
+// at stride 1. A segment stores its whole fingerprint matrix position-major —
+// row p holds every block's word for cell p — and views block k at stride
+// nBlocks, so the eight blocks that share a cache line reuse the lines the
+// query's cells pull in.
 
-// DefaultSlicedEntries is the block width B a zero value selects: wide
-// enough that one pass over the query's words amortizes over many entries
-// (and the union test touches 1/B of the words a full sweep would), narrow
-// enough that the union stays informative for sparse fingerprints — about
-// half ones at 15–25 cells of 2048 bits, where the union test skips most
-// blocks. At 40–80 cells it is 85 % ones and the word-by-word bound does
-// the ruling out.
-const DefaultSlicedEntries = 64
+// MaxSlicedEntries is the widest block: entry j owns bit j of every word.
+const MaxSlicedEntries = 64
+
+// DefaultSlicedEntries is the block width B a zero value selects: every lane
+// of a word, since a block costs one load per query cell whatever its width.
+const DefaultSlicedEntries = MaxSlicedEntries
+
+// CheckSlicedEntries reports whether b is a usable block width: 0, which
+// selects DefaultSlicedEntries, or 1 through MaxSlicedEntries.
+func CheckSlicedEntries(b int) error {
+	if b < 0 || b > MaxSlicedEntries {
+		return fmt.Errorf("bitset: block width %d outside [1,%d] (0 selects %d)", b, MaxSlicedEntries, DefaultSlicedEntries)
+	}
+	return nil
+}
 
 // KernelResult is one entry's verification outcome: exactly the values
 // MinCardAndNotCount(entry, query) returns.
@@ -52,63 +58,37 @@ type KernelResult struct {
 	Diff    int // |smaller \ larger|
 }
 
-// SlicedBlock packs up to B fingerprints of a common length in word-
-// interleaved (band-major) order: words[w*B + j] is word w of entry j. The
-// zero value is not usable; construct through a SlicedArena (or
-// newSlicedBlock in tests).
+// kernelResult is the triple for an entry of cardinality ec against a query
+// of cardinality qc that it intersects in inter cells: the smaller set plays
+// the fingerprint, and |a \ b| = |a| − |a ∩ b|.
+func kernelResult(ec, qc, inter int) KernelResult {
+	mc := min(ec, qc)
+	return KernelResult{MinCard: mc, MaxCard: max(ec, qc), Diff: mc - inter}
+}
+
+// SlicedBlock packs up to B ≤ 64 fingerprints of a common length bit-major:
+// bit j of words[p*stride] is cell p of entry j. The zero value is not
+// usable; construct through a SlicedArena or ViewSlicedMatrix.
 type SlicedBlock struct {
 	b       int      // block width B (entry capacity)
 	n       int      // entries used
 	nbits   int      // bits per entry
-	wordsPW int      // words per entry
-	words   []uint64 // wordsPW*b, interleaved: words[w*b + j]
-	union   []uint64 // wordsPW: OR of the member entries' words
-	cards   []int    // per-entry cached cardinality
-	minCard int      // min of cards[0:n]; 0 when empty
-}
-
-// NewSlicedBlock returns an empty block of width b for nbits-bit entries.
-// External packers (the segment writer in internal/store) use it to build
-// the interleaved layout once, then persist Words/Union verbatim.
-func NewSlicedBlock(nbits, b int) *SlicedBlock { return newSlicedBlock(nbits, b) }
-
-// ViewSlicedBlock wraps externally owned storage — typically sections of an
-// mmap'd segment file — as a read-only SlicedBlock: words is the
-// word-interleaved array (words[w*b + j], len wordsPerEntry*b), union the
-// OR-union words (len wordsPerEntry), cards the n per-entry cardinalities.
-// The slices are aliased, not copied, so the block reads straight from the
-// mapping; Add on a view panics by way of the full-block check when n == b,
-// and must not be called otherwise.
-func ViewSlicedBlock(nbits, b, n int, words, union []uint64, cards []int) *SlicedBlock {
-	if nbits < 0 || b <= 0 || n < 0 || n > b {
-		panic(fmt.Sprintf("bitset: sliced view shape nbits=%d B=%d n=%d", nbits, b, n))
-	}
-	wpw := (nbits + wordBits - 1) / wordBits
-	if len(words) != wpw*b || len(union) != wpw || len(cards) != n {
-		panic(fmt.Sprintf("bitset: sliced view lengths words=%d union=%d cards=%d (want %d, %d, %d)",
-			len(words), len(union), len(cards), wpw*b, wpw, n))
-	}
-	blk := &SlicedBlock{b: b, n: n, nbits: nbits, wordsPW: wpw, words: words, union: union, cards: cards}
-	for j, c := range cards {
-		if j == 0 || c < blk.minCard {
-			blk.minCard = c
-		}
-	}
-	return blk
+	stride  int      // words between consecutive positions
+	words   []uint64 // position p's word at p*stride
+	cards   []uint32 // per-entry cached cardinality
+	minCard int      // min of cards; 0 when empty
 }
 
 func newSlicedBlock(nbits, b int) *SlicedBlock {
-	if nbits < 0 || b <= 0 {
+	if nbits < 0 || b <= 0 || b > MaxSlicedEntries {
 		panic(fmt.Sprintf("bitset: sliced block shape nbits=%d B=%d", nbits, b))
 	}
-	wpw := (nbits + wordBits - 1) / wordBits
 	return &SlicedBlock{
-		b:       b,
-		nbits:   nbits,
-		wordsPW: wpw,
-		words:   make([]uint64, wpw*b),
-		union:   make([]uint64, wpw),
-		cards:   make([]int, 0, b),
+		b:      b,
+		nbits:  nbits,
+		stride: 1,
+		words:  make([]uint64, nbits),
+		cards:  make([]uint32, 0, b),
 	}
 }
 
@@ -119,14 +99,11 @@ func (blk *SlicedBlock) Len() int { return blk.n }
 func (blk *SlicedBlock) Cap() int { return blk.b }
 
 // Card returns the cached cardinality of entry j.
-func (blk *SlicedBlock) Card(j int) int { return blk.cards[j] }
-
-// MinCard returns the minimum cardinality across the packed entries, or 0
-// for an empty block.
-func (blk *SlicedBlock) MinCard() int { return blk.minCard }
+func (blk *SlicedBlock) Card(j int) int { return int(blk.cards[j]) }
 
 // Add scatters one fingerprint into the next free slot and returns the slot
-// index. It panics when the block is full or the lengths mismatch.
+// index. It panics when the block is full or the lengths mismatch. A block
+// viewed over a mapped matrix is read-only.
 func (blk *SlicedBlock) Add(s *Set) int {
 	if blk.n >= blk.b {
 		panic("bitset: sliced block full")
@@ -135,64 +112,178 @@ func (blk *SlicedBlock) Add(s *Set) int {
 		panic(fmt.Sprintf("bitset: sliced length mismatch %d != %d", s.n, blk.nbits))
 	}
 	j := blk.n
+	bit := uint64(1) << j
 	for w, sw := range s.words {
-		blk.words[w*blk.b+j] = sw
-		blk.union[w] |= sw
+		for sw != 0 {
+			blk.words[(w<<6|bits.TrailingZeros64(sw))*blk.stride] |= bit
+			sw &= sw - 1
+		}
 	}
-	if blk.n == 0 || s.card < blk.minCard {
+	if j == 0 || s.card < blk.minCard {
 		blk.minCard = s.card
 	}
-	blk.cards = append(blk.cards, s.card)
+	blk.cards = append(blk.cards, uint32(s.card))
 	blk.n++
 	return j
 }
 
-// UnionAndCount returns |q ∩ (e₁ ∪ … ∪ e_n)| — an upper bound on
-// |q ∩ e_j| for every member j, computed in one pass over the block union.
-func (blk *SlicedBlock) UnionAndCount(q *Set) int {
-	blk.checkQuery(q)
-	c := 0
-	for w, uw := range blk.union {
-		c += bits.OnesCount64(uw & q.words[w])
+// Entry materializes packed entry j as a dense Set, one strided load per
+// position. Bulk readers decode a whole matrix with DecodeSlicedMatrix.
+func (blk *SlicedBlock) Entry(j int) *Set {
+	if j < 0 || j >= blk.n {
+		panic(fmt.Sprintf("bitset: sliced entry %d out of range [0,%d)", j, blk.n))
 	}
-	return c
+	s := New(blk.nbits)
+	for p := 0; p < blk.nbits; p++ {
+		s.words[p>>6] |= (blk.words[p*blk.stride] >> j & 1) << (p & 63)
+	}
+	s.recount()
+	return s
+}
+
+// csa is a carry-save adder over 64 lanes: per lane, a + b + c equals
+// 2·carry + sum.
+func csa(a, b, c uint64) (carry, sum uint64) {
+	u := a ^ b
+	return a&b | u&c, u ^ c
+}
+
+// intersections counts, lane by lane, how many of the block's words at the
+// query's set cells have the lane's bit set — |e_j ∩ q| for entry j — into
+// bit-sliced planes: lane j's count is the sum over k of bit j of planes[k]
+// shifted left by k. The loaded words go through Harley–Seal carry-save steps
+// of eight into the weight-1, -2 and -4 planes, and each step's weight-8
+// carries ripple into the planes above. Counts are at most |q|, so only the
+// low bits.Len(|q|) planes are ever set.
+//
+// A zero word at a query cell means no member holds that cell, so after z
+// zero words no member's intersection can exceed |q| − z. intersections
+// gives up, returning false with the planes incomplete, once zlim of the
+// loaded words are zero.
+func (blk *SlicedBlock) intersections(q *Set, planes *[64]uint64, zlim int) bool {
+	words, stride := blk.words, blk.stride
+	var in [8]uint64
+	var ones, twos, fours, eights uint64
+	k, zeros := 0, 0
+	for w, qw := range q.words {
+		for qw != 0 {
+			x := words[(w<<6|bits.TrailingZeros64(qw))*stride]
+			qw &= qw - 1
+			if zeros += int((x|-x)>>63) ^ 1; zeros >= zlim {
+				return false
+			}
+			in[k] = x
+			if k++; k < len(in) {
+				continue
+			}
+			ones, twos, fours, eights = harleySeal(ones, twos, fours, &in)
+			carry8(planes, eights)
+			k = 0
+		}
+	}
+	if k > 0 {
+		clear(in[k:])
+		ones, twos, fours, eights = harleySeal(ones, twos, fours, &in)
+		carry8(planes, eights)
+	}
+	planes[0], planes[1], planes[2] = ones, twos, fours
+	return true
+}
+
+// harleySeal adds eight words to the weight-1, -2 and -4 planes and returns
+// them with the weight-8 carries.
+func harleySeal(ones, twos, fours uint64, in *[8]uint64) (_, _, _, eights uint64) {
+	var twosA, twosB, foursA, foursB uint64
+	twosA, ones = csa(ones, in[0], in[1])
+	twosB, ones = csa(ones, in[2], in[3])
+	foursA, twos = csa(twos, twosA, twosB)
+	twosA, ones = csa(ones, in[4], in[5])
+	twosB, ones = csa(ones, in[6], in[7])
+	foursB, twos = csa(twos, twosA, twosB)
+	eights, fours = csa(fours, foursA, foursB)
+	return ones, twos, fours, eights
+}
+
+// carry8 adds weight-8 carries to the binary counter in planes[3:].
+func carry8(planes *[64]uint64, eights uint64) {
+	for p := 3; eights != 0; p++ {
+		planes[p], eights = planes[p]^eights, planes[p]&eights
+	}
+}
+
+// transpose8 transposes the 8×8 bit matrix whose row i is byte i of x: bit
+// 8i+j moves to bit 8j+i.
+func transpose8(x uint64) uint64 {
+	t := (x ^ x>>7) & 0x00AA00AA00AA00AA
+	x ^= t ^ t<<7
+	t = (x ^ x>>14) & 0x0000CCCC0000CCCC
+	x ^= t ^ t<<14
+	t = (x ^ x>>28) & 0x00000000F0F0F0F0
+	return x ^ t ^ t<<28
+}
+
+// transposeBytes transposes the 8×8 byte matrix whose row k is r[k]: byte g
+// of r[k] moves to byte k of r[g].
+func transposeBytes(r *[8]uint64) {
+	for k := 0; k < 4; k++ {
+		a, b := r[k], r[k+4]
+		r[k], r[k+4] = a&0x00000000FFFFFFFF|b<<32, a>>32|b&0xFFFFFFFF00000000
+	}
+	for _, k := range [4]int{0, 1, 4, 5} {
+		a, b := r[k], r[k+2]
+		r[k], r[k+2] = a&0x0000FFFF0000FFFF|b<<16&0xFFFF0000FFFF0000, a>>16&0x0000FFFF0000FFFF|b&0xFFFF0000FFFF0000
+	}
+	for k := 0; k < 8; k += 2 {
+		a, b := r[k], r[k+1]
+		r[k], r[k+1] = a&0x00FF00FF00FF00FF|b<<8&0xFF00FF00FF00FF00, a>>8&0x00FF00FF00FF00FF|b&0xFF00FF00FF00FF00
+	}
 }
 
 // MinCardAndNotCounts runs the fused Algorithm 3 kernel for every packed
-// entry in one sweep over the query's words: dst[j] holds exactly what
-// MinCardAndNotCount(entry_j, q) returns. dst is reused when it has
-// capacity; the returned slice has length Len().
+// entry: dst[j] holds exactly what MinCardAndNotCount(entry_j, q) returns.
+// It loads one word per set cell of q. dst is reused when it has capacity;
+// the returned slice has length Len().
 func (blk *SlicedBlock) MinCardAndNotCounts(q *Set, dst []KernelResult) []KernelResult {
+	dst, _ = blk.counts(q, math.MaxInt, dst)
+	return dst
+}
+
+// counts is the block kernel behind both entry points: the exact triples in
+// dst, unless intersections gives up at zlim zero words (ok = false). The
+// low eight bits of every count are read out of the carry-save planes with
+// one 8×8 byte transpose and an 8×8 bit transpose per eight lanes, straight
+// into dst; the planes above them are set only for queries of 256 cells or
+// more.
+func (blk *SlicedBlock) counts(q *Set, zlim int, dst []KernelResult) (_ []KernelResult, ok bool) {
 	blk.checkQuery(q)
-	if cap(dst) < blk.n {
-		dst = make([]KernelResult, blk.n)
+	n := blk.n
+	if cap(dst) < n {
+		dst = make([]KernelResult, n)
 	}
-	dst = dst[:blk.n]
-	for j := range dst {
-		dst[j] = KernelResult{}
-	}
-	// Accumulate |entry_j ∩ q| into Diff; the finalize loop below converts
-	// it to the difference count via |a \ b| = |a| − |a ∩ b|.
-	for w := 0; w < blk.wordsPW; w++ {
-		qw := q.words[w]
-		if qw == 0 {
-			continue // sparse queries: a zero query word intersects nothing
-		}
-		row := blk.words[w*blk.b : w*blk.b+blk.n]
-		for j, ew := range row {
-			dst[j].Diff += bits.OnesCount64(ew & qw)
-		}
+	dst = dst[:n]
+	var planes [64]uint64
+	if !blk.intersections(q, &planes, zlim) {
+		return dst, false
 	}
 	qc := q.card
-	for j := range dst {
-		ec, inter := blk.cards[j], dst[j].Diff
-		if ec <= qc {
-			dst[j] = KernelResult{MinCard: ec, MaxCard: qc, Diff: ec - inter}
-		} else {
-			dst[j] = KernelResult{MinCard: qc, MaxCard: ec, Diff: qc - inter}
+	np := bits.Len(uint(qc)) // planes that can be set
+	low := [8]uint64(planes[:8])
+	transposeBytes(&low) // low[g]: byte k is byte g of plane k
+	cards := blk.cards[:n]
+	for g := 0; g < n; g += 8 {
+		t := transpose8(low[g>>3]) // byte j: low bits of lane g+j's count
+		for j, ec := range cards[g:min(g+8, n)] {
+			inter := int(t & 0xFF)
+			t >>= 8
+			if np > 8 {
+				for k := 8; k < np; k++ {
+					inter |= int(planes[k]>>(g+j)&1) << k
+				}
+			}
+			dst[g+j] = kernelResult(int(ec), qc, inter)
 		}
 	}
-	return dst
+	return dst, true
 }
 
 // DiffLimits returns need[mc] for every minimum cardinality mc in [0, qc]:
@@ -216,132 +307,62 @@ func DiffLimits(t float64, qc int) []int {
 	return need
 }
 
-// MinCardAndNotCountsBounded is MinCardAndNotCounts that gives a block up as
-// soon as it provably holds no live entry under a threshold t. need is
-// DiffLimits(t, |q|); dead flags the block's tombstoned entries (nil when
-// none is), which never hold a block open. It returns ok = false when it
-// gives the block up — dst's contents are then unspecified — and otherwise
-// completes with dst holding exactly what MinCardAndNotCounts returns.
+// MinCardAndNotCountsBounded is MinCardAndNotCounts that gives a block up
+// when it holds no live entry under a threshold t. need is DiffLimits(t,
+// |q|); dead flags the block's tombstoned entries (nil when none is), which
+// never hold a block open. It returns ok = false when it gives the block up
+// — dst's contents are then unspecified — and otherwise dst holds exactly
+// what MinCardAndNotCounts returns.
 //
-// Two tests rule entries out, both against need:
+// Two tests rule the block out, both against need:
 //
-//   - The OR-union test, one pass over the union words. Every member has
-//     Diff = MinCard − |e ∩ q| ≥ MinCard − I with I = |q ∩ union|, and
-//     mc − need[mc] is non-decreasing in mc, so when lo − need[lo] ≥ I for
-//     lo = min(block MinCard, |q|) no member can reach the threshold.
-//   - The AND-NOT sweep, word by word. Each entry accumulates the count
-//     |smaller \ larger| of its fingerprint role (the smaller of e and q),
-//     which after the last word is its Diff; after any prefix of the words
-//     it can only have grown towards that Diff, so once it reaches
-//     need[MinCard] the entry is out whatever the remaining words hold. The
-//     block is given up when every live entry is out.
+//   - The union test, during the loads. Every member has Diff = MinCard −
+//     |e ∩ q| ≥ MinCard − I, where I = |q ∩ (e₁ ∪ … ∪ e_B)| is at most |q|
+//     minus the zero words loaded so far, and mc − need[mc] is
+//     non-decreasing in mc. So once lo − need[lo] ≥ |q| − zeros for lo =
+//     min(block MinCard, |q|), no member can reach the threshold and the
+//     remaining loads are skipped.
+//   - The exact test, after the last load: no live entry has
+//     Diff < need[MinCard]. It saves the caller the distance fold.
 func (blk *SlicedBlock) MinCardAndNotCountsBounded(q *Set, need []int, dead []bool, dst []KernelResult) (_ []KernelResult, ok bool) {
-	blk.checkQuery(q)
 	qc := q.card
 	if len(need) != qc+1 {
 		panic(fmt.Sprintf("bitset: %d diff limits for a %d-bit query", len(need), qc))
 	}
-	if lo := min(blk.minCard, qc); lo-need[lo] >= blk.UnionAndCount(q) {
+	zlim := math.MaxInt // need[0] is unreachable: a MinCard-0 member holds the block open
+	if lo := min(blk.minCard, qc); lo > 0 {
+		zlim = qc - (lo - need[lo])
+	}
+	if dst, ok = blk.counts(q, zlim, dst); !ok {
 		return dst, false
 	}
-	n := blk.n
-	// Per entry: the running count, the count that rules it out, and a mask
-	// selecting the role — all ones when the entry is larger than the query,
-	// so the sweep counts q \ e instead of e \ q. They live on the stack for
-	// blocks up to the default width.
-	var counts, limits [DefaultSlicedEntries]int
-	var roles [DefaultSlicedEntries]uint64
-	count, limit, role := counts[:], limits[:], roles[:]
-	if n > DefaultSlicedEntries {
-		count, limit, role = make([]int, n), make([]int, n), make([]uint64, n)
-	}
-	count, limit, role = count[:n], limit[:n], role[:n]
-	for j, ec := range blk.cards[:n] {
-		r := uint64((qc - ec) >> 63)
-		role[j] = r
-		limit[j] = need[ec^(ec^qc)&int(r)] // need[MinCard], branch-free
-	}
-	if dead != nil {
-		for j, d := range dead[:n] {
-			if d {
-				limit[j] = 0
-			}
+	for j, r := range dst {
+		if r.Diff < need[r.MinCard] && (dead == nil || !dead[j]) {
+			return dst, true
 		}
 	}
-	// Entries before first are ruled out; counts only grow, so they stay so.
-	first := 0
-	for first < n && count[first] >= limit[first] {
-		first++
-	}
-	for w := 0; w < blk.wordsPW && first < n; {
-		row, qa := blk.words[w*blk.b:w*blk.b+n], q.words[w]
-		count, role := count[:len(row)], role[:len(row)] // no bounds checks below
-		if w+1 < blk.wordsPW {
-			// Two rows a pass halve the loads and stores of the counts.
-			next, qb := blk.words[(w+1)*blk.b : (w+1)*blk.b+n][:len(row)], q.words[w+1]
-			for j, ea := range row {
-				eb, m := next[j], role[j]
-				xa, xb := ea^qa, eb^qb // e \ q is x & e; q \ e is x & q = x & (e ^ x)
-				count[j] += bits.OnesCount64(xa&(ea^xa&m)) + bits.OnesCount64(xb&(eb^xb&m))
-			}
-			w += 2
-		} else {
-			for j, ea := range row {
-				xa := ea ^ qa
-				count[j] += bits.OnesCount64(xa & (ea ^ xa&role[j]))
-			}
-			w++
-		}
-		for first < n && count[first] >= limit[first] {
-			first++
-		}
-	}
-	if first == n {
-		return dst, false
-	}
-	if cap(dst) < n {
-		dst = make([]KernelResult, n)
-	}
-	dst = dst[:n]
-	for j, ec := range blk.cards[:n] {
-		if ec <= qc {
-			dst[j] = KernelResult{MinCard: ec, MaxCard: qc, Diff: count[j]}
-		} else {
-			dst[j] = KernelResult{MinCard: qc, MaxCard: ec, Diff: count[j]}
-		}
-	}
-	return dst, true
+	return dst, false
 }
 
 // MinCardAndNotCountOne runs the fused kernel for the single packed entry j —
-// the triple MinCardAndNotCount(entry_j, q) returns — reading only entry j's
-// column of the interleaved words. Candidate verification over an mmap'd
-// segment uses it: LSH candidates are few and scattered, so sweeping the
-// whole block for one entry would waste the layout's bandwidth.
+// the triple MinCardAndNotCount(entry_j, q) returns — with one single-bit
+// load per set cell of q. Candidate verification uses it: LSH candidates are
+// few and scattered, so sweeping the whole block for one entry would waste
+// the other lanes.
 func (blk *SlicedBlock) MinCardAndNotCountOne(q *Set, j int) KernelResult {
 	blk.checkQuery(q)
 	if j < 0 || j >= blk.n {
 		panic(fmt.Sprintf("bitset: sliced entry %d out of range [0,%d)", j, blk.n))
 	}
 	inter := 0
-	for w := 0; w < blk.wordsPW; w++ {
-		if qw := q.words[w]; qw != 0 {
-			inter += bits.OnesCount64(blk.words[w*blk.b+j] & qw)
+	for w, qw := range q.words {
+		for qw != 0 {
+			inter += int(blk.words[(w<<6|bits.TrailingZeros64(qw))*blk.stride] >> j & 1)
+			qw &= qw - 1
 		}
 	}
-	ec, qc := blk.cards[j], q.card
-	if ec <= qc {
-		return KernelResult{MinCard: ec, MaxCard: qc, Diff: ec - inter}
-	}
-	return KernelResult{MinCard: qc, MaxCard: ec, Diff: qc - inter}
+	return kernelResult(int(blk.cards[j]), q.card, inter)
 }
-
-// Words returns the word-interleaved backing array (shared, not copied):
-// words[w*Cap() + j] is word w of entry j. Segment writers persist it.
-func (blk *SlicedBlock) Words() []uint64 { return blk.words }
-
-// Union returns the OR-union words (shared, not copied).
-func (blk *SlicedBlock) Union() []uint64 { return blk.union }
 
 func (blk *SlicedBlock) checkQuery(q *Set) {
 	if q.n != blk.nbits {
@@ -349,9 +370,101 @@ func (blk *SlicedBlock) checkQuery(q *Set) {
 	}
 }
 
+// A sliced matrix is the position-major form of a sequence of blocks, the
+// layout segment files persist: for n entries in nBlocks = ⌈n/B⌉ blocks of
+// width B it holds nbits rows of nBlocks words, and bit j of
+// matrix[p*nBlocks + k] is cell p of entry k*B + j.
+
+func matrixBlocks(n, b int) int {
+	if b <= 0 || b > MaxSlicedEntries {
+		panic(fmt.Sprintf("bitset: sliced block width %d", b))
+	}
+	return (n + b - 1) / b
+}
+
+// PackSlicedMatrix lays sets — every one nbits long — out as a
+// position-major matrix of B-entry blocks.
+func PackSlicedMatrix(nbits, b int, sets []*Set) []uint64 {
+	nb := matrixBlocks(len(sets), b)
+	matrix := make([]uint64, nbits*nb)
+	for i, s := range sets {
+		if s.n != nbits {
+			panic(fmt.Sprintf("bitset: sliced length mismatch %d != %d", s.n, nbits))
+		}
+		k, bit := i/b, uint64(1)<<(i%b)
+		for w, sw := range s.words {
+			for sw != 0 {
+				matrix[(w<<6|bits.TrailingZeros64(sw))*nb+k] |= bit
+				sw &= sw - 1
+			}
+		}
+	}
+	return matrix
+}
+
+// ViewSlicedMatrix wraps a position-major matrix — typically a section of an
+// mmap'd segment file — as its blocks, block k at stride nBlocks. cards
+// holds the entries' cardinalities, one per entry, so len(cards) is the
+// entry count. Both slices are aliased, not copied: the blocks read straight
+// from the mapping.
+func ViewSlicedMatrix(nbits, b int, matrix []uint64, cards []uint32) []*SlicedBlock {
+	n := len(cards)
+	nb := matrixBlocks(n, b)
+	if nbits < 0 || len(matrix) != nbits*nb {
+		panic(fmt.Sprintf("bitset: %d matrix words for %d bits × %d blocks", len(matrix), nbits, nb))
+	}
+	backing := make([]SlicedBlock, nb)
+	blocks := make([]*SlicedBlock, nb)
+	for k := range blocks {
+		lo, hi := k*b, min(k*b+b, n)
+		var words []uint64
+		if nbits > 0 {
+			words = matrix[k : k+(nbits-1)*nb+1]
+		}
+		backing[k] = SlicedBlock{b: b, n: hi - lo, nbits: nbits, stride: nb, words: words, cards: cards[lo:hi:hi],
+			minCard: int(slices.Min(cards[lo:hi]))}
+		blocks[k] = &backing[k]
+	}
+	return blocks
+}
+
+// DecodeSlicedMatrix materializes all n entries of a position-major matrix
+// in one row-major pass: it assembles every entry's words, then wraps each
+// entry's run of them as a Set. Bits in lanes past the last entry are
+// ignored.
+func DecodeSlicedMatrix(nbits, b, n int, matrix []uint64) []*Set {
+	nb := matrixBlocks(n, b)
+	if nbits < 0 || len(matrix) != nbits*nb {
+		panic(fmt.Sprintf("bitset: %d matrix words for %d bits × %d blocks", len(matrix), nbits, nb))
+	}
+	wpe := (nbits + wordBits - 1) / wordBits
+	words := make([]uint64, n*wpe)
+	for p := 0; p < nbits; p++ {
+		row, w, bit := matrix[p*nb:(p+1)*nb], p>>6, uint64(1)<<(p&63)
+		for k, x := range row {
+			if lanes := min(n-k*b, b); lanes < 64 {
+				x &= 1<<lanes - 1
+			}
+			for x != 0 {
+				words[(k*b+bits.TrailingZeros64(x))*wpe+w] |= bit
+				x &= x - 1
+			}
+		}
+	}
+	sets := make([]*Set, n)
+	for i := range sets {
+		s := &Set{words: words[i*wpe : (i+1)*wpe : (i+1)*wpe], n: nbits}
+		s.recount()
+		sets[i] = s
+	}
+	return sets
+}
+
 // SlicedArena is an append-only sequence of SlicedBlocks holding
 // fingerprints in add order: global entry i lives in block i/B, slot i%B.
-// It is the sliced mirror of a fingerprint database's entry slice.
+// It is the sliced mirror of a fingerprint database's entry slice. Blocks
+// Add appends own their words at stride 1; PackSlicedArena lays a corpus
+// known up front out position-major, as a segment stores it.
 type SlicedArena struct {
 	nbits  int
 	per    int // entries per block (B)
@@ -360,12 +473,34 @@ type SlicedArena struct {
 }
 
 // NewSlicedArena returns an empty arena for nbits-bit fingerprints packed
-// blockEntries per block (0 selects DefaultSlicedEntries).
+// blockEntries per block (0 selects DefaultSlicedEntries). It panics on a
+// width CheckSlicedEntries refuses.
 func NewSlicedArena(nbits, blockEntries int) *SlicedArena {
-	if blockEntries <= 0 {
+	if err := CheckSlicedEntries(blockEntries); err != nil {
+		panic(err)
+	}
+	if blockEntries == 0 {
 		blockEntries = DefaultSlicedEntries
 	}
 	return &SlicedArena{nbits: nbits, per: blockEntries}
+}
+
+// PackSlicedArena returns an arena holding sets, every one nbits long, in
+// blocks viewed over one position-major matrix (PackSlicedMatrix), so a
+// corpus known up front sweeps like a segment. Later Adds fill the last
+// block in place, then append owned blocks.
+func PackSlicedArena(nbits, blockEntries int, sets []*Set) *SlicedArena {
+	a := NewSlicedArena(nbits, blockEntries)
+	if len(sets) == 0 {
+		return a
+	}
+	cards := make([]uint32, len(sets))
+	for i, s := range sets {
+		cards[i] = uint32(s.card)
+	}
+	a.blocks = ViewSlicedMatrix(nbits, a.per, PackSlicedMatrix(nbits, a.per, sets), cards)
+	a.count = len(sets)
+	return a
 }
 
 // Len returns the number of fingerprints packed.

@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"slices"
 	"testing"
 
 	"probablecause/internal/prng"
@@ -20,16 +21,20 @@ func randomSet(n int, density float64, seed uint64) *Set {
 
 // TestSlicedKernelMatchesScalar: the block kernel must return exactly the
 // triple the scalar fused kernel returns, per entry, across densities that
-// exercise both orientations (entry smaller and entry larger than the query).
+// exercise both orientations (entry smaller and entry larger than the query),
+// for an arena packed position-major up front whose partial last block and
+// later blocks Add fills, and for the same entries viewed strided in one
+// position-major matrix.
 func TestSlicedKernelMatchesScalar(t *testing.T) {
 	const n = 1000 // deliberately not word-aligned
 	for _, width := range []int{1, 3, DefaultSlicedEntries} {
-		arena := NewSlicedArena(n, width)
 		var sets []*Set
 		densities := []float64{0, 0.001, 0.01, 0.2, 0.9, 1}
 		for i := 0; i < 2*width+3; i++ {
-			s := randomSet(n, densities[i%len(densities)], 0xB10C+uint64(i))
-			sets = append(sets, s)
+			sets = append(sets, randomSet(n, densities[i%len(densities)], 0xB10C+uint64(i)))
+		}
+		arena := PackSlicedArena(n, width, sets[:width/2+1])
+		for _, s := range sets[width/2+1:] {
 			arena.Add(s)
 		}
 		queries := []*Set{
@@ -38,10 +43,11 @@ func TestSlicedKernelMatchesScalar(t *testing.T) {
 			randomSet(n, 0.5, 0x52),
 			sets[0].Clone(), // exact duplicate of an entry
 		}
+		views := ViewSlicedMatrix(n, width, PackSlicedMatrix(n, width, sets), slicedCards(sets))
 		var dst []KernelResult
 		for qi, q := range queries {
-			for bi := 0; bi < arena.NumBlocks(); bi++ {
-				blk := arena.Block(bi)
+			for bi, blk := range slices.Concat(arena.Blocks(), views) {
+				bi %= arena.NumBlocks()
 				dst = blk.MinCardAndNotCounts(q, dst)
 				for j, r := range dst {
 					g := bi*width + j
@@ -51,30 +57,6 @@ func TestSlicedKernelMatchesScalar(t *testing.T) {
 							width, qi, g, r.MinCard, r.MaxCard, r.Diff, minC, maxC, diff)
 					}
 				}
-			}
-		}
-	}
-}
-
-// TestSlicedUnionBound: the block union intersection must upper-bound every
-// member's intersection with the query — the inequality the prune rests on.
-func TestSlicedUnionBound(t *testing.T) {
-	const n = 512
-	arena := NewSlicedArena(n, 8)
-	var sets []*Set
-	for i := 0; i < 20; i++ {
-		s := randomSet(n, 0.05, 0xDEAD+uint64(i))
-		sets = append(sets, s)
-		arena.Add(s)
-	}
-	q := randomSet(n, 0.1, 0xF00D)
-	for bi := 0; bi < arena.NumBlocks(); bi++ {
-		blk := arena.Block(bi)
-		bound := blk.UnionAndCount(q)
-		for j := 0; j < blk.Len(); j++ {
-			g := bi*8 + j
-			if inter := sets[g].AndCount(q); inter > bound {
-				t.Fatalf("entry %d: |q∩e| = %d exceeds union bound %d", g, inter, bound)
 			}
 		}
 	}
@@ -106,8 +88,8 @@ func TestSlicedArenaBookkeeping(t *testing.T) {
 			min = c
 		}
 	}
-	if arena.Block(0).MinCard() != min {
-		t.Fatalf("block min card %d, want %d", arena.Block(0).MinCard(), min)
+	if arena.Block(0).minCard != min {
+		t.Fatalf("block min card %d, want %d", arena.Block(0).minCard, min)
 	}
 }
 
@@ -127,7 +109,140 @@ func TestSlicedShapePanics(t *testing.T) {
 	blk.Add(New(128))
 	expectPanic("length-mismatched Add", func() { blk.Add(New(64)) })
 	expectPanic("length-mismatched kernel", func() { blk.MinCardAndNotCounts(New(64), nil) })
-	expectPanic("length-mismatched union", func() { blk.UnionAndCount(New(64)) })
 	blk.Add(New(128))
 	expectPanic("overfull Add", func() { blk.Add(New(128)) })
+	expectPanic("65-entry block", func() { newSlicedBlock(128, MaxSlicedEntries+1) })
+	expectPanic("65-entry arena", func() { NewSlicedArena(128, MaxSlicedEntries+1) })
+}
+
+// slicedCards returns the sets' cardinalities, as a matrix view takes them.
+func slicedCards(sets []*Set) []uint32 {
+	cards := make([]uint32, len(sets))
+	for i, s := range sets {
+		cards[i] = uint32(s.Count())
+	}
+	return cards
+}
+
+// TestSlicedMatrixRoundTrip: a packed position-major matrix decodes back to
+// the sets it packed, in one pass and entry by entry through its strided
+// views, whose cached cardinalities are the sets' own.
+func TestSlicedMatrixRoundTrip(t *testing.T) {
+	const n = 300
+	for _, width := range []int{1, 7, MaxSlicedEntries} {
+		var sets []*Set
+		for i := 0; i < 2*width+5; i++ {
+			sets = append(sets, randomSet(n, []float64{0, 0.02, 0.5, 1}[i%4], 0x3A7+uint64(i)))
+		}
+		matrix := PackSlicedMatrix(n, width, sets)
+		for i, s := range DecodeSlicedMatrix(n, width, len(sets), matrix) {
+			if !s.Equal(sets[i]) || s.Count() != sets[i].Count() {
+				t.Fatalf("width=%d: decoded entry %d differs", width, i)
+			}
+		}
+		for bi, blk := range ViewSlicedMatrix(n, width, matrix, slicedCards(sets)) {
+			least := blk.Card(0)
+			for j := 0; j < blk.Len(); j++ {
+				if s := sets[bi*width+j]; !blk.Entry(j).Equal(s) || blk.Card(j) != s.Count() {
+					t.Fatalf("width=%d: viewed entry %d differs", width, bi*width+j)
+				}
+				least = min(least, blk.Card(j))
+			}
+			if blk.minCard != least {
+				t.Fatalf("width=%d: viewed block %d min card %d, want %d", width, bi, blk.minCard, least)
+			}
+		}
+	}
+}
+
+// TestTranspose8: bit 8i+j of the input lands on bit 8j+i, and byte g of
+// row k on byte k of row g.
+func TestTranspose8(t *testing.T) {
+	for i := 0; i < 8; i++ {
+		for j := 0; j < 8; j++ {
+			if got, want := transpose8(1<<(8*i+j)), uint64(1)<<(8*j+i); got != want {
+				t.Fatalf("bit (%d,%d): %#x, want %#x", i, j, got, want)
+			}
+		}
+	}
+	var r [8]uint64
+	for k := range r {
+		for g := 0; g < 8; g++ {
+			r[k] |= uint64(16*k+g) << (8 * g)
+		}
+	}
+	transposeBytes(&r)
+	for g := range r {
+		for k := 0; k < 8; k++ {
+			if got := r[g] >> (8 * k) & 0xFF; got != uint64(16*k+g) {
+				t.Fatalf("byte %d of row %d: %#x, want %#x", k, g, got, 16*k+g)
+			}
+		}
+	}
+}
+
+// TestSlicedKernelAllocs: the block kernels allocate nothing once dst has
+// room, so a sweep's cost is its loads.
+func TestSlicedKernelAllocs(t *testing.T) {
+	var sets []*Set
+	for i := 0; i < 2*MaxSlicedEntries; i++ {
+		sets = append(sets, randomSet(2048, 0.03, 0xA110C+uint64(i)))
+	}
+	views := ViewSlicedMatrix(2048, MaxSlicedEntries, PackSlicedMatrix(2048, MaxSlicedEntries, sets), slicedCards(sets))
+	q := randomSet(2048, 0.03, 0xA1)
+	dst := make([]KernelResult, MaxSlicedEntries)
+	if a := testing.AllocsPerRun(100, func() { dst = views[1].MinCardAndNotCounts(q, dst) }); a != 0 {
+		t.Errorf("MinCardAndNotCounts: %v allocations per run", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { views[1].MinCardAndNotCountOne(q, 63) }); a != 0 {
+		t.Errorf("MinCardAndNotCountOne: %v allocations per run", a)
+	}
+}
+
+// BenchmarkSlicedSweep times one exact sweep of 131,072 random 40–80-cell
+// entries of 2048 bits (the sweep-cold corpus shape) with a random query of
+// the same shape, in 64-entry blocks: as an arena owns them (stride 1, the
+// memtable's layout) and viewed in eight position-major matrices of 16,384
+// entries (a segment's layout), so the eight blocks sharing a cache line
+// share the query's loads.
+func BenchmarkSlicedSweep(b *testing.B) {
+	const nbits, entries, perSegment = 2048, 1 << 17, 1 << 14
+	src := prng.New(0x5EE9)
+	cells := func() *Set {
+		s := New(nbits)
+		for n := 40 + src.Intn(41); s.Count() < n; {
+			s.Set(src.Intn(nbits))
+		}
+		return s
+	}
+	arena := NewSlicedArena(nbits, DefaultSlicedEntries)
+	var matrixBlocks []*SlicedBlock
+	var seg []*Set
+	for i := 0; i < entries; i++ {
+		s := cells()
+		arena.Add(s)
+		if seg = append(seg, s); len(seg) == perSegment {
+			m := PackSlicedMatrix(nbits, DefaultSlicedEntries, seg)
+			matrixBlocks = append(matrixBlocks, ViewSlicedMatrix(nbits, DefaultSlicedEntries, m, slicedCards(seg))...)
+			seg = nil
+		}
+	}
+	queries := make([]*Set, 16)
+	for i := range queries {
+		queries[i] = cells()
+	}
+	for _, layout := range []struct {
+		name   string
+		blocks []*SlicedBlock
+	}{{"stride1", arena.Blocks()}, {"position-major", matrixBlocks}} {
+		b.Run(layout.name, func(b *testing.B) {
+			dst := make([]KernelResult, DefaultSlicedEntries)
+			for i := 0; i < b.N; i++ {
+				q := queries[i%len(queries)]
+				for _, blk := range layout.blocks {
+					dst = blk.MinCardAndNotCounts(q, dst)
+				}
+			}
+		})
+	}
 }

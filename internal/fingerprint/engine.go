@@ -156,7 +156,8 @@ func FirstMatch(c Component, cands []int, q *Query, threshold float64) int {
 // entries at or above the threshold.
 func sweepBounded(blocks []*bitset.SlicedBlock, dead []bool, q *Query, threshold float64, visit func(pos int, d float64) bool) (abandoned int) {
 	need := q.diffLimits(threshold)
-	var dst []bitset.KernelResult
+	var buf [bitset.MaxSlicedEntries]bitset.KernelResult
+	dst := buf[:]
 	for bi, blk := range blocks {
 		base := bi * blk.Cap()
 		var blockDead []bool
@@ -185,7 +186,8 @@ func sweepBounded(blocks []*bitset.SlicedBlock, dead []bool, q *Query, threshold
 // order on ties) and the number under the threshold. Index is a position.
 func sweepExact(blocks []*bitset.SlicedBlock, dead []bool, q *bitset.Set, threshold float64) Verdict {
 	v := Verdict{Index: -1, Distance: 2}
-	var dst []bitset.KernelResult
+	var buf [bitset.MaxSlicedEntries]bitset.KernelResult
+	dst := buf[:]
 	for bi, blk := range blocks {
 		dst = blk.MinCardAndNotCounts(q, dst)
 		if obs.On() {
@@ -218,11 +220,11 @@ type SweepStats struct {
 // or a match an earlier sweep found — no entry at or above the threshold can
 // change the verdict: it does not count toward Matches, and its distance
 // cannot beat the known entry's. Every later sweep is therefore bounded
-// (bitset.MinCardAndNotCountsBounded): it abandons each block once every
-// live member provably sits at or above the threshold, usually after a
-// fraction of its words, and reports exact distances for the rest. Until a
-// match is known the sweep is exact, so a stranger's miss still carries the
-// true global best.
+// (bitset.MinCardAndNotCountsBounded): it abandons each block whose live
+// members all sit at or above the threshold — part way through its loads
+// when the union bound proves it, else before the distance fold — and
+// reports exact distances for the rest. Until a match is known the
+// sweep is exact, so a stranger's miss still carries the true global best.
 //
 // The verdict equals folding every component's own answer through
 // MergeVerdict: its candidates' verdict when one matches, else its exact

@@ -38,8 +38,9 @@ type ShardedConfig struct {
 	// strictest correctness baseline (no index-recall caveats at all).
 	// Otherwise every shard runs the sliced engine (SlicedDB).
 	Plain bool
-	// BlockEntries is the sliced block width B; 0 selects
-	// bitset.DefaultSlicedEntries.
+	// BlockEntries is the sliced block width B, at most
+	// bitset.MaxSlicedEntries; 0 selects bitset.DefaultSlicedEntries.
+	// Checked even when Plain, since the tiered store's segments use it.
 	BlockEntries int
 	// RebuildMinDead is the per-shard tombstone count at which Remove
 	// physically compacts the shard (drops dead entries and rebuilds the LSH
@@ -120,6 +121,9 @@ func NewShardedDB(threshold float64, cfg ShardedConfig) (*ShardedDB, error) {
 		cfg.Index.Scheme = minhash.DefaultScheme
 	}
 	if err := cfg.Index.Scheme.Validate(); err != nil {
+		return nil, err
+	}
+	if err := bitset.CheckSlicedEntries(cfg.BlockEntries); err != nil {
 		return nil, err
 	}
 	if cfg.RebuildMinDead == 0 {

@@ -14,19 +14,19 @@ type SlicedConfig struct {
 	// multi-probe), exactly as for IndexedDB. NoFallback is rejected: the
 	// sliced engine always sweeps when no candidate matches.
 	Index IndexedConfig
-	// BlockEntries is the sliced block width B; 0 selects
-	// bitset.DefaultSlicedEntries.
+	// BlockEntries is the sliced block width B, at most
+	// bitset.MaxSlicedEntries; 0 selects bitset.DefaultSlicedEntries.
 	BlockEntries int
 }
 
 // SlicedDB is the serving identify engine over an in-memory database: an
-// IndexedDB's LSH candidate stage in front of a band-major bit-sliced copy
-// of the fingerprints (bitset.SlicedArena). Candidates are verified with the
-// single-slot block kernel; when none matches, the blocked sweep runs —
-// one pass over the query's words verifies a whole block, and Identify's
-// bounded sweep gives up on blocks whose threshold is provably unreachable
-// after reading a fraction of their words. Both stages are the shared
-// engine (FirstMatch, Decision) the tiered store's segments run too.
+// IndexedDB's LSH candidate stage in front of a bit-major sliced copy of the
+// fingerprints (bitset.SlicedArena). Candidates are verified with the
+// single-slot block kernel; when none matches, the blocked sweep runs — one
+// word load per set cell of the query verifies that cell for a whole block,
+// and Identify's bounded sweep gives up blocks whose threshold is provably
+// unreachable, often part way through their loads. Both stages are the
+// shared engine (FirstMatch, Decision) the tiered store's segments run too.
 //
 // The verdict contract is bit-identical to DB/IndexedDB: the block kernel
 // returns the exact (minCard, maxCard, diff) triples the scalar
@@ -49,24 +49,30 @@ func NewSlicedDB(threshold float64, cfg SlicedConfig) (*SlicedDB, error) {
 }
 
 // SliceDB builds the LSH index and the bit-sliced arena over an existing
-// database and returns the sliced view. The DB is shared, not copied; as
-// with IndexDB, entries must not be added directly to db afterwards.
+// database — its entries packed position-major, as a segment stores them
+// (bitset.PackSlicedArena) — and returns the sliced view. The DB is shared,
+// not copied; as with IndexDB, entries must not be added directly to db
+// afterwards.
 func SliceDB(db *DB, cfg SlicedConfig) (*SlicedDB, error) {
 	if cfg.Index.NoFallback {
 		return nil, errors.New("fingerprint: the sliced engine always sweeps on a candidate miss; NoFallback is an IndexedDB ablation")
 	}
-	if _, err := db.BitLen(); err != nil {
+	if err := bitset.CheckSlicedEntries(cfg.BlockEntries); err != nil {
+		return nil, err
+	}
+	nbits, err := db.BitLen()
+	if err != nil {
 		return nil, err
 	}
 	x, err := IndexDB(db, cfg.Index)
 	if err != nil {
 		return nil, err
 	}
-	arena := bitset.NewSlicedArena(0, cfg.BlockEntries)
-	for _, e := range db.entries {
-		arena.Add(e.FP)
+	fps := make([]*bitset.Set, len(db.entries))
+	for i, e := range db.entries {
+		fps[i] = e.FP
 	}
-	return &SlicedDB{x: x, arena: arena}, nil
+	return &SlicedDB{x: x, arena: bitset.PackSlicedArena(nbits, cfg.BlockEntries, fps)}, nil
 }
 
 // Add registers a fingerprint under a name, indexes its signature, and packs

@@ -184,3 +184,35 @@ func TestSlicedProbesRequiresRows(t *testing.T) {
 		t.Fatal("Rows=1 multi-probe sliced DB accepted")
 	}
 }
+
+// TestSlicedConfigRefusesWideBlocks: a block holds at most 64 entries, one
+// per bit of a word, and a wider BlockEntries is refused at config time.
+func TestSlicedConfigRefusesWideBlocks(t *testing.T) {
+	if _, err := NewSlicedDB(DefaultThreshold, SlicedConfig{BlockEntries: bitset.MaxSlicedEntries + 1}); err == nil {
+		t.Error("SlicedDB accepted a 65-entry block")
+	}
+	for _, plain := range []bool{false, true} {
+		if _, err := NewShardedDB(DefaultThreshold, ShardedConfig{Plain: plain, BlockEntries: bitset.MaxSlicedEntries + 1}); err == nil {
+			t.Errorf("plain=%v: ShardedDB accepted a 65-entry block", plain)
+		}
+	}
+}
+
+// TestExactSweepAllocs: a segment's exact sweep — every block of a
+// position-major matrix through the block kernel, folded into one verdict —
+// allocates nothing.
+func TestExactSweepAllocs(t *testing.T) {
+	const n = 1000
+	fps := make([]*bitset.Set, n)
+	cards := make([]uint32, n)
+	for i := range fps {
+		fps[i] = sparseFP(2048, 40+i%41, uint64(i))
+		cards[i] = uint32(fps[i].Count())
+	}
+	blocks := bitset.ViewSlicedMatrix(2048, bitset.DefaultSlicedEntries,
+		bitset.PackSlicedMatrix(2048, bitset.DefaultSlicedEntries, fps), cards)
+	q := sparseFP(2048, 60, 0xA110C)
+	if a := testing.AllocsPerRun(20, func() { sweepExact(blocks, nil, q, DefaultThreshold) }); a != 0 {
+		t.Errorf("exact sweep: %v allocations per run", a)
+	}
+}

@@ -1,16 +1,15 @@
 package store
 
 import (
-	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"probablecause/internal/fingerprint"
 	"probablecause/internal/minhash"
 )
 
-// FuzzSegmentLoad mirrors the WAL's fuzz contract on PCSEG01 files: for a
+// FuzzSegmentLoad mirrors the WAL's fuzz contract on segment files: for a
 // valid segment arbitrarily truncated and byte-flipped, LoadSegment must
 // never panic, never serve wrong entries, and must classify damage exactly:
 //
@@ -31,8 +30,9 @@ func FuzzSegmentLoad(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	logEnd, _ := committedSpans(blob)
 	f.Add(len(blob), -1, byte(0))           // pristine
-	f.Add(len(blob)/2, -1, byte(0))         // torn mid-log
+	f.Add(int(logEnd/2), -1, byte(0))       // torn mid-log
 	f.Add(headerSize+3, -1, byte(0))        // torn inside first record
 	f.Add(len(blob), headerSize+9, byte(1)) // interior log flip
 	f.Add(len(blob), 5, byte(0x80))         // header flip
@@ -136,30 +136,49 @@ func TestFuzzSegmentLoadSmoke(t *testing.T) {
 		}
 		seg.Close()
 	}
-	// Every record header flipped: must refuse (intact footer) — never serve
-	// the damaged record.
-	for off := headerSize; off < int(len(blob)/3); off += 7 {
+	logEnd, colStart := committedSpans(blob)
+	flipped := func(off int) (*Segment, error) {
 		mut := append([]byte(nil), blob...)
 		mut[off] ^= 0x40
 		path := filepath.Join(dir, "seg-000002.pcseg")
 		if err := os.WriteFile(path, mut, 0o666); err != nil {
 			t.Fatal(err)
 		}
-		seg, err := LoadSegment(path)
-		if err == nil {
-			// Loads are only acceptable if the flip changed nothing served.
-			same := seg.Len() == n
-			for i := 0; same && i < n; i++ {
-				same = seg.ID(i) == entries[i].ID && seg.FP(i).Equal(entries[i].FP)
-			}
+		return LoadSegment(path)
+	}
+	intact := func(seg *Segment) bool {
+		same := seg.Len() == n
+		for i := 0; same && i < n; i++ {
+			same = seg.ID(i) == entries[i].ID && seg.Name(i) == entries[i].Name && seg.FP(i).Equal(entries[i].FP)
+		}
+		return same
+	}
+	// Every entry-log byte the footer commits, flipped: must refuse (intact
+	// footer) — never serve the damaged record.
+	for off := headerSize; off < int(logEnd); off += 7 {
+		if seg, err := flipped(off); err == nil {
 			seg.Close()
-			if !same {
-				t.Fatalf("flip at %d served diverging data", off)
-			}
-			if !bytes.Equal(mut, blob) {
-				t.Fatalf("flip at %d accepted without refusal", off)
-			}
+			t.Fatalf("flip at %d in the entry log [%d,%d) accepted without refusal", off, headerSize, logEnd)
 		}
 	}
-	_ = fingerprint.DefaultThreshold
+	// Every columnar byte flipped: the columnar CRC no longer checks out, so
+	// the load must refuse or salvage the log with every entry intact.
+	for off := int(colStart); off < len(blob)-footerSize; off += 7 {
+		seg, err := flipped(off)
+		if err != nil {
+			continue
+		}
+		ok := seg.Salvaged() && intact(seg)
+		seg.Close()
+		if !ok {
+			t.Fatalf("flip at %d in the columnar sections served diverging data", off)
+		}
+	}
+}
+
+// committedSpans reads the entry log's end and the columnar sections' start
+// from a committed segment's footer.
+func committedSpans(blob []byte) (logEnd, colStart int64) {
+	f := blob[len(blob)-footerSize:]
+	return int64(binary.LittleEndian.Uint64(f[8:])), int64(binary.LittleEndian.Uint64(f[16:]))
 }

@@ -1,6 +1,6 @@
-// segment.go: the immutable PCSEG01 segment file — columnar encoding,
-// CRC-rooted load-time verification, and the per-segment candidate stage in
-// front of the shared identify engine.
+// segment.go: the immutable PCSEG02 segment file — columnar encoding,
+// CRC-rooted load-time verification, PCSEG01 read support, and the
+// per-segment candidate stage in front of the shared identify engine.
 package store
 
 import (
@@ -18,18 +18,21 @@ import (
 	"probablecause/internal/samplefile"
 )
 
-// Segment file format PCSEG01 — one immutable flush of the memtable.
+// Segment file format PCSEG02 — one immutable flush of the memtable.
 //
-//	header   (44 B): magic "PCSEG01\n", version, nbits, blockEntries,
-//	                 LSH scheme (bands, rows, probes, seed), header CRC
+//	header   (44 B): magic "PCSEG02\n", version 2, nbits, blockEntries
+//	                 (B ≤ 64), LSH scheme (bands, rows, probes, seed),
+//	                 header CRC
 //	entry log       : per-entry records [u32 len | u32 crc32(payload) | payload],
 //	                 payload = u64 id, u32 nPos, nPos×u32 positions,
 //	                 u16 nameLen, name — the durable truth, salvageable
 //	                 record by record like a WAL segment
 //	columnar        : 8-aligned accelerator sections served straight from the
-//	                 mmap — ids, cardinalities, name table, name-sorted
-//	                 permutation, band-major sliced blocks (union + words),
-//	                 and the sorted (LSH key, entry) pairs
+//	                 mmap — ids, u32 cardinalities, name table, name-sorted
+//	                 permutation, the position-major fingerprint matrix
+//	                 (nbits rows of one word per B-entry block; see
+//	                 bitset.PackSlicedMatrix), and the sorted
+//	                 (LSH key, entry) pairs
 //	footer   (56 B): magic "PCSEGFTR", logEnd, colStart, id range, counts,
 //	                 columnar CRC, footer CRC
 //
@@ -40,14 +43,23 @@ import (
 // as torn: the longest valid prefix of log records is salvaged into
 // heap-backed sections and the tail is ignored — the same
 // truncate-vs-refuse split the WAL's fuzz contract pins.
+//
+// PCSEG01 (magic "PCSEG01\n", version 1) has the same header, log and
+// footer; only its block section differs (band-major blocks with OR-union
+// words). Load still reads it, but never its block section: once the footer
+// and every record check out, the columnar sections are rebuilt in heap from
+// the log, and the tiered engine rewrites the file as PCSEG02 when it opens
+// the store.
 
 const (
-	segMagic    = "PCSEG01\n"
-	segFtrMagic = "PCSEGFTR"
-	segVersion  = 1
-	headerSize  = 44
-	footerSize  = 56
-	recHdrSize  = 8 // u32 len + u32 crc
+	segMagic     = "PCSEG02\n"
+	segMagicV1   = "PCSEG01\n"
+	segFtrMagic  = "PCSEGFTR"
+	segVersion   = 2
+	segVersionV1 = 1
+	headerSize   = 44
+	footerSize   = 56
+	recHdrSize   = 8 // u32 len + u32 crc
 )
 
 // CorruptError reports interior segment corruption: a record whose checksum
@@ -69,11 +81,11 @@ func (e *CorruptError) Error() string {
 // Load views straight off the mapping.
 type colData struct {
 	ids      []uint64
-	cards    []int
+	cards    []uint32
 	nameOffs []uint32 // count+1 offsets into nameBlob
 	nameBlob []byte
 	perm     []uint32 // entry positions sorted by (name, position)
-	blocks   []*bitset.SlicedBlock
+	matrix   []uint64 // position-major fingerprint matrix
 	lshKeys  []uint64 // sorted, parallel to lshIdx
 	lshIdx   []uint32
 }
@@ -95,21 +107,19 @@ func buildColumnar(entries []fingerprint.IDEntry, scheme minhash.Scheme, probes 
 	n := len(entries)
 	c := &colData{
 		ids:      make([]uint64, n),
-		cards:    make([]int, n),
+		cards:    make([]uint32, n),
 		nameOffs: make([]uint32, n+1),
 		perm:     make([]uint32, n),
 	}
 	var pairs []keyPair
+	fps := make([]*bitset.Set, n)
 	for i, e := range entries {
 		c.ids[i] = uint64(e.ID)
-		c.cards[i] = e.FP.Count()
+		c.cards[i] = uint32(e.FP.Count())
 		c.nameBlob = append(c.nameBlob, e.Name...)
 		c.nameOffs[i+1] = uint32(len(c.nameBlob))
 		c.perm[i] = uint32(i)
-		if len(c.blocks) == 0 || c.blocks[len(c.blocks)-1].Len() >= blockEntries {
-			c.blocks = append(c.blocks, bitset.NewSlicedBlock(nbits, blockEntries))
-		}
-		c.blocks[len(c.blocks)-1].Add(e.FP)
+		fps[i] = e.FP
 		for _, k := range entryKeys(scheme, probes, e.FP) {
 			pairs = append(pairs, keyPair{key: k, idx: uint32(i)})
 		}
@@ -133,6 +143,7 @@ func buildColumnar(entries []fingerprint.IDEntry, scheme minhash.Scheme, probes 
 	for i, p := range pairs {
 		c.lshKeys[i], c.lshIdx[i] = p.key, p.idx
 	}
+	c.matrix = bitset.PackSlicedMatrix(nbits, blockEntries, fps)
 	return c
 }
 
@@ -141,12 +152,15 @@ func (c *colData) name(pos int) string {
 }
 
 // WriteSegment writes entries (ascending add-order ids, one shared bit
-// length) as a PCSEG01 segment at path, atomically (temp-fsync-rename).
+// length) as a PCSEG02 segment at path, atomically (temp-fsync-rename).
 func WriteSegment(path string, entries []fingerprint.IDEntry, scheme minhash.Scheme, probes bool, blockEntries int) error {
 	if len(entries) == 0 {
 		return fmt.Errorf("store: refusing to write empty segment %s", path)
 	}
-	if blockEntries <= 0 {
+	if err := bitset.CheckSlicedEntries(blockEntries); err != nil {
+		return fmt.Errorf("store: segment %s: %w", path, err)
+	}
+	if blockEntries == 0 {
 		blockEntries = bitset.DefaultSlicedEntries
 	}
 	nbits := entries[0].FP.Len()
@@ -218,11 +232,7 @@ func writeSegmentTo(w io.Writer, entries []fingerprint.IDEntry, col *colData, sc
 	if err := cw.u64s(col.ids); err != nil {
 		return err
 	}
-	cards32 := make([]uint32, len(col.cards))
-	for i, c := range col.cards {
-		cards32[i] = uint32(c)
-	}
-	if err := cw.u32sPadded(cards32); err != nil {
+	if err := cw.u32sPadded(col.cards); err != nil {
 		return err
 	}
 	if err := cw.u32sPadded(col.nameOffs); err != nil {
@@ -234,13 +244,8 @@ func writeSegmentTo(w io.Writer, entries []fingerprint.IDEntry, col *colData, sc
 	if err := cw.u32sPadded(col.perm); err != nil {
 		return err
 	}
-	for _, blk := range col.blocks {
-		if err := cw.u64s(blk.Union()); err != nil {
-			return err
-		}
-		if err := cw.u64s(blk.Words()); err != nil {
-			return err
-		}
+	if err := cw.u64s(col.matrix); err != nil {
+		return err
 	}
 	if err := cw.u64s(col.lshKeys); err != nil {
 		return err
@@ -298,12 +303,21 @@ func (c *crcWriter) raw(b []byte) error {
 	return err
 }
 
+// u64s encodes v in chunks, so writing a segment's matrix needs no
+// file-sized buffer.
 func (c *crcWriter) u64s(v []uint64) error {
-	c.buf = c.buf[:0]
-	for _, x := range v {
-		c.buf = binary.LittleEndian.AppendUint64(c.buf, x)
+	for len(v) > 0 {
+		chunk := v[:min(len(v), 4096)]
+		v = v[len(chunk):]
+		c.buf = c.buf[:0]
+		for _, x := range chunk {
+			c.buf = binary.LittleEndian.AppendUint64(c.buf, x)
+		}
+		if err := c.raw(c.buf); err != nil {
+			return err
+		}
 	}
-	return c.raw(c.buf)
+	return nil
 }
 
 func (c *crcWriter) u32sPadded(v []uint32) error {
@@ -327,9 +341,9 @@ func (c *crcWriter) bytesPadded(b []byte) error {
 	return nil
 }
 
-// Segment is one loaded PCSEG01 file: columnar views (mmap-backed on the
-// fast path, heap-backed after a salvage) plus the tombstone flags its
-// owning Tiered engine maintains under its mutex.
+// Segment is one loaded segment file: columnar views (mmap-backed on the
+// fast path, heap-backed after a salvage or for a PCSEG01 file) plus the
+// tombstone flags its owning Tiered engine maintains under its mutex.
 type Segment struct {
 	path         string
 	m            *mapping
@@ -340,10 +354,10 @@ type Segment struct {
 	count        int
 	minID, maxID uint64
 	salvaged     bool
+	legacy       bool // a PCSEG01 file
 
 	col    *colData
-	cards  []int // shared backing for the per-block ViewSlicedBlock cards
-	blocks []*bitset.SlicedBlock
+	blocks []*bitset.SlicedBlock // strided views into col.matrix
 
 	// dead flags entries tombstoned by Remove; guarded by the owning
 	// engine's mutex (a Segment alone is immutable).
@@ -355,12 +369,14 @@ type Segment struct {
 	refs atomic.Int32
 }
 
-// LoadSegment opens a PCSEG01 file. With a committed footer the columnar
+// LoadSegment opens a segment file. With a committed footer the columnar
 // sections are mmap'd views and every entry-log record's CRC is verified —
 // a failed record is refused as *CorruptError with its offset. Without a
 // valid footer the file is treated as torn: the longest valid prefix of log
 // records is rebuilt into heap-backed sections (Salvaged reports this) and
-// the tail is dropped, mirroring the WAL's torn-tail rule.
+// the tail is dropped, mirroring the WAL's torn-tail rule. A committed
+// PCSEG01 file is verified the same way and its columnar sections rebuilt
+// in heap from the log.
 func LoadSegment(path string) (*Segment, error) {
 	m, err := mapFile(path)
 	if err != nil {
@@ -380,13 +396,18 @@ func parseSegment(path string, m *mapping) (*Segment, error) {
 	if len(data) < headerSize {
 		return nil, &CorruptError{Path: path, Offset: 0, Reason: fmt.Sprintf("file of %d bytes is shorter than the %d-byte header", len(data), headerSize)}
 	}
-	if string(data[:8]) != segMagic {
+	version := uint32(segVersion)
+	switch string(data[:8]) {
+	case segMagic:
+	case segMagicV1:
+		version = segVersionV1
+	default:
 		return nil, &CorruptError{Path: path, Offset: 0, Reason: "bad magic"}
 	}
 	if got, want := le.Uint32(data[40:]), crc32.ChecksumIEEE(data[:40]); got != want {
 		return nil, &CorruptError{Path: path, Offset: 40, Reason: "header checksum mismatch"}
 	}
-	if v := le.Uint32(data[8:]); v != segVersion {
+	if v := le.Uint32(data[8:]); v != version {
 		return nil, fmt.Errorf("store: segment %s has unsupported version %d", path, v)
 	}
 	seg := &Segment{
@@ -400,17 +421,35 @@ func parseSegment(path string, m *mapping) (*Segment, error) {
 			Seed:  le.Uint64(data[32:]),
 		},
 		probes: le.Uint32(data[28:]) == 1,
+		legacy: version == segVersionV1,
 	}
-	if seg.blockEntries <= 0 {
+	switch {
+	case seg.blockEntries <= 0:
 		return nil, &CorruptError{Path: path, Offset: 16, Reason: "zero block width"}
+	case seg.blockEntries > bitset.MaxSlicedEntries && seg.legacy:
+		// PCSEG01 allowed wider blocks; its rebuild packs at the default.
+		seg.blockEntries = bitset.DefaultSlicedEntries
+	case seg.blockEntries > bitset.MaxSlicedEntries:
+		return nil, &CorruptError{Path: path, Offset: 16, Reason: fmt.Sprintf("block width %d over %d", seg.blockEntries, bitset.MaxSlicedEntries)}
 	}
-	if ftr, ok := seg.validFooter(data); ok {
-		if err := seg.loadCommitted(data, ftr); err != nil {
-			return nil, err
-		}
+	ftr, ok := seg.validFooter(data)
+	if !ok {
+		seg.salvaged = true
+		seg.rebuild(seg.decodeLog(data, int64(len(data))))
 		return seg, nil
 	}
-	if err := seg.salvage(data); err != nil {
+	if err := seg.verifyLog(data, ftr); err != nil {
+		return nil, err
+	}
+	if seg.legacy {
+		entries := seg.decodeLog(data, ftr.logEnd)
+		if len(entries) != ftr.count {
+			return nil, &CorruptError{Path: path, Offset: headerSize, Reason: fmt.Sprintf("only %d of %d checksummed records decode", len(entries), ftr.count)}
+		}
+		seg.rebuild(entries)
+		return seg, nil
+	}
+	if err := seg.loadCommitted(data, ftr); err != nil {
 		return nil, err
 	}
 	return seg, nil
@@ -457,10 +496,10 @@ func (seg *Segment) validFooter(data []byte) (footer, bool) {
 	return ftr, true
 }
 
-// loadCommitted wires the columnar views off the mapping and walks the
-// entry log verifying record CRCs (interior corruption is refused here).
-func (seg *Segment) loadCommitted(data []byte, ftr footer) error {
-	// Log walk: counts and checksums only, no materialization.
+// verifyLog walks the committed entry log verifying record CRCs (interior
+// corruption is refused here): counts and checksums only, no
+// materialization.
+func (seg *Segment) verifyLog(data []byte, ftr footer) error {
 	off := int64(headerSize)
 	le := binary.LittleEndian
 	for i := 0; i < ftr.count; i++ {
@@ -480,11 +519,16 @@ func (seg *Segment) loadCommitted(data []byte, ftr footer) error {
 	if off != ftr.logEnd {
 		return &CorruptError{Path: seg.path, Offset: off, Reason: "trailing bytes inside the committed log"}
 	}
+	return nil
+}
+
+// loadCommitted wires the columnar views off the mapping of a committed
+// PCSEG02 file whose log verifyLog checked.
+func (seg *Segment) loadCommitted(data []byte, ftr footer) error {
 	seg.count, seg.minID, seg.maxID = ftr.count, ftr.minID, ftr.maxID
 	n := ftr.count
-	wpw := (seg.nbits + 63) / 64
 	b := seg.blockEntries
-	nBlocks := (n + b - 1) / b
+	nBlocks := int64((n + b - 1) / b)
 	// Section walk; every offset is 8-aligned by construction.
 	o := ftr.colStart
 	next := func(size int64) ([]byte, error) {
@@ -517,7 +561,10 @@ func (seg *Segment) loadCommitted(data []byte, ftr footer) error {
 	if err != nil {
 		return err
 	}
-	blocksB, err := next(int64(nBlocks) * int64(wpw*(b+1)) * 8)
+	if int64(seg.nbits) > int64(len(data))/8/nBlocks {
+		return &CorruptError{Path: seg.path, Offset: o, Reason: fmt.Sprintf("a %d-bit matrix of %d blocks overruns the file", seg.nbits, nBlocks)}
+	}
+	matrixB, err := next(int64(seg.nbits) * nBlocks * 8)
 	if err != nil {
 		return err
 	}
@@ -532,49 +579,31 @@ func (seg *Segment) loadCommitted(data []byte, ftr footer) error {
 	if o != int64(len(data))-footerSize {
 		return &CorruptError{Path: seg.path, Offset: o, Reason: "columnar sections do not fill the file"}
 	}
-	cards32 := u32view(cardsB)[:n]
-	seg.cards = make([]int, n)
-	for i, c := range cards32 {
-		seg.cards[i] = int(c)
-	}
 	seg.col = &colData{
 		ids:      u64view(idsB),
-		cards:    seg.cards,
+		cards:    u32view(cardsB)[:n],
 		nameOffs: offs,
 		nameBlob: blobB[:offs[n]],
 		perm:     u32view(permB)[:n],
+		matrix:   u64view(matrixB),
 		lshKeys:  u64view(keysB),
 		lshIdx:   u32view(idxB)[:ftr.nKeys],
 	}
-	blockWords := u64view(blocksB)
-	seg.blocks = make([]*bitset.SlicedBlock, nBlocks)
-	for bi := 0; bi < nBlocks; bi++ {
-		base := bi * wpw * (b + 1)
-		union := blockWords[base : base+wpw]
-		words := blockWords[base+wpw : base+wpw*(b+1)]
-		cnt := b
-		if bi == nBlocks-1 {
-			cnt = n - bi*b
-		}
-		seg.blocks[bi] = bitset.ViewSlicedBlock(seg.nbits, b, cnt, words, union, seg.cards[bi*b:bi*b+cnt])
-	}
+	seg.blocks = bitset.ViewSlicedMatrix(seg.nbits, b, seg.col.matrix, seg.col.cards)
 	seg.dead = make([]bool, n)
 	return nil
 }
 
-// salvage parses the longest valid prefix of the entry log and rebuilds the
-// columnar sections in heap.
-func (seg *Segment) salvage(data []byte) error {
+// decodeLog decodes the longest valid prefix of the entry log in
+// data[:end]: records stop at the first that overruns end, fails its
+// checksum or does not decode.
+func (seg *Segment) decodeLog(data []byte, end int64) []fingerprint.IDEntry {
 	le := binary.LittleEndian
 	var entries []fingerprint.IDEntry
-	off := int64(headerSize)
-	for {
-		if off+recHdrSize > int64(len(data)) {
-			break
-		}
+	for off := int64(headerSize); off+recHdrSize <= end; {
 		n := int64(le.Uint32(data[off:]))
 		want := le.Uint32(data[off+4:])
-		if off+recHdrSize+n > int64(len(data)) {
+		if off+recHdrSize+n > end {
 			break
 		}
 		payload := data[off+recHdrSize : off+recHdrSize+n]
@@ -588,19 +617,22 @@ func (seg *Segment) salvage(data []byte) error {
 		entries = append(entries, e)
 		off += recHdrSize + n
 	}
-	seg.salvaged = true
+	return entries
+}
+
+// rebuild builds the columnar sections in heap from decoded log entries: a
+// salvaged prefix, or a PCSEG01 file's whole log.
+func (seg *Segment) rebuild(entries []fingerprint.IDEntry) {
 	seg.count = len(entries)
+	seg.dead = make([]bool, seg.count)
 	if len(entries) == 0 {
 		seg.col = &colData{nameOffs: []uint32{0}}
-		return nil
+		return
 	}
 	seg.col = buildColumnar(entries, seg.scheme, seg.probes, seg.nbits, seg.blockEntries)
-	seg.cards = seg.col.cards
-	seg.blocks = seg.col.blocks
+	seg.blocks = bitset.ViewSlicedMatrix(seg.nbits, seg.blockEntries, seg.col.matrix, seg.col.cards)
 	seg.minID = seg.col.ids[0]
 	seg.maxID = seg.col.ids[len(seg.col.ids)-1]
-	seg.dead = make([]bool, seg.count)
-	return nil
 }
 
 func decodeRecord(p []byte, nbits int) (fingerprint.IDEntry, error) {
@@ -647,17 +679,16 @@ func (seg *Segment) Name(pos int) string { return seg.col.name(pos) }
 // ID returns entry pos's add-order id.
 func (seg *Segment) ID(pos int) int { return int(seg.col.ids[pos]) }
 
-// FP materializes entry pos's fingerprint as a dense heap Set (exports and
-// snapshots only — the query path never calls it).
+// FP materializes entry pos's fingerprint as a dense heap Set (Get only —
+// the query path never calls it, and bulk readers decode the whole matrix).
 func (seg *Segment) FP(pos int) *bitset.Set {
-	blk := seg.blocks[pos/seg.blockEntries]
-	j := pos % seg.blockEntries
-	words := make([]uint64, (seg.nbits+63)/64)
-	bw := blk.Words()
-	for w := range words {
-		words[w] = bw[w*blk.Cap()+j]
-	}
-	return bitset.FromWords(seg.nbits, words)
+	return seg.blocks[pos/seg.blockEntries].Entry(pos % seg.blockEntries)
+}
+
+// fps materializes every entry's fingerprint, tombstoned ones included, in
+// one row-major pass over the matrix.
+func (seg *Segment) fps() []*bitset.Set {
+	return bitset.DecodeSlicedMatrix(seg.nbits, seg.blockEntries, seg.count, seg.col.matrix)
 }
 
 // Retain pins the segment (and its mapping) for a streaming reader;
@@ -757,11 +788,10 @@ func (seg *Segment) firstMatch(q *fingerprint.Query, threshold float64, plain bo
 
 // exportLive appends the live entries (materialized) in id order.
 func (seg *Segment) exportLive(dst []fingerprint.IDEntry) []fingerprint.IDEntry {
-	for pos := 0; pos < seg.count; pos++ {
-		if seg.dead[pos] {
-			continue
+	for pos, fp := range seg.fps() {
+		if !seg.dead[pos] {
+			dst = append(dst, fingerprint.IDEntry{ID: int(seg.col.ids[pos]), Name: seg.col.name(pos), FP: fp})
 		}
-		dst = append(dst, fingerprint.IDEntry{ID: int(seg.col.ids[pos]), Name: seg.col.name(pos), FP: seg.FP(pos)})
 	}
 	return dst
 }
@@ -770,6 +800,7 @@ func (seg *Segment) exportLive(dst []fingerprint.IDEntry) []fingerprint.IDEntry 
 // validation plus a log-vs-columnar cross-check (every record's id, name,
 // cardinality, and bits must match the columnar sections the queries serve
 // from). A salvaged (torn) file fails verification — triage should see it.
+// A PCSEG01 file is checked through Load's rebuild from its log.
 func VerifySegment(path string) error {
 	seg, err := LoadSegment(path)
 	if err != nil {
@@ -785,21 +816,22 @@ func VerifySegment(path string) error {
 	}
 	defer m.Close()
 	le := binary.LittleEndian
+	fps := seg.fps()
 	off := int64(headerSize)
-	for pos := 0; pos < seg.count; pos++ {
+	for pos, fp := range fps {
 		n := int64(le.Uint32(m.data[off:]))
 		e, err := decodeRecord(m.data[off+recHdrSize:off+recHdrSize+n], seg.nbits)
 		if err != nil {
 			return &CorruptError{Path: path, Offset: off, Reason: err.Error()}
 		}
-		if e.ID != seg.ID(pos) || e.Name != seg.Name(pos) || e.FP.Count() != seg.cards[pos] || !e.FP.Equal(seg.FP(pos)) {
+		if e.ID != seg.ID(pos) || e.Name != seg.Name(pos) || e.FP.Count() != int(seg.col.cards[pos]) || !e.FP.Equal(fp) {
 			return &CorruptError{Path: path, Offset: off, Reason: fmt.Sprintf("entry %d diverges between log and columnar sections", pos)}
 		}
 		off += recHdrSize + n
 	}
 	// The columnar kernel must agree with the scalar one on a live entry.
 	for pos := 0; pos < seg.count; pos += 1 + seg.count/64 {
-		fp := seg.FP(pos)
+		fp := fps[pos]
 		r := seg.blocks[pos/seg.blockEntries].MinCardAndNotCountOne(fp, pos%seg.blockEntries)
 		if r.Diff != 0 || r.MinCard != fp.Count() {
 			return &CorruptError{Path: path, Offset: 0, Reason: fmt.Sprintf("self-distance of entry %d is not zero", pos)}

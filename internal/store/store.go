@@ -6,14 +6,16 @@
 //     entry lives in heap, snapshots are monolithic (the pre-PR 9 behavior).
 //   - Tiered: an LSM-shaped engine. Fresh enrollments land in an in-RAM
 //     memtable (a ShardedDB); at each checkpoint the memtable flushes to an
-//     immutable, mmap'd segment file (format PCSEG01, segment.go) carrying
-//     the per-entry error bitsets in the PR 8 band-major sliced layout, the
-//     cached cardinalities, and the serialized LSH band index. Queries merge
-//     the memtable's verdict with per-segment verdicts streamed straight off
-//     the mappings through the SlicedBlock kernel, so the hot path never
-//     materializes flushed fingerprints in heap. Segments accumulate until a
-//     compaction merges them (dropping tombstones); a JSON manifest committed
-//     by atomic rename is the engine's commit point.
+//     immutable, mmap'd segment file (format PCSEG02, segment.go) carrying
+//     the per-entry error bitsets as one position-major bit-sliced matrix,
+//     the cached cardinalities, and the serialized LSH band index. Queries
+//     merge the memtable's verdict with per-segment verdicts streamed
+//     straight off the mappings through the SlicedBlock kernel, so the hot
+//     path never materializes flushed fingerprints in heap. Segments
+//     accumulate until a compaction merges them (dropping tombstones); a
+//     JSON manifest committed by atomic rename is the engine's commit point.
+//     Opening a store rewrites any PCSEG01 segment, the previous format, as
+//     PCSEG02.
 //
 // Both tiers run one identify engine: each query is signed once, the
 // memtable shards and every segment turn the shared signature into LSH

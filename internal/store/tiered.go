@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -129,6 +130,21 @@ func OpenTiered(cfg Config, dbCfg DBConfig) (*Tiered, error) {
 			}
 		}
 	}
+	// A PCSEG01 segment serves from columnar sections rebuilt in heap: its
+	// entry log is the durable truth, so rewrite it as PCSEG02 through the
+	// compaction commit sequence before serving. A crash part way leaves a
+	// store that opens the same way.
+	for _, seg := range slices.Clone(t.segs) {
+		if !seg.legacy {
+			continue
+		}
+		i := slices.Index(t.segs, seg)
+		if err := t.rewriteLocked(i, i+1); err != nil {
+			t.Close()
+			return nil, fmt.Errorf("store: rewriting PCSEG01 segment %s as PCSEG02: %w", filepath.Base(seg.path), err)
+		}
+	}
+	t.sweepGraveLocked()
 	return t, nil
 }
 
@@ -404,9 +420,7 @@ func (t *Tiered) flushLocked(watermark uint64) error {
 }
 
 // compactOnceLocked merges the adjacent segment pair with the smallest
-// combined live count — bounded memory per merge, LSM-style — dropping
-// tombstoned entries. The merged file is committed via the manifest; the
-// replaced segments join the graveyard until their refcounts drain.
+// combined live count — bounded memory per merge, LSM-style.
 func (t *Tiered) compactOnceLocked() error {
 	if len(t.segs) < 2 {
 		return nil
@@ -418,14 +432,23 @@ func (t *Tiered) compactOnceLocked() error {
 			best, bestLive = i, live
 		}
 	}
-	a, b := t.segs[best], t.segs[best+1]
+	return t.rewriteLocked(best, best+2)
+}
+
+// rewriteLocked replaces segments i..j-1 with one segment of their live
+// entries, dropping tombstoned ones: compaction merges a pair, and opening a
+// store rewrites each PCSEG01 segment alone. The new file is committed via
+// the manifest; the replaced segments join the graveyard until their
+// refcounts drain.
+func (t *Tiered) rewriteLocked(i, j int) error {
+	old := t.segs[i:j]
 	var entries []fingerprint.IDEntry
-	entries = a.exportLive(entries)
-	entries = b.exportLive(entries)
+	for _, seg := range old {
+		entries = seg.exportLive(entries)
+	}
 	var merged *Segment
-	newFile := segmentName(t.nextSeg)
 	if len(entries) > 0 {
-		path := filepath.Join(t.cfg.Dir, newFile)
+		path := filepath.Join(t.cfg.Dir, segmentName(t.nextSeg))
 		if err := WriteSegment(path, entries, t.scheme, t.dbCfg.Probes, t.dbCfg.BlockEntries); err != nil {
 			return err
 		}
@@ -436,14 +459,14 @@ func (t *Tiered) compactOnceLocked() error {
 			return fmt.Errorf("store: reopening compacted segment: %w", err)
 		}
 	}
-	newSegs := append([]*Segment(nil), t.segs[:best]...)
+	newSegs := slices.Clone(t.segs[:i])
 	if merged != nil {
 		newSegs = append(newSegs, merged)
 	}
-	newSegs = append(newSegs, t.segs[best+2:]...)
-	// The merged segments' tombstones are physically gone; drop them from
+	newSegs = append(newSegs, t.segs[j:]...)
+	// The rewritten segments' tombstones are physically gone; drop them from
 	// the persisted set.
-	for _, seg := range [2]*Segment{a, b} {
+	for _, seg := range old {
 		for pos := 0; pos < seg.Len(); pos++ {
 			if seg.dead[pos] {
 				delete(t.tomb, seg.ID(pos))
@@ -454,9 +477,9 @@ func (t *Tiered) compactOnceLocked() error {
 		return err
 	}
 	t.crash("compact-after-commit")
+	t.grave = append(t.grave, old...)
 	t.segs = newSegs
 	t.nextSeg++
-	t.grave = append(t.grave, a, b)
 	return nil
 }
 
