@@ -26,9 +26,9 @@ func track(name string) func(samples int) {
 	_, sp := obs.Start(context.Background(), "experiment."+name)
 	return func(samples int) {
 		elapsed := time.Since(t0)
-		obs.C("experiment."+name+".runs").Inc()
-		obs.C("experiment."+name+".samples").Add(int64(samples))
-		obs.H("experiment."+name+".nanos").Observe(elapsed.Nanoseconds())
+		obs.C("experiment." + name + ".runs").Inc()
+		obs.C("experiment." + name + ".samples").Add(int64(samples))
+		obs.H("experiment." + name + ".nanos").Observe(elapsed.Nanoseconds())
 		sp.SetAttr("samples", samples)
 		sp.End()
 		obs.Debugf("experiment finished", "name", name, "samples", samples, "wall", elapsed)

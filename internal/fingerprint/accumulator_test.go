@@ -25,8 +25,8 @@ func TestAccumulatorMatchesCharacterize(t *testing.T) {
 	outputs := make([][]byte, 6)
 	for i := range outputs {
 		out := make([]byte, n/8)
-		out[3] = 0xFF            // core error cells, every trial
-		out[10+i%2] = 0x0F       // flickering cells
+		out[3] = 0xFF      // core error cells, every trial
+		out[10+i%2] = 0x0F // flickering cells
 		out[20] = byte(1 << (i % 3))
 		outputs[i] = out
 	}

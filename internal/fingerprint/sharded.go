@@ -1,9 +1,10 @@
 package fingerprint
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -515,6 +516,11 @@ type IDEntry struct {
 func (s *ShardedDB) ExportIDs() []IDEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.exportLocked()
+}
+
+// exportLocked is ExportIDs with s.mu held.
+func (s *ShardedDB) exportLocked() []IDEntry {
 	all := make([]IDEntry, 0, s.count.Load())
 	for _, sh := range s.shards {
 		sh.mu.RLock()
@@ -526,8 +532,52 @@ func (s *ShardedDB) ExportIDs() []IDEntry {
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
+	slices.SortFunc(all, func(a, b IDEntry) int { return cmp.Compare(a.ID, b.ID) })
 	return all
+}
+
+// KeyPos is one LSH pair of an exported entry list: the entry at position
+// Pos is indexed under Key. A tiered store's segment serializes its LSH
+// index as these pairs, sorted by (Key, Pos).
+type KeyPos struct {
+	Key uint64
+	Pos uint32
+}
+
+// ExportKeyed is ExportIDs plus the LSH keys the shards' indexes already
+// hold for the exported entries: one pair per key a live entry is indexed
+// under, its Pos the entry's position in entries. The pairs come from a
+// read-only walk of the index buckets that skips tombstoned refs, so no
+// entry is signed again; they are in no particular order. A Plain database
+// has no index, so its pairs are nil. Mutations are blocked for the
+// duration.
+func (s *ShardedDB) ExportKeyed() (entries []IDEntry, pairs []KeyPos) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	entries = s.exportLocked()
+	if s.cfg.Plain {
+		return entries, nil
+	}
+	pairs = make([]KeyPos, 0, len(entries)*s.scheme.NumKeys(s.cfg.Index.Probes))
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		// pos maps a shard-local index to its position in entries (ids are
+		// unique, so a binary search finds it); -1 marks a tombstone.
+		pos := make([]int, len(sh.db.entries))
+		for i := range pos {
+			pos[i] = -1
+			if sh.db.alive(i) {
+				pos[i], _ = slices.BinarySearchFunc(entries, sh.ids[i], func(e IDEntry, id int) int { return cmp.Compare(e.ID, id) })
+			}
+		}
+		sh.sx.x.index.Each(func(key uint64, local int) {
+			if p := pos[local]; p >= 0 {
+				pairs = append(pairs, KeyPos{Key: key, Pos: uint32(p)})
+			}
+		})
+		sh.mu.RUnlock()
+	}
+	return entries, pairs
 }
 
 // String renders a small summary for logs.

@@ -2,10 +2,13 @@ package fingerprint
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"testing"
 
 	"probablecause/internal/bitset"
+	"probablecause/internal/minhash"
 	"probablecause/internal/obs"
 	"probablecause/internal/prng"
 )
@@ -376,6 +379,57 @@ func TestShardedRemoveTombstone(t *testing.T) {
 			if ids[k-1].ID >= ids[k].ID {
 				t.Fatalf("cfg %+v: ExportIDs not id-sorted at %d", cfg, k)
 			}
+		}
+	}
+}
+
+// TestShardedExportKeyed: ExportKeyed returns ExportIDs' entries and, as a
+// multiset, exactly the pairs signing each live entry afresh would give —
+// its keys under the index's scheme and probes setting, at its export
+// position — with tombstones below and above RebuildMinDead, and without
+// signing anything. A Plain database reports no keys.
+func TestShardedExportKeyed(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	for _, cfg := range []ShardedConfig{
+		{Shards: 3},
+		{Shards: 3, Index: IndexedConfig{Probes: true}},
+		{Shards: 2, RebuildMinDead: 4},
+		{Shards: 3, Plain: true},
+	} {
+		_, sh := buildEquivalent(t, 60, cfg)
+		for i := 0; i < 60; i += 3 {
+			sh.Remove(fmt.Sprintf("dev%03d", i))
+		}
+		if cfg.RebuildMinDead > 0 && sh.Rebuilds() == 0 {
+			t.Fatalf("cfg %+v: no shard was rebuilt", cfg)
+		}
+		before := cSignatures.Value()
+		entries, pairs := sh.ExportKeyed()
+		if got := cSignatures.Value() - before; got != 0 {
+			t.Fatalf("cfg %+v: ExportKeyed signed %d entries", cfg, got)
+		}
+		if !slices.Equal(entries, sh.ExportIDs()) {
+			t.Fatalf("cfg %+v: ExportKeyed entries differ from ExportIDs", cfg)
+		}
+		if cfg.Plain {
+			if pairs != nil {
+				t.Fatalf("cfg %+v: a Plain database exported %d pairs", cfg, len(pairs))
+			}
+			continue
+		}
+		want := map[KeyPos]int{}
+		for pos, e := range entries {
+			for _, k := range NewQuery(e.FP, minhash.DefaultScheme).Keys(minhash.DefaultScheme, cfg.Index.Probes) {
+				want[KeyPos{Key: k, Pos: uint32(pos)}]++
+			}
+		}
+		got := map[KeyPos]int{}
+		for _, p := range pairs {
+			got[p]++
+		}
+		if len(pairs) != len(entries)*minhash.DefaultScheme.NumKeys(cfg.Index.Probes) || !maps.Equal(got, want) {
+			t.Fatalf("cfg %+v: %d pairs differ from the %d entries' signed keys", cfg, len(pairs), len(entries))
 		}
 	}
 }

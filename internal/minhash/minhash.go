@@ -104,6 +104,15 @@ func (s Scheme) BandKeys(sig Signature) []uint64 {
 	return keys
 }
 
+// NumKeys returns how many keys one signature yields: BandKeys' Bands, or
+// with probes ProbeKeys' Bands·(1+Rows).
+func (s Scheme) NumKeys(probes bool) int {
+	if probes {
+		return s.Bands * (1 + s.Rows)
+	}
+	return s.Bands
+}
+
 // ProbeKeys returns the multi-probe key set of a signature: the Bands full
 // band keys followed by the Bands·Rows leave-one-out keys — for each band,
 // the keys obtained by omitting one row from the band hash. Two signatures
@@ -113,7 +122,7 @@ func (s Scheme) BandKeys(sig Signature) []uint64 {
 // keep recall up as bands grow more selective. The expansion requires
 // Rows ≥ 2 (with one row, omitting it would collide everything).
 func (s Scheme) ProbeKeys(sig Signature) []uint64 {
-	keys := make([]uint64, 0, s.Bands*(1+s.Rows))
+	keys := make([]uint64, 0, s.NumKeys(true))
 	keys = append(keys, s.BandKeys(sig)...)
 	for b := 0; b < s.Bands; b++ {
 		for r := 0; r < s.Rows; r++ {
@@ -204,6 +213,18 @@ func (ix *Index[Ref]) Candidates(sig Signature) []Ref {
 		}
 	}
 	return out
+}
+
+// Each calls fn once for every (key, ref) entry the index holds — a ref
+// registered under the same key twice is visited twice — in no particular
+// order. It is a read-only walk: the keys come from the buckets, nothing is
+// signed, and fn must not modify the index.
+func (ix *Index[Ref]) Each(fn func(key uint64, ref Ref)) {
+	for k, refs := range ix.buckets {
+		for _, ref := range refs {
+			fn(k, ref)
+		}
+	}
 }
 
 // Len returns the total number of (band, ref) entries held.

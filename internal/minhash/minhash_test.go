@@ -150,6 +150,48 @@ func TestIndexCandidatesDeduplicated(t *testing.T) {
 	}
 }
 
+// TestIndexEach: the walk visits exactly the (key, ref) entries Add
+// registered — NumKeys per ref, the keys of that ref's signature, and a
+// second registration of the same signature twice — on plain and
+// multi-probe indexes.
+func TestIndexEach(t *testing.T) {
+	for _, probes := range []bool{false, true} {
+		ix, err := NewIndex[int](DefaultScheme)
+		if probes {
+			ix, err = NewMultiProbeIndex[int](DefaultScheme)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[[2]uint64]int{}
+		for ref := 0; ref < 20; ref++ {
+			sig := DefaultScheme.Sign(randomSet(uint64(ref)%15, 200, 32768)) // refs 15–19 repeat 0–4's sets
+			ix.Add(sig, ref)
+			keys := ix.keys(sig)
+			if len(keys) != DefaultScheme.NumKeys(probes) {
+				t.Fatalf("probes=%v: %d keys, NumKeys says %d", probes, len(keys), DefaultScheme.NumKeys(probes))
+			}
+			for _, k := range keys {
+				want[[2]uint64{k, uint64(ref)}]++
+			}
+		}
+		ix.Add(DefaultScheme.Sign(randomSet(3, 200, 32768)), 3) // ref 3 again, same keys
+		for _, k := range ix.keys(DefaultScheme.Sign(randomSet(3, 200, 32768))) {
+			want[[2]uint64{k, 3}]++
+		}
+		got := map[[2]uint64]int{}
+		ix.Each(func(key uint64, ref int) { got[[2]uint64{key, uint64(ref)}]++ })
+		if len(got) != len(want) {
+			t.Fatalf("probes=%v: Each visited %d distinct entries, want %d", probes, len(got), len(want))
+		}
+		for e, n := range want {
+			if got[e] != n {
+				t.Fatalf("probes=%v: entry %v visited %d times, want %d", probes, e, got[e], n)
+			}
+		}
+	}
+}
+
 func TestNewIndexRejectsBadScheme(t *testing.T) {
 	if _, err := NewIndex[int](Scheme{}); err == nil {
 		t.Fatal("bad scheme accepted")

@@ -22,11 +22,11 @@ func TestTraceHeaderRoundTrip(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"", "zz", "123", // too short / not hex
-		"00000000000000000-0000000000000001",               // 17-digit trace id
-		"0000000000000000-0000000000000001",                // zero trace id
-		"g000000000000000-0000000000000001",                // non-hex
-		"0000000000000001-123",                             // short span id
-		"0000000000000001-00000000000000010",               // long span id
+		"00000000000000000-0000000000000001",                // 17-digit trace id
+		"0000000000000000-0000000000000001",                 // zero trace id
+		"g000000000000000-0000000000000001",                 // non-hex
+		"0000000000000001-123",                              // short span id
+		"0000000000000001-00000000000000010",                // long span id
 		strings.Repeat("0", 15) + "1-" + " 000000000000001", // whitespace
 	} {
 		if _, _, ok := ParseTraceHeader(bad); ok {

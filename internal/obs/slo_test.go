@@ -24,15 +24,15 @@ func TestParseObjectives(t *testing.T) {
 		t.Errorf("empty spec → (%v, %v)", objs, err)
 	}
 	for _, bad := range []string{
-		"identify",            // no rule
-		"identify:p99",        // no bound
-		"identify:p99<",       // empty bound
-		"identify:p0<50ms",    // percentile out of range
-		"identify:p101<50ms",  // percentile out of range
-		"identify:err<150%",   // percentage out of range
-		"identify:err<0.1",    // missing %
-		"identify:q99<50ms",   // unknown kind
-		":p99<50ms",           // no endpoint
+		"identify",             // no rule
+		"identify:p99",         // no bound
+		"identify:p99<",        // empty bound
+		"identify:p0<50ms",     // percentile out of range
+		"identify:p101<50ms",   // percentile out of range
+		"identify:err<150%",    // percentage out of range
+		"identify:err<0.1",     // missing %
+		"identify:q99<50ms",    // unknown kind
+		":p99<50ms",            // no endpoint
 		"identify:p99<50bogus", // bad duration
 	} {
 		if _, err := ParseObjectives(bad); err == nil {

@@ -103,4 +103,3 @@ func sweepStaleCheckpoints(dir, live string) {
 		}
 	}
 }
-

@@ -23,7 +23,7 @@ func FuzzSegmentLoad(f *testing.F) {
 	entries := testEntries(n, nbits)
 	dir := f.TempDir()
 	clean := filepath.Join(dir, "seg-000000.pcseg")
-	if err := WriteSegment(clean, entries, minhash.DefaultScheme, false, 4); err != nil {
+	if err := WriteSegment(clean, entries, signPairs(nil, entries, 0, minhash.DefaultScheme, false), minhash.DefaultScheme, false, 4); err != nil {
 		f.Fatal(err)
 	}
 	blob, err := os.ReadFile(clean)
@@ -112,7 +112,7 @@ func TestFuzzSegmentLoadSmoke(t *testing.T) {
 	entries := testEntries(n, nbits)
 	dir := t.TempDir()
 	clean := filepath.Join(dir, "seg-000000.pcseg")
-	if err := WriteSegment(clean, entries, minhash.DefaultScheme, false, 4); err != nil {
+	if err := WriteSegment(clean, entries, signPairs(nil, entries, 0, minhash.DefaultScheme, false), minhash.DefaultScheme, false, 4); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := os.ReadFile(clean)

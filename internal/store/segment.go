@@ -4,11 +4,16 @@
 package store
 
 import (
+	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
+	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"unsafe"
 
@@ -96,14 +101,24 @@ func entryKeys(scheme minhash.Scheme, probes bool, fp *bitset.Set) []uint64 {
 	return fingerprint.NewQuery(fp, scheme).Keys(scheme, probes)
 }
 
-type keyPair struct {
-	key uint64
-	idx uint32
+// signPairs appends the LSH pairs of entries, numbered from base, by signing
+// each one. It serves only sources that hold no keys under the target
+// scheme: a Plain memtable, a salvaged or PCSEG01 segment's rebuild, and a
+// compaction source written under another scheme or probes setting. Every
+// other segment is written from the keys its source already holds.
+func signPairs(dst []fingerprint.KeyPos, entries []fingerprint.IDEntry, base int, scheme minhash.Scheme, probes bool) []fingerprint.KeyPos {
+	for i, e := range entries {
+		for _, k := range entryKeys(scheme, probes, e.FP) {
+			dst = append(dst, fingerprint.KeyPos{Key: k, Pos: uint32(base + i)})
+		}
+	}
+	return dst
 }
 
 // buildColumnar packs entries (ascending ids, one shared bit length) into
-// columnar form.
-func buildColumnar(entries []fingerprint.IDEntry, scheme minhash.Scheme, probes bool, nbits, blockEntries int) *colData {
+// columnar form, with pairs — the entries' LSH (key, position) pairs in any
+// order — sorted into the key section.
+func buildColumnar(entries []fingerprint.IDEntry, pairs []fingerprint.KeyPos, nbits, blockEntries int) *colData {
 	n := len(entries)
 	c := &colData{
 		ids:      make([]uint64, n),
@@ -111,7 +126,6 @@ func buildColumnar(entries []fingerprint.IDEntry, scheme minhash.Scheme, probes 
 		nameOffs: make([]uint32, n+1),
 		perm:     make([]uint32, n),
 	}
-	var pairs []keyPair
 	fps := make([]*bitset.Set, n)
 	for i, e := range entries {
 		c.ids[i] = uint64(e.ID)
@@ -120,31 +134,82 @@ func buildColumnar(entries []fingerprint.IDEntry, scheme minhash.Scheme, probes 
 		c.nameOffs[i+1] = uint32(len(c.nameBlob))
 		c.perm[i] = uint32(i)
 		fps[i] = e.FP
-		for _, k := range entryKeys(scheme, probes, e.FP) {
-			pairs = append(pairs, keyPair{key: k, idx: uint32(i)})
-		}
 	}
-	sort.Slice(c.perm, func(a, b int) bool {
-		pa, pb := c.perm[a], c.perm[b]
-		na, nb := c.name(int(pa)), c.name(int(pb))
-		if na != nb {
-			return na < nb
+	slices.SortFunc(c.perm, func(a, b uint32) int {
+		if o := strings.Compare(entries[a].Name, entries[b].Name); o != 0 {
+			return o
 		}
-		return pa < pb
-	})
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a].key != pairs[b].key {
-			return pairs[a].key < pairs[b].key
-		}
-		return pairs[a].idx < pairs[b].idx
+		return cmp.Compare(a, b)
 	})
 	c.lshKeys = make([]uint64, len(pairs))
 	c.lshIdx = make([]uint32, len(pairs))
-	for i, p := range pairs {
-		c.lshKeys[i], c.lshIdx[i] = p.key, p.idx
+	for i, p := range sortPairs(pairs) {
+		c.lshKeys[i], c.lshIdx[i] = p.Key, p.Pos
 	}
 	c.matrix = bitset.PackSlicedMatrix(nbits, blockEntries, fps)
 	return c
+}
+
+// sortPairs returns pairs sorted by (Key, Pos), in a new slice. The keys
+// are hashes, near-uniform over 64 bits, so one counting pass on their top
+// bits (one bucket per four to eight pairs, at most 2^16 buckets) scatters
+// the pairs into small buckets. An insertion sort finishes a bucket of up
+// to 16 pairs; slices.SortFunc finishes a longer one, which many entries
+// sharing a key (empty fingerprints) or over 2^20 pairs produce.
+func sortPairs(pairs []fingerprint.KeyPos) []fingerprint.KeyPos {
+	shift := 64 - min(max(bits.Len(uint(len(pairs)))-2, 1), 16)
+	start := make([]int, 1<<(64-shift)+1) // bucket d holds out[start[d]:start[d+1]]
+	for _, p := range pairs {
+		start[p.Key>>shift+1]++
+	}
+	for d := 1; d < len(start); d++ {
+		start[d] += start[d-1]
+	}
+	out := make([]fingerprint.KeyPos, len(pairs))
+	next := slices.Clone(start)
+	for _, p := range pairs {
+		d := p.Key >> shift
+		out[next[d]] = p
+		next[d]++
+	}
+	order := func(a, b fingerprint.KeyPos) int {
+		if o := cmp.Compare(a.Key, b.Key); o != 0 {
+			return o
+		}
+		return cmp.Compare(a.Pos, b.Pos)
+	}
+	for d := 0; d+1 < len(start); d++ {
+		bucket := out[start[d]:start[d+1]]
+		if len(bucket) > 16 {
+			slices.SortFunc(bucket, order)
+			continue
+		}
+		for i := 1; i < len(bucket); i++ {
+			for j := i; j > 0 && order(bucket[j], bucket[j-1]) < 0; j-- {
+				bucket[j], bucket[j-1] = bucket[j-1], bucket[j]
+			}
+		}
+	}
+	return out
+}
+
+// checkKeys checks a key section's shape against its segment: perEntry keys
+// for each of count entries, sorted by (key, position) with every position
+// in range — what candidates' binary search assumes. It returns the index of
+// the first bad pair (len(keys) for a bad count) and why, or -1.
+func checkKeys(keys []uint64, idx []uint32, count, perEntry int) (int, string) {
+	if len(keys) != count*perEntry {
+		return len(keys), fmt.Sprintf("%d keys for %d entries of %d keys each", len(keys), count, perEntry)
+	}
+	for i := range keys {
+		if int(idx[i]) >= count {
+			return i, fmt.Sprintf("pair %d names entry %d of %d", i, idx[i], count)
+		}
+		if i > 0 && (keys[i] < keys[i-1] || keys[i] == keys[i-1] && idx[i] < idx[i-1]) {
+			return i, fmt.Sprintf("pair %d is out of (key, entry) order", i)
+		}
+	}
+	return -1, ""
 }
 
 func (c *colData) name(pos int) string {
@@ -153,7 +218,11 @@ func (c *colData) name(pos int) string {
 
 // WriteSegment writes entries (ascending add-order ids, one shared bit
 // length) as a PCSEG02 segment at path, atomically (temp-fsync-rename).
-func WriteSegment(path string, entries []fingerprint.IDEntry, scheme minhash.Scheme, probes bool, blockEntries int) error {
+// pairs are the entries' LSH (key, position) pairs under scheme and probes,
+// in any order: WriteSegment sorts them and never signs, so a caller passes
+// the keys its source already holds (signPairs' for a source that holds
+// none). A key count that does not match the entries is refused.
+func WriteSegment(path string, entries []fingerprint.IDEntry, pairs []fingerprint.KeyPos, scheme minhash.Scheme, probes bool, blockEntries int) error {
 	if len(entries) == 0 {
 		return fmt.Errorf("store: refusing to write empty segment %s", path)
 	}
@@ -169,9 +238,22 @@ func WriteSegment(path string, entries []fingerprint.IDEntry, scheme minhash.Sch
 			return fmt.Errorf("store: segment needs one bit length, have %d and %d", nbits, e.FP.Len())
 		}
 	}
-	col := buildColumnar(entries, scheme, probes, nbits, blockEntries)
+	col := buildColumnar(entries, pairs, nbits, blockEntries)
+	if i, why := checkKeys(col.lshKeys, col.lshIdx, len(entries), scheme.NumKeys(probes)); i >= 0 {
+		return fmt.Errorf("store: segment %s: LSH key section: %s", path, why)
+	}
+	return writeColumnar(path, entries, col, scheme, probes, nbits, blockEntries)
+}
+
+// writeColumnar writes an already-built segment atomically, through one
+// buffer flushed before WriteAtomic's fsync.
+func writeColumnar(path string, entries []fingerprint.IDEntry, col *colData, scheme minhash.Scheme, probes bool, nbits, blockEntries int) error {
 	return samplefile.WriteAtomic(path, func(w io.Writer) error {
-		return writeSegmentTo(w, entries, col, scheme, probes, nbits, blockEntries)
+		bw := bufio.NewWriterSize(w, 1<<16)
+		if err := writeSegmentTo(bw, entries, col, scheme, probes, nbits, blockEntries); err != nil {
+			return err
+		}
+		return bw.Flush()
 	})
 }
 
@@ -629,7 +711,8 @@ func (seg *Segment) rebuild(entries []fingerprint.IDEntry) {
 		seg.col = &colData{nameOffs: []uint32{0}}
 		return
 	}
-	seg.col = buildColumnar(entries, seg.scheme, seg.probes, seg.nbits, seg.blockEntries)
+	pairs := signPairs(nil, entries, 0, seg.scheme, seg.probes)
+	seg.col = buildColumnar(entries, pairs, seg.nbits, seg.blockEntries)
 	seg.blocks = bitset.ViewSlicedMatrix(seg.nbits, seg.blockEntries, seg.col.matrix, seg.col.cards)
 	seg.minID = seg.col.ids[0]
 	seg.maxID = seg.col.ids[len(seg.col.ids)-1]
@@ -796,11 +879,42 @@ func (seg *Segment) exportLive(dst []fingerprint.IDEntry) []fingerprint.IDEntry 
 	return dst
 }
 
+// livePairs appends the LSH pairs of the segment's live entries, numbered
+// as exportLive lays them out from base: the key section renumbered past the
+// tombstones it drops. A segment written under another scheme or probes
+// setting holds no usable keys, so live — its exported entries — is signed
+// instead.
+func (seg *Segment) livePairs(dst []fingerprint.KeyPos, live []fingerprint.IDEntry, base int, scheme minhash.Scheme, probes bool) []fingerprint.KeyPos {
+	if seg.scheme != scheme || seg.probes != probes {
+		return signPairs(dst, live, base, scheme, probes)
+	}
+	renum := make([]uint32, seg.count)
+	next := uint32(base)
+	for pos := range renum {
+		renum[pos] = next
+		if !seg.dead[pos] {
+			next++
+		}
+	}
+	for i, k := range seg.col.lshKeys {
+		if pos := seg.col.lshIdx[i]; !seg.dead[pos] {
+			dst = append(dst, fingerprint.KeyPos{Key: k, Pos: renum[pos]})
+		}
+	}
+	return dst
+}
+
 // VerifySegment deep-checks a segment file: Load's structural and checksum
 // validation plus a log-vs-columnar cross-check (every record's id, name,
 // cardinality, and bits must match the columnar sections the queries serve
-// from). A salvaged (torn) file fails verification — triage should see it.
-// A PCSEG01 file is checked through Load's rebuild from its log.
+// from). The LSH key section is checked too, since the writer takes its keys
+// from the caller rather than from the bits it writes: the key count must
+// be count × keys-per-entry for the header's scheme, the pairs sorted by
+// (key, entry) with every entry in range, and on the kernel self-check's
+// 1-in-(count/64) sample every key re-derived from the entry's log record
+// must sit at that entry's position. A salvaged (torn) file fails
+// verification — triage should see it. A PCSEG01 file is checked through
+// Load's rebuild from its log.
 func VerifySegment(path string) error {
 	seg, err := LoadSegment(path)
 	if err != nil {
@@ -815,8 +929,19 @@ func VerifySegment(path string) error {
 		return err
 	}
 	defer m.Close()
+	// The key and entry sections end the columnar region, just before the
+	// footer; a refusal points into the key section.
+	keys, idx := seg.col.lshKeys, seg.col.lshIdx
+	keysOff := int64(len(m.data)) - footerSize - (int64(len(idx))*4+7)&^7 - int64(len(keys))*8
+	keyErr := func(pair int, why string) error {
+		return &CorruptError{Path: path, Offset: keysOff + 8*int64(pair), Reason: "LSH key section: " + why}
+	}
+	if i, why := checkKeys(keys, idx, seg.count, seg.scheme.NumKeys(seg.probes)); i >= 0 {
+		return keyErr(i, why)
+	}
 	le := binary.LittleEndian
 	fps := seg.fps()
+	step := 1 + seg.count/64
 	off := int64(headerSize)
 	for pos, fp := range fps {
 		n := int64(le.Uint32(m.data[off:]))
@@ -827,10 +952,18 @@ func VerifySegment(path string) error {
 		if e.ID != seg.ID(pos) || e.Name != seg.Name(pos) || e.FP.Count() != int(seg.col.cards[pos]) || !e.FP.Equal(fp) {
 			return &CorruptError{Path: path, Offset: off, Reason: fmt.Sprintf("entry %d diverges between log and columnar sections", pos)}
 		}
+		if pos%step == 0 {
+			for _, k := range entryKeys(seg.scheme, seg.probes, e.FP) {
+				i := sort.Search(len(keys), func(i int) bool { return keys[i] > k || keys[i] == k && int(idx[i]) >= pos })
+				if i == len(keys) || keys[i] != k || int(idx[i]) != pos {
+					return keyErr(i, fmt.Sprintf("key %#x of entry %d, re-derived from its log record, is not indexed at that entry", k, pos))
+				}
+			}
+		}
 		off += recHdrSize + n
 	}
 	// The columnar kernel must agree with the scalar one on a live entry.
-	for pos := 0; pos < seg.count; pos += 1 + seg.count/64 {
+	for pos := 0; pos < seg.count; pos += step {
 		fp := fps[pos]
 		r := seg.blocks[pos/seg.blockEntries].MinCardAndNotCountOne(fp, pos%seg.blockEntries)
 		if r.Diff != 0 || r.MinCard != fp.Count() {

@@ -63,7 +63,7 @@ func decideSegment(seg *Segment, q *fingerprint.Query, threshold float64, plain 
 func writeTestSegment(t *testing.T, entries []fingerprint.IDEntry, probes bool) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "seg-000000.pcseg")
-	if err := WriteSegment(path, entries, minhash.DefaultScheme, probes, 8); err != nil {
+	if err := WriteSegment(path, entries, signPairs(nil, entries, 0, minhash.DefaultScheme, probes), minhash.DefaultScheme, probes, 8); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -210,7 +210,7 @@ func TestSegmentTornTail(t *testing.T) {
 // TestSegmentRejectsEmpty: segments hold at least one entry by contract.
 func TestSegmentRejectsEmpty(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "seg-000000.pcseg")
-	if err := WriteSegment(path, nil, minhash.DefaultScheme, false, 8); err == nil {
+	if err := WriteSegment(path, nil, nil, minhash.DefaultScheme, false, 8); err == nil {
 		t.Fatal("empty segment accepted")
 	}
 }
@@ -221,7 +221,8 @@ func TestSegmentRejectsEmpty(t *testing.T) {
 func TestSegmentOwnScheme(t *testing.T) {
 	entries := testEntries(20, 1024)
 	path := filepath.Join(t.TempDir(), "seg-000000.pcseg")
-	if err := WriteSegment(path, entries, minhash.Scheme{Bands: 4, Rows: 2, Seed: 9}, false, 8); err != nil {
+	own := minhash.Scheme{Bands: 4, Rows: 2, Seed: 9}
+	if err := WriteSegment(path, entries, signPairs(nil, entries, 0, own, false), own, false, 8); err != nil {
 		t.Fatal(err)
 	}
 	seg, err := LoadSegment(path)

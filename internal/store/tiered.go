@@ -377,16 +377,20 @@ func (t *Tiered) Flush() error {
 }
 
 func (t *Tiered) flushLocked(watermark uint64) error {
-	entries := t.mem.ExportIDs()
+	// The memtable's shards signed every entry when it was added; their
+	// index buckets hand those keys to the writer. Only a Plain memtable,
+	// which keeps no index, is signed here.
+	entries, pairs := t.mem.ExportKeyed()
 	for i := range entries {
 		entries[i].ID += t.memBase
 	}
 	newSegs := t.segs
-	var newFile string
 	if len(entries) > 0 {
-		newFile = segmentName(t.nextSeg)
-		path := filepath.Join(t.cfg.Dir, newFile)
-		if err := WriteSegment(path, entries, t.scheme, t.dbCfg.Probes, t.dbCfg.BlockEntries); err != nil {
+		if pairs == nil {
+			pairs = signPairs(nil, entries, 0, t.scheme, t.dbCfg.Probes)
+		}
+		path := filepath.Join(t.cfg.Dir, segmentName(t.nextSeg))
+		if err := WriteSegment(path, entries, pairs, t.scheme, t.dbCfg.Probes, t.dbCfg.BlockEntries); err != nil {
 			return err
 		}
 		t.crash("flush-before-commit")
@@ -443,13 +447,16 @@ func (t *Tiered) compactOnceLocked() error {
 func (t *Tiered) rewriteLocked(i, j int) error {
 	old := t.segs[i:j]
 	var entries []fingerprint.IDEntry
+	var pairs []fingerprint.KeyPos
 	for _, seg := range old {
+		base := len(entries)
 		entries = seg.exportLive(entries)
+		pairs = seg.livePairs(pairs, entries[base:], base, t.scheme, t.dbCfg.Probes)
 	}
 	var merged *Segment
 	if len(entries) > 0 {
 		path := filepath.Join(t.cfg.Dir, segmentName(t.nextSeg))
-		if err := WriteSegment(path, entries, t.scheme, t.dbCfg.Probes, t.dbCfg.BlockEntries); err != nil {
+		if err := WriteSegment(path, entries, pairs, t.scheme, t.dbCfg.Probes, t.dbCfg.BlockEntries); err != nil {
 			return err
 		}
 		t.crash("compact-before-commit")
