@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/bits"
 	"testing"
+
+	"probablecause/internal/prng"
 )
 
 // FuzzUnmarshalBinary: the dense-set decoder must never panic and anything
@@ -166,26 +168,51 @@ func FuzzSlicedKernel(f *testing.F) {
 	})
 }
 
-// FuzzBoundedKernel: the bounded block kernel may only give a block up when
-// every live entry's exact distance is at or above the threshold, and when
-// it completes its triples must equal MinCardAndNotCounts' bit for bit.
-// Byte 0 picks the bit length (rarely a multiple of 64), byte 1 the block
-// width (1–64, so tail blocks are partial), byte 2 the query (empty or a
-// copy of an entry, then bits added — a query larger than the entries — or
-// removed), byte 3 the threshold in [0, 1.5], byte 4 the tombstone pattern,
-// and the rest seeds the entries, which range from empty to dense. Blocks
-// are checked as the arena owns them and viewed strided in a packed
-// position-major matrix.
-func FuzzBoundedKernel(f *testing.F) {
-	f.Add([]byte{100, 3, 8, 17, 0, 1, 2, 3})
-	f.Add([]byte{255, 64, 0, 255, 5})
-	f.Add([]byte{1, 1, 255, 0, 0, 9})
-	f.Add([]byte{200, 8, 131, 17, 6, 4, 4, 4, 7, 11, 0, 3})
-	f.Add([]byte{128, 4, 73, 85, 0, 2, 3, 5, 7, 11, 13})
-	f.Add([]byte{30, 3, 1, 32, 0, 16, 7, 11}) // the query is entry 0, two bits
-	f.Add(append([]byte{200, 63, 131, 17, 6}, bytes.Repeat([]byte{4, 7, 11, 0, 3, 16}, 22)...))
-	f.Add(append([]byte{255, 63, 65, 0, 0x81}, bytes.Repeat([]byte{2, 3, 5, 7, 11, 13}, 22)...))
-	f.Fuzz(func(t *testing.T, data []byte) {
+// FuzzMatrixSweep holds the matrix sweep (SweepMatrix) under a moving bound
+// to three properties, on every layout a component hands it — blocks an
+// arena owns (runs of one), one position-major matrix (runs of up to 64
+// blocks), and a packed arena that later Adds extended:
+//
+//   - every entry it reads out carries MinCardAndNotCount's triple bit for
+//     bit;
+//   - every live entry it does not read out — its block gated, or given up
+//     part way with its chunk — sits at or above the bound in force when the
+//     sweep reached its block, so in the bounded mode, whose bound is the
+//     threshold, abandon ⇒ every live distance ≥ t;
+//   - the verdict folded from what it reads out equals the dense scan's.
+//
+// data is FuzzBoundedKernel's input: byte 0 picks the bit length (rarely a
+// multiple of 64), byte 1 the block width (1–64, so tail blocks are
+// partial), byte 2 the query (empty or a copy of an entry, then bits added —
+// a query larger than the entries — or removed), byte 3 the threshold in
+// [0, 1.5], byte 4 the tombstone pattern, and the rest seeds the entries,
+// which range from empty to dense. more, when non-zero, sets the entry
+// count — up to 140 blocks, spanning several chunks and ending in a partial
+// block — and pads the seeded entries with random ones, empty ones and near
+// copies of the query. mode picks the fold: 0 bounded (the bound is the
+// threshold, as once a match is known), 1 unbounded (the bound is the best
+// so far, as for a stranger), 2 first match (stop at the first entry under
+// the threshold). wide adds up to 599 random cells to the query, past 255
+// and into the planes above the eighth.
+func FuzzMatrixSweep(f *testing.F) {
+	for _, seed := range [][]byte{
+		{100, 3, 8, 17, 0, 1, 2, 3},
+		{255, 64, 0, 255, 5},
+		{1, 1, 255, 0, 0, 9},
+		{200, 8, 131, 17, 6, 4, 4, 4, 7, 11, 0, 3},
+		{128, 4, 73, 85, 0, 2, 3, 5, 7, 11, 13},
+		{30, 3, 1, 32, 0, 16, 7, 11}, // the query is entry 0, two bits
+		append([]byte{200, 63, 131, 17, 6}, bytes.Repeat([]byte{4, 7, 11, 0, 3, 16}, 22)...),
+		append([]byte{255, 63, 65, 0, 0x81}, bytes.Repeat([]byte{2, 3, 5, 7, 11, 13}, 22)...),
+	} {
+		f.Add(seed, uint16(0), uint8(0), uint16(0)) // FuzzBoundedKernel's seeds, bounded
+	}
+	f.Add([]byte{47, 63, 131, 42, 0, 4, 7, 11}, uint16(5000), uint8(1), uint16(0))
+	f.Add([]byte{47, 63, 131, 42, 0x24, 4, 7, 11}, uint16(5000), uint8(0), uint16(0))
+	f.Add([]byte{211, 7, 3, 40, 0, 5, 9}, uint16(700), uint8(2), uint16(0))
+	f.Add([]byte{150, 63, 1, 60, 0x11, 2, 13}, uint16(4100), uint8(1), uint16(420))
+	f.Add([]byte{99, 0, 11, 30, 0, 0, 6}, uint16(130), uint8(1), uint16(0))
+	f.Fuzz(func(t *testing.T, data []byte, more uint16, mode uint8, wide uint16) {
 		if len(data) < 5 {
 			return
 		}
@@ -193,7 +220,6 @@ func FuzzBoundedKernel(f *testing.F) {
 		width := int(data[1])%MaxSlicedEntries + 1
 		qknob := int(data[2])
 		threshold := float64(data[3]) / 170
-		arena := NewSlicedArena(nbits, width)
 		var sets []*Set
 		for k, b := range data[5:] {
 			if k >= 2*width+1 {
@@ -206,13 +232,25 @@ func FuzzBoundedKernel(f *testing.F) {
 				}
 			}
 			sets = append(sets, s)
-			arena.Add(s)
 		}
-		if len(sets) == 0 {
+		n := len(sets)
+		if more != 0 {
+			n = int(more)%(140*width) + 1
+			sets = sets[:min(n, len(sets))]
+		}
+		if n == 0 {
 			return
 		}
+		src := prng.New(prng.Hash(uint64(nbits), uint64(width), uint64(qknob), uint64(more), uint64(wide)))
+		random := func(cells int) *Set {
+			s := New(nbits)
+			for range cells {
+				s.Set(src.Intn(nbits))
+			}
+			return s
+		}
 		q := New(nbits)
-		if qknob&1 == 1 {
+		if qknob&1 == 1 && len(sets) > 0 {
 			q = sets[(qknob>>1)%len(sets)].Clone()
 		}
 		if stride := (qknob >> 3) % 9; stride > 0 {
@@ -224,42 +262,150 @@ func FuzzBoundedKernel(f *testing.F) {
 				}
 			}
 		}
-		need := DiffLimits(threshold, q.Count())
-		views := ViewSlicedMatrix(nbits, width, PackSlicedMatrix(nbits, width, sets), slicedCards(sets))
-		var dst []KernelResult
-		for _, blocks := range [][]*SlicedBlock{arena.Blocks(), views} {
-			for bi, blk := range blocks {
-				var dead []bool // nil when no entry is dead, as the engine passes it
-				if data[4] != 0 {
-					dead = make([]bool, blk.Len())
-					for j := range dead {
-						dead[j] = data[4]>>((bi*width+j)%8)&1 == 1
-					}
+		q = q.Or(random(int(wide) % 600))
+		for len(sets) < n {
+			switch s := random(src.Intn(min(nbits, 120) + 1)); src.Intn(6) {
+			case 0: // a near copy of the query
+				sets = append(sets, q.Clone().Or(random(src.Intn(4))).AndNot(random(src.Intn(4))))
+			case 1:
+				sets = append(sets, New(nbits))
+			default:
+				sets = append(sets, s)
+			}
+		}
+		var dead []bool // nil when no entry is dead, as the engine passes it
+		if data[4] != 0 {
+			dead = make([]bool, n)
+			for g := range dead {
+				dead[g] = data[4]>>(g%8)&1 == 1
+			}
+		}
+		// The dense scan: every live entry's exact distance, the best (first
+		// on ties), the matches and the first match.
+		dist := make([]float64, n)
+		want := struct {
+			idx, matches, first int
+			best                float64
+		}{idx: -1, first: -1, best: 2}
+		for g, s := range sets {
+			minC, maxC, diff := MinCardAndNotCount(s, q)
+			dist[g] = kernelDist(KernelResult{minC, maxC, diff})
+			if dead != nil && dead[g] {
+				continue
+			}
+			if dist[g] < threshold {
+				want.matches++
+				if want.first < 0 {
+					want.first = g
 				}
-				exact := blk.MinCardAndNotCounts(q, nil)
-				var ok bool
-				dst, ok = blk.MinCardAndNotCountsBounded(q, need, dead, dst)
-				for j, r := range exact {
-					if ok && dst[j] != r {
-						t.Fatalf("block %d entry %d: completed bounded kernel %+v != exact %+v", bi, j, dst[j], r)
-					}
-					if ok || (dead != nil && dead[j]) {
+			}
+			if dist[g] < want.best {
+				want.idx, want.best = g, dist[g]
+			}
+		}
+		u0 := threshold
+		if mode%3 == 1 {
+			u0 = 2 // above any distance: no bound but the best so far
+		}
+		packed := PackSlicedArena(nbits, width, sets[:(n+1)/2])
+		owned := NewSlicedArena(nbits, width)
+		for g, s := range sets {
+			owned.Add(s)
+			if g >= (n+1)/2 {
+				packed.Add(s)
+			}
+		}
+		views := ViewSlicedMatrix(nbits, width, PackSlicedMatrix(nbits, width, sets), slicedCards(sets))
+		for _, layout := range []struct {
+			name   string
+			blocks []*SlicedBlock
+		}{{"owned", owned.Blocks()}, {"matrix", views}, {"packed+added", packed.Blocks()}} {
+			type call struct {
+				pos   int
+				bound float64 // the bound the fold returned
+			}
+			var calls []call
+			best, idx, matches, first := 2.0, -1, 0, -1
+			bound := max(min(u0, best), threshold)
+			read, skipped := SweepMatrix(layout.blocks, dead, q, bound, func(pos int, r KernelResult) (float64, bool) {
+				minC, maxC, diff := MinCardAndNotCount(sets[pos], q)
+				if r.MinCard != minC || r.MaxCard != maxC || r.Diff != diff {
+					t.Fatalf("%s: entry %d read out as (%d,%d,%d), scalar (%d,%d,%d)",
+						layout.name, pos, r.MinCard, r.MaxCard, r.Diff, minC, maxC, diff)
+				}
+				if dead != nil && dead[pos] {
+					t.Fatalf("%s: dead entry %d read out", layout.name, pos)
+				}
+				if len(calls) > 0 && pos <= calls[len(calls)-1].pos {
+					t.Fatalf("%s: entry %d read out after entry %d", layout.name, pos, calls[len(calls)-1].pos)
+				}
+				d := kernelDist(r)
+				if d < threshold {
+					matches++
+				}
+				if d < best {
+					best, idx = d, pos
+				}
+				u := max(min(u0, best), threshold)
+				calls = append(calls, call{pos, u})
+				if mode%3 == 2 && d < threshold {
+					first = pos
+					return u, true
+				}
+				return u, false
+			})
+			nb, end := len(layout.blocks), n
+			if mode%3 == 2 && first >= 0 {
+				nb, end = first/width+1, first // the sweep stopped at first
+			}
+			folded := make(map[int]bool, len(calls))
+			readBlocks := map[int]bool{}
+			for _, c := range calls {
+				folded[c.pos] = true
+				readBlocks[c.pos/width] = true
+			}
+			if read != len(readBlocks) || read+skipped != nb {
+				t.Fatalf("%s: %d blocks read and %d skipped; %d of %d reached were read out",
+					layout.name, read, skipped, len(readBlocks), nb)
+			}
+			ci := 0
+			for bi := range nb {
+				for ci < len(calls) && calls[ci].pos < bi*width {
+					bound = calls[ci].bound
+					ci++
+				}
+				for g := bi * width; g < min(bi*width+width, end); g++ {
+					if folded[g] || (dead != nil && dead[g]) {
 						continue
 					}
-					d := 1.0
-					switch {
-					case r.MinCard > 0:
-						d = float64(r.Diff) / float64(r.MinCard)
-					case r.MaxCard == 0:
-						d = 0
-					}
-					if d < threshold {
-						t.Fatalf("block %d abandoned, but live entry %d has distance %v < %v", bi, j, d, threshold)
+					if dist[g] < bound {
+						t.Fatalf("%s: block %d abandoned, but live entry %d has distance %v < %v", layout.name, bi, g, dist[g], bound)
 					}
 				}
 			}
+			switch {
+			case mode%3 == 2:
+				if first != want.first {
+					t.Fatalf("%s: first match %d, dense scan %d", layout.name, first, want.first)
+				}
+			case matches != want.matches:
+				t.Fatalf("%s: %d matches, dense scan %d", layout.name, matches, want.matches)
+			case (u0 > 1 || want.matches > 0) && (idx != want.idx || best != want.best):
+				t.Fatalf("%s: best %d at %v, dense scan %d at %v", layout.name, idx, best, want.idx, want.best)
+			}
 		}
 	})
+}
+
+// kernelDist is Algorithm 3's distance for one kernel triple.
+func kernelDist(r KernelResult) float64 {
+	switch {
+	case r.MinCard > 0:
+		return float64(r.Diff) / float64(r.MinCard)
+	case r.MaxCard == 0:
+		return 0
+	}
+	return 1
 }
 
 // FuzzUnmarshalSparse: same contract for the sparse decoder, which must

@@ -2,7 +2,6 @@ package bitset
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 )
@@ -31,8 +30,8 @@ import (
 // Position p's word is words[p*stride]. A block built by Add owns its words
 // at stride 1. A segment stores its whole fingerprint matrix position-major —
 // row p holds every block's word for cell p — and views block k at stride
-// nBlocks, so the eight blocks that share a cache line reuse the lines the
-// query's cells pull in.
+// nBlocks, so the matrix sweep (sweep.go) streams a row's words for a run of
+// blocks at once.
 
 // MaxSlicedEntries is the widest block: entry j owns bit j of every word.
 const MaxSlicedEntries = 64
@@ -155,24 +154,15 @@ func csa(a, b, c uint64) (carry, sum uint64) {
 // of eight into the weight-1, -2 and -4 planes, and each step's weight-8
 // carries ripple into the planes above. Counts are at most |q|, so only the
 // low bits.Len(|q|) planes are ever set.
-//
-// A zero word at a query cell means no member holds that cell, so after z
-// zero words no member's intersection can exceed |q| − z. intersections
-// gives up, returning false with the planes incomplete, once zlim of the
-// loaded words are zero.
-func (blk *SlicedBlock) intersections(q *Set, planes *[64]uint64, zlim int) bool {
+func (blk *SlicedBlock) intersections(q *Set, planes *[maxPlanes]uint64) {
 	words, stride := blk.words, blk.stride
 	var in [8]uint64
 	var ones, twos, fours, eights uint64
-	k, zeros := 0, 0
+	k := 0
 	for w, qw := range q.words {
 		for qw != 0 {
-			x := words[(w<<6|bits.TrailingZeros64(qw))*stride]
+			in[k] = words[(w<<6|bits.TrailingZeros64(qw))*stride]
 			qw &= qw - 1
-			if zeros += int((x|-x)>>63) ^ 1; zeros >= zlim {
-				return false
-			}
-			in[k] = x
 			if k++; k < len(in) {
 				continue
 			}
@@ -187,7 +177,6 @@ func (blk *SlicedBlock) intersections(q *Set, planes *[64]uint64, zlim int) bool
 		carry8(planes, eights)
 	}
 	planes[0], planes[1], planes[2] = ones, twos, fours
-	return true
 }
 
 // harleySeal adds eight words to the weight-1, -2 and -4 planes and returns
@@ -205,7 +194,7 @@ func harleySeal(ones, twos, fours uint64, in *[8]uint64) (_, _, _, eights uint64
 }
 
 // carry8 adds weight-8 carries to the binary counter in planes[3:].
-func carry8(planes *[64]uint64, eights uint64) {
+func carry8(planes *[maxPlanes]uint64, eights uint64) {
 	for p := 3; eights != 0; p++ {
 		planes[p], eights = planes[p]^eights, planes[p]&eights
 	}
@@ -241,107 +230,21 @@ func transposeBytes(r *[8]uint64) {
 
 // MinCardAndNotCounts runs the fused Algorithm 3 kernel for every packed
 // entry: dst[j] holds exactly what MinCardAndNotCount(entry_j, q) returns.
-// It loads one word per set cell of q. dst is reused when it has capacity;
-// the returned slice has length Len().
+// It loads one word per set cell of q and reads every lane's count out as
+// the matrix sweep does (sweep.go). dst is reused when it has capacity; the
+// returned slice has length Len().
 func (blk *SlicedBlock) MinCardAndNotCounts(q *Set, dst []KernelResult) []KernelResult {
-	dst, _ = blk.counts(q, math.MaxInt, dst)
-	return dst
-}
-
-// counts is the block kernel behind both entry points: the exact triples in
-// dst, unless intersections gives up at zlim zero words (ok = false). The
-// low eight bits of every count are read out of the carry-save planes with
-// one 8×8 byte transpose and an 8×8 bit transpose per eight lanes, straight
-// into dst; the planes above them are set only for queries of 256 cells or
-// more.
-func (blk *SlicedBlock) counts(q *Set, zlim int, dst []KernelResult) (_ []KernelResult, ok bool) {
 	blk.checkQuery(q)
 	n := blk.n
 	if cap(dst) < n {
 		dst = make([]KernelResult, n)
 	}
 	dst = dst[:n]
-	var planes [64]uint64
-	if !blk.intersections(q, &planes, zlim) {
-		return dst, false
-	}
-	qc := q.card
-	np := bits.Len(uint(qc)) // planes that can be set
-	low := [8]uint64(planes[:8])
-	transposeBytes(&low) // low[g]: byte k is byte g of plane k
-	cards := blk.cards[:n]
-	for g := 0; g < n; g += 8 {
-		t := transpose8(low[g>>3]) // byte j: low bits of lane g+j's count
-		for j, ec := range cards[g:min(g+8, n)] {
-			inter := int(t & 0xFF)
-			t >>= 8
-			if np > 8 {
-				for k := 8; k < np; k++ {
-					inter |= int(planes[k]>>(g+j)&1) << k
-				}
-			}
-			dst[g+j] = kernelResult(int(ec), qc, inter)
-		}
-	}
-	return dst, true
-}
-
-// DiffLimits returns need[mc] for every minimum cardinality mc in [0, qc]:
-// the least difference count D with float64(D)/float64(mc) >= t, so an
-// entry whose MinCard is mc sits at or above the threshold t under
-// Algorithm 3's distance Diff/MinCard exactly when its Diff reaches
-// need[mc]. Correctly rounded division is monotone in D, so the comparison
-// needs no float slack. need[mc] is mc+1, out of reach, when no Diff ≤ mc
-// gets there (t > 1, or NaN); need[0] is math.MaxInt, since a MinCard-0
-// entry's distance is 0 or 1 whatever its Diff.
-func DiffLimits(t float64, qc int) []int {
-	need := make([]int, qc+1)
-	need[0] = math.MaxInt
-	d := 0 // non-decreasing in mc: D/mc only shrinks as mc grows
-	for mc := 1; mc <= qc; mc++ {
-		for d <= mc && !(float64(d)/float64(mc) >= t) {
-			d++
-		}
-		need[mc] = d
-	}
-	return need
-}
-
-// MinCardAndNotCountsBounded is MinCardAndNotCounts that gives a block up
-// when it holds no live entry under a threshold t. need is DiffLimits(t,
-// |q|); dead flags the block's tombstoned entries (nil when none is), which
-// never hold a block open. It returns ok = false when it gives the block up
-// — dst's contents are then unspecified — and otherwise dst holds exactly
-// what MinCardAndNotCounts returns.
-//
-// Two tests rule the block out, both against need:
-//
-//   - The union test, during the loads. Every member has Diff = MinCard −
-//     |e ∩ q| ≥ MinCard − I, where I = |q ∩ (e₁ ∪ … ∪ e_B)| is at most |q|
-//     minus the zero words loaded so far, and mc − need[mc] is
-//     non-decreasing in mc. So once lo − need[lo] ≥ |q| − zeros for lo =
-//     min(block MinCard, |q|), no member can reach the threshold and the
-//     remaining loads are skipped.
-//   - The exact test, after the last load: no live entry has
-//     Diff < need[MinCard]. It saves the caller the distance fold.
-func (blk *SlicedBlock) MinCardAndNotCountsBounded(q *Set, need []int, dead []bool, dst []KernelResult) (_ []KernelResult, ok bool) {
-	qc := q.card
-	if len(need) != qc+1 {
-		panic(fmt.Sprintf("bitset: %d diff limits for a %d-bit query", len(need), qc))
-	}
-	zlim := math.MaxInt // need[0] is unreachable: a MinCard-0 member holds the block open
-	if lo := min(blk.minCard, qc); lo > 0 {
-		zlim = qc - (lo - need[lo])
-	}
-	if dst, ok = blk.counts(q, zlim, dst); !ok {
-		return dst, false
-	}
-	for j, r := range dst {
-		if r.Diff < need[r.MinCard] && (dead == nil || !dead[j]) {
-			return dst, true
-		}
-	}
-	return dst, false
+	var planes [maxPlanes]uint64
+	blk.intersections(q, &planes)
+	c := newCounter(planes[:], q.card, 1)
+	c.results(0, laneMask(n), blk.cards, dst)
+	return dst
 }
 
 // MinCardAndNotCountOne runs the fused kernel for the single packed entry j —
@@ -406,7 +309,9 @@ func PackSlicedMatrix(nbits, b int, sets []*Set) []uint64 {
 // mmap'd segment file — as its blocks, block k at stride nBlocks. cards
 // holds the entries' cardinalities, one per entry, so len(cards) is the
 // entry count. Both slices are aliased, not copied: the blocks read straight
-// from the mapping.
+// from the mapping. Block k's words start at matrix[k] and reach to the end
+// of the matrix, so the matrix sweep reads a run of blocks' rows through
+// the first block of the run.
 func ViewSlicedMatrix(nbits, b int, matrix []uint64, cards []uint32) []*SlicedBlock {
 	n := len(cards)
 	nb := matrixBlocks(n, b)

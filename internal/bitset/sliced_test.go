@@ -199,12 +199,14 @@ func TestSlicedKernelAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkSlicedSweep times one exact sweep of 131,072 random 40–80-cell
+// BenchmarkSlicedSweep times one sweep of 131,072 random 40–80-cell
 // entries of 2048 bits (the sweep-cold corpus shape) with a random query of
-// the same shape, in 64-entry blocks: as an arena owns them (stride 1, the
-// memtable's layout) and viewed in eight position-major matrices of 16,384
-// entries (a segment's layout), so the eight blocks sharing a cache line
-// share the query's loads.
+// the same shape, in 64-entry blocks laid out two ways: as an arena owns
+// them (stride 1, the memtable's layout) and viewed in eight position-major
+// matrices of 16,384 entries (a segment's layout). The per-block kernel
+// (MinCardAndNotCounts) runs on both; the matrix sweep (SweepMatrix) runs
+// each matrix, or each owned block as a run of one, the way a stranger's
+// Decide does — under its own best so far, at threshold 0.1.
 func BenchmarkSlicedSweep(b *testing.B) {
 	const nbits, entries, perSegment = 2048, 1 << 17, 1 << 14
 	src := prng.New(0x5EE9)
@@ -216,14 +218,14 @@ func BenchmarkSlicedSweep(b *testing.B) {
 		return s
 	}
 	arena := NewSlicedArena(nbits, DefaultSlicedEntries)
-	var matrixBlocks []*SlicedBlock
+	var segments [][]*SlicedBlock
 	var seg []*Set
 	for i := 0; i < entries; i++ {
 		s := cells()
 		arena.Add(s)
 		if seg = append(seg, s); len(seg) == perSegment {
 			m := PackSlicedMatrix(nbits, DefaultSlicedEntries, seg)
-			matrixBlocks = append(matrixBlocks, ViewSlicedMatrix(nbits, DefaultSlicedEntries, m, slicedCards(seg))...)
+			segments = append(segments, ViewSlicedMatrix(nbits, DefaultSlicedEntries, m, slicedCards(seg)))
 			seg = nil
 		}
 	}
@@ -231,16 +233,34 @@ func BenchmarkSlicedSweep(b *testing.B) {
 	for i := range queries {
 		queries[i] = cells()
 	}
-	for _, layout := range []struct {
-		name   string
-		blocks []*SlicedBlock
-	}{{"stride1", arena.Blocks()}, {"position-major", matrixBlocks}} {
+	layouts := []struct {
+		name       string
+		components [][]*SlicedBlock
+	}{{"stride1", [][]*SlicedBlock{arena.Blocks()}}, {"position-major", segments}}
+	for _, layout := range layouts {
 		b.Run(layout.name, func(b *testing.B) {
 			dst := make([]KernelResult, DefaultSlicedEntries)
 			for i := 0; i < b.N; i++ {
 				q := queries[i%len(queries)]
-				for _, blk := range layout.blocks {
-					dst = blk.MinCardAndNotCounts(q, dst)
+				for _, blocks := range layout.components {
+					for _, blk := range blocks {
+						dst = blk.MinCardAndNotCounts(q, dst)
+					}
+				}
+			}
+		})
+	}
+	const threshold = 0.1
+	for _, layout := range layouts {
+		b.Run("matrix-sweep/"+layout.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				q := queries[i%len(queries)]
+				for _, blocks := range layout.components {
+					best := 2.0
+					SweepMatrix(blocks, nil, q, best, func(_ int, r KernelResult) (float64, bool) {
+						best = min(best, kernelDist(r))
+						return max(best, threshold), false
+					})
 				}
 			}
 		})

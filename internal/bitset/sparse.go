@@ -173,10 +173,3 @@ func UnmarshalSparse(data []byte) (Sparse, error) {
 	}
 	return s, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

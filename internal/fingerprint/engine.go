@@ -7,22 +7,23 @@ import (
 )
 
 // This file is the identify engine every serving path runs — LSH
-// candidates verified by the single-slot block kernel, then a block sweep
-// when no candidate matches. SlicedDB (the memtable shards) and the tiered
-// store's mmap'd segments are both Components, so the two tiers share one
-// implementation of the sweep and its bounds: FirstMatch for Identify, and
-// Decision for a Decide across every component of a node.
+// candidates verified by the single-slot block kernel, then the matrix
+// sweep (bitset.SweepMatrix) when no candidate matches. SlicedDB (the
+// memtable shards) and the tiered store's mmap'd segments are both
+// Components, so the two tiers share one implementation of the sweep and
+// its bound: FirstMatch for Identify, and Decision for a Decide across
+// every component of a node.
 
 // Engine metrics: signatures computed (one per query, however many shards
 // and segments it visits, plus one per added entry), blocks an Identify
-// sweep ruled out, bounded Decide sweeps and the blocks they abandoned, and
-// the batch sizes the block kernel verified in full.
+// sweep ruled out, the blocks Decide sweeps read out, and bounded Decide
+// sweeps with the blocks they did not read out.
 var (
 	cSignatures      = obs.C("fingerprint.signatures")
 	cIdentifyPruned  = obs.C("fingerprint.identify.pruned")
+	cBlocksRead      = obs.C("fingerprint.decide.blocks_read")
 	cBoundedSweeps   = obs.C("fingerprint.decide.bounded_sweeps")
 	cBlocksAbandoned = obs.C("fingerprint.decide.blocks_abandoned")
-	hBlockBatch      = obs.H("fingerprint.identify.block_batch")
 )
 
 // sign computes the MinHash signature of a dense set via its sparse view.
@@ -36,20 +37,17 @@ func sign(scheme minhash.Scheme, s *bitset.Set) minhash.Signature {
 // Query is one error string on its way through the engine. Its MinHash
 // signature is computed on first use and shared by every shard and segment
 // indexed under the query's scheme, so one Decide or Identify signs the
-// query once however many components it visits; the bounded sweep's
-// difference limits are likewise built once. A Query is not safe for
+// query once however many components it visits. A Query is not safe for
 // concurrent use.
 type Query struct {
 	Set    *bitset.Set
 	scheme minhash.Scheme
 	sig    minhash.Signature
-	needT  float64
-	need   []int
 }
 
 // NewQuery prepares an error string for lookups under scheme. Nothing is
-// signed until a candidate stage asks, so the exact sweep never pays for a
-// signature.
+// signed until a candidate stage asks, so a candidate-free sweep never pays
+// for a signature.
 func NewQuery(errorString *bitset.Set, scheme minhash.Scheme) *Query {
 	return &Query{Set: errorString, scheme: scheme}
 }
@@ -64,15 +62,6 @@ func (q *Query) signature(scheme minhash.Scheme) minhash.Signature {
 		q.sig = sign(scheme, q.Set)
 	}
 	return q.sig
-}
-
-// diffLimits returns bitset.DiffLimits for the query at threshold t, built
-// on first use.
-func (q *Query) diffLimits(t float64) []int {
-	if q.need == nil || q.needT != t {
-		q.need, q.needT = bitset.DiffLimits(t, q.Set.Count()), t
-	}
-	return q.need
 }
 
 // Keys returns the query's LSH keys under scheme: the multi-probe key set
@@ -122,9 +111,10 @@ type Component interface {
 // FirstMatch is Algorithm 2 over one component: the position of the first
 // live entry under the threshold, or -1. The LSH candidates (ascending
 // positions; nil for the exact engine) are verified first; when none is
-// under the threshold the blocks are swept in order through the bounded
-// kernel, which skips every block it proves holds no live entry under the
-// threshold — an entry at or above it can never be a first match.
+// under the threshold the blocks are swept in order under the threshold as
+// the bound, so the sweep reads out only blocks that may hold an entry under
+// it — an entry at or above it can never be a first match — and stops at
+// the first one it finds.
 func FirstMatch(c Component, cands []int, q *Query, threshold float64) int {
 	blocks, dead := c.Blocks()
 	for _, i := range cands {
@@ -136,77 +126,51 @@ func FirstMatch(c Component, cands []int, q *Query, threshold float64) int {
 		cIndexFallbacks.Inc()
 	}
 	pos := -1
-	abandoned := sweepBounded(blocks, dead, q, threshold, func(i int, d float64) bool {
-		if d < threshold {
+	_, skipped := bitset.SweepMatrix(blocks, dead, q.Set, threshold, func(i int, r bitset.KernelResult) (float64, bool) {
+		if kernelDistance(r) < threshold {
 			pos = i
 		}
-		return pos >= 0
+		return threshold, pos >= 0
 	})
 	if obs.On() {
-		cIdentifyPruned.Add(int64(abandoned))
+		cIdentifyPruned.Add(int64(skipped))
 	}
 	return pos
 }
 
-// sweepBounded is the one bounded sweep: each block goes through
-// bitset.MinCardAndNotCountsBounded at the threshold, and visit sees every
-// live entry of each block the kernel completes, in position order, with its
-// exact distance; visit returning true stops the sweep. It returns the
-// number of blocks the kernel abandoned, every one of which holds only
-// entries at or above the threshold.
-func sweepBounded(blocks []*bitset.SlicedBlock, dead []bool, q *Query, threshold float64, visit func(pos int, d float64) bool) (abandoned int) {
-	need := q.diffLimits(threshold)
-	var buf [bitset.MaxSlicedEntries]bitset.KernelResult
-	dst := buf[:]
-	for bi, blk := range blocks {
-		base := bi * blk.Cap()
-		var blockDead []bool
-		if dead != nil {
-			blockDead = dead[base : base+blk.Len()]
-		}
-		var ok bool
-		if dst, ok = blk.MinCardAndNotCountsBounded(q.Set, need, blockDead, dst); !ok {
-			abandoned++
-			continue
-		}
-		if obs.On() {
-			hBlockBatch.Observe(int64(blk.Len()))
-		}
-		for j, r := range dst {
-			if live(blockDead, j) && visit(base+j, kernelDistance(r)) {
-				return abandoned
-			}
-		}
+// sweep is the one Decide sweep of a component: bitset.SweepMatrix folded
+// into the minimum-distance entry (first in position order on ties) and the
+// number under the threshold, under the moving bound
+//
+//	u = max(min(u₀, best folded so far), threshold)
+//
+// where u₀ is the threshold when bounded (a match is known elsewhere) and
+// unbounded otherwise. Index is a position. A block the sweep does not read
+// out holds only entries at distance ≥ u: none is under the threshold, and
+// under the fold's strict < none beats the best so far, so for an unbounded
+// sweep — a stranger's — the verdict is the exact scan's, branch-and-bound
+// on its own best. A bounded sweep's Index and Distance are exact only when
+// it finds a match, which is all the node's verdict needs: the known match
+// beats anything at or above the threshold.
+func sweep(blocks []*bitset.SlicedBlock, dead []bool, q *bitset.Set, threshold float64, bounded bool) (v Verdict, read, skipped int) {
+	v = Verdict{Index: -1, Distance: 2}
+	u0 := v.Distance // above any distance: no bound but the best so far
+	if bounded {
+		u0 = threshold
 	}
-	return abandoned
-}
-
-// sweepExact is the exact sweep: every live entry's distance from the plain
-// block kernel, folded into the minimum-distance entry (first in position
-// order on ties) and the number under the threshold. Index is a position.
-func sweepExact(blocks []*bitset.SlicedBlock, dead []bool, q *bitset.Set, threshold float64) Verdict {
-	v := Verdict{Index: -1, Distance: 2}
-	var buf [bitset.MaxSlicedEntries]bitset.KernelResult
-	dst := buf[:]
-	for bi, blk := range blocks {
-		dst = blk.MinCardAndNotCounts(q, dst)
-		if obs.On() {
-			hBlockBatch.Observe(int64(blk.Len()))
-		}
-		base := bi * blk.Cap()
-		for j, r := range dst {
-			if live(dead, base+j) {
-				v.observe(base+j, kernelDistance(r), threshold)
-			}
-		}
-	}
-	return v
+	read, skipped = bitset.SweepMatrix(blocks, dead, q, max(u0, threshold), func(i int, r bitset.KernelResult) (float64, bool) {
+		v.observe(i, kernelDistance(r), threshold)
+		return max(min(u0, v.Distance), threshold), false
+	})
+	return v, read, skipped
 }
 
 // SweepStats accumulates, over the components a Decision was given it
-// with, how many were swept under the bound and how many of their blocks the
-// bound abandoned.
+// with, how many blocks their sweeps read out, how many were swept under a
+// known match's bound, and how many blocks those bounded sweeps did not
+// read out.
 type SweepStats struct {
+	Read      int
 	Bounded   int
 	Abandoned int
 }
@@ -219,12 +183,11 @@ type SweepStats struct {
 // Once any entry under the threshold is known — a candidate that matched,
 // or a match an earlier sweep found — no entry at or above the threshold can
 // change the verdict: it does not count toward Matches, and its distance
-// cannot beat the known entry's. Every later sweep is therefore bounded
-// (bitset.MinCardAndNotCountsBounded): it abandons each block whose live
-// members all sit at or above the threshold — part way through its loads
-// when the union bound proves it, else before the distance fold — and
-// reports exact distances for the rest. Until a match is known the
-// sweep is exact, so a stranger's miss still carries the true global best.
+// cannot beat the known entry's. Every later sweep is therefore bounded by
+// the threshold: it reads out only the blocks that may hold an entry under
+// it. Until a match is known a component's sweep is bounded by its own best
+// so far, which leaves its verdict exact, so a stranger's miss still carries
+// the true global best.
 //
 // The verdict equals folding every component's own answer through
 // MergeVerdict: its candidates' verdict when one matches, else its exact
@@ -283,30 +246,30 @@ func (d *Decision) merge(c Component, v Verdict) {
 }
 
 // Verdict is phase 2: the components whose candidates found nothing are
-// swept in Add order — exactly while no entry under the threshold is known,
-// bounded from then on — and the node's verdict is returned.
+// swept in Add order — each under its own best while no entry under the
+// threshold is known, under the threshold from then on — and the node's
+// verdict is returned.
 func (d *Decision) Verdict() Verdict {
 	for _, m := range d.misses {
 		if obs.On() {
 			cIndexFallbacks.Inc()
 		}
 		blocks, dead := m.c.Blocks()
-		if d.v.Matches == 0 {
-			d.merge(m.c, sweepExact(blocks, dead, d.q.Set, d.threshold))
-			continue
-		}
-		v := Verdict{Index: -1, Distance: 2}
-		abandoned := sweepBounded(blocks, dead, d.q, d.threshold, func(i int, dist float64) bool {
-			v.observe(i, dist, d.threshold)
-			return false
-		})
+		bounded := d.v.Matches > 0
+		v, read, skipped := sweep(blocks, dead, d.q.Set, d.threshold, bounded)
 		if obs.On() {
-			cBoundedSweeps.Inc()
-			cBlocksAbandoned.Add(int64(abandoned))
+			cBlocksRead.Add(int64(read))
+			if bounded {
+				cBoundedSweeps.Inc()
+				cBlocksAbandoned.Add(int64(skipped))
+			}
 		}
 		if m.st != nil {
-			m.st.Bounded++
-			m.st.Abandoned += abandoned
+			m.st.Read += read
+			if bounded {
+				m.st.Bounded++
+				m.st.Abandoned += skipped
+			}
 		}
 		d.merge(m.c, v)
 	}

@@ -22,11 +22,12 @@ type SlicedConfig struct {
 // SlicedDB is the serving identify engine over an in-memory database: an
 // IndexedDB's LSH candidate stage in front of a bit-major sliced copy of the
 // fingerprints (bitset.SlicedArena). Candidates are verified with the
-// single-slot block kernel; when none matches, the blocked sweep runs — one
+// single-slot block kernel; when none matches, the matrix sweep runs — one
 // word load per set cell of the query verifies that cell for a whole block,
-// and Identify's bounded sweep gives up blocks whose threshold is provably
-// unreachable, often part way through their loads. Both stages are the
-// shared engine (FirstMatch, Decision) the tiered store's segments run too.
+// and the sweep's bound reads out only the blocks that may hold an entry
+// under it, giving chunks of blocks up part way through their loads once
+// none can. Both stages are the shared engine (FirstMatch, Decision) the
+// tiered store's segments run too.
 //
 // The verdict contract is bit-identical to DB/IndexedDB: the block kernel
 // returns the exact (minCard, maxCard, diff) triples the scalar
@@ -101,8 +102,8 @@ func (s *SlicedDB) Identify(errorString *bitset.Set) (name string, index int, ok
 }
 
 // Decide is the full decision, a one-component Decision: candidates first,
-// then — when none matches — the exact block sweep, so a reported miss
-// carries the true global best. The Matches caveat of the candidate stage
+// then — when none matches — the block sweep under its own best so far, so
+// a reported miss carries the true global best. The Matches caveat of the candidate stage
 // applies (see Decision).
 func (s *SlicedDB) Decide(errorString *bitset.Set) Verdict {
 	q := NewQuery(errorString, s.x.cfg.Scheme)

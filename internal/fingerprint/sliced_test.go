@@ -18,8 +18,8 @@ func TestSlicedIdentifyMatchesScan(t *testing.T) {
 	for i, fp := range fps {
 		db.Add(fmt.Sprintf("chip%02d", i), fp)
 	}
-	// Unknown devices exercise the bounded fallback sweep (Identify) and the
-	// exact sweep (Decide).
+	// Unknown devices exercise the fallback sweep under the threshold
+	// (Identify) and under the best so far (Decide).
 	unknownFPs, unknownOuts, _ := mkChipWorld(t, 2, 2, 4096, 0xFFFF)
 	queries := append(append([]*bitset.Set{}, outs...), unknownFPs...)
 	queries = append(queries, unknownOuts...)
@@ -198,9 +198,9 @@ func TestSlicedConfigRefusesWideBlocks(t *testing.T) {
 	}
 }
 
-// TestExactSweepAllocs: a segment's exact sweep — every block of a
-// position-major matrix through the block kernel, folded into one verdict —
-// allocates nothing.
+// TestExactSweepAllocs: a stranger's sweep of a segment — every block of a
+// position-major matrix through the matrix sweep under its own best,
+// folded into one verdict — allocates nothing.
 func TestExactSweepAllocs(t *testing.T) {
 	const n = 1000
 	fps := make([]*bitset.Set, n)
@@ -212,7 +212,7 @@ func TestExactSweepAllocs(t *testing.T) {
 	blocks := bitset.ViewSlicedMatrix(2048, bitset.DefaultSlicedEntries,
 		bitset.PackSlicedMatrix(2048, bitset.DefaultSlicedEntries, fps), cards)
 	q := sparseFP(2048, 60, 0xA110C)
-	if a := testing.AllocsPerRun(20, func() { sweepExact(blocks, nil, q, DefaultThreshold) }); a != 0 {
+	if a := testing.AllocsPerRun(20, func() { sweep(blocks, nil, q, DefaultThreshold, false) }); a != 0 {
 		t.Errorf("exact sweep: %v allocations per run", a)
 	}
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sync"
@@ -285,10 +286,92 @@ func TestBoundedDecideGuard(t *testing.T) {
 	}
 }
 
+// TestStrangerSweepGuard is the machine-independent guard on a stranger's
+// sweep: on the store TestBoundedDecideGuard uses, a stranger matches
+// nothing, so every segment is swept under its own best so far, and the
+// Decide reads out at least one block but at most half of the store's. Its
+// verdict equals the dense scan's field for field.
+func TestStrangerSweepGuard(t *testing.T) {
+	const segs, per = 8, 1024
+	tb, fps := sweepColdStore(t, segs, per)
+	defer tb.Close()
+	dense := fingerprint.NewDB(fingerprint.DefaultThreshold)
+	for i, fp := range fps {
+		dense.Add(fmt.Sprintf("dev%06d", i), fp)
+	}
+	read := obs.C("fingerprint.decide.blocks_read")
+	obs.Enable()
+	defer obs.Disable()
+	src := prng.New(0x57A6)
+	const blocks = segs * per / bitset.DefaultSlicedEntries
+	var total int64
+	const strangers = 16
+	for k := 0; k < strangers; k++ {
+		q := coldCells(src, 40+src.Intn(41), nil)
+		before := read.Value()
+		if got, want := tb.Decide(q), dense.Decide(q); got != want {
+			t.Errorf("stranger %d: verdict %+v, dense scan %+v", k, got, want)
+		}
+		got := read.Value() - before
+		if got == 0 || 2*got > blocks {
+			t.Errorf("stranger %d: %d of %d blocks read out, want 1 to half", k, got, blocks)
+		}
+		total += got
+	}
+	t.Logf("strangers read out %.1f %% of the blocks", 100*float64(total)/float64(strangers*blocks))
+}
+
+// TestDecideSpanAttributes: DecideCtx under a request span records what the
+// engine did on its store.decide span — segments, blocks_read,
+// segments_bounded and blocks_abandoned. A stranger's sweeps read out
+// blocks, but fewer than the store holds, and none is bounded; a known
+// device's match bounds the segments after the one that holds it.
+func TestDecideSpanAttributes(t *testing.T) {
+	const segs, per = 4, 1024
+	tb, fps := sweepColdStore(t, segs, per)
+	defer tb.Close()
+	obs.Enable()
+	defer obs.Disable()
+	decide := func(q *bitset.Set) map[string]any {
+		ctx, root := obs.StartRequest(context.Background(), "identify", "")
+		tb.DecideCtx(ctx, q)
+		root.End()
+		var attrs map[string]any
+		root.Trace().Tree().Walk(func(n *obs.SpanTree) {
+			if n.Name == "store.decide" {
+				attrs = n.Attrs
+			}
+		})
+		for _, k := range []string{"segments", "blocks_read", "segments_bounded", "blocks_abandoned"} {
+			if _, ok := attrs[k].(int); !ok {
+				t.Fatalf("store.decide attrs %v: no int %q", attrs, k)
+			}
+		}
+		return attrs
+	}
+	src := prng.New(0x5A7)
+	const blocks = segs * per / bitset.DefaultSlicedEntries
+	for k := 0; k < 4; k++ {
+		a := decide(coldCells(src, 40+src.Intn(41), nil))
+		if a["segments"] != segs || a["segments_bounded"] != 0 || a["blocks_abandoned"] != 0 {
+			t.Errorf("stranger %d: attrs %v", k, a)
+		}
+		if r := a["blocks_read"].(int); r == 0 || r >= blocks {
+			t.Errorf("stranger %d: blocks_read %d, want 1 to %d", k, r, blocks-1)
+		}
+	}
+	// Device 0 sits in the first segment: once its match is known, the
+	// other three segments are swept under the threshold.
+	a := decide(coldOutput(src, fps[0]))
+	if a["segments_bounded"] != segs-1 || a["blocks_abandoned"].(int) == 0 {
+		t.Errorf("known device: attrs %v", a)
+	}
+}
+
 // BenchmarkTieredDecide times Tiered.Decide on a store shaped like the
 // sweep-cold workload (8 segments of 4096 devices): known devices, whose
-// seven non-owning segments the bound sweeps, and strangers, whose every
-// segment gets the exact sweep.
+// seven non-owning segments are swept under the threshold, and strangers,
+// whose every segment is swept under its own best so far.
 func BenchmarkTieredDecide(b *testing.B) {
 	tb, fps := sweepColdStore(b, 8, 4096)
 	defer tb.Close()

@@ -10,8 +10,8 @@
 //     the per-entry error bitsets as one position-major bit-sliced matrix,
 //     the cached cardinalities, and the serialized LSH band index. Queries
 //     merge the memtable's verdict with per-segment verdicts streamed
-//     straight off the mappings through the SlicedBlock kernel, so the hot
-//     path never materializes flushed fingerprints in heap. Segments
+//     straight off the mappings through the matrix sweep, so the hot path
+//     never materializes flushed fingerprints in heap. Segments
 //     accumulate until a compaction merges them (dropping tombstones); a
 //     JSON manifest committed by atomic rename is the engine's commit point.
 //     Opening a store rewrites any PCSEG01 segment, the previous format, as
@@ -23,7 +23,7 @@
 // with the sliced block kernel, sweeping the blocks when no candidate
 // matches. A Decide is one Decision across every segment and memtable
 // shard: once any of them holds a match, the sweeps of the rest are bounded
-// by it. DBConfig.Plain selects the exact reference engine instead: dense
+// by the threshold; until then each sweep is bounded by its own best. DBConfig.Plain selects the exact reference engine instead: dense
 // memtable shards and segment sweeps with no candidate stage.
 //
 // Determinism contract: a Tiered backend built by any interleaving of the

@@ -288,10 +288,11 @@ func (t *Tiered) Decide(errorString *bitset.Set) fingerprint.Verdict {
 
 // DecideCtx is Decide under the request span ctx may carry: one
 // store.decide child records the tier fan-out — the segment count, how many
-// segments were swept under the best-so-far bound and how many of their
-// blocks it abandoned; the verdict is identical to Decide's. The query is
-// signed once for every tier. t.mu freezes the segments and the memtable for
-// both phases of the decision.
+// blocks the segments' sweeps read out, how many segments were swept under a
+// known match's bound and how many of their blocks it did not read out; the
+// verdict is identical to Decide's. The query is signed once for every tier.
+// t.mu freezes the segments and the memtable for both phases of the
+// decision.
 func (t *Tiered) DecideCtx(ctx context.Context, errorString *bitset.Set) fingerprint.Verdict {
 	q := fingerprint.NewQuery(errorString, t.scheme)
 	sp := obs.SpanFrom(ctx).Child("store.decide")
@@ -307,6 +308,7 @@ func (t *Tiered) DecideCtx(ctx context.Context, errorString *bitset.Set) fingerp
 	defer release()
 	v := d.Verdict()
 	sp.SetAttr("segments", len(t.segs))
+	sp.SetAttr("blocks_read", st.Read)
 	sp.SetAttr("segments_bounded", st.Bounded)
 	sp.SetAttr("blocks_abandoned", st.Abandoned)
 	return v
