@@ -122,7 +122,6 @@ func run(args []string) (err error) {
 	snapshot := fs.String("snapshot", "", "database snapshot: loaded at startup when present, saved atomically on shutdown")
 	threshold := fs.Float64("threshold", 0, "match threshold (0: take it from the seed database)")
 	shards := fs.Int("shards", 0, fmt.Sprintf("database shard count (0: %d)", fingerprint.DefaultShards))
-	plain := fs.Bool("plain", false, "exact reference engine: dense scan with no LSH candidate stage, exact matches")
 	probes := fs.Bool("probes", false, "multi-probe LSH candidate expansion (near-miss buckets)")
 	workers := fs.Int("workers", 0, "identification worker pool size (0: one per CPU)")
 	batchWindow := fs.Duration("batch.window", 500*time.Microsecond, "micro-batching coalescing window (0: dispatch immediately)")
@@ -265,7 +264,6 @@ func run(args []string) (err error) {
 	cfg := server.Config{
 		Threshold:      *threshold,
 		Shards:         *shards,
-		Plain:          *plain,
 		Probes:         *probes,
 		Workers:        *workers,
 		BatchWindow:    *batchWindow,

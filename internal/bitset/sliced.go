@@ -36,18 +36,9 @@ import (
 // MaxSlicedEntries is the widest block: entry j owns bit j of every word.
 const MaxSlicedEntries = 64
 
-// DefaultSlicedEntries is the block width B a zero value selects: every lane
+// DefaultSlicedEntries is the block width B every writer packs: every lane
 // of a word, since a block costs one load per query cell whatever its width.
 const DefaultSlicedEntries = MaxSlicedEntries
-
-// CheckSlicedEntries reports whether b is a usable block width: 0, which
-// selects DefaultSlicedEntries, or 1 through MaxSlicedEntries.
-func CheckSlicedEntries(b int) error {
-	if b < 0 || b > MaxSlicedEntries {
-		return fmt.Errorf("bitset: block width %d outside [1,%d] (0 selects %d)", b, MaxSlicedEntries, DefaultSlicedEntries)
-	}
-	return nil
-}
 
 // KernelResult is one entry's verification outcome: exactly the values
 // MinCardAndNotCount(entry, query) returns.
@@ -378,14 +369,10 @@ type SlicedArena struct {
 }
 
 // NewSlicedArena returns an empty arena for nbits-bit fingerprints packed
-// blockEntries per block (0 selects DefaultSlicedEntries). It panics on a
-// width CheckSlicedEntries refuses.
+// blockEntries per block. It panics on a width outside [1, MaxSlicedEntries].
 func NewSlicedArena(nbits, blockEntries int) *SlicedArena {
-	if err := CheckSlicedEntries(blockEntries); err != nil {
-		panic(err)
-	}
-	if blockEntries == 0 {
-		blockEntries = DefaultSlicedEntries
+	if blockEntries <= 0 || blockEntries > MaxSlicedEntries {
+		panic(fmt.Sprintf("bitset: sliced block width %d", blockEntries))
 	}
 	return &SlicedArena{nbits: nbits, per: blockEntries}
 }

@@ -97,10 +97,8 @@ func TestScatterIdentifyByteIdenticalToSerialOracle(t *testing.T) {
 				ord := ord
 				n := startNode(t, fmt.Sprintf("prop-p%d", ord), t.TempDir(), nodeOptions{cfg: func(c *server.Config) {
 					partitionScoped(pmap, ord)(c)
-					// Plain shards: full-scan verdicts whose Matches counts an
-					// index would truncate to candidates. Workers varies the
-					// dispatch parallelism the property must be invariant to.
-					c.Plain = true
+					// Workers varies the dispatch parallelism the property
+					// must be invariant to.
 					c.Workers = workers
 				}})
 				n.node.StartPrimary()

@@ -35,8 +35,6 @@ type ScaleParams struct {
 	// Probes enables multi-probe candidate expansion on the indexed and
 	// sliced paths.
 	Probes bool
-	// BlockEntries is the sliced block width; 0 selects the default.
-	BlockEntries int
 }
 
 // DefaultScaleParams is the 100k-entry configuration the PR-8 acceptance
@@ -110,7 +108,7 @@ func RunScale(p ScaleParams) (*ScaleResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sx, err := fingerprint.SliceDB(db, fingerprint.SlicedConfig{Index: icfg, BlockEntries: p.BlockEntries})
+	sx, err := fingerprint.SliceDB(db, fingerprint.SlicedConfig{Index: icfg})
 	if err != nil {
 		return nil, err
 	}

@@ -39,11 +39,10 @@ type Scale1MParams struct {
 	Seed      uint64
 	// Dir is the engine directory; empty selects a removed-on-return temp dir.
 	Dir string
-	// Workers bounds index-build signing; Probes/BlockEntries tune the
-	// sliced query path exactly as in ScaleParams.
-	Workers      int
-	Probes       bool
-	BlockEntries int
+	// Workers bounds index-build signing; Probes tunes the sliced query
+	// path exactly as in ScaleParams.
+	Workers int
+	Probes  bool
 	// MaxHeapFrac fails the run when post-flush resident heap exceeds this
 	// fraction of the corpus bytes; 0 selects 1.0 (heap strictly below the
 	// corpus — the "bounded below corpus size" acceptance floor).
@@ -132,8 +131,7 @@ func RunScale1M(p Scale1MParams) (*Scale1MResult, error) {
 			CompactSegments: p.CompactSegments,
 		},
 		store.DBConfig{
-			Threshold: p.Threshold, Probes: p.Probes,
-			Workers: p.Workers, BlockEntries: p.BlockEntries,
+			Threshold: p.Threshold, Probes: p.Probes, Workers: p.Workers,
 		})
 	if err != nil {
 		return nil, err

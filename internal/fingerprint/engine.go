@@ -7,12 +7,11 @@ import (
 )
 
 // This file is the identify engine every serving path runs — LSH
-// candidates verified by the single-slot block kernel, then the matrix
-// sweep (bitset.SweepMatrix) when no candidate matches. SlicedDB (the
-// memtable shards) and the tiered store's mmap'd segments are both
-// Components, so the two tiers share one implementation of the sweep and
-// its bound: FirstMatch for Identify, and Decision for a Decide across
-// every component of a node.
+// candidates verified by the single-slot block kernel, and the matrix sweep
+// (bitset.SweepMatrix) under a bound. SlicedDB (the memtable shards) and the
+// tiered store's mmap'd segments are both Components, so the two tiers share
+// one implementation of the sweep and its bound: FirstMatch for Identify,
+// and Decision for a Decide across every component of a node.
 
 // Engine metrics: signatures computed (one per query, however many shards
 // and segments it visits, plus one per added entry), blocks an Identify
@@ -108,13 +107,16 @@ type Component interface {
 	Entry(pos int) (name string, id int)
 }
 
-// FirstMatch is Algorithm 2 over one component: the position of the first
-// live entry under the threshold, or -1. The LSH candidates (ascending
-// positions; nil for the exact engine) are verified first; when none is
-// under the threshold the blocks are swept in order under the threshold as
-// the bound, so the sweep reads out only blocks that may hold an entry under
-// it — an entry at or above it can never be a first match — and stops at
-// the first one it finds.
+// FirstMatch is Algorithm 2 over one component: the position of a live
+// entry under the threshold, or -1. The LSH candidates (ascending
+// positions; nil for a component without a candidate stage) are verified
+// first, and the first one under the threshold is returned; when none is,
+// the blocks are swept in order under the threshold as the bound, so the
+// sweep reads out only blocks that may hold an entry under it — an entry at
+// or above it can never be a first match — and stops at the first one it
+// finds. The answer is the dense scan's first match whenever that entry is a
+// candidate or no candidate matches; when a later entry is a matching
+// candidate and an earlier match is not, the candidate is returned.
 func FirstMatch(c Component, cands []int, q *Query, threshold float64) int {
 	blocks, dead := c.Blocks()
 	for _, i := range cands {
@@ -144,14 +146,15 @@ func FirstMatch(c Component, cands []int, q *Query, threshold float64) int {
 //
 //	u = max(min(u₀, best folded so far), threshold)
 //
-// where u₀ is the threshold when bounded (a match is known elsewhere) and
-// unbounded otherwise. Index is a position. A block the sweep does not read
-// out holds only entries at distance ≥ u: none is under the threshold, and
-// under the fold's strict < none beats the best so far, so for an unbounded
-// sweep — a stranger's — the verdict is the exact scan's, branch-and-bound
-// on its own best. A bounded sweep's Index and Distance are exact only when
-// it finds a match, which is all the node's verdict needs: the known match
-// beats anything at or above the threshold.
+// where u₀ is the threshold when bounded (a match is known) and unbounded
+// otherwise. Index is a position. A block the sweep does not read out holds
+// only entries at distance ≥ u ≥ threshold: none of them counts toward
+// Matches, so Matches is exact either way, and under the fold's strict <
+// none beats the best so far, so for an unbounded sweep — a stranger's —
+// Index and Distance are the exact scan's, branch-and-bound on its own
+// best. A bounded sweep's Index and Distance are exact whenever it finds a
+// match, which is all the node's verdict needs: the known match beats
+// anything at or above the threshold.
 func sweep(blocks []*bitset.SlicedBlock, dead []bool, q *bitset.Set, threshold float64, bounded bool) (v Verdict, read, skipped int) {
 	v = Verdict{Index: -1, Distance: 2}
 	u0 := v.Distance // above any distance: no bound but the best so far
@@ -177,33 +180,33 @@ type SweepStats struct {
 
 // Decision is one Decide across every component of a node — its memtable
 // shards and tiered segments — in two phases. Add runs a component's
-// candidate stage; Verdict then sweeps the components whose candidates
-// found nothing.
+// candidate stage; Verdict then sweeps every component.
 //
-// Once any entry under the threshold is known — a candidate that matched,
-// or a match an earlier sweep found — no entry at or above the threshold can
-// change the verdict: it does not count toward Matches, and its distance
-// cannot beat the known entry's. Every later sweep is therefore bounded by
-// the threshold: it reads out only the blocks that may hold an entry under
-// it. Until a match is known a component's sweep is bounded by its own best
-// so far, which leaves its verdict exact, so a stranger's miss still carries
+// Once any entry under the threshold is known — a candidate that verified
+// under it, or a match an earlier sweep found — no entry at or above the
+// threshold can change the verdict: it does not count toward Matches, and
+// its distance cannot beat the known entry's. Every sweep from then on is
+// therefore bounded by the threshold: it reads out only the blocks that may
+// hold an entry under it, and so still counts and ranks every one of them.
+// A matching candidate only arms that bound; it never settles a component.
+// Until a match is known a component's sweep is bounded by its own best so
+// far, which leaves its verdict exact, so a stranger's miss still carries
 // the true global best.
 //
-// The verdict equals folding every component's own answer through
-// MergeVerdict: its candidates' verdict when one matches, else its exact
-// sweep. With candidates, Matches counts the matching candidates of a
-// component they settle and can undercount a dense scan when the index
-// misses a second sub-threshold entry there; components without a
-// candidate stage count exactly.
+// The verdict equals the dense scan's (DB.Decide over the same live
+// entries) field for field — Name, Index, Distance and Matches: the
+// candidates decide how much of each component is read out, never the
+// answer.
 type Decision struct {
 	q         *Query
 	threshold float64
+	armed     bool // a candidate verified under the threshold
 	v         Verdict
-	misses    []miss
+	parts     []part
 }
 
-// miss is a component whose candidates found nothing, waiting for phase 2.
-type miss struct {
+// part is a component waiting for phase 2.
+type part struct {
 	c  Component
 	st *SweepStats
 }
@@ -213,49 +216,39 @@ func NewDecision(q *Query, threshold float64) *Decision {
 	return &Decision{q: q, threshold: threshold, v: Verdict{Index: -1, Distance: 2}}
 }
 
-// Add is phase 1 for component c: its LSH candidates (ascending positions;
-// nil for the exact engine, which has no candidate stage) are verified, and
-// when one is under the threshold they settle c's answer. Otherwise c waits
-// for Verdict's sweep, and st (when non-nil) records what that sweep did.
-// An empty component has nothing to add. c must not change until Verdict
-// returns.
+// Armed reports whether the threshold bound is set — a candidate verified
+// under it, or a dense shard's match folded in — so Add would verify no more
+// candidates: callers pass nil and skip the lookup.
+func (d *Decision) Armed() bool { return d.armed || d.v.Matches > 0 }
+
+// Add is phase 1 for component c: until the bound is armed its LSH
+// candidates (ascending positions; nil for a component without a candidate
+// stage) are verified, and the first one under the threshold arms it. c then
+// waits for Verdict's sweep, and st (when non-nil) records what that sweep
+// did. An empty component has nothing to add. c must not change until
+// Verdict returns.
 func (d *Decision) Add(c Component, cands []int, st *SweepStats) {
 	blocks, dead := c.Blocks()
 	if len(blocks) == 0 {
 		return
 	}
-	v := Verdict{Index: -1, Distance: 2}
 	for _, i := range cands {
-		if live(dead, i) {
-			v.observe(i, slotDistance(blocks, d.q.Set, i), d.threshold)
+		if d.Armed() {
+			break
 		}
+		d.armed = live(dead, i) && slotDistance(blocks, d.q.Set, i) < d.threshold
 	}
-	if v.Matches == 0 {
-		d.misses = append(d.misses, miss{c: c, st: st})
-		return
-	}
-	d.merge(c, v)
+	d.parts = append(d.parts, part{c: c, st: st})
 }
 
-// merge resolves v's winning position to c's name and id and folds it in.
-func (d *Decision) merge(c Component, v Verdict) {
-	if v.Index >= 0 {
-		v.Name, v.Index = c.Entry(v.Index)
-	}
-	MergeVerdict(&d.v, v)
-}
-
-// Verdict is phase 2: the components whose candidates found nothing are
-// swept in Add order — each under its own best while no entry under the
-// threshold is known, under the threshold from then on — and the node's
-// verdict is returned.
+// Verdict is phase 2: every component is swept in Add order — under the
+// threshold once the bound is armed or a match is known, under its own
+// best before — its winning position resolved to a name and id, and its
+// answer folded in; the node's verdict is returned.
 func (d *Decision) Verdict() Verdict {
-	for _, m := range d.misses {
-		if obs.On() {
-			cIndexFallbacks.Inc()
-		}
-		blocks, dead := m.c.Blocks()
-		bounded := d.v.Matches > 0
+	for _, p := range d.parts {
+		blocks, dead := p.c.Blocks()
+		bounded := d.Armed()
 		v, read, skipped := sweep(blocks, dead, d.q.Set, d.threshold, bounded)
 		if obs.On() {
 			cBlocksRead.Add(int64(read))
@@ -264,15 +257,18 @@ func (d *Decision) Verdict() Verdict {
 				cBlocksAbandoned.Add(int64(skipped))
 			}
 		}
-		if m.st != nil {
-			m.st.Read += read
+		if p.st != nil {
+			p.st.Read += read
 			if bounded {
-				m.st.Bounded++
-				m.st.Abandoned += skipped
+				p.st.Bounded++
+				p.st.Abandoned += skipped
 			}
 		}
-		d.merge(m.c, v)
+		if v.Index >= 0 {
+			v.Name, v.Index = p.c.Entry(v.Index)
+		}
+		MergeVerdict(&d.v, v)
 	}
-	d.misses = nil
+	d.parts = nil
 	return d.v
 }

@@ -17,6 +17,14 @@
 //   - Clusterer — Algorithm 4: online clustering of outputs from unknown
 //     devices; matching outputs refine the cluster fingerprint by
 //     intersection, non-matching outputs open a new cluster.
+//
+// Determinism contract: the serving engines — SlicedDB, ShardedDB and the
+// tiered store's segments, all through the engine in engine.go — answer
+// Decide field for field as DB.Decide's dense scan over the same live
+// entries: Name, Index (an add-order id), Distance and Matches. LSH
+// candidates only decide how much of the corpus is read out. Identify
+// returns the dense scan's first match unless a later entry is a matching
+// candidate and an earlier match is not (FirstMatch).
 package fingerprint
 
 import (

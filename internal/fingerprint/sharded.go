@@ -34,15 +34,12 @@ type ShardedConfig struct {
 	// Index configures the per-shard LSH candidate stage (scheme, build
 	// workers, multi-probe). The zero value selects minhash.DefaultScheme.
 	Index IndexedConfig
-	// Plain selects the exact reference engine: every shard answers by
-	// dense scan, with no candidate stage, so Matches is exact — the
-	// strictest correctness baseline (no index-recall caveats at all).
-	// Otherwise every shard runs the sliced engine (SlicedDB).
+	// Plain selects the dense reference: every shard answers by DB's dense
+	// scan, with no candidate stage, no sliced blocks and no bound — the
+	// oracle the tests and perfbench's oracle gate hold the serving engine
+	// to. Otherwise every shard runs the sliced engine (SlicedDB), whose
+	// verdicts equal it field for field.
 	Plain bool
-	// BlockEntries is the sliced block width B, at most
-	// bitset.MaxSlicedEntries; 0 selects bitset.DefaultSlicedEntries.
-	// Checked even when Plain, since the tiered store's segments use it.
-	BlockEntries int
 	// RebuildMinDead is the per-shard tombstone count at which Remove
 	// physically compacts the shard (drops dead entries and rebuilds the LSH
 	// index and sliced arena). Below it, Remove only tombstones — O(1) instead
@@ -66,17 +63,17 @@ const DefaultRebuildMinDead = 64
 // per Add.
 //
 // Determinism contract: a ShardedDB built by any interleaving of the same
-// Add sequence answers Decide/Identify exactly as the plain DB built from
-// that sequence, with Verdict.Index and the identify index reported as the
-// entry's add-order id (stable across Removes, equal to the DB slice index
-// when nothing was removed). Cross-shard combination is by (distance, id)
-// lexicographic minimum for best-match decisions and minimum id for
-// first-match decisions, which reproduces the dense scan's
-// first-strictly-better / first-on-tie behavior. Each query is signed once
-// and the signature shared by every shard, and Decide is one node-wide
-// Decision over the shards. Outside Plain the per-shard answers inherit the
-// engine's candidate-stage contract (see Decision: with several
-// sub-threshold entries the Matches count inspects candidates only).
+// Add sequence answers Decide field for field — Name, Index, Distance and
+// Matches — as the dense DB built from that sequence, with Verdict.Index
+// and the identify index reported as the entry's add-order id (stable
+// across Removes, equal to the DB slice index when nothing was removed).
+// Cross-shard combination is by (distance, id) lexicographic minimum for
+// best-match decisions and minimum id for first-match decisions, which
+// reproduces the dense scan's first-strictly-better / first-on-tie
+// behavior. Each query is signed once and the signature shared by every
+// shard, and Decide is one node-wide Decision over the shards. Identify
+// keeps FirstMatch's contract per shard: the dense scan's first match
+// unless a later entry is a matching candidate and an earlier match is not.
 type ShardedDB struct {
 	threshold float64
 	cfg       ShardedConfig
@@ -104,7 +101,7 @@ type dbShard struct {
 // construction and after a Remove rebuild.
 func (sh *dbShard) build(cfg ShardedConfig) (err error) {
 	if !cfg.Plain {
-		sh.sx, err = SliceDB(sh.db, SlicedConfig{Index: cfg.Index, BlockEntries: cfg.BlockEntries})
+		sh.sx, err = SliceDB(sh.db, SlicedConfig{Index: cfg.Index})
 	}
 	return err
 }
@@ -122,9 +119,6 @@ func NewShardedDB(threshold float64, cfg ShardedConfig) (*ShardedDB, error) {
 		cfg.Index.Scheme = minhash.DefaultScheme
 	}
 	if err := cfg.Index.Scheme.Validate(); err != nil {
-		return nil, err
-	}
-	if err := bitset.CheckSlicedEntries(cfg.BlockEntries); err != nil {
 		return nil, err
 	}
 	if cfg.RebuildMinDead == 0 {
@@ -370,9 +364,9 @@ func (s *ShardedDB) Decide(errorString *bitset.Set) Verdict {
 // DecideCtx is Decide with request-scoped tracing: when ctx carries a
 // request span (obs.StartRequest), the decision records one shard.identify
 // child span per shard around its candidate stage and a decide span around
-// the cross-shard phase — the sweeps of shards whose candidates missed,
-// bounded once a match is known, and the combine. The verdict is identical
-// to Decide's — spans observe the scan, they never reorder it.
+// the cross-shard phase — every shard's sweep, bounded once a match is
+// known, and the combine. The verdict is identical to Decide's — spans
+// observe the scan, they never reorder it.
 func (s *ShardedDB) DecideCtx(ctx context.Context, errorString *bitset.Set) Verdict {
 	v := s.decide(obs.SpanFrom(ctx), NewQuery(errorString, s.scheme))
 	recordVerdict(v)
@@ -397,7 +391,11 @@ func (s *ShardedDB) AddTo(d *Decision, base int, span *obs.RSpan) (release func(
 		sp.SetAttr("shard", i)
 		sh.mu.RLock()
 		if sh.sx != nil {
-			d.Add(shardPart{sh: sh, base: base}, sh.sx.x.candidates(d.q), nil)
+			var cands []int
+			if !d.Armed() {
+				cands = sh.sx.x.candidates(d.q)
+			}
+			d.Add(shardPart{sh: sh, base: base}, cands, nil)
 		} else {
 			v := sh.db.decideRaw(d.q.Set)
 			if v.Index >= 0 {
@@ -418,7 +416,7 @@ func (s *ShardedDB) runlockShards() {
 
 // decide is the node-wide decision over the shards: their candidate stages
 // (one shard.identify span each under span, which may be nil), then a decide
-// span over the sweeps of the shards whose candidates missed and the fold.
+// span over the shards' sweeps and the fold.
 func (s *ShardedDB) decide(span *obs.RSpan, q *Query) Verdict {
 	d := NewDecision(q, s.threshold)
 	release := s.AddTo(d, 0, span)
@@ -430,10 +428,11 @@ func (s *ShardedDB) decide(span *obs.RSpan, q *Query) Verdict {
 }
 
 // Identify implements Algorithm 2 across the shards: every shard reports its
-// first match and the minimum add-order id wins — the entry the dense scan
-// in add order would have accepted. The obs ambiguity counter fires when
-// matches surface from more than one shard (a lower bound on the true
-// ambiguity, which Decide counts exactly).
+// FirstMatch and the minimum add-order id wins — the entry the dense scan in
+// add order would have accepted, unless a shard's answer is a matching
+// candidate that a non-candidate match precedes. The obs ambiguity counter
+// fires when matches surface from more than one shard (a lower bound on the
+// true ambiguity, which Decide counts exactly).
 func (s *ShardedDB) Identify(errorString *bitset.Set) (name string, index int, ok bool) {
 	name, index, matchedShards := s.identify(NewQuery(errorString, s.scheme))
 	if obs.On() {

@@ -51,27 +51,46 @@ func buildEquivalent(t *testing.T, n int, cfg ShardedConfig) (*DB, *ShardedDB) {
 	return db, sh
 }
 
+// multiBlock reports whether some shard of s holds at least three sliced
+// blocks, the last of them partial — the shape that makes a sweep cross
+// block boundaries and a partial tail.
+func multiBlock(s *ShardedDB) bool {
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		a := sh.sx.arena
+		ok := a.NumBlocks() >= 3 && a.Len()%a.BlockEntries() != 0
+		sh.mu.RUnlock()
+		if ok {
+			return true
+		}
+	}
+	return false
+}
+
 // TestShardedMatchesPlainDB is the core equivalence property: for any shard
 // count, the serving engine (LSH-indexed candidates, then the sliced block
 // sweep) and the plain dense-scan shards agree with the dense-scan DB on
-// Decide and Identify for matching, missing, and near-miss queries. The
-// "indexed" mode is the default configuration; "sliced" narrows the blocks
-// so every sweep crosses several blocks with partial tails.
+// Decide — field for field — and Identify for matching, missing, and
+// near-miss queries. The "indexed" mode is the default configuration;
+// "sliced" holds 150 entries per shard, so some shard's sweep crosses three
+// blocks and a partial tail.
 func TestShardedMatchesPlainDB(t *testing.T) {
-	const entries = 60
 	for _, shards := range []int{1, 2, 7, 16} {
 		for _, mode := range []string{"indexed", "plain", "sliced"} {
 			t.Run(fmt.Sprintf("shards=%d_%s", shards, mode), func(t *testing.T) {
-				cfg := ShardedConfig{Shards: shards, Plain: mode == "plain"}
+				entries := 60
 				if mode == "sliced" {
-					cfg.BlockEntries = 8 // force multiple blocks with partial tails
+					entries = 150 * shards
 				}
-				db, sh := buildEquivalent(t, entries, cfg)
+				db, sh := buildEquivalent(t, entries, ShardedConfig{Shards: shards, Plain: mode == "plain"})
 				if sh.Len() != db.Len() {
 					t.Fatalf("Len: sharded %d, plain %d", sh.Len(), db.Len())
 				}
+				if mode == "sliced" && !multiBlock(sh) {
+					t.Fatal("no shard spans three blocks with a partial tail")
+				}
 				var queries []*bitset.Set
-				for i := 0; i < entries; i += 3 {
+				for i := 0; i < entries; i += entries / 20 {
 					fp, _ := db.Get(fmt.Sprintf("dev%03d", i))
 					queries = append(queries, noisyQuery(fp, uint64(i), 200))
 				}
@@ -282,18 +301,18 @@ func TestShardedConcurrentMutation(t *testing.T) {
 // the LSH index and the sliced arena; post-remove answers must track the
 // surviving entries and the removed fingerprint must stop matching.
 func TestShardedSlicedRemoveRebuild(t *testing.T) {
-	sh, err := NewShardedDB(DefaultThreshold, ShardedConfig{Shards: 2, BlockEntries: 4})
+	sh, err := NewShardedDB(DefaultThreshold, ShardedConfig{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 20
+	const n = 300 // each shard spans about three blocks
 	fps := make([]*bitset.Set, n)
 	for i := range fps {
 		fps[i] = testSet(uint64(i)+0x5E, 2048, 40)
-		sh.Add(fmt.Sprintf("dev%02d", i), fps[i])
+		sh.Add(fmt.Sprintf("dev%03d", i), fps[i])
 	}
-	if !sh.Remove("dev07") {
-		t.Fatal("Remove(dev07) found nothing")
+	if !sh.Remove("dev007") {
+		t.Fatal("Remove(dev007) found nothing")
 	}
 	if v := sh.Decide(noisyQuery(fps[7], 1, 60)); v.OK() {
 		t.Fatalf("removed entry still matches: %+v", v)
@@ -303,7 +322,7 @@ func TestShardedSlicedRemoveRebuild(t *testing.T) {
 			continue
 		}
 		v := sh.Decide(noisyQuery(fps[i], uint64(i), 60))
-		if !v.OK() || v.Name != fmt.Sprintf("dev%02d", i) || v.Index != i {
+		if !v.OK() || v.Name != fmt.Sprintf("dev%03d", i) || v.Index != i {
 			t.Fatalf("survivor %d: Decide = %+v", i, v)
 		}
 	}
@@ -317,7 +336,6 @@ func TestShardedRemoveTombstone(t *testing.T) {
 	for _, cfg := range []ShardedConfig{
 		{Shards: 1, Plain: true, RebuildMinDead: 4},
 		{Shards: 1, RebuildMinDead: 4},
-		{Shards: 1, BlockEntries: 4, RebuildMinDead: 4},
 	} {
 		sh, err := NewShardedDB(DefaultThreshold, cfg)
 		if err != nil {
@@ -434,26 +452,28 @@ func TestShardedExportKeyed(t *testing.T) {
 	}
 }
 
-// TestShardedBoundedDecideOracle pins ShardedDB.Decide — one node-wide
-// Decision whose sweeps are bounded once a match is known — to the
-// per-shard rule it replaced: each shard answers from its LSH candidates
-// when one is under the threshold, else from a full unpruned scan, and the
-// answers fold through MergeVerdict. Verdicts must be equal field for
-// field, Matches included, on random tapes with tombstones, empty sets,
+// TestShardedBoundedDecideOracle holds ShardedDB.Decide — one node-wide
+// Decision whose sweeps are bounded once a candidate or a sweep finds a
+// match — to the dense scan: a Plain ShardedDB fed the same Adds and
+// Removes, so ids survive removals. Verdicts must be equal field for field,
+// Matches included, on random tapes with tombstones, empty sets,
 // near-duplicates in different shards (ambiguous verdicts) and queries that
-// are supersets of entries, across block widths, thresholds and concurrent
-// readers. The tiered store's twin is store.TestBoundedDecideOracle.
+// are supersets of entries, across thresholds and concurrent readers, over
+// a corpus in which some shard spans three blocks with a partial tail. Rows
+// keep the names they had when the block width was a setting (B1 to B64):
+// the width is now always 64, and a row's number only seeds its tape. The
+// tiered store's twin is store.TestBoundedDecideOracle.
 func TestShardedBoundedDecideOracle(t *testing.T) {
 	bounded := obs.C("fingerprint.decide.bounded_sweeps")
 	abandoned := obs.C("fingerprint.decide.blocks_abandoned")
 	obs.Enable()
 	defer obs.Disable()
-	for _, b := range []int{1, 3, 8, 64} {
+	for _, tape := range []int{1, 3, 8, 64} {
 		for _, th := range []float64{0, 0.1, 0.5, 1} {
 			for _, workers := range []int{1, 4} {
-				t.Run(fmt.Sprintf("B%d/t%v/w%d", b, th, workers), func(t *testing.T) {
+				t.Run(fmt.Sprintf("B%d/t%v/w%d", tape, th, workers), func(t *testing.T) {
 					b0, a0 := bounded.Value(), abandoned.Value()
-					runShardedOracle(t, b, th, workers)
+					runShardedOracle(t, tape, th, workers)
 					// Teeth: the bound must have run (and, at t = 0.1 over
 					// 512-bit entries, abandoned blocks); at t = 0 nothing is
 					// ever under the threshold, so every sweep stays exact.
@@ -521,58 +541,47 @@ func oracleQueries(src *prng.Source, pool []*bitset.Set) []*bitset.Set {
 	return append(qs, stranger, bitset.New(nbits))
 }
 
-// perShardOracle is the rule Decision replaced, read off the shards'
-// internals with the scalar Distance: per shard, the candidates' verdict
-// when one matches, else a full scan; folded by MergeVerdict.
-func perShardOracle(s *ShardedDB, es *bitset.Set) Verdict {
-	q := NewQuery(es, s.scheme)
-	v := Verdict{Index: -1, Distance: 2}
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		scan := func(positions []int) Verdict {
-			sv := Verdict{Index: -1, Distance: 2}
-			for _, i := range positions {
-				if sh.db.alive(i) {
-					sv.observe(i, Distance(es, sh.db.entries[i].FP), s.threshold)
-				}
-			}
-			return sv
-		}
-		sv := scan(sh.sx.x.candidates(q))
-		if sv.Matches == 0 {
-			all := make([]int, len(sh.db.entries))
-			for i := range all {
-				all[i] = i
-			}
-			sv = scan(all)
-		}
-		if sv.Index >= 0 {
-			sv.Name, sv.Index = sh.db.entries[sv.Index].Name, sh.ids[sv.Index]
-		}
-		sh.mu.RUnlock()
-		MergeVerdict(&v, sv)
-	}
-	return v
-}
-
-func runShardedOracle(t *testing.T, b int, th float64, workers int) {
+func runShardedOracle(t *testing.T, tape int, th float64, workers int) {
 	const nbits = 512
-	src := prng.New(uint64(b)<<16 ^ uint64(th*1000)<<4 ^ uint64(workers))
-	db, err := NewShardedDB(th, ShardedConfig{Shards: 3, BlockEntries: b, RebuildMinDead: 16})
+	seed := uint64(tape)<<16 ^ uint64(th*1000)<<4 ^ uint64(workers)
+	src := prng.New(seed)
+	cfg := ShardedConfig{Shards: 3, RebuildMinDead: 16}
+	db, err := NewShardedDB(th, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	cfg.Plain = true
+	dense, err := NewShardedDB(th, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 450 strangers from a source of their own, so the tape below draws
+	// what it drew before they were added, spread the shards over three
+	// 64-entry blocks each.
+	for i, fp := range oraclePool(prng.New(seed^0xF111), nbits, 450) {
+		name := fmt.Sprintf("fill%03d", i)
+		db.Add(name, fp)
+		dense.Add(name, fp)
 	}
 	pool := oraclePool(src, nbits, 40)
 	check := func(step int) {
 		qs := oracleQueries(src, pool)
+		// The dense verdicts are taken with instrumentation off, since
+		// Distance times every call while it is on.
+		obs.Disable()
+		want := make([]Verdict, len(qs))
+		for qi, q := range qs {
+			want[qi] = dense.Decide(q)
+		}
+		obs.Enable()
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
 				for qi := w; qi < len(qs); qi += workers {
-					if got, want := db.Decide(qs[qi]), perShardOracle(db, qs[qi]); got != want {
-						t.Errorf("step %d query %d: Decide %+v != per-shard oracle %+v", step, qi, got, want)
+					if got := db.Decide(qs[qi]); got != want[qi] {
+						t.Errorf("step %d query %d: Decide %+v != dense scan %+v", step, qi, got, want[qi])
 						return
 					}
 				}
@@ -584,12 +593,20 @@ func runShardedOracle(t *testing.T, b int, th float64, workers int) {
 		switch r := src.Intn(10); {
 		case r < 6:
 			i := src.Intn(len(pool))
-			db.Add(fmt.Sprintf("dev%02d", i%30), pool[i])
+			name := fmt.Sprintf("dev%02d", i%30)
+			db.Add(name, pool[i])
+			dense.Add(name, pool[i])
 		case r < 8:
-			db.Remove(fmt.Sprintf("dev%02d", src.Intn(30)))
+			name := fmt.Sprintf("dev%02d", src.Intn(30))
+			if got, want := db.Remove(name), dense.Remove(name); got != want {
+				t.Fatalf("step %d: Remove(%s) %v, dense %v", step, name, got, want)
+			}
 		default:
 			check(step)
 		}
 	}
 	check(300)
+	if !multiBlock(db) {
+		t.Error("no shard spans three blocks with a partial tail")
+	}
 }

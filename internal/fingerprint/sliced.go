@@ -14,26 +14,22 @@ type SlicedConfig struct {
 	// multi-probe), exactly as for IndexedDB. NoFallback is rejected: the
 	// sliced engine always sweeps when no candidate matches.
 	Index IndexedConfig
-	// BlockEntries is the sliced block width B, at most
-	// bitset.MaxSlicedEntries; 0 selects bitset.DefaultSlicedEntries.
-	BlockEntries int
 }
 
 // SlicedDB is the serving identify engine over an in-memory database: an
 // IndexedDB's LSH candidate stage in front of a bit-major sliced copy of the
-// fingerprints (bitset.SlicedArena). Candidates are verified with the
-// single-slot block kernel; when none matches, the matrix sweep runs — one
-// word load per set cell of the query verifies that cell for a whole block,
-// and the sweep's bound reads out only the blocks that may hold an entry
-// under it, giving chunks of blocks up part way through their loads once
-// none can. Both stages are the shared engine (FirstMatch, Decision) the
-// tiered store's segments run too.
+// fingerprints (bitset.SlicedArena) in blocks of bitset.DefaultSlicedEntries.
+// Candidates are verified with the single-slot block kernel; the matrix
+// sweep then runs — one word load per set cell of the query verifies that
+// cell for a whole block, and the sweep's bound reads out only the blocks
+// that may hold an entry under it, giving chunks of blocks up part way
+// through their loads once none can. Both stages are the shared engine
+// (FirstMatch, Decision) the tiered store's segments run too.
 //
-// The verdict contract is bit-identical to DB/IndexedDB: the block kernel
-// returns the exact (minCard, maxCard, diff) triples the scalar
-// MinCardAndNotCount returns, the distance division runs on the same
-// integers, and blocks are visited in add order. Two scans differ only in
-// which is faster.
+// The block kernel returns the exact (minCard, maxCard, diff) triples the
+// scalar MinCardAndNotCount returns, the distance division runs on the same
+// integers, and blocks are visited in add order, so Decide equals
+// DB.Decide field for field; Identify's contract is FirstMatch's.
 //
 // SlicedDB requires all fingerprints to share one bit length (the corpus
 // invariant every experiment and the serving layer already maintain); the
@@ -58,9 +54,6 @@ func SliceDB(db *DB, cfg SlicedConfig) (*SlicedDB, error) {
 	if cfg.Index.NoFallback {
 		return nil, errors.New("fingerprint: the sliced engine always sweeps on a candidate miss; NoFallback is an IndexedDB ablation")
 	}
-	if err := bitset.CheckSlicedEntries(cfg.BlockEntries); err != nil {
-		return nil, err
-	}
 	nbits, err := db.BitLen()
 	if err != nil {
 		return nil, err
@@ -73,7 +66,7 @@ func SliceDB(db *DB, cfg SlicedConfig) (*SlicedDB, error) {
 	for i, e := range db.entries {
 		fps[i] = e.FP
 	}
-	return &SlicedDB{x: x, arena: bitset.PackSlicedArena(nbits, cfg.BlockEntries, fps)}, nil
+	return &SlicedDB{x: x, arena: bitset.PackSlicedArena(nbits, bitset.DefaultSlicedEntries, fps)}, nil
 }
 
 // Add registers a fingerprint under a name, indexes its signature, and packs
@@ -95,16 +88,18 @@ func (s *SlicedDB) Len() int { return s.x.db.Len() }
 // DB returns the underlying database (shared, not copied).
 func (s *SlicedDB) DB() *DB { return s.x.db }
 
-// Identify implements Algorithm 2: the first candidate under the threshold,
-// else the first entry the bounded block sweep finds.
+// Identify implements Algorithm 2 through FirstMatch: the first candidate
+// under the threshold, else the first entry the bounded block sweep finds —
+// the dense scan's first match unless a later entry is a matching candidate
+// and an earlier match is not.
 func (s *SlicedDB) Identify(errorString *bitset.Set) (name string, index int, ok bool) {
 	return s.x.db.answer(errorString, s.firstMatch(NewQuery(errorString, s.x.cfg.Scheme)))
 }
 
-// Decide is the full decision, a one-component Decision: candidates first,
-// then — when none matches — the block sweep under its own best so far, so
-// a reported miss carries the true global best. The Matches caveat of the candidate stage
-// applies (see Decision).
+// Decide is the full decision, a one-component Decision: a matching
+// candidate arms the threshold as the sweep's bound, and otherwise the sweep
+// runs under its own best so far. The verdict equals DB.Decide's field for
+// field.
 func (s *SlicedDB) Decide(errorString *bitset.Set) Verdict {
 	q := NewQuery(errorString, s.x.cfg.Scheme)
 	d := NewDecision(q, s.x.db.threshold)

@@ -10,13 +10,17 @@ import (
 )
 
 // TestSlicedIdentifyMatchesScan: every SlicedDB decision must be bit-identical
-// to the dense scan — Identify triple and full Verdict — across block widths
-// (including width 1 and a partial tail block) and both probing modes.
+// to the dense scan — Identify triple and full Verdict — in both probing
+// modes, over 12 chips and 150 unrelated entries, so the arena spans three
+// blocks with a partial tail.
 func TestSlicedIdentifyMatchesScan(t *testing.T) {
 	fps, outs, _ := mkChipWorld(t, 12, 4, 4096, 0x51C)
 	db := NewDB(DefaultThreshold)
 	for i, fp := range fps {
 		db.Add(fmt.Sprintf("chip%02d", i), fp)
+	}
+	for i := 0; i < 150; i++ {
+		db.Add(fmt.Sprintf("other%03d", i), sparseFP(4096, 40, 0x0753+uint64(i)))
 	}
 	// Unknown devices exercise the fallback sweep under the threshold
 	// (Identify) and under the best so far (Decide).
@@ -26,48 +30,56 @@ func TestSlicedIdentifyMatchesScan(t *testing.T) {
 	queries = append(queries, bitset.New(4096)) // empty query, degenerate path
 
 	for _, probes := range []bool{false, true} {
-		for _, width := range []int{1, 5, 64} {
-			cfg := SlicedConfig{BlockEntries: width}
-			cfg.Index.Probes = probes
-			sx, err := SliceDB(db, cfg)
-			if err != nil {
-				t.Fatal(err)
+		var cfg SlicedConfig
+		cfg.Index.Probes = probes
+		sx, err := SliceDB(db, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a := sx.arena; a.NumBlocks() != 3 || a.Len()%a.BlockEntries() == 0 {
+			t.Fatalf("%d entries in %d blocks, want three with a partial tail", a.Len(), a.NumBlocks())
+		}
+		for k, q := range queries {
+			sn, si, sok := db.Identify(q)
+			xn, xi, xok := sx.Identify(q)
+			if sn != xn || si != xi || sok != xok {
+				t.Fatalf("probes=%v query %d: scan (%s,%d,%v) != sliced (%s,%d,%v)",
+					probes, k, sn, si, sok, xn, xi, xok)
 			}
-			for k, q := range queries {
-				sn, si, sok := db.Identify(q)
-				xn, xi, xok := sx.Identify(q)
-				if sn != xn || si != xi || sok != xok {
-					t.Fatalf("probes=%v width=%d query %d: scan (%s,%d,%v) != sliced (%s,%d,%v)",
-						probes, width, k, sn, si, sok, xn, xi, xok)
-				}
-				sv, xv := db.Decide(q), sx.Decide(q)
-				if sv != xv {
-					t.Fatalf("probes=%v width=%d query %d: scan verdict %+v != sliced %+v",
-						probes, width, k, sv, xv)
-				}
+			sv, xv := db.Decide(q), sx.Decide(q)
+			if sv != xv {
+				t.Fatalf("probes=%v query %d: scan verdict %+v != sliced %+v",
+					probes, k, sv, xv)
 			}
 		}
 	}
 }
 
 // TestSlicedAddMatchesBulkBuild: incremental Adds and a bulk SliceDB build
-// over the same entries must decide identically.
+// over the same entries — enough that the incremental arena grows past two
+// blocks — must decide identically.
 func TestSlicedAddMatchesBulkBuild(t *testing.T) {
 	fps, outs, _ := mkChipWorld(t, 9, 2, 4096, 0xADD)
+	for i := 0; i < 140; i++ {
+		fps = append(fps, sparseFP(4096, 40, 0xADD0+uint64(i)))
+	}
 	bulkDB := NewDB(DefaultThreshold)
 	for i, fp := range fps {
-		bulkDB.Add(fmt.Sprintf("chip%02d", i), fp)
+		bulkDB.Add(fmt.Sprintf("chip%03d", i), fp)
 	}
-	bulk, err := SliceDB(bulkDB, SlicedConfig{BlockEntries: 4})
+	bulk, err := SliceDB(bulkDB, SlicedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	incr, err := NewSlicedDB(DefaultThreshold, SlicedConfig{BlockEntries: 4})
+	incr, err := NewSlicedDB(DefaultThreshold, SlicedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, fp := range fps {
-		incr.Add(fmt.Sprintf("chip%02d", i), fp)
+		incr.Add(fmt.Sprintf("chip%03d", i), fp)
+	}
+	if incr.arena.NumBlocks() != 3 {
+		t.Fatalf("incremental arena has %d blocks, want 3", incr.arena.NumBlocks())
 	}
 	for k, out := range outs {
 		if bv, iv := bulk.Decide(out), incr.Decide(out); bv != iv {
@@ -182,19 +194,6 @@ func TestSlicedProbesRequiresRows(t *testing.T) {
 	cfg.Index.Probes = true
 	if _, err := NewSlicedDB(DefaultThreshold, cfg); err == nil {
 		t.Fatal("Rows=1 multi-probe sliced DB accepted")
-	}
-}
-
-// TestSlicedConfigRefusesWideBlocks: a block holds at most 64 entries, one
-// per bit of a word, and a wider BlockEntries is refused at config time.
-func TestSlicedConfigRefusesWideBlocks(t *testing.T) {
-	if _, err := NewSlicedDB(DefaultThreshold, SlicedConfig{BlockEntries: bitset.MaxSlicedEntries + 1}); err == nil {
-		t.Error("SlicedDB accepted a 65-entry block")
-	}
-	for _, plain := range []bool{false, true} {
-		if _, err := NewShardedDB(DefaultThreshold, ShardedConfig{Plain: plain, BlockEntries: bitset.MaxSlicedEntries + 1}); err == nil {
-			t.Errorf("plain=%v: ShardedDB accepted a 65-entry block", plain)
-		}
 	}
 }
 

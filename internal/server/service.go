@@ -22,12 +22,9 @@
 //
 // Determinism contract: batching, sharding, and caching change wall-clock
 // behavior only. Every identify answer equals what a serial
-// fingerprint.DB.Decide scan over the same entries returns. With
-// Config.Plain (the exact reference engine) that holds for the whole
-// Verdict; the serving engine counts Matches over LSH candidates when one
-// matches (see fingerprint.Decision), so there it holds for Name, Index,
-// Distance and OK. The golden and invariance tests in this package hold the
-// service to that.
+// fingerprint.DB.Decide scan over the same entries returns, field for
+// field — Name, Index, Distance and Matches (see fingerprint.Decision). The
+// golden and invariance tests in this package hold the service to that.
 package server
 
 import (
@@ -55,9 +52,6 @@ type Config struct {
 	Threshold float64
 	// Shards is the database shard count; 0 selects fingerprint.DefaultShards.
 	Shards int
-	// Plain selects the exact reference engine: dense-scan shards and
-	// segment sweeps with no LSH candidate stage, so Matches is exact.
-	Plain bool
 	// Probes enables multi-probe LSH candidate expansion (leave-one-out
 	// near-miss buckets).
 	Probes bool
@@ -97,9 +91,6 @@ type Config struct {
 	// the in-memory ShardedDB (the pre-tiering behavior); "tiered" puts the
 	// database behind mmap'd immutable segment files in Store.Dir.
 	Store store.Config
-	// BlockEntries sizes the bit-sliced blocks in memtable shards and tiered
-	// segment files; 0 selects the fingerprint package default.
-	BlockEntries int
 	// Partition scopes the service to one partition of a partitioned
 	// cluster (partition.go); the zero value is unpartitioned.
 	Partition PartitionConfig
@@ -177,8 +168,7 @@ func New(seed *fingerprint.DB, cfg Config) (*Service, error) {
 	}
 	db, err := store.Open(cfg.Store, store.DBConfig{
 		Threshold: cfg.Threshold, Shards: cfg.Shards,
-		Plain: cfg.Plain, Probes: cfg.Probes,
-		Workers: cfg.Workers, BlockEntries: cfg.BlockEntries,
+		Probes: cfg.Probes, Workers: cfg.Workers,
 	})
 	if err != nil {
 		return nil, err

@@ -13,27 +13,27 @@ import (
 	"probablecause/internal/prng"
 )
 
-// TestBoundedDecideOracle pins Tiered.Decide — one node-wide Decision over
-// every segment and memtable shard, whose sweeps are bounded once a match is
-// known — to the per-component rule it replaced: each segment answers from
-// its LSH candidates when one is under the threshold, else from a full
-// unpruned scan, and the answers fold through MergeVerdict. The memtable's
-// part is its own ShardedDB.DecideRaw, which the fingerprint package's
-// TestShardedBoundedDecideOracle pins to the same rule per shard. Verdicts
-// must be equal field for field, Matches included, on random tapes with
-// tombstones, empty sets, duplicate fingerprints in different segments
+// TestBoundedDecideOracle holds Tiered.Decide — one node-wide Decision over
+// every segment and memtable shard, whose sweeps are bounded once a
+// candidate or a sweep finds a match — to the dense scan: a Plain ShardedDB
+// fed the same Adds and Removes, so ids survive removals and flushes.
+// Verdicts must be equal field for field, Matches included, on random tapes
+// with tombstones, empty sets, duplicate fingerprints in different segments
 // (ambiguous verdicts) and queries that are supersets of entries, across
-// block widths, thresholds and concurrent readers.
+// thresholds and concurrent readers, over a store in which some segment
+// spans three blocks with a partial tail. Rows keep the names they had when
+// the block width was a setting (B1 to B64): the width is now always 64, and
+// a row's number only seeds its tape.
 func TestBoundedDecideOracle(t *testing.T) {
 	bounded := obs.C("fingerprint.decide.bounded_sweeps")
 	obs.Enable()
 	defer obs.Disable()
-	for _, b := range []int{1, 3, 8, 64} {
+	for _, tape := range []int{1, 3, 8, 64} {
 		for _, th := range []float64{0, 0.1, 0.5, 1} {
 			for _, workers := range []int{1, 4} {
-				t.Run(fmt.Sprintf("B%d/t%v/w%d", b, th, workers), func(t *testing.T) {
+				t.Run(fmt.Sprintf("B%d/t%v/w%d", tape, th, workers), func(t *testing.T) {
 					before := bounded.Value()
-					runBoundedOracle(t, b, th, workers)
+					runBoundedOracle(t, tape, th, workers)
 					if n := bounded.Value() - before; (th == 0) != (n == 0) {
 						t.Errorf("%d bounded sweeps at t = %v", n, th)
 					}
@@ -41,58 +41,6 @@ func TestBoundedDecideOracle(t *testing.T) {
 			}
 		}
 	}
-}
-
-// segmentOracle is the per-component rule for one segment, with every
-// distance the scalar one over the materialized fingerprint: the
-// candidates' verdict when one matches, else a full scan's.
-func segmentOracle(seg *Segment, q *fingerprint.Query, th float64) fingerprint.Verdict {
-	scan := func(positions []int) fingerprint.Verdict {
-		v := fingerprint.Verdict{Index: -1, Distance: 2}
-		for _, p := range positions {
-			if seg.dead[p] {
-				continue
-			}
-			d := fingerprint.Distance(q.Set, seg.FP(p))
-			if d < th {
-				v.Matches++
-			}
-			if d < v.Distance {
-				v.Index, v.Distance = p, d
-			}
-		}
-		return v
-	}
-	v := scan(seg.candidates(q, false))
-	if v.Matches == 0 {
-		all := make([]int, seg.Len())
-		for i := range all {
-			all[i] = i
-		}
-		v = scan(all)
-	}
-	if v.Index >= 0 {
-		v.Name, v.Index = seg.Entry(v.Index)
-	}
-	return v
-}
-
-// tieredOracle folds the segments' per-component answers with the
-// memtable's own decision.
-func tieredOracle(tb *Tiered, es *bitset.Set) fingerprint.Verdict {
-	q := fingerprint.NewQuery(es, tb.scheme)
-	tb.mu.RLock()
-	defer tb.mu.RUnlock()
-	v := fingerprint.Verdict{Index: -1, Distance: 2}
-	for _, seg := range tb.segs {
-		fingerprint.MergeVerdict(&v, segmentOracle(seg, q, tb.dbCfg.Threshold))
-	}
-	mv := tb.mem.DecideRaw(es)
-	if mv.Index >= 0 {
-		mv.Index += tb.memBase
-	}
-	fingerprint.MergeVerdict(&v, mv)
-	return v
 }
 
 // oracleFP draws a fingerprint for the oracle tapes: sometimes empty,
@@ -108,15 +56,35 @@ func oracleFP(src *prng.Source, nbits int) *bitset.Set {
 	return s
 }
 
-func runBoundedOracle(t *testing.T, b int, th float64, workers int) {
+func runBoundedOracle(t *testing.T, tape int, th float64, workers int) {
 	const nbits = 512
-	src := prng.New(uint64(b)<<16 ^ uint64(th*1000)<<4 ^ uint64(workers) ^ 0x0BAD)
+	seed := uint64(tape)<<16 ^ uint64(th*1000)<<4 ^ uint64(workers) ^ 0x0BAD
+	src := prng.New(seed)
 	tb, err := OpenTiered(Config{Dir: t.TempDir(), FlushEntries: 1 << 20, CompactSegments: 3},
-		DBConfig{Threshold: th, Shards: 2, BlockEntries: b})
+		DBConfig{Threshold: th, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tb.Close()
+	dense, err := fingerprint.NewShardedDB(th, fingerprint.ShardedConfig{Shards: 2, Plain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	add := func(name string, fp *bitset.Set) {
+		if id, want := tb.Add(name, fp), dense.Add(name, fp); id != want {
+			t.Fatalf("Add(%s): id %d, dense %d", name, id, want)
+		}
+	}
+	// A first segment of 149 strangers, drawn from a source of their own so
+	// the tape below draws what it drew before they were added, spans three
+	// 64-entry blocks with a partial tail.
+	fill := prng.New(seed ^ 0xF111)
+	for i := 0; i < 149; i++ {
+		add(fmt.Sprintf("fill%03d", i), oracleFP(fill, nbits))
+	}
+	if err := tb.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	// The pool is added over and over under fresh names, so one fingerprint
 	// lands in several segments and the memtable.
 	pool := make([]*bitset.Set, 30)
@@ -138,17 +106,26 @@ func runBoundedOracle(t *testing.T, b int, th float64, workers int) {
 	}
 	queries = append(queries, oracleFP(src, nbits), bitset.New(nbits))
 
-	maxSegs := 0
+	maxSegs, multiBlock := 0, false
 	check := func(step int) {
 		maxSegs = max(maxSegs, tb.SegmentCount())
+		multiBlock = multiBlock || spansBlocks(tb)
+		// The dense verdicts are taken with instrumentation off, since
+		// Distance times every call while it is on.
+		obs.Disable()
+		want := make([]fingerprint.Verdict, len(queries))
+		for qi, q := range queries {
+			want[qi] = dense.Decide(q)
+		}
+		obs.Enable()
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
 				for qi := w; qi < len(queries); qi += workers {
-					if got, want := tb.Decide(queries[qi]), tieredOracle(tb, queries[qi]); got != want {
-						t.Errorf("step %d query %d: Decide %+v != per-component oracle %+v", step, qi, got, want)
+					if got := tb.Decide(queries[qi]); got != want[qi] {
+						t.Errorf("step %d query %d: Decide %+v != dense scan %+v", step, qi, got, want[qi])
 						return
 					}
 				}
@@ -160,9 +137,12 @@ func runBoundedOracle(t *testing.T, b int, th float64, workers int) {
 	for step := 0; step < steps && !t.Failed(); step++ {
 		switch r := src.Intn(20); {
 		case r < 11:
-			tb.Add(fmt.Sprintf("dev%03d", step), pool[src.Intn(len(pool))])
+			add(fmt.Sprintf("dev%03d", step), pool[src.Intn(len(pool))])
 		case r < 14:
-			tb.Remove(fmt.Sprintf("dev%03d", src.Intn(step+1)))
+			name := fmt.Sprintf("dev%03d", src.Intn(step+1))
+			if got, want := tb.Remove(name), dense.Remove(name); got != want {
+				t.Fatalf("step %d: Remove(%s) %v, dense %v", step, name, got, want)
+			}
 		case r < 16:
 			if err := tb.Flush(); err != nil {
 				t.Fatal(err)
@@ -178,6 +158,9 @@ func runBoundedOracle(t *testing.T, b int, th float64, workers int) {
 	check(steps)
 	if maxSegs < 2 {
 		t.Errorf("checks saw at most %d segments; the oracle needs several", maxSegs)
+	}
+	if !multiBlock {
+		t.Error("no segment the checks saw spans three blocks with a partial tail")
 	}
 }
 
@@ -258,7 +241,7 @@ func TestBoundedDecideGuard(t *testing.T) {
 		i := src.Intn(len(fps))
 		q := coldOutput(src, fps[i])
 		bounded := segs - 1 // the segments the bound may sweep
-		if !slices.Contains(tb.segs[i/per].candidates(fingerprint.NewQuery(q, tb.scheme), false), i%per) {
+		if !slices.Contains(tb.segs[i/per].candidates(fingerprint.NewQuery(q, tb.scheme)), i%per) {
 			bounded = segs - 1 - i/per
 		} else {
 			settled++
@@ -325,7 +308,8 @@ func TestStrangerSweepGuard(t *testing.T) {
 // engine did on its store.decide span — segments, blocks_read,
 // segments_bounded and blocks_abandoned. A stranger's sweeps read out
 // blocks, but fewer than the store holds, and none is bounded; a known
-// device's match bounds the segments after the one that holds it.
+// device's matching candidate arms the bound for every segment, the one
+// that holds it included.
 func TestDecideSpanAttributes(t *testing.T) {
 	const segs, per = 4, 1024
 	tb, fps := sweepColdStore(t, segs, per)
@@ -360,18 +344,19 @@ func TestDecideSpanAttributes(t *testing.T) {
 			t.Errorf("stranger %d: blocks_read %d, want 1 to %d", k, r, blocks-1)
 		}
 	}
-	// Device 0 sits in the first segment: once its match is known, the
-	// other three segments are swept under the threshold.
+	// Device 0 sits in the first segment, and its candidate there arms the
+	// bound: all four segments are swept under the threshold.
 	a := decide(coldOutput(src, fps[0]))
-	if a["segments_bounded"] != segs-1 || a["blocks_abandoned"].(int) == 0 {
+	if a["segments_bounded"] != segs || a["blocks_abandoned"].(int) == 0 {
 		t.Errorf("known device: attrs %v", a)
 	}
 }
 
 // BenchmarkTieredDecide times Tiered.Decide on a store shaped like the
 // sweep-cold workload (8 segments of 4096 devices): known devices, whose
-// seven non-owning segments are swept under the threshold, and strangers,
-// whose every segment is swept under its own best so far.
+// segments are all swept under the threshold once the owner's candidate
+// arms the bound, and strangers, whose every segment is swept under its own
+// best so far.
 func BenchmarkTieredDecide(b *testing.B) {
 	tb, fps := sweepColdStore(b, 8, 4096)
 	defer tb.Close()

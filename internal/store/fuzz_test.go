@@ -2,12 +2,70 @@ package store
 
 import (
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"probablecause/internal/bitset"
+	"probablecause/internal/fingerprint"
 	"probablecause/internal/minhash"
 )
+
+// fuzzSegment is one clean segment file the load fuzzers damage, with the
+// entries it holds in position order.
+type fuzzSegment struct {
+	blob    []byte
+	entries []fingerprint.IDEntry
+}
+
+// fuzzSegments returns the clean files FuzzSegmentLoad and its smoke test
+// damage: 150 entries from the current writer, in three 64-entry blocks the
+// last of which is partial, and the narrow fixture's first segment — narrow000 to
+// narrow074, written at 8 entries a block (ten blocks, the last partial),
+// a width LoadSegment still reads from a header. Each must load cleanly at
+// that shape.
+func fuzzSegments(tb testing.TB) []fuzzSegment {
+	tb.Helper()
+	entries := testEntries(150, 512)
+	wide := filepath.Join(tb.TempDir(), "seg-000000.pcseg")
+	if err := WriteSegment(wide, entries, signPairs(nil, entries, 0, minhash.DefaultScheme, false), minhash.DefaultScheme, false); err != nil {
+		tb.Fatal(err)
+	}
+	narrow := make([]fingerprint.IDEntry, 75)
+	for i := range narrow {
+		narrow[i] = fingerprint.IDEntry{ID: i, Name: fmt.Sprintf("narrow%03d", i), FP: narrowFP(i)}
+	}
+	out := []fuzzSegment{{entries: entries}, {entries: narrow}}
+	for k, spec := range []struct {
+		path          string
+		width, blocks int
+	}{
+		{wide, bitset.DefaultSlicedEntries, 3},
+		{filepath.Join(narrowFixture, "seg-000000.pcseg"), 8, 10},
+	} {
+		blob, err := os.ReadFile(spec.path)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		path := filepath.Join(tb.TempDir(), "seg-000009.pcseg")
+		if err := os.WriteFile(path, blob, 0o666); err != nil {
+			tb.Fatal(err)
+		}
+		seg, err := LoadSegment(path)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ok := !seg.Salvaged() && seg.blockEntries == spec.width && len(seg.blocks) == spec.blocks &&
+			seg.Len() == len(out[k].entries) && seg.Len()%spec.width != 0
+		seg.Close()
+		if !ok {
+			tb.Fatalf("%s: want %d entries in %d blocks of %d, the last partial", spec.path, len(out[k].entries), spec.blocks, spec.width)
+		}
+		out[k].blob = blob
+	}
+	return out
+}
 
 // FuzzSegmentLoad mirrors the WAL's fuzz contract on segment files: for a
 // valid segment arbitrarily truncated and byte-flipped, LoadSegment must
@@ -18,27 +76,27 @@ import (
 //   - interior corruption under an intact footer is refused with a
 //     CorruptError carrying an in-range offset;
 //   - a pristine file loads all entries with no salvage flag.
+//
+// narrow picks the B = 8 fixture segment over the 64-wide one.
 func FuzzSegmentLoad(f *testing.F) {
-	const n, nbits = 12, 512
-	entries := testEntries(n, nbits)
-	dir := f.TempDir()
-	clean := filepath.Join(dir, "seg-000000.pcseg")
-	if err := WriteSegment(clean, entries, signPairs(nil, entries, 0, minhash.DefaultScheme, false), minhash.DefaultScheme, false, 4); err != nil {
-		f.Fatal(err)
+	files := fuzzSegments(f)
+	for k, sf := range files {
+		narrow, blob := k == 1, sf.blob
+		logEnd, _ := committedSpans(blob)
+		f.Add(narrow, len(blob), -1, byte(0))           // pristine
+		f.Add(narrow, int(logEnd/2), -1, byte(0))       // torn mid-log
+		f.Add(narrow, headerSize+3, -1, byte(0))        // torn inside first record
+		f.Add(narrow, len(blob), headerSize+9, byte(1)) // interior log flip
+		f.Add(narrow, len(blob), 5, byte(0x80))         // header flip
+		f.Add(narrow, len(blob), len(blob)-10, byte(4)) // footer flip
 	}
-	blob, err := os.ReadFile(clean)
-	if err != nil {
-		f.Fatal(err)
-	}
-	logEnd, _ := committedSpans(blob)
-	f.Add(len(blob), -1, byte(0))           // pristine
-	f.Add(int(logEnd/2), -1, byte(0))       // torn mid-log
-	f.Add(headerSize+3, -1, byte(0))        // torn inside first record
-	f.Add(len(blob), headerSize+9, byte(1)) // interior log flip
-	f.Add(len(blob), 5, byte(0x80))         // header flip
-	f.Add(len(blob), len(blob)-10, byte(4)) // footer flip
 
-	f.Fuzz(func(t *testing.T, cut int, flip int, xor byte) {
+	f.Fuzz(func(t *testing.T, narrow bool, cut int, flip int, xor byte) {
+		sf := files[0]
+		if narrow {
+			sf = files[1]
+		}
+		blob, entries, n := sf.blob, sf.entries, len(sf.entries)
 		if cut < 0 {
 			cut = 0
 		}
@@ -105,22 +163,28 @@ func FuzzSegmentLoad(f *testing.F) {
 	})
 }
 
-// TestFuzzSegmentLoadSmoke replays the seed corpus without the fuzzing
-// engine — the CI storage job's cheap standing guard.
+// TestFuzzSegmentLoadSmoke replays the seed corpus's damage without the
+// fuzzing engine, over both seed files — the CI storage job's cheap
+// standing guard.
 func TestFuzzSegmentLoadSmoke(t *testing.T) {
-	const n, nbits = 12, 512
-	entries := testEntries(n, nbits)
+	for k, sf := range fuzzSegments(t) {
+		t.Run([]string{"wide", "narrow"}[k], func(t *testing.T) {
+			smokeSegmentLoad(t, sf.blob, sf.entries)
+		})
+	}
+}
+
+// smokeSegmentLoad damages one clean segment file holding entries. Each
+// salvage rebuilds every entry it keeps, so the loops step through the file
+// in strides: truncations every 61 bytes — shorter than any entry record,
+// so every prefix length is salvaged — and flips every 31 bytes of the
+// entry log and every 67 bytes of the columnar sections.
+func smokeSegmentLoad(t *testing.T, blob []byte, entries []fingerprint.IDEntry) {
+	n := len(entries)
 	dir := t.TempDir()
-	clean := filepath.Join(dir, "seg-000000.pcseg")
-	if err := WriteSegment(clean, entries, signPairs(nil, entries, 0, minhash.DefaultScheme, false), minhash.DefaultScheme, false, 4); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := os.ReadFile(clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every truncation point: salvage must always yield an exact prefix.
-	for cut := 0; cut <= len(blob); cut += 13 {
+	// Truncations: salvage must always yield an exact prefix.
+	salvaged := make([]bool, n+1)
+	for cut := 0; cut <= len(blob); cut += 61 {
 		path := filepath.Join(dir, "seg-000001.pcseg")
 		if err := os.WriteFile(path, blob[:cut], 0o666); err != nil {
 			t.Fatal(err)
@@ -134,7 +198,13 @@ func TestFuzzSegmentLoadSmoke(t *testing.T) {
 				t.Fatalf("cut %d: salvaged entry %d diverges", cut, i)
 			}
 		}
+		salvaged[seg.Len()] = true
 		seg.Close()
+	}
+	for k, ok := range salvaged {
+		if !ok {
+			t.Fatalf("no truncation salvaged exactly %d of %d entries", k, n)
+		}
 	}
 	logEnd, colStart := committedSpans(blob)
 	flipped := func(off int) (*Segment, error) {
@@ -153,17 +223,17 @@ func TestFuzzSegmentLoadSmoke(t *testing.T) {
 		}
 		return same
 	}
-	// Every entry-log byte the footer commits, flipped: must refuse (intact
+	// Entry-log bytes the footer commits, flipped: must refuse (intact
 	// footer) — never serve the damaged record.
-	for off := headerSize; off < int(logEnd); off += 7 {
+	for off := headerSize; off < int(logEnd); off += 31 {
 		if seg, err := flipped(off); err == nil {
 			seg.Close()
 			t.Fatalf("flip at %d in the entry log [%d,%d) accepted without refusal", off, headerSize, logEnd)
 		}
 	}
-	// Every columnar byte flipped: the columnar CRC no longer checks out, so
-	// the load must refuse or salvage the log with every entry intact.
-	for off := int(colStart); off < len(blob)-footerSize; off += 7 {
+	// Columnar bytes flipped: the columnar CRC no longer checks out, so the
+	// load must refuse or salvage the log with every entry intact.
+	for off := int(colStart); off < len(blob)-footerSize; off += 67 {
 		seg, err := flipped(off)
 		if err != nil {
 			continue

@@ -1,9 +1,11 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"probablecause/internal/bitset"
@@ -23,10 +25,16 @@ func legacyFP(i int) *bitset.Set {
 	if i == 40 {
 		i = 7
 	}
-	src := prng.New(0x1E6AC1 + uint64(i))
-	s := bitset.New(512)
+	return fixtureFP(0x1E6AC1+uint64(i), 512)
+}
+
+// fixtureFP draws 20–40 cells of nbits from seed, the fingerprint shape the
+// store fixtures were written with.
+func fixtureFP(seed uint64, nbits int) *bitset.Set {
+	src := prng.New(seed)
+	s := bitset.New(nbits)
 	for n := 20 + src.Intn(21); s.Count() < n; {
-		s.Set(src.Intn(512))
+		s.Set(src.Intn(nbits))
 	}
 	return s
 }
@@ -51,12 +59,64 @@ func copyDir(t *testing.T, src string) string {
 	return dir
 }
 
+// checkFixture opens a copy of a fixture store holding devices live entries
+// and checks that VerifyDir passes and every Decide — of each query — equals
+// the dense oracle's field for field. after runs once the first open has
+// been checked, and the checks run again after it and after a reopen.
+func checkFixture(t *testing.T, fixture string, devices int, oracle *fingerprint.ShardedDB, queries []*bitset.Set, after func(dir string, tb *Tiered)) {
+	t.Helper()
+	dir := copyDir(t, fixture)
+	for open := 0; open < 2; open++ {
+		tb, err := OpenTiered(Config{Dir: dir}, DBConfig{Threshold: fingerprint.DefaultThreshold})
+		if err != nil {
+			t.Fatalf("open %d: %v", open, err)
+		}
+		check := func(step string) {
+			t.Helper()
+			if err := VerifyDir(dir); err != nil {
+				t.Fatalf("open %d %s: %v", open, step, err)
+			}
+			if tb.Len() != devices {
+				t.Fatalf("open %d %s: %d live entries, want %d", open, step, tb.Len(), devices)
+			}
+			for qi, q := range queries {
+				if got, want := tb.Decide(q), oracle.Decide(q); got != want {
+					t.Fatalf("open %d %s query %d: Decide %+v, dense oracle %+v", open, step, qi, got, want)
+				}
+			}
+		}
+		check("as opened")
+		if open == 0 {
+			after(dir, tb)
+			check("afterwards")
+		}
+		if err := tb.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// segmentHeaders returns the magic and block width of every segment file in
+// dir.
+func segmentHeaders(t *testing.T, dir string) (magics []string, widths []int) {
+	t.Helper()
+	segs, _ := filepath.Glob(filepath.Join(dir, segmentPattern))
+	for _, p := range segs {
+		blob, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		magics = append(magics, string(blob[:len(segMagic)]))
+		widths = append(widths, int(binary.LittleEndian.Uint32(blob[16:])))
+	}
+	return magics, widths
+}
+
 // TestOpenPCSEG01Store: a PCSEG01 store opens without an operator step.
 // Opening rewrites every segment as PCSEG02, so afterwards the directory
 // holds only PCSEG02 segments and passes VerifyDir, and every Decide —
-// enrolled, tombstoned and stranger queries — equals a Plain oracle over
-// the same entries, before and after a reopen: the full verdict on the
-// exact engine, (Name, Index, Distance, OK) on the serving one.
+// enrolled, tombstoned and stranger queries — equals a dense oracle over
+// the same entries field for field, before and after a reopen.
 func TestOpenPCSEG01Store(t *testing.T) {
 	const devices = 48
 	oracle, err := fingerprint.NewShardedDB(fingerprint.DefaultThreshold, fingerprint.ShardedConfig{Plain: true})
@@ -73,45 +133,68 @@ func TestOpenPCSEG01Store(t *testing.T) {
 	for k := 0; k < 16; k++ {
 		queries = append(queries, testFP(0x57A+uint64(k), 512, 30))
 	}
-	for _, plain := range []bool{true, false} {
-		dir := copyDir(t, legacyFixture)
-		for open := 0; open < 2; open++ {
-			tb, err := OpenTiered(Config{Dir: dir}, DBConfig{Threshold: fingerprint.DefaultThreshold, Plain: plain})
-			if err != nil {
-				t.Fatalf("plain=%v open %d: %v", plain, open, err)
-			}
-			segs, _ := filepath.Glob(filepath.Join(dir, segmentPattern))
-			if len(segs) != 2 {
-				t.Fatalf("plain=%v open %d: %d segment files, want 2", plain, open, len(segs))
-			}
-			for _, p := range segs {
-				blob, err := os.ReadFile(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if string(blob[:len(segMagic)]) != segMagic {
-					t.Fatalf("plain=%v open %d: %s is %q, want PCSEG02", plain, open, filepath.Base(p), blob[:len(segMagic)-1])
-				}
-			}
-			if err := VerifyDir(dir); err != nil {
-				t.Fatalf("plain=%v open %d: %v", plain, open, err)
-			}
-			if tb.Len() != devices-1 {
-				t.Fatalf("plain=%v open %d: %d live entries, want %d", plain, open, tb.Len(), devices-1)
-			}
-			for qi, q := range queries {
-				got, want := tb.Decide(q), oracle.Decide(q)
-				same := got == want
-				if !plain {
-					same = got.Name == want.Name && got.Index == want.Index && got.Distance == want.Distance && got.OK() == want.OK()
-				}
-				if !same {
-					t.Fatalf("plain=%v open %d query %d: Decide %+v, oracle %+v", plain, open, qi, got, want)
-				}
-			}
-			if err := tb.Close(); err != nil {
-				t.Fatal(err)
+	checkFixture(t, legacyFixture, devices-1, oracle, queries, func(dir string, tb *Tiered) {
+		magics, _ := segmentHeaders(t, dir)
+		if len(magics) != 2 {
+			t.Fatalf("%d segment files, want 2", len(magics))
+		}
+		for _, m := range magics {
+			if m != segMagic {
+				t.Fatalf("segment magic %q, want PCSEG02", m[:len(m)-1])
 			}
 		}
+	})
+}
+
+// narrowFixture is a tiered store directory written when the block width
+// was a setting, at B = 8: devices narrow000–narrow150 flushed 75 and 76 to
+// a segment (each ending in a partial block), narrow005 then removed and
+// the tombstone committed to the MANIFEST. Writers now always pack 64
+// entries a block, but LoadSegment reads the width from the header.
+const narrowFixture = "testdata/pcseg02-b8"
+
+// narrowFP is device i's fingerprint in the narrow fixture: 20–40 cells of
+// 256 bits. narrow140 repeats narrow009's, so queries for it are ambiguous
+// across the two segments.
+func narrowFP(i int) *bitset.Set {
+	if i == 140 {
+		i = 9
 	}
+	return fixtureFP(0xB8F1+uint64(i), 256)
+}
+
+// TestOpenNarrowPCSEG02Store: a PCSEG02 store written at B = 8 opens as it
+// is — VerifyDir-clean, its segments served at their own width — and every
+// Decide of enrolled, tombstoned and stranger queries equals the dense
+// oracle's field for field, before and after a compaction that rewrites the
+// store at B = 64, and after a reopen.
+func TestOpenNarrowPCSEG02Store(t *testing.T) {
+	const devices = 151
+	oracle, err := fingerprint.NewShardedDB(fingerprint.DefaultThreshold, fingerprint.ShardedConfig{Plain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var queries []*bitset.Set
+	for i := 0; i < devices; i++ {
+		fp := narrowFP(i)
+		oracle.Add(fmt.Sprintf("narrow%03d", i), fp)
+		queries = append(queries, fp, noisy(fp, uint64(i), 2))
+	}
+	oracle.Remove("narrow005")
+	for k := 0; k < 16; k++ {
+		queries = append(queries, testFP(0x8A7+uint64(k), 256, 30))
+	}
+	if _, widths := segmentHeaders(t, narrowFixture); !slices.Equal(widths, []int{8, 8}) {
+		t.Fatalf("fixture block widths %v, want [8 8]", widths)
+	}
+	checkFixture(t, narrowFixture, devices-1, oracle, queries, func(dir string, tb *Tiered) {
+		tb.cfg.CompactSegments = 1
+		if err := tb.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		magics, widths := segmentHeaders(t, dir)
+		if !slices.Equal(magics, []string{segMagic}) || !slices.Equal(widths, []int{bitset.DefaultSlicedEntries}) {
+			t.Fatalf("after compaction: segments %q of widths %v, want one PCSEG02 of width 64", magics, widths)
+		}
+	})
 }

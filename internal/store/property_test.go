@@ -14,40 +14,37 @@ import (
 // randomized interleavings of add / remove / flush / compact / identify /
 // decide, the tiered backend must answer exactly like an in-memory Memory
 // backend fed the same Add/Remove sequence — flush and compaction timing can
-// never change an answer or an id — and like the dense scan, a Plain Memory
-// backend fed the same tape.
-//
-// Equality scoping follows the package contract: with DBConfig.Plain the full
-// Verdict (including Matches) is byte-identical; on the serving engine
-// ("indexed" is the default configuration, "sliced-probes" adds multi-probe
-// candidates) per-tier candidate sets legitimately differ from per-shard
-// ones, so (Name, Index, Distance, OK) is pinned, while Identify must match
-// the dense scan exactly. Reads run from a pool of goroutines at each
-// checkpoint so the suite exercises concurrent access under -race.
+// never change an answer or an id — and like the dense scan, a Plain
+// ShardedDB fed the same tape. Every Decide equals both field for field,
+// Matches included; Identify must match them too. "indexed" is the default
+// configuration and "sliced-probes" adds multi-probe candidates; each row
+// replays the tape its seed has always drawn, over a first segment of
+// strangers that spans three blocks with a partial tail. Reads run from a
+// pool of goroutines at each checkpoint so the suite exercises concurrent
+// access under -race.
 func TestTieredScanEquivalence(t *testing.T) {
 	const nbits = 1024
 	configs := []struct {
 		name string
 		db   DBConfig
-		full bool // full Verdict equality (Matches included)
+		tape uint64
 	}{
-		{"plain", DBConfig{Threshold: fingerprint.DefaultThreshold, Shards: 2, Plain: true, BlockEntries: 8}, true},
-		{"indexed", DBConfig{Threshold: fingerprint.DefaultThreshold, Shards: 2, BlockEntries: 8}, false},
-		{"sliced-probes", DBConfig{Threshold: fingerprint.DefaultThreshold, Shards: 2, Probes: true, BlockEntries: 8}, false},
+		{"indexed", DBConfig{Threshold: fingerprint.DefaultThreshold, Shards: 2}, 23},
+		{"sliced-probes", DBConfig{Threshold: fingerprint.DefaultThreshold, Shards: 2, Probes: true}, 22},
 	}
 	for _, cfg := range configs {
 		for _, workers := range []int{1, 4} {
 			cfg, workers := cfg, workers
 			t.Run(fmt.Sprintf("%s/w%d", cfg.name, workers), func(t *testing.T) {
 				t.Parallel()
-				runScanEquivalence(t, cfg.db, cfg.full, workers, nbits)
+				runScanEquivalence(t, cfg.db, 0xE0_0001+uint64(workers)+cfg.tape, workers, nbits)
 			})
 		}
 	}
 }
 
-func runScanEquivalence(t *testing.T, dbCfg DBConfig, full bool, workers, nbits int) {
-	src := prng.New(uint64(0xE0_0001 + workers + len(fmt.Sprint(dbCfg))))
+func runScanEquivalence(t *testing.T, dbCfg DBConfig, seed uint64, workers, nbits int) {
+	src := prng.New(seed)
 	tiered, err := OpenTiered(Config{Dir: t.TempDir(), FlushEntries: 1 << 20, CompactSegments: 3}, dbCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -57,9 +54,7 @@ func runScanEquivalence(t *testing.T, dbCfg DBConfig, full bool, workers, nbits 
 	if err != nil {
 		t.Fatal(err)
 	}
-	denseCfg := dbCfg
-	denseCfg.Plain = true
-	dense, err := OpenMemory(denseCfg)
+	dense, err := fingerprint.NewShardedDB(dbCfg.Threshold, fingerprint.ShardedConfig{Shards: dbCfg.Shards, Plain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,9 +72,23 @@ func runScanEquivalence(t *testing.T, dbCfg DBConfig, full bool, workers, nbits 
 	}
 	var queries []*bitset.Set
 
-	sameAnswer := func(a, b fingerprint.Verdict) bool {
-		return a.Name == b.Name && a.Index == b.Index && a.Distance == b.Distance && a.OK() == b.OK()
+	// A first segment of strangers, drawn apart from src so the tape below
+	// draws what it drew before they were added, spans three 64-entry
+	// blocks with a partial tail; it is compacted with the tape's segments
+	// and never removed.
+	for i := 0; i < multiBlockEntries; i++ {
+		name, fp := fmt.Sprintf("fill%03d", i), testFP(0xF111_0000+uint64(i), nbits, 40)
+		if gid, wid, did := tiered.Add(name, fp), oracle.Add(name, fp), dense.Add(name, fp); gid != wid || gid != did {
+			t.Fatalf("Add(%s) id %d != oracle %d / dense %d", name, gid, wid, did)
+		}
 	}
+	if err := tiered.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !spansBlocks(tiered) {
+		t.Fatal("the strangers' segment spans fewer than three blocks")
+	}
+
 	check := func(step int) {
 		t.Helper()
 		if tiered.Len() != oracle.Len() {
@@ -95,19 +104,8 @@ func runScanEquivalence(t *testing.T, dbCfg DBConfig, full bool, workers, nbits 
 				for qi := w; qi < len(queries); qi += workers {
 					q := queries[qi]
 					gv, wv, dv := tiered.Decide(q), oracle.Decide(q), dense.Decide(q)
-					if full {
-						if gv != wv {
-							errs <- fmt.Sprintf("step %d query %d: Decide %+v != oracle %+v", step, qi, gv, wv)
-							return
-						}
-					} else if !sameAnswer(gv, wv) {
-						errs <- fmt.Sprintf("step %d query %d: Decide (%s,%d,%v,%v) != oracle (%s,%d,%v,%v)",
-							step, qi, gv.Name, gv.Index, gv.Distance, gv.OK(), wv.Name, wv.Index, wv.Distance, wv.OK())
-						return
-					}
-					if !sameAnswer(gv, dv) {
-						errs <- fmt.Sprintf("step %d query %d: Decide (%s,%d,%v,%v) != dense (%s,%d,%v,%v)",
-							step, qi, gv.Name, gv.Index, gv.Distance, gv.OK(), dv.Name, dv.Index, dv.Distance, dv.OK())
+					if gv != wv || gv != dv {
+						errs <- fmt.Sprintf("step %d query %d: Decide %+v != oracle %+v / dense %+v", step, qi, gv, wv, dv)
 						return
 					}
 					gn, gi, gok := tiered.Identify(q)
@@ -133,9 +131,8 @@ func runScanEquivalence(t *testing.T, dbCfg DBConfig, full bool, workers, nbits 
 			gvs := tiered.ParallelDecide(queries, workers)
 			wvs := oracle.ParallelDecide(queries, workers)
 			for i := range gvs {
-				if gvs[i].Index != wvs[i].Index || gvs[i].Distance != wvs[i].Distance {
-					t.Fatalf("step %d: ParallelDecide[%d] (%d,%v) != oracle (%d,%v)",
-						step, i, gvs[i].Index, gvs[i].Distance, wvs[i].Index, wvs[i].Distance)
+				if gvs[i] != wvs[i] {
+					t.Fatalf("step %d: ParallelDecide[%d] %+v != oracle %+v", step, i, gvs[i], wvs[i])
 				}
 			}
 		}

@@ -103,9 +103,9 @@ func entryKeys(scheme minhash.Scheme, probes bool, fp *bitset.Set) []uint64 {
 
 // signPairs appends the LSH pairs of entries, numbered from base, by signing
 // each one. It serves only sources that hold no keys under the target
-// scheme: a Plain memtable, a salvaged or PCSEG01 segment's rebuild, and a
-// compaction source written under another scheme or probes setting. Every
-// other segment is written from the keys its source already holds.
+// scheme: a salvaged or PCSEG01 segment's rebuild, and a compaction source
+// written under another scheme or probes setting. Every other segment is
+// written from the keys its source already holds.
 func signPairs(dst []fingerprint.KeyPos, entries []fingerprint.IDEntry, base int, scheme minhash.Scheme, probes bool) []fingerprint.KeyPos {
 	for i, e := range entries {
 		for _, k := range entryKeys(scheme, probes, e.FP) {
@@ -217,21 +217,17 @@ func (c *colData) name(pos int) string {
 }
 
 // WriteSegment writes entries (ascending add-order ids, one shared bit
-// length) as a PCSEG02 segment at path, atomically (temp-fsync-rename).
-// pairs are the entries' LSH (key, position) pairs under scheme and probes,
-// in any order: WriteSegment sorts them and never signs, so a caller passes
-// the keys its source already holds (signPairs' for a source that holds
-// none). A key count that does not match the entries is refused.
-func WriteSegment(path string, entries []fingerprint.IDEntry, pairs []fingerprint.KeyPos, scheme minhash.Scheme, probes bool, blockEntries int) error {
+// length) as a PCSEG02 segment at path, atomically (temp-fsync-rename), in
+// blocks of bitset.DefaultSlicedEntries. pairs are the entries' LSH (key,
+// position) pairs under scheme and probes, in any order: WriteSegment sorts
+// them and never signs, so a caller passes the keys its source already
+// holds (signPairs' for a source that holds none). A key count that does
+// not match the entries is refused.
+func WriteSegment(path string, entries []fingerprint.IDEntry, pairs []fingerprint.KeyPos, scheme minhash.Scheme, probes bool) error {
 	if len(entries) == 0 {
 		return fmt.Errorf("store: refusing to write empty segment %s", path)
 	}
-	if err := bitset.CheckSlicedEntries(blockEntries); err != nil {
-		return fmt.Errorf("store: segment %s: %w", path, err)
-	}
-	if blockEntries == 0 {
-		blockEntries = bitset.DefaultSlicedEntries
-	}
+	const blockEntries = bitset.DefaultSlicedEntries
 	nbits := entries[0].FP.Len()
 	for _, e := range entries {
 		if e.FP.Len() != nbits {
@@ -817,13 +813,9 @@ func (seg *Segment) findName(name string) (int, bool) {
 }
 
 // candidates returns the entry positions colliding with the query in at
-// least one LSH key, ascending and deduplicated — nil under plain, the
-// exact reference engine, which has no candidate stage. The query's shared
+// least one LSH key, ascending and deduplicated. The query's shared
 // signature serves unless this segment was written under another scheme.
-func (seg *Segment) candidates(q *fingerprint.Query, plain bool) []int {
-	if plain {
-		return nil
-	}
+func (seg *Segment) candidates(q *fingerprint.Query) []int {
 	var out []int
 	for _, k := range q.Keys(seg.scheme, seg.probes) {
 		keys := seg.col.lshKeys
@@ -858,10 +850,11 @@ func (seg *Segment) Blocks() ([]*bitset.SlicedBlock, []bool) {
 func (seg *Segment) Entry(pos int) (string, int) { return seg.col.name(pos), seg.ID(pos) }
 
 // firstMatch is Algorithm 2 over the segment through the shared engine
-// (fingerprint.FirstMatch): the first live entry under the threshold, as
-// (name, add-order id).
-func (seg *Segment) firstMatch(q *fingerprint.Query, threshold float64, plain bool) (string, int, bool) {
-	pos := fingerprint.FirstMatch(seg, seg.candidates(q, plain), q, threshold)
+// (fingerprint.FirstMatch): a live entry under the threshold, as (name,
+// add-order id) — the first one unless a later entry is a matching
+// candidate and an earlier match is not.
+func (seg *Segment) firstMatch(q *fingerprint.Query, threshold float64) (string, int, bool) {
+	pos := fingerprint.FirstMatch(seg, seg.candidates(q), q, threshold)
 	if pos < 0 {
 		return "", -1, false
 	}

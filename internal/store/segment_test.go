@@ -54,26 +54,31 @@ func testEntries(n, nbits int) []fingerprint.IDEntry {
 
 // decideSegment answers q from one segment alone: a Decision with the
 // segment as its only component.
-func decideSegment(seg *Segment, q *fingerprint.Query, threshold float64, plain bool) fingerprint.Verdict {
+func decideSegment(seg *Segment, q *fingerprint.Query, threshold float64) fingerprint.Verdict {
 	d := fingerprint.NewDecision(q, threshold)
-	d.Add(seg, seg.candidates(q, plain), nil)
+	d.Add(seg, seg.candidates(q), nil)
 	return d.Verdict()
 }
 
 func writeTestSegment(t *testing.T, entries []fingerprint.IDEntry, probes bool) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "seg-000000.pcseg")
-	if err := WriteSegment(path, entries, signPairs(nil, entries, 0, minhash.DefaultScheme, probes), minhash.DefaultScheme, probes, 8); err != nil {
+	if err := WriteSegment(path, entries, signPairs(nil, entries, 0, minhash.DefaultScheme, probes), minhash.DefaultScheme, probes); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
 // TestSegmentRoundTrip: write → load → every entry's id, name, and bits
-// survive, lookups and verdicts agree with a plain DB over the same entries.
+// survive, and lookups and verdicts agree with a dense DB over the same
+// entries. 150 entries fill three blocks, the last partial.
 func TestSegmentRoundTrip(t *testing.T) {
-	const n, nbits = 50, 2048
+	const n, nbits = multiBlockEntries, 2048
 	entries := testEntries(n, nbits)
+	dense := fingerprint.NewDB(fingerprint.DefaultThreshold)
+	for _, e := range entries {
+		dense.Add(e.Name, e.FP)
+	}
 	for _, probes := range []bool{false, true} {
 		path := writeTestSegment(t, entries, probes)
 		seg, err := LoadSegment(path)
@@ -83,8 +88,8 @@ func TestSegmentRoundTrip(t *testing.T) {
 		if seg.Salvaged() {
 			t.Fatal("clean segment reported salvaged")
 		}
-		if seg.Len() != n {
-			t.Fatalf("Len = %d, want %d", seg.Len(), n)
+		if seg.Len() != n || len(seg.blocks) != 3 {
+			t.Fatalf("%d entries in %d blocks, want %d in 3", seg.Len(), len(seg.blocks), n)
 		}
 		for i, e := range entries {
 			if seg.ID(i) != e.ID || seg.Name(i) != e.Name {
@@ -95,18 +100,17 @@ func TestSegmentRoundTrip(t *testing.T) {
 			}
 		}
 		// Verdicts: a noisy same-device query must hit the right entry with
-		// the exact distance the scalar path computes.
+		// the dense scan's verdict, field for field.
 		thr := fingerprint.DefaultThreshold
 		for i := 0; i < n; i += 7 {
 			q := noisy(entries[i].FP, uint64(i), 2)
-			v := decideSegment(seg, fingerprint.NewQuery(q, minhash.DefaultScheme), thr, true)
-			if !v.OK() || v.Index != entries[i].ID || v.Name != entries[i].Name {
-				t.Fatalf("probes=%v plain decide for entry %d = %+v", probes, i, v)
+			v := decideSegment(seg, fingerprint.NewQuery(q, minhash.DefaultScheme), thr)
+			want := dense.Decide(q)
+			want.Index = entries[want.Index].ID
+			if v != want || v.Index != entries[i].ID {
+				t.Fatalf("probes=%v decide for entry %d = %+v, dense scan %+v", probes, i, v, want)
 			}
-			if got := fingerprint.Distance(q, entries[i].FP); v.Distance != got {
-				t.Fatalf("distance %v != scalar %v", v.Distance, got)
-			}
-			if name, id, ok := seg.firstMatch(fingerprint.NewQuery(q, minhash.DefaultScheme), thr, false); !ok || id != entries[i].ID || name != entries[i].Name {
+			if name, id, ok := seg.firstMatch(fingerprint.NewQuery(q, minhash.DefaultScheme), thr); !ok || id != entries[i].ID || name != entries[i].Name {
 				t.Fatalf("probes=%v firstMatch for entry %d = (%s,%d,%v)", probes, i, name, id, ok)
 			}
 		}
@@ -118,7 +122,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 		if _, ok := seg.findName("dev007"); ok {
 			t.Fatal("tombstoned name still found")
 		}
-		if v := decideSegment(seg, fingerprint.NewQuery(noisy(entries[7].FP, 7, 2), minhash.DefaultScheme), thr, true); v.OK() && v.Index == entries[7].ID {
+		if v := decideSegment(seg, fingerprint.NewQuery(noisy(entries[7].FP, 7, 2), minhash.DefaultScheme), thr); v.OK() && v.Index == entries[7].ID {
 			t.Fatalf("tombstoned entry still matches: %+v", v)
 		}
 		if seg.Live() != n-1 {
@@ -130,33 +134,48 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSegmentVerify: a clean file verifies; flipped bytes anywhere in the
-// committed region are caught.
+// TestSegmentVerify: a clean file of three blocks, the last partial,
+// verifies; flipped bytes in the entry log — in the first block's records
+// and in the last's — are caught.
 func TestSegmentVerify(t *testing.T) {
-	entries := testEntries(30, 1024)
+	entries := testEntries(multiBlockEntries, 1024)
 	path := writeTestSegment(t, entries, false)
 	if err := VerifySegment(path); err != nil {
 		t.Fatalf("clean segment failed verify: %v", err)
 	}
+	seg, err := LoadSegment(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seg.blocks) != 3 {
+		t.Fatalf("%d entries in %d blocks, want 3", seg.Len(), len(seg.blocks))
+	}
+	seg.Close()
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Flip one byte inside the entry log: interior corruption, refused with
 	// a CorruptError carrying the record offset.
-	corrupt := append([]byte(nil), blob...)
-	corrupt[headerSize+20] ^= 0xFF
-	bad := filepath.Join(t.TempDir(), "seg-000001.pcseg")
-	if err := os.WriteFile(bad, corrupt, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	_, err = LoadSegment(bad)
-	var ce *CorruptError
-	if !asCorrupt(err, &ce) {
-		t.Fatalf("interior log corruption: got %v, want CorruptError", err)
-	}
-	if ce.Offset < headerSize || ce.Offset >= int64(len(blob)) {
-		t.Fatalf("corruption offset %d out of file range", ce.Offset)
+	logEnd, _ := committedSpans(blob)
+	for _, off := range []int{headerSize + 20, int(logEnd) - 20} {
+		corrupt := append([]byte(nil), blob...)
+		corrupt[off] ^= 0xFF
+		bad := filepath.Join(t.TempDir(), "seg-000001.pcseg")
+		if err := os.WriteFile(bad, corrupt, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		_, err = LoadSegment(bad)
+		var ce *CorruptError
+		if !asCorrupt(err, &ce) {
+			t.Fatalf("log corruption at %d: got %v, want CorruptError", off, err)
+		}
+		if ce.Offset < headerSize || ce.Offset >= int64(len(blob)) {
+			t.Fatalf("corruption offset %d out of file range", ce.Offset)
+		}
+		if err := VerifySegment(bad); err == nil {
+			t.Fatalf("log corruption at %d passed verify", off)
+		}
 	}
 }
 
@@ -172,16 +191,23 @@ func asCorrupt(err error, ce **CorruptError) bool {
 }
 
 // TestSegmentTornTail: truncating a segment (losing the footer) salvages the
-// longest valid prefix of the entry log instead of failing.
+// longest valid prefix of the entry log instead of failing. Every cut keeps
+// at least 149 of 150 entries, so each salvage rebuilds three blocks, the
+// last partial.
 func TestSegmentTornTail(t *testing.T) {
-	entries := testEntries(20, 1024)
+	entries := testEntries(multiBlockEntries, 1024)
 	path := writeTestSegment(t, entries, false)
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, frac := range []int{4, 2, 3} {
-		cut := headerSize + (len(blob)-headerSize)*(frac-1)/frac
+	logEnd, _ := committedSpans(blob)
+	for _, cut := range []int{
+		headerSize + (len(blob)-headerSize)*3/4,
+		headerSize + (len(blob)-headerSize)/2,
+		headerSize + (len(blob)-headerSize)*2/3,
+		int(logEnd) - 1, // inside the last record
+	} {
 		torn := filepath.Join(t.TempDir(), "seg-000002.pcseg")
 		if err := os.WriteFile(torn, blob[:cut], 0o666); err != nil {
 			t.Fatal(err)
@@ -192,6 +218,9 @@ func TestSegmentTornTail(t *testing.T) {
 		}
 		if !seg.Salvaged() {
 			t.Fatalf("torn at %d: not reported salvaged", cut)
+		}
+		if seg.Len() < multiBlockEntries-1 || len(seg.blocks) != 3 {
+			t.Fatalf("torn at %d: salvaged %d entries in %d blocks, want ≥ %d in 3", cut, seg.Len(), len(seg.blocks), multiBlockEntries-1)
 		}
 		// Whatever survived must be an exact prefix.
 		for i := 0; i < seg.Len(); i++ {
@@ -210,7 +239,7 @@ func TestSegmentTornTail(t *testing.T) {
 // TestSegmentRejectsEmpty: segments hold at least one entry by contract.
 func TestSegmentRejectsEmpty(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "seg-000000.pcseg")
-	if err := WriteSegment(path, nil, nil, minhash.DefaultScheme, false, 8); err == nil {
+	if err := WriteSegment(path, nil, nil, minhash.DefaultScheme, false); err == nil {
 		t.Fatal("empty segment accepted")
 	}
 }
@@ -222,7 +251,7 @@ func TestSegmentOwnScheme(t *testing.T) {
 	entries := testEntries(20, 1024)
 	path := filepath.Join(t.TempDir(), "seg-000000.pcseg")
 	own := minhash.Scheme{Bands: 4, Rows: 2, Seed: 9}
-	if err := WriteSegment(path, entries, signPairs(nil, entries, 0, own, false), own, false, 8); err != nil {
+	if err := WriteSegment(path, entries, signPairs(nil, entries, 0, own, false), own, false); err != nil {
 		t.Fatal(err)
 	}
 	seg, err := LoadSegment(path)
@@ -233,13 +262,13 @@ func TestSegmentOwnScheme(t *testing.T) {
 	q := fingerprint.NewQuery(noisy(entries[5].FP, 5, 2), minhash.DefaultScheme)
 	q.Keys(minhash.DefaultScheme, false) // a default-scheme component signed it first
 	found := false
-	for _, pos := range seg.candidates(q, false) {
+	for _, pos := range seg.candidates(q) {
 		found = found || pos == 5
 	}
 	if !found {
 		t.Fatal("own-scheme segment produced no candidate for its entry")
 	}
-	if name, id, ok := seg.firstMatch(q, fingerprint.DefaultThreshold, false); !ok || id != entries[5].ID || name != entries[5].Name {
+	if name, id, ok := seg.firstMatch(q, fingerprint.DefaultThreshold); !ok || id != entries[5].ID || name != entries[5].Name {
 		t.Fatalf("firstMatch = (%s,%d,%v), want entry 5", name, id, ok)
 	}
 }

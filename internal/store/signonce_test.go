@@ -37,7 +37,7 @@ func requireSigned(t *testing.T, tb *Tiered, seen map[*Segment]bool, step string
 		entries := seg.exportLive(nil)
 		ref := filepath.Join(t.TempDir(), "signed.pcseg")
 		pairs := signPairs(nil, entries, 0, tb.scheme, tb.dbCfg.Probes)
-		if err := WriteSegment(ref, entries, pairs, tb.scheme, tb.dbCfg.Probes, tb.dbCfg.BlockEntries); err != nil {
+		if err := WriteSegment(ref, entries, pairs, tb.scheme, tb.dbCfg.Probes); err != nil {
 			t.Fatal(err)
 		}
 		want, err := os.ReadFile(ref)
@@ -76,22 +76,24 @@ func checkpointChecked(t *testing.T, tb *Tiered, seen map[*Segment]bool) {
 // TestSignOnceSegmentsMatchSigning: flushes write the keys the memtable's
 // shards hold and compactions the keys their source segments hold, and
 // every segment either writes is byte-identical to the one the signing path
-// writes over the same entries — with probes off and on, at B = 8 and 64,
-// with memtable tombstones below and above RebuildMinDead (so some shards
-// have been rebuilt), segment tombstones dropped by compaction, duplicate
-// names and an empty fingerprint.
+// writes over the same entries — with probes off and on, with memtable
+// tombstones below and above RebuildMinDead (so some shards have been
+// rebuilt), segment tombstones dropped by compaction, duplicate names and an
+// empty fingerprint. Rows keep the names they had when the block width was
+// a setting (B=8, B=64): the width is now always 64, and a row's number
+// only seeds its tape.
 func TestSignOnceSegmentsMatchSigning(t *testing.T) {
 	const nbits = 1024
 	for _, probes := range []bool{false, true} {
-		for _, b := range []int{8, 64} {
-			t.Run(fmt.Sprintf("probes=%v/B=%d", probes, b), func(t *testing.T) {
+		for _, tape := range []int{8, 64} {
+			t.Run(fmt.Sprintf("probes=%v/B=%d", probes, tape), func(t *testing.T) {
 				tb, err := OpenTiered(Config{Dir: t.TempDir(), FlushEntries: 1 << 20, CompactSegments: 2},
-					DBConfig{Threshold: fingerprint.DefaultThreshold, Shards: 2, Probes: probes, BlockEntries: b})
+					DBConfig{Threshold: fingerprint.DefaultThreshold, Shards: 2, Probes: probes})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer tb.Close()
-				src := prng.New(0x516E + uint64(b))
+				src := prng.New(0x516E + uint64(tape))
 				seen := map[*Segment]bool{}
 				// round adds n entries under n/2 names, each twice, plus one
 				// empty fingerprint, then removes the first dead of those
@@ -162,7 +164,7 @@ func TestSignOnceSignatureCount(t *testing.T) {
 
 	for _, probes := range []bool{false, true} {
 		tb, err := OpenTiered(Config{Dir: t.TempDir(), FlushEntries: 1 << 20, CompactSegments: 1},
-			DBConfig{Threshold: fingerprint.DefaultThreshold, Probes: probes, BlockEntries: 8})
+			DBConfig{Threshold: fingerprint.DefaultThreshold, Probes: probes})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +191,7 @@ func TestSignOnceSignatureCount(t *testing.T) {
 	dir := t.TempDir()
 	foreign := entries[:20]
 	own := minhash.Scheme{Bands: 4, Rows: 2, Seed: 9}
-	if err := WriteSegment(filepath.Join(dir, segmentName(0)), foreign, signPairs(nil, foreign, 0, own, false), own, false, 8); err != nil {
+	if err := WriteSegment(filepath.Join(dir, segmentName(0)), foreign, signPairs(nil, foreign, 0, own, false), own, false); err != nil {
 		t.Fatal(err)
 	}
 	next := foreign[len(foreign)-1].ID + 1
@@ -197,7 +199,7 @@ func TestSignOnceSignatureCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb, err := OpenTiered(Config{Dir: dir, FlushEntries: 1 << 20, CompactSegments: 1},
-		DBConfig{Threshold: fingerprint.DefaultThreshold, BlockEntries: 8})
+		DBConfig{Threshold: fingerprint.DefaultThreshold})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +239,7 @@ func TestVerifySegmentKeySection(t *testing.T) {
 	scheme := minhash.DefaultScheme
 	for _, probes := range []bool{false, true} {
 		path := filepath.Join(t.TempDir(), segmentName(0))
-		if err := WriteSegment(path, entries, signPairs(nil, entries, 0, scheme, !probes), scheme, probes, 8); err == nil {
+		if err := WriteSegment(path, entries, signPairs(nil, entries, 0, scheme, !probes), scheme, probes); err == nil {
 			t.Fatalf("probes=%v: WriteSegment took keys of the other probes setting", probes)
 		}
 		cases := []struct {

@@ -20,25 +20,24 @@
 // Both tiers run one identify engine: each query is signed once, the
 // memtable shards and every segment turn the shared signature into LSH
 // candidates, and fingerprint.FirstMatch / fingerprint.Decision verify them
-// with the sliced block kernel, sweeping the blocks when no candidate
-// matches. A Decide is one Decision across every segment and memtable
-// shard: once any of them holds a match, the sweeps of the rest are bounded
-// by the threshold; until then each sweep is bounded by its own best. DBConfig.Plain selects the exact reference engine instead: dense
-// memtable shards and segment sweeps with no candidate stage.
+// with the sliced block kernel and sweep the blocks. A Decide is one
+// Decision across every segment and memtable shard: once a candidate
+// verifies under the threshold, or any sweep finds a match, every sweep is
+// bounded by the threshold; until then each sweep is bounded by its own
+// best. Every component is swept, so the candidates decide how much is read
+// out, never the answer.
 //
 // Determinism contract: a Tiered backend built by any interleaving of the
 // same Add/Remove sequence — under any flush or compaction timing — answers
-// Identify/Decide with the same (distance, id)-lexicographic winner and the
-// same stable add-order ids as the Memory backend built from that sequence,
-// and as the dense scan. With DBConfig.Plain the full Verdict (including the
-// Matches count) is byte-identical to the dense scan. Otherwise Matches is
-// counted over LSH candidates when one matches, and per-tier candidate sets
-// differ from per-shard ones, so only the (Name, Index, Distance, OK) answer
-// is pinned (see fingerprint.Decision). The property suite in
-// property_test.go holds the engine to this under randomized interleavings
-// and -race, and bounded_test.go holds every Decide, Matches included, to
-// the per-component rule: each segment's candidates when one matches, else
-// its exact sweep.
+// Decide field for field (Name, Index, Distance and Matches) as the Memory
+// backend built from that sequence, and as the dense scan, with the same
+// stable add-order ids. Identify returns the dense scan's first match unless
+// a later entry is a matching LSH candidate and an earlier match is not (see
+// fingerprint.FirstMatch); it finds a match whenever one exists. The
+// property suite in property_test.go holds the engine to this under randomized
+// interleavings and -race, and bounded_test.go holds every Decide, Matches
+// included, to the dense scan on tapes with tombstones and ambiguous
+// verdicts.
 package store
 
 import (
@@ -116,20 +115,16 @@ type SegmentSnapshotter interface {
 
 // DBConfig parameterizes the in-memory database both backends build (the
 // whole DB for Memory, the memtable for Tiered) — the knobs server.Config
-// already exposes. Plain selects the exact reference engine in both tiers.
+// already exposes.
 type DBConfig struct {
-	Threshold    float64
-	Shards       int
-	Plain        bool
-	Probes       bool
-	Workers      int
-	BlockEntries int
+	Threshold float64
+	Shards    int
+	Probes    bool
+	Workers   int
 }
 
 func (c DBConfig) newShardedDB() (*fingerprint.ShardedDB, error) {
-	scfg := fingerprint.ShardedConfig{
-		Shards: c.Shards, Plain: c.Plain, BlockEntries: c.BlockEntries,
-	}
+	scfg := fingerprint.ShardedConfig{Shards: c.Shards}
 	scfg.Index.Workers = c.Workers
 	scfg.Index.Probes = c.Probes
 	return fingerprint.NewShardedDB(c.Threshold, scfg)

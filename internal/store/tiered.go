@@ -262,14 +262,16 @@ func (t *Tiered) EndFlush()           { t.flushReq.Store(false) }
 // Identify implements Algorithm 2 across the tiers: the first component in
 // id order with a match answers — segments hold strictly ascending id ranges
 // below the memtable's, so no later component can hold a smaller id. This is
-// the in-memory ShardedDB's minimum-id rule lifted to memtable+segments. The
+// the in-memory ShardedDB's minimum-id rule lifted to memtable+segments, and
+// each component answers with fingerprint.FirstMatch: its first match unless
+// a later entry is a matching candidate and an earlier match is not. The
 // query is signed once for all of them.
 func (t *Tiered) Identify(errorString *bitset.Set) (name string, index int, ok bool) {
 	q := fingerprint.NewQuery(errorString, t.scheme)
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for _, seg := range t.segs {
-		if n, id, hit := seg.firstMatch(q, t.dbCfg.Threshold, t.dbCfg.Plain); hit {
+		if n, id, hit := seg.firstMatch(q, t.dbCfg.Threshold); hit {
 			return n, id, true
 		}
 	}
@@ -281,7 +283,8 @@ func (t *Tiered) Identify(errorString *bitset.Set) (name string, index int, ok b
 
 // Decide is one node-wide fingerprint.Decision over every segment and
 // memtable shard, folded by the same (distance, id)-lexicographic rule the
-// sharded scan uses, so flush timing can never change an answer.
+// sharded scan uses: the dense scan's verdict field for field, so flush
+// timing can never change an answer.
 func (t *Tiered) Decide(errorString *bitset.Set) fingerprint.Verdict {
 	return t.DecideCtx(context.Background(), errorString)
 }
@@ -302,7 +305,11 @@ func (t *Tiered) DecideCtx(ctx context.Context, errorString *bitset.Set) fingerp
 	d := fingerprint.NewDecision(q, t.dbCfg.Threshold)
 	var st fingerprint.SweepStats
 	for _, seg := range t.segs {
-		d.Add(seg, seg.candidates(q, t.dbCfg.Plain), &st)
+		var cands []int
+		if !d.Armed() {
+			cands = seg.candidates(q)
+		}
+		d.Add(seg, cands, &st)
 	}
 	release := t.mem.AddTo(d, t.memBase, nil)
 	defer release()
@@ -380,19 +387,15 @@ func (t *Tiered) Flush() error {
 
 func (t *Tiered) flushLocked(watermark uint64) error {
 	// The memtable's shards signed every entry when it was added; their
-	// index buckets hand those keys to the writer. Only a Plain memtable,
-	// which keeps no index, is signed here.
+	// index buckets hand those keys to the writer.
 	entries, pairs := t.mem.ExportKeyed()
 	for i := range entries {
 		entries[i].ID += t.memBase
 	}
 	newSegs := t.segs
 	if len(entries) > 0 {
-		if pairs == nil {
-			pairs = signPairs(nil, entries, 0, t.scheme, t.dbCfg.Probes)
-		}
 		path := filepath.Join(t.cfg.Dir, segmentName(t.nextSeg))
-		if err := WriteSegment(path, entries, pairs, t.scheme, t.dbCfg.Probes, t.dbCfg.BlockEntries); err != nil {
+		if err := WriteSegment(path, entries, pairs, t.scheme, t.dbCfg.Probes); err != nil {
 			return err
 		}
 		t.crash("flush-before-commit")
@@ -458,7 +461,7 @@ func (t *Tiered) rewriteLocked(i, j int) error {
 	var merged *Segment
 	if len(entries) > 0 {
 		path := filepath.Join(t.cfg.Dir, segmentName(t.nextSeg))
-		if err := WriteSegment(path, entries, pairs, t.scheme, t.dbCfg.Probes, t.dbCfg.BlockEntries); err != nil {
+		if err := WriteSegment(path, entries, pairs, t.scheme, t.dbCfg.Probes); err != nil {
 			return err
 		}
 		t.crash("compact-before-commit")

@@ -9,11 +9,29 @@ import (
 	"probablecause/internal/obs"
 )
 
+// multiBlockEntries fills three 64-entry blocks, the last partly: the store
+// suites write this many entries to a segment so that it spans several
+// blocks and ends in a partial one.
+const multiBlockEntries = 150
+
+// spansBlocks reports whether some segment of tb spans three or more blocks
+// and ends in a partial one.
+func spansBlocks(tb *Tiered) bool {
+	tb.mu.RLock()
+	defer tb.mu.RUnlock()
+	for _, seg := range tb.segs {
+		if len(seg.blocks) >= 3 && seg.Len()%seg.blockEntries != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 func openTestTiered(t *testing.T, dir string, compact int) *Tiered {
 	t.Helper()
 	tb, err := OpenTiered(
 		Config{Dir: dir, FlushEntries: 8, CompactSegments: compact},
-		DBConfig{Threshold: fingerprint.DefaultThreshold, Shards: 1, BlockEntries: 8},
+		DBConfig{Threshold: fingerprint.DefaultThreshold, Shards: 1},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +44,7 @@ func openTestTiered(t *testing.T, dir string, compact int) *Tiered {
 func TestTieredFlushRecover(t *testing.T) {
 	dir := t.TempDir()
 	tb := openTestTiered(t, dir, 8)
-	const n, nbits = 20, 1024
+	const n, nbits = multiBlockEntries, 1024
 	entries := testEntries(n, nbits)
 	for i, e := range entries {
 		if id := tb.Add(e.Name, e.FP); id != i {
@@ -36,8 +54,8 @@ func TestTieredFlushRecover(t *testing.T) {
 	if err := tb.Checkpoint(42); err != nil {
 		t.Fatal(err)
 	}
-	if tb.SegmentCount() != 1 {
-		t.Fatalf("SegmentCount = %d after flush", tb.SegmentCount())
+	if tb.SegmentCount() != 1 || !spansBlocks(tb) {
+		t.Fatalf("SegmentCount = %d after flush, want 1 spanning three blocks", tb.SegmentCount())
 	}
 	// Post-flush adds land above the flushed range.
 	extraFP := testFP(0x777, nbits, 40)
@@ -82,55 +100,65 @@ func TestTieredFlushRecover(t *testing.T) {
 	}
 }
 
-// TestTieredTombstonePersistence: removes against flushed segments survive the
-// next checkpoint + reopen; removes against the memtable never hit disk.
+// TestTieredTombstonePersistence: removes against flushed segments — in its
+// first block and in its partial last one — survive the next checkpoint +
+// reopen; removes against the memtable never hit disk.
 func TestTieredTombstonePersistence(t *testing.T) {
 	dir := t.TempDir()
 	tb := openTestTiered(t, dir, 8)
-	entries := testEntries(12, 1024)
+	const n = multiBlockEntries
+	entries := testEntries(n, 1024)
 	for _, e := range entries {
 		tb.Add(e.Name, e.FP)
 	}
 	if err := tb.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// Tombstone a flushed entry and a fresh memtable entry.
+	if !spansBlocks(tb) {
+		t.Fatal("flushed segment spans fewer than three blocks")
+	}
+	// Tombstone two flushed entries and a fresh memtable entry.
 	tb.Add("young", testFP(0x51, 1024, 40))
-	if !tb.Remove(entries[3].Name) || !tb.Remove("young") {
+	if !tb.Remove(entries[3].Name) || !tb.Remove(entries[140].Name) || !tb.Remove("young") {
 		t.Fatal("Remove failed")
 	}
-	if tb.Len() != 11 {
+	if tb.Len() != n-2 {
 		t.Fatalf("Len = %d after removes", tb.Len())
 	}
-	if err := tb.Flush(); err != nil { // persists the segment tombstone
+	if err := tb.Flush(); err != nil { // persists the segment tombstones
 		t.Fatal(err)
 	}
 	tb.Close()
 
 	tb = openTestTiered(t, dir, 8)
 	defer tb.Close()
-	if tb.Len() != 11 {
-		t.Fatalf("recovered Len = %d, want 11", tb.Len())
+	if tb.Len() != n-2 {
+		t.Fatalf("recovered Len = %d, want %d", tb.Len(), n-2)
 	}
-	if _, ok := tb.Get(entries[3].Name); ok {
-		t.Fatal("tombstoned segment entry resurrected on reopen")
+	for _, i := range []int{3, 140} {
+		if _, ok := tb.Get(entries[i].Name); ok {
+			t.Fatalf("tombstoned segment entry %d resurrected on reopen", i)
+		}
 	}
 	if _, ok := tb.Get("young"); ok {
 		t.Fatal("removed memtable entry resurrected")
 	}
-	// The survivor next to the tombstone keeps its id.
-	if name, id, ok := tb.Identify(noisy(entries[4].FP, 4, 2)); !ok || id != 4 || name != entries[4].Name {
-		t.Fatalf("Identify(4) = (%s,%d,%v)", name, id, ok)
+	// The survivors next to the tombstones keep their ids.
+	for _, i := range []int{4, 141} {
+		if name, id, ok := tb.Identify(noisy(entries[i].FP, uint64(i), 2)); !ok || id != i || name != entries[i].Name {
+			t.Fatalf("Identify(%d) = (%s,%d,%v)", i, name, id, ok)
+		}
 	}
 }
 
 // TestTieredCompaction: pushing past CompactSegments merges adjacent segments,
-// drops tombstones physically, and preserves every verdict and id.
+// drops tombstones physically, and preserves every verdict and id. Batches of
+// 45 leave a merged segment of 135 entries: three blocks, the last partial.
 func TestTieredCompaction(t *testing.T) {
 	dir := t.TempDir()
 	tb := openTestTiered(t, dir, 2)
 	defer tb.Close()
-	const batches, per, nbits = 5, 6, 1024
+	const batches, per, nbits = 5, 45, 1024
 	entries := testEntries(batches*per, nbits)
 	for b := 0; b < batches; b++ {
 		for _, e := range entries[b*per : (b+1)*per] {
@@ -146,8 +174,8 @@ func TestTieredCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := tb.SegmentCount(); got > 2 {
-		t.Fatalf("SegmentCount = %d after compaction (cap 2)", got)
+	if got := tb.SegmentCount(); got > 2 || !spansBlocks(tb) {
+		t.Fatalf("SegmentCount = %d after compaction (cap 2), or none spans three blocks", got)
 	}
 	if tb.Len() != batches*per-1 {
 		t.Fatalf("Len = %d", tb.Len())
@@ -185,7 +213,7 @@ func TestTieredCompaction(t *testing.T) {
 func TestTieredOrphanSweep(t *testing.T) {
 	dir := t.TempDir()
 	tb := openTestTiered(t, dir, 8)
-	entries := testEntries(10, 1024)
+	entries := testEntries(multiBlockEntries, 1024)
 	for _, e := range entries {
 		tb.Add(e.Name, e.FP)
 	}
@@ -208,8 +236,8 @@ func TestTieredOrphanSweep(t *testing.T) {
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
 		t.Fatalf("orphan not swept: %v", err)
 	}
-	if tb.Len() != 10 {
-		t.Fatalf("Len = %d after sweep", tb.Len())
+	if tb.Len() != multiBlockEntries || !spansBlocks(tb) {
+		t.Fatalf("Len = %d after sweep, want %d in a segment of three blocks", tb.Len(), multiBlockEntries)
 	}
 	// The orphan's sequence number must not be reused blindly below committed
 	// ones — next flush still lands on a fresh name and the store verifies.
@@ -228,11 +256,14 @@ func TestTieredOrphanSweep(t *testing.T) {
 func TestTieredRefusesTornCommitted(t *testing.T) {
 	dir := t.TempDir()
 	tb := openTestTiered(t, dir, 8)
-	for _, e := range testEntries(10, 1024) {
+	for _, e := range testEntries(multiBlockEntries, 1024) {
 		tb.Add(e.Name, e.FP)
 	}
 	if err := tb.Flush(); err != nil {
 		t.Fatal(err)
+	}
+	if !spansBlocks(tb) {
+		t.Fatal("flushed segment spans fewer than three blocks")
 	}
 	tb.Close()
 	path := filepath.Join(dir, segmentName(0))
@@ -278,21 +309,25 @@ func TestTieredGenerationStability(t *testing.T) {
 	dir := t.TempDir()
 	tb := openTestTiered(t, dir, 1)
 	defer tb.Close()
-	for _, e := range testEntries(10, 1024) {
+	entries := testEntries(multiBlockEntries, 1024)
+	for _, e := range entries {
 		tb.Add(e.Name, e.FP)
 	}
 	gen := tb.Generation()
-	if gen != 10 {
-		t.Fatalf("generation = %d after 10 adds", gen)
+	if gen != multiBlockEntries {
+		t.Fatalf("generation = %d after %d adds", gen, multiBlockEntries)
 	}
 	if err := tb.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range testEntries(10, 1024)[:5] {
+	for _, e := range entries[:5] {
 		tb.Add(e.Name+"-b", e.FP)
 	}
 	if err := tb.Flush(); err != nil { // triggers compaction (cap 1)
 		t.Fatal(err)
+	}
+	if tb.SegmentCount() != 1 || !spansBlocks(tb) {
+		t.Fatalf("%d segments after compaction, want one spanning three blocks", tb.SegmentCount())
 	}
 	if got := tb.Generation(); got != gen+5 {
 		t.Fatalf("generation moved by flush/compact: %d, want %d", got, gen+5)
@@ -307,48 +342,42 @@ func TestTieredGenerationStability(t *testing.T) {
 
 // TestTieredSignsOnce: a Decide or Identify over several segments and a
 // non-empty memtable signs the query once — every segment and memtable shard
-// reuses the signature — and the exact (Plain) engine never signs.
+// reuses the signature.
 func TestTieredSignsOnce(t *testing.T) {
 	const n, nbits = 24, 1024
 	entries := testEntries(n, nbits)
 	signatures := obs.C("fingerprint.signatures")
-	for _, plain := range []bool{false, true} {
-		tb, err := OpenTiered(Config{Dir: t.TempDir(), CompactSegments: 8},
-			DBConfig{Threshold: fingerprint.DefaultThreshold, Plain: plain, BlockEntries: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tb.Close()
-		for i, e := range entries {
-			tb.Add(e.Name, e.FP)
-			if i%8 == 7 && i < n-1 {
-				if err := tb.Flush(); err != nil {
-					t.Fatal(err)
-				}
+	tb, err := OpenTiered(Config{Dir: t.TempDir(), CompactSegments: 8},
+		DBConfig{Threshold: fingerprint.DefaultThreshold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	for i, e := range entries {
+		tb.Add(e.Name, e.FP)
+		if i%8 == 7 && i < n-1 {
+			if err := tb.Flush(); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if tb.SegmentCount() != 2 || tb.mem.Len() == 0 {
-			t.Fatalf("fixture: %d segments, %d memtable entries; want 2 and some", tb.SegmentCount(), tb.mem.Len())
+	}
+	if tb.SegmentCount() != 2 || tb.mem.Len() == 0 {
+		t.Fatalf("fixture: %d segments, %d memtable entries; want 2 and some", tb.SegmentCount(), tb.mem.Len())
+	}
+	q := noisy(entries[3].FP, 3, 2)
+	obs.Enable()
+	defer obs.Disable()
+	for _, op := range []struct {
+		name string
+		run  func()
+	}{
+		{"Decide", func() { tb.Decide(q) }},
+		{"Identify", func() { tb.Identify(q) }},
+	} {
+		before := signatures.Value()
+		op.run()
+		if got := signatures.Value() - before; got != 1 {
+			t.Errorf("%s: %d signatures, want 1", op.name, got)
 		}
-		want := int64(1)
-		if plain {
-			want = 0
-		}
-		q := noisy(entries[3].FP, 3, 2)
-		obs.Enable()
-		for _, op := range []struct {
-			name string
-			run  func()
-		}{
-			{"Decide", func() { tb.Decide(q) }},
-			{"Identify", func() { tb.Identify(q) }},
-		} {
-			before := signatures.Value()
-			op.run()
-			if got := signatures.Value() - before; got != want {
-				t.Errorf("plain=%v %s: %d signatures, want %d", plain, op.name, got, want)
-			}
-		}
-		obs.Disable()
 	}
 }
