@@ -64,7 +64,7 @@ func pr8DB(b testing.TB) *pr8Fixture {
 		if f.indexed, pr8Err = fingerprint.IndexDB(f.db, icfg); pr8Err != nil {
 			return
 		}
-		if f.sliced, pr8Err = fingerprint.SliceDB(f.db, fingerprint.SlicedConfig{Index: icfg}); pr8Err != nil {
+		if f.sliced, pr8Err = fingerprint.SliceDB(f.db, icfg); pr8Err != nil {
 			return
 		}
 		// Hits: perturbed copies of entries spread through the database (one

@@ -122,7 +122,6 @@ func run(args []string) (err error) {
 	snapshot := fs.String("snapshot", "", "database snapshot: loaded at startup when present, saved atomically on shutdown")
 	threshold := fs.Float64("threshold", 0, "match threshold (0: take it from the seed database)")
 	shards := fs.Int("shards", 0, fmt.Sprintf("database shard count (0: %d)", fingerprint.DefaultShards))
-	probes := fs.Bool("probes", false, "multi-probe LSH candidate expansion (near-miss buckets)")
 	workers := fs.Int("workers", 0, "identification worker pool size (0: one per CPU)")
 	batchWindow := fs.Duration("batch.window", 500*time.Microsecond, "micro-batching coalescing window (0: dispatch immediately)")
 	maxBatch := fs.Int("batch.max", 0, fmt.Sprintf("max identify queries per dispatch (0: %d)", server.DefaultMaxBatch))
@@ -135,7 +134,6 @@ func run(args []string) (err error) {
 	walDir := fs.String("wal.dir", "", "durable enrollment directory (WAL segments + checkpoints); enables /v1/enroll")
 	walFsync := fs.String("wal.fsync", "batch", "WAL fsync policy: batch (group commit), always, or off")
 	walSegment := fs.Int64("wal.segment", 0, "WAL segment rotation size in bytes (0: 64 MiB)")
-	walBatch := fs.Duration("wal.batch", 0, "extra group-commit coalescing window (0: natural batching)")
 	enrollMax := fs.Int("enroll.max", 0, fmt.Sprintf("max live enrollment sessions (0: %d)", server.DefaultMaxSessions))
 	enrollMinObs := fs.Int("enroll.minobs", 0, fmt.Sprintf("observations before an enrollment may converge (0: %d)", fingerprint.DefaultMinObservations))
 	enrollPatience := fs.Int("enroll.patience", 0, fmt.Sprintf("unchanged observations that declare convergence (0: %d)", fingerprint.DefaultStablePatience))
@@ -264,7 +262,6 @@ func run(args []string) (err error) {
 	cfg := server.Config{
 		Threshold:      *threshold,
 		Shards:         *shards,
-		Probes:         *probes,
 		Workers:        *workers,
 		BatchWindow:    *batchWindow,
 		MaxBatch:       *maxBatch,
@@ -327,7 +324,7 @@ func run(args []string) (err error) {
 		// the seed, and the surviving WAL records replay on top: recovery.
 		svc, err = server.BootDurable(seed, cfg, server.EnrollConfig{
 			Dir: *walDir,
-			WAL: wal.Options{SegmentBytes: *walSegment, Fsync: fsyncMode, BatchWindow: *walBatch, StartSeq: startSeq},
+			WAL: wal.Options{SegmentBytes: *walSegment, Fsync: fsyncMode, StartSeq: startSeq},
 			Accumulator: fingerprint.AccumulatorConfig{
 				Quota:           *enrollQuota,
 				MinObservations: *enrollMinObs,

@@ -32,9 +32,6 @@ type ScaleParams struct {
 	// Workers bounds the index-build signing pool; identification itself is
 	// timed serially so the three paths compare like for like.
 	Workers int
-	// Probes enables multi-probe candidate expansion on the indexed and
-	// sliced paths.
-	Probes bool
 }
 
 // DefaultScaleParams is the 100k-entry configuration the PR-8 acceptance
@@ -49,7 +46,6 @@ func DefaultScaleParams() ScaleParams {
 		MissQueries: 100,
 		Threshold:   fingerprint.DefaultThreshold,
 		Seed:        0x5CA1E,
-		Probes:      true,
 	}
 }
 
@@ -103,12 +99,12 @@ func RunScale(p ScaleParams) (*ScaleResult, error) {
 		card := p.MinCard + int(prng.Hash(p.Seed, uint64(i))%uint64(p.MaxCard-p.MinCard+1))
 		db.Add(fmt.Sprintf("dev%07d", i), scaleFP(p.Bits, card, p.Seed^uint64(i)))
 	}
-	icfg := fingerprint.IndexedConfig{Workers: p.Workers, Probes: p.Probes}
+	icfg := fingerprint.IndexedConfig{Workers: p.Workers}
 	ix, err := fingerprint.IndexDB(db, icfg)
 	if err != nil {
 		return nil, err
 	}
-	sx, err := fingerprint.SliceDB(db, fingerprint.SlicedConfig{Index: icfg})
+	sx, err := fingerprint.SliceDB(db, icfg)
 	if err != nil {
 		return nil, err
 	}

@@ -39,10 +39,8 @@ type Scale1MParams struct {
 	Seed      uint64
 	// Dir is the engine directory; empty selects a removed-on-return temp dir.
 	Dir string
-	// Workers bounds index-build signing; Probes tunes the sliced query
-	// path exactly as in ScaleParams.
+	// Workers bounds index-build signing.
 	Workers int
-	Probes  bool
 	// MaxHeapFrac fails the run when post-flush resident heap exceeds this
 	// fraction of the corpus bytes; 0 selects 1.0 (heap strictly below the
 	// corpus — the "bounded below corpus size" acceptance floor).
@@ -64,7 +62,6 @@ func DefaultScale1MParams() Scale1MParams {
 		Queries:         200,
 		Threshold:       fingerprint.DefaultThreshold,
 		Seed:            0x5CA1E13,
-		Probes:          true,
 	}
 }
 
@@ -131,7 +128,7 @@ func RunScale1M(p Scale1MParams) (*Scale1MResult, error) {
 			CompactSegments: p.CompactSegments,
 		},
 		store.DBConfig{
-			Threshold: p.Threshold, Probes: p.Probes, Workers: p.Workers,
+			Threshold: p.Threshold, Workers: p.Workers,
 		})
 	if err != nil {
 		return nil, err

@@ -63,15 +63,10 @@ func (q *Query) signature(scheme minhash.Scheme) minhash.Signature {
 	return q.sig
 }
 
-// Keys returns the query's LSH keys under scheme: the multi-probe key set
-// when probes is set, the band keys otherwise — exactly the keys an entry
-// holding the same set is indexed under.
-func (q *Query) Keys(scheme minhash.Scheme, probes bool) []uint64 {
-	sig := q.signature(scheme)
-	if probes {
-		return scheme.ProbeKeys(sig)
-	}
-	return scheme.BandKeys(sig)
+// Keys returns the query's LSH band keys under scheme — exactly the keys an
+// entry holding the same set is indexed under.
+func (q *Query) Keys(scheme minhash.Scheme) []uint64 {
+	return scheme.BandKeys(q.signature(scheme))
 }
 
 // kernelDistance converts one block-kernel triple into Algorithm 3's

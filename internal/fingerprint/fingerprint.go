@@ -36,14 +36,15 @@ import (
 )
 
 // Pipeline metrics, all behind obs.On() so library users pay one branch.
-// Distance and SparseDistance are the hottest calls in the system (every
-// stitch candidate check lands here), hence the latency histograms the
-// perf trajectory tracks across PRs.
+// Distance and SparseDistance are the hottest calls in the system. Distance
+// only counts its calls: a dense scan calls it once an entry, and timing
+// each call cost more than the call. SparseDistance (every stitch candidate
+// check lands here) keeps the latency histogram the perf trajectory tracks
+// across PRs.
 var (
 	cErrorStringCalls = obs.C("fingerprint.errorstring.calls")
 	cErrorStringBits  = obs.C("fingerprint.errorstring.bits")
 	cDistanceCalls    = obs.C("fingerprint.distance.calls")
-	hDistanceNanos    = obs.H("fingerprint.distance.nanos")
 	cSparseCalls      = obs.C("fingerprint.sparse_distance.calls")
 	hSparseNanos      = obs.H("fingerprint.sparse_distance.nanos")
 	cIdentifyHit      = obs.C("fingerprint.identify.hit")
@@ -107,16 +108,8 @@ func Characterize(exact []byte, approxes ...[]byte) (*bitset.Set, error) {
 // no evidence to match on and the distance is 1.
 func Distance(errorString, fp *bitset.Set) float64 {
 	if obs.On() {
-		t0 := time.Now()
-		d := distance(errorString, fp)
 		cDistanceCalls.Inc()
-		hDistanceNanos.Observe(time.Since(t0).Nanoseconds())
-		return d
 	}
-	return distance(errorString, fp)
-}
-
-func distance(errorString, fp *bitset.Set) float64 {
 	// One fused pass: the cached cardinalities pick the smaller operand in
 	// O(1) and the word loop runs exactly once (bitset.MinCardAndNotCount).
 	n, m, diff := bitset.MinCardAndNotCount(fp, errorString)

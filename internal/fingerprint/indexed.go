@@ -12,37 +12,21 @@ import (
 
 // Indexed-identify metrics: how many candidate entries the LSH index sends
 // to verification per query (the work sublinear lookup saves versus the
-// O(N) scan), how often the verified fallback scan runs, and how many
-// queries went through the multi-probe expanded key set.
+// O(N) scan) and how often the verified fallback scan runs.
 var (
 	cIndexCandidates = obs.C("fingerprint.identify.candidates")
 	cIndexFallbacks  = obs.C("fingerprint.identify.fallback_scans")
-	cIdentifyProbes  = obs.C("fingerprint.identify.probes")
 )
 
-// IndexedConfig parameterizes an IndexedDB.
+// IndexedConfig parameterizes the LSH candidate stage of an IndexedDB or a
+// SlicedDB.
 type IndexedConfig struct {
 	// Scheme is the MinHash/LSH scheme used to sign fingerprints and error
 	// strings; the zero value selects minhash.DefaultScheme.
 	Scheme minhash.Scheme
-	// NoFallback disables the verified full-scan fallback that runs when the
-	// candidate buckets produce no match. The zero value — fallback ON — is
-	// the correctness-preserving configuration: a hit the index misses is
-	// still found by the scan, so Identify only ever differs from the plain
-	// DB in speed. Set NoFallback for the pure-LSH ablation, where a recall
-	// shortfall should be visible rather than papered over; SliceDB rejects
-	// it.
-	NoFallback bool
 	// Workers bounds the worker pool used to sign entries during bulk index
 	// construction (IndexDB). 0 or 1 signs serially.
 	Workers int
-	// Probes enables multi-probe candidate expansion: signatures are indexed
-	// and looked up under the leave-one-out key set as well as the full band
-	// keys, so entries whose signature disagrees with the query in a single
-	// row of a band still become candidates. Recall then holds as bands grow
-	// more selective at 100k+ entries, at ×(1+Rows) index size. Requires
-	// Scheme.Rows ≥ 2.
-	Probes bool
 }
 
 // IndexedDB wraps a DB with a MinHash/LSH index over its fingerprints so
@@ -75,13 +59,7 @@ func IndexDB(db *DB, cfg IndexedConfig) (*IndexedDB, error) {
 	if cfg.Scheme == (minhash.Scheme{}) {
 		cfg.Scheme = minhash.DefaultScheme
 	}
-	var ix *minhash.Index[int]
-	var err error
-	if cfg.Probes {
-		ix, err = minhash.NewMultiProbeIndex[int](cfg.Scheme)
-	} else {
-		ix, err = minhash.NewIndex[int](cfg.Scheme)
-	}
+	ix, err := minhash.NewIndex[int](cfg.Scheme)
 	if err != nil {
 		return nil, err
 	}
@@ -115,25 +93,22 @@ func (x *IndexedDB) Len() int { return x.db.Len() }
 func (x *IndexedDB) DB() *DB { return x.db }
 
 // candidates returns the entry indices colliding with the query in at least
-// one band (or probe bucket), in ascending order so verification visits
-// entries exactly as Algorithm 2's scan would. The index deduplicates the
-// merged probe buckets before returning, so no entry is verified twice.
+// one band, in ascending order so verification visits entries exactly as
+// Algorithm 2's scan would. The index deduplicates the merged buckets, so
+// no entry is verified twice.
 func (x *IndexedDB) candidates(q *Query) []int {
 	out := x.index.Candidates(q.signature(x.cfg.Scheme))
-	sortInts(out)
+	slices.Sort(out)
 	if obs.On() {
 		cIndexCandidates.Add(int64(len(out)))
-		if x.index.MultiProbe() {
-			cIdentifyProbes.Inc()
-		}
 	}
 	return out
 }
 
 // Identify implements Algorithm 2 over the candidate buckets: it returns the
 // first candidate entry within the threshold of the error string. If no
-// candidate matches and the fallback is enabled (the default), it runs the
-// plain verified scan, so a true match missed by the index is still found.
+// candidate matches, it runs the plain verified scan, so a true match missed
+// by the index is still found.
 func (x *IndexedDB) Identify(errorString *bitset.Set) (name string, index int, ok bool) {
 	cands := x.candidates(NewQuery(errorString, x.cfg.Scheme))
 	for k, i := range cands {
@@ -151,16 +126,10 @@ func (x *IndexedDB) Identify(errorString *bitset.Set) (name string, index int, o
 			return e.Name, i, true
 		}
 	}
-	if !x.cfg.NoFallback {
-		if obs.On() {
-			cIndexFallbacks.Inc()
-		}
-		return x.db.Identify(errorString)
-	}
 	if obs.On() {
-		cIdentifyMiss.Inc()
+		cIndexFallbacks.Inc()
 	}
-	return "", -1, false
+	return x.db.Identify(errorString)
 }
 
 // ambiguousAmong reports whether any of the remaining candidate entries also
@@ -176,26 +145,6 @@ func (x *IndexedDB) ambiguousAmong(errorString *bitset.Set, rest []int) bool {
 		}
 	}
 	return false
-}
-
-// sortIntsCutoff is the length above which sortInts switches from insertion
-// sort to slices.Sort. Exact-index candidate lists run 0–2 entries, where
-// insertion sort is branch-cheap; multi-probe expansion at 100k entries makes
-// lists of dozens routine, where the O(n²) tail would dominate verification.
-const sortIntsCutoff = 32
-
-// sortInts sorts a candidate list: insertion sort for the short lists the
-// exact index returns, slices.Sort beyond the cutoff.
-func sortInts(s []int) {
-	if len(s) > sortIntsCutoff {
-		slices.Sort(s)
-		return
-	}
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // Identifier is the shared identification surface of DB, IndexedDB,
@@ -216,6 +165,6 @@ var (
 
 // String renders a small summary for logs.
 func (x *IndexedDB) String() string {
-	return fmt.Sprintf("indexeddb(entries=%d, bands=%d, rows=%d, fallback=%v)",
-		x.db.Len(), x.cfg.Scheme.Bands, x.cfg.Scheme.Rows, !x.cfg.NoFallback)
+	return fmt.Sprintf("indexeddb(entries=%d, bands=%d, rows=%d)",
+		x.db.Len(), x.cfg.Scheme.Bands, x.cfg.Scheme.Rows)
 }

@@ -131,22 +131,16 @@ func TestParallelIdentifyMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestIndexedNoFallbackMisses(t *testing.T) {
+func TestIndexedFallbackFindsMisses(t *testing.T) {
 	// A scheme so selective that the (deliberately noisy) query signature
-	// shares no band: verify the NoFallback path reports a miss while the
-	// fallback path still finds the entry.
+	// shares no band: the verified fallback scan must still find the entry.
 	fps, _, _ := mkChipWorld(t, 1, 0, 4096, 0x51)
-	mk := func(noFallback bool) *IndexedDB {
-		db := NewDB(DefaultThreshold)
-		db.Add("a", fps[0])
-		ix, err := IndexDB(db, IndexedConfig{
-			Scheme:     minhash.Scheme{Bands: 1, Rows: 32, Seed: 1},
-			NoFallback: noFallback,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ix
+	scheme := minhash.Scheme{Bands: 1, Rows: 32, Seed: 1}
+	db := NewDB(DefaultThreshold)
+	db.Add("a", fps[0])
+	ix, err := IndexDB(db, IndexedConfig{Scheme: scheme})
+	if err != nil {
+		t.Fatal(err)
 	}
 	// Superset query: scan distance is exactly 0 (every fingerprint bit is
 	// present), but the extra bits perturb enough of the 32 minhash rows that
@@ -155,14 +149,14 @@ func TestIndexedNoFallbackMisses(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		query.Set(2000 + 7*i)
 	}
-	if sameBand := mk(true).candidates(NewQuery(query, minhash.Scheme{Bands: 1, Rows: 32, Seed: 1})); len(sameBand) != 0 {
+	if sameBand := ix.candidates(NewQuery(query, scheme)); len(sameBand) != 0 {
 		t.Skip("seed produced a colliding band; fallback path not exercised")
 	}
-	if _, _, ok := mk(true).Identify(query); ok {
-		t.Fatal("NoFallback identify found a match without a candidate")
-	}
-	if _, _, ok := mk(false).Identify(query); !ok {
+	if _, _, ok := ix.Identify(query); !ok {
 		t.Fatal("fallback identify failed to run the verified scan")
+	}
+	if v := ix.Decide(query); v.Matches != 1 || v.Distance != 0 {
+		t.Fatalf("fallback decide = %+v, want the entry at distance 0", v)
 	}
 }
 

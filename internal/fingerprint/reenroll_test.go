@@ -46,8 +46,7 @@ func reenrolled(src *prng.Source, n int) (fps, queries []*bitset.Set) {
 }
 
 // TestShardedDecideReenrollment: on the re-enrollment corpus ShardedDB's
-// Decide, with multi-probe candidates off and on, equals the dense scan
-// field for field, Matches included. It holds 4000 devices, 800 under the
+// Decide equals the dense scan field for field, Matches included. It holds 4000 devices, 800 under the
 // race detector; an engine whose matching candidates settle their shard
 // undercounts Matches at either size.
 func TestShardedDecideReenrollment(t *testing.T) {
@@ -71,23 +70,19 @@ func TestShardedDecideReenrollment(t *testing.T) {
 	if 2*ambiguous < len(queries) {
 		t.Fatalf("only %d of %d queries match both copies of their device", ambiguous, len(queries))
 	}
-	for _, probes := range []bool{false, true} {
-		cfg := ShardedConfig{}
-		cfg.Index.Probes = probes
-		sh, err := ShardDB(dense, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wrong := 0
-		for qi, q := range queries {
-			if got := sh.Decide(q); got != want[qi] {
-				if wrong++; wrong <= 3 {
-					t.Errorf("probes=%v query %d: Decide %+v, dense scan %+v", probes, qi, got, want[qi])
-				}
+	sh, err := ShardDB(dense, ShardedConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrong := 0
+	for qi, q := range queries {
+		if got := sh.Decide(q); got != want[qi] {
+			if wrong++; wrong <= 3 {
+				t.Errorf("query %d: Decide %+v, dense scan %+v", qi, got, want[qi])
 			}
 		}
-		if wrong > 0 {
-			t.Errorf("probes=%v: %d of %d verdicts differ from the dense scan", probes, wrong, len(queries))
-		}
+	}
+	if wrong > 0 {
+		t.Errorf("%d of %d verdicts differ from the dense scan", wrong, len(queries))
 	}
 }

@@ -32,7 +32,7 @@ type ShardedConfig struct {
 	// Shards is the number of shards; 0 selects DefaultShards.
 	Shards int
 	// Index configures the per-shard LSH candidate stage (scheme, build
-	// workers, multi-probe). The zero value selects minhash.DefaultScheme.
+	// workers). The zero value selects minhash.DefaultScheme.
 	Index IndexedConfig
 	// Plain selects the dense reference: every shard answers by DB's dense
 	// scan, with no candidate stage, no sliced blocks and no bound — the
@@ -101,7 +101,7 @@ type dbShard struct {
 // construction and after a Remove rebuild.
 func (sh *dbShard) build(cfg ShardedConfig) (err error) {
 	if !cfg.Plain {
-		sh.sx, err = SliceDB(sh.db, SlicedConfig{Index: cfg.Index})
+		sh.sx, err = SliceDB(sh.db, cfg.Index)
 	}
 	return err
 }
@@ -557,7 +557,7 @@ func (s *ShardedDB) ExportKeyed() (entries []IDEntry, pairs []KeyPos) {
 	if s.cfg.Plain {
 		return entries, nil
 	}
-	pairs = make([]KeyPos, 0, len(entries)*s.scheme.NumKeys(s.cfg.Index.Probes))
+	pairs = make([]KeyPos, 0, len(entries)*s.scheme.Bands)
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 		// pos maps a shard-local index to its position in entries (ids are

@@ -403,15 +403,13 @@ func TestShardedRemoveTombstone(t *testing.T) {
 
 // TestShardedExportKeyed: ExportKeyed returns ExportIDs' entries and, as a
 // multiset, exactly the pairs signing each live entry afresh would give —
-// its keys under the index's scheme and probes setting, at its export
-// position — with tombstones below and above RebuildMinDead, and without
+// its band keys under the index's scheme, at its export position — with tombstones below and above RebuildMinDead, and without
 // signing anything. A Plain database reports no keys.
 func TestShardedExportKeyed(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
 	for _, cfg := range []ShardedConfig{
 		{Shards: 3},
-		{Shards: 3, Index: IndexedConfig{Probes: true}},
 		{Shards: 2, RebuildMinDead: 4},
 		{Shards: 3, Plain: true},
 	} {
@@ -438,7 +436,7 @@ func TestShardedExportKeyed(t *testing.T) {
 		}
 		want := map[KeyPos]int{}
 		for pos, e := range entries {
-			for _, k := range NewQuery(e.FP, minhash.DefaultScheme).Keys(minhash.DefaultScheme, cfg.Index.Probes) {
+			for _, k := range NewQuery(e.FP, minhash.DefaultScheme).Keys(minhash.DefaultScheme) {
 				want[KeyPos{Key: k, Pos: uint32(pos)}]++
 			}
 		}
@@ -446,7 +444,7 @@ func TestShardedExportKeyed(t *testing.T) {
 		for _, p := range pairs {
 			got[p]++
 		}
-		if len(pairs) != len(entries)*minhash.DefaultScheme.NumKeys(cfg.Index.Probes) || !maps.Equal(got, want) {
+		if len(pairs) != len(entries)*minhash.DefaultScheme.Bands || !maps.Equal(got, want) {
 			t.Fatalf("cfg %+v: %d pairs differ from the %d entries' signed keys", cfg, len(pairs), len(entries))
 		}
 	}
@@ -566,14 +564,10 @@ func runShardedOracle(t *testing.T, tape int, th float64, workers int) {
 	pool := oraclePool(src, nbits, 40)
 	check := func(step int) {
 		qs := oracleQueries(src, pool)
-		// The dense verdicts are taken with instrumentation off, since
-		// Distance times every call while it is on.
-		obs.Disable()
 		want := make([]Verdict, len(qs))
 		for qi, q := range qs {
 			want[qi] = dense.Decide(q)
 		}
-		obs.Enable()
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)

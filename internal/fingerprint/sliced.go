@@ -1,20 +1,11 @@
 package fingerprint
 
 import (
-	"errors"
 	"fmt"
 
 	"probablecause/internal/bitset"
 	"probablecause/internal/minhash"
 )
-
-// SlicedConfig parameterizes a SlicedDB.
-type SlicedConfig struct {
-	// Index configures the LSH candidate stage (scheme, workers,
-	// multi-probe), exactly as for IndexedDB. NoFallback is rejected: the
-	// sliced engine always sweeps when no candidate matches.
-	Index IndexedConfig
-}
 
 // SlicedDB is the serving identify engine over an in-memory database: an
 // IndexedDB's LSH candidate stage in front of a bit-major sliced copy of the
@@ -40,8 +31,8 @@ type SlicedDB struct {
 }
 
 // NewSlicedDB returns an empty sliced database with the given identification
-// threshold.
-func NewSlicedDB(threshold float64, cfg SlicedConfig) (*SlicedDB, error) {
+// threshold; cfg configures its LSH candidate stage, as for IndexedDB.
+func NewSlicedDB(threshold float64, cfg IndexedConfig) (*SlicedDB, error) {
 	return SliceDB(NewDB(threshold), cfg)
 }
 
@@ -50,15 +41,12 @@ func NewSlicedDB(threshold float64, cfg SlicedConfig) (*SlicedDB, error) {
 // (bitset.PackSlicedArena) — and returns the sliced view. The DB is shared,
 // not copied; as with IndexDB, entries must not be added directly to db
 // afterwards.
-func SliceDB(db *DB, cfg SlicedConfig) (*SlicedDB, error) {
-	if cfg.Index.NoFallback {
-		return nil, errors.New("fingerprint: the sliced engine always sweeps on a candidate miss; NoFallback is an IndexedDB ablation")
-	}
+func SliceDB(db *DB, cfg IndexedConfig) (*SlicedDB, error) {
 	nbits, err := db.BitLen()
 	if err != nil {
 		return nil, err
 	}
-	x, err := IndexDB(db, cfg.Index)
+	x, err := IndexDB(db, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +114,7 @@ func (s *SlicedDB) Entry(pos int) (string, int) { return s.x.db.entries[pos].Nam
 
 // String renders a small summary for logs.
 func (s *SlicedDB) String() string {
-	return fmt.Sprintf("sliceddb(entries=%d, blocks=%d×%d, bands=%d, rows=%d, probes=%v)",
+	return fmt.Sprintf("sliceddb(entries=%d, blocks=%d×%d, bands=%d, rows=%d)",
 		s.x.db.Len(), s.arena.NumBlocks(), s.arena.BlockEntries(),
-		s.x.cfg.Scheme.Bands, s.x.cfg.Scheme.Rows, s.x.index.MultiProbe())
+		s.x.cfg.Scheme.Bands, s.x.cfg.Scheme.Rows)
 }

@@ -5,13 +5,11 @@ import (
 	"testing"
 
 	"probablecause/internal/bitset"
-	"probablecause/internal/minhash"
 	"probablecause/internal/prng"
 )
 
 // TestSlicedIdentifyMatchesScan: every SlicedDB decision must be bit-identical
-// to the dense scan — Identify triple and full Verdict — in both probing
-// modes, over 12 chips and 150 unrelated entries, so the arena spans three
+// to the dense scan — Identify triple and full Verdict — over 12 chips and 150 unrelated entries, so the arena spans three
 // blocks with a partial tail.
 func TestSlicedIdentifyMatchesScan(t *testing.T) {
 	fps, outs, _ := mkChipWorld(t, 12, 4, 4096, 0x51C)
@@ -29,28 +27,21 @@ func TestSlicedIdentifyMatchesScan(t *testing.T) {
 	queries = append(queries, unknownOuts...)
 	queries = append(queries, bitset.New(4096)) // empty query, degenerate path
 
-	for _, probes := range []bool{false, true} {
-		var cfg SlicedConfig
-		cfg.Index.Probes = probes
-		sx, err := SliceDB(db, cfg)
-		if err != nil {
-			t.Fatal(err)
+	sx, err := SliceDB(db, IndexedConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := sx.arena; a.NumBlocks() != 3 || a.Len()%a.BlockEntries() == 0 {
+		t.Fatalf("%d entries in %d blocks, want three with a partial tail", a.Len(), a.NumBlocks())
+	}
+	for k, q := range queries {
+		sn, si, sok := db.Identify(q)
+		xn, xi, xok := sx.Identify(q)
+		if sn != xn || si != xi || sok != xok {
+			t.Fatalf("query %d: scan (%s,%d,%v) != sliced (%s,%d,%v)", k, sn, si, sok, xn, xi, xok)
 		}
-		if a := sx.arena; a.NumBlocks() != 3 || a.Len()%a.BlockEntries() == 0 {
-			t.Fatalf("%d entries in %d blocks, want three with a partial tail", a.Len(), a.NumBlocks())
-		}
-		for k, q := range queries {
-			sn, si, sok := db.Identify(q)
-			xn, xi, xok := sx.Identify(q)
-			if sn != xn || si != xi || sok != xok {
-				t.Fatalf("probes=%v query %d: scan (%s,%d,%v) != sliced (%s,%d,%v)",
-					probes, k, sn, si, sok, xn, xi, xok)
-			}
-			sv, xv := db.Decide(q), sx.Decide(q)
-			if sv != xv {
-				t.Fatalf("probes=%v query %d: scan verdict %+v != sliced %+v",
-					probes, k, sv, xv)
-			}
+		if sv, xv := db.Decide(q), sx.Decide(q); sv != xv {
+			t.Fatalf("query %d: scan verdict %+v != sliced %+v", k, sv, xv)
 		}
 	}
 }
@@ -67,11 +58,11 @@ func TestSlicedAddMatchesBulkBuild(t *testing.T) {
 	for i, fp := range fps {
 		bulkDB.Add(fmt.Sprintf("chip%03d", i), fp)
 	}
-	bulk, err := SliceDB(bulkDB, SlicedConfig{})
+	bulk, err := SliceDB(bulkDB, IndexedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	incr, err := NewSlicedDB(DefaultThreshold, SlicedConfig{})
+	incr, err := NewSlicedDB(DefaultThreshold, IndexedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +116,7 @@ func TestSlicedInvariance100k(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sx, err := SliceDB(db, SlicedConfig{Index: IndexedConfig{Workers: 4, Probes: true}})
+	sx, err := SliceDB(db, IndexedConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,17 +174,6 @@ func TestSlicedInvariance100k(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestSlicedProbesRequiresRows: the multi-probe config must surface minhash's
-// Rows ≥ 2 requirement at construction, not at first query.
-func TestSlicedProbesRequiresRows(t *testing.T) {
-	cfg := SlicedConfig{}
-	cfg.Index.Scheme = minhash.Scheme{Bands: 4, Rows: 1, Seed: 7}
-	cfg.Index.Probes = true
-	if _, err := NewSlicedDB(DefaultThreshold, cfg); err == nil {
-		t.Fatal("Rows=1 multi-probe sliced DB accepted")
 	}
 }
 

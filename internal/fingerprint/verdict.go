@@ -96,8 +96,7 @@ func (db *DB) named(v Verdict) Verdict {
 }
 
 // Decide is DB.Decide over the candidate buckets. When no candidate sits
-// under the threshold and the fallback is enabled, the verified full scan
-// decides instead, so a reported miss carries the true global best and a
+// under the threshold, the verified full scan decides instead, so a reported miss carries the true global best and a
 // sub-threshold match is never lost to index recall. As with Identify, the
 // Matches count inspects candidates only on the indexed path; with multiple
 // sub-threshold entries it can undercount relative to a dense scan if the
@@ -115,7 +114,7 @@ func (x *IndexedDB) decideRaw(errorString *bitset.Set) Verdict {
 			v.observe(i, Distance(errorString, x.db.entries[i].FP), x.db.threshold)
 		}
 	}
-	if v.Matches == 0 && !x.cfg.NoFallback {
+	if v.Matches == 0 {
 		if obs.On() {
 			cIndexFallbacks.Inc()
 		}

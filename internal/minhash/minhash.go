@@ -104,15 +104,6 @@ func (s Scheme) BandKeys(sig Signature) []uint64 {
 	return keys
 }
 
-// NumKeys returns how many keys one signature yields: BandKeys' Bands, or
-// with probes ProbeKeys' Bands·(1+Rows).
-func (s Scheme) NumKeys(probes bool) int {
-	if probes {
-		return s.Bands * (1 + s.Rows)
-	}
-	return s.Bands
-}
-
 // ProbeKeys returns the multi-probe key set of a signature: the Bands full
 // band keys followed by the Bands·Rows leave-one-out keys — for each band,
 // the keys obtained by omitting one row from the band hash. Two signatures
@@ -121,8 +112,12 @@ func (s Scheme) NumKeys(probes bool) int {
 // set tolerates one disagreeing row per band: the near-miss buckets that
 // keep recall up as bands grow more selective. The expansion requires
 // Rows ≥ 2 (with one row, omitting it would collide everything).
+//
+// No index uses these keys: every index, segment key section and query
+// uses BandKeys. ProbeKeys stays for the benchmark's signing replay
+// (perfbench), which times it beside BandKeys.
 func (s Scheme) ProbeKeys(sig Signature) []uint64 {
-	keys := make([]uint64, 0, s.NumKeys(true))
+	keys := make([]uint64, 0, s.Bands*(1+s.Rows))
 	keys = append(keys, s.BandKeys(sig)...)
 	for b := 0; b < s.Bands; b++ {
 		for r := 0; r < s.Rows; r++ {
@@ -142,12 +137,8 @@ func (s Scheme) ProbeKeys(sig Signature) []uint64 {
 }
 
 // Index is an LSH index mapping band keys to caller-defined references.
-// When constructed with NewMultiProbeIndex it indexes and probes the
-// leave-one-out key expansion as well, trading index size (×(1+Rows)) for
-// recall on signatures that disagree in a single row per band.
 type Index[Ref comparable] struct {
 	scheme  Scheme
-	probes  bool
 	buckets map[uint64][]Ref
 }
 
@@ -159,51 +150,22 @@ func NewIndex[Ref comparable](scheme Scheme) (*Index[Ref], error) {
 	return &Index[Ref]{scheme: scheme, buckets: make(map[uint64][]Ref)}, nil
 }
 
-// NewMultiProbeIndex returns an empty index that registers and probes the
-// leave-one-out key expansion in addition to the full band keys. It requires
-// Rows ≥ 2.
-func NewMultiProbeIndex[Ref comparable](scheme Scheme) (*Index[Ref], error) {
-	ix, err := NewIndex[Ref](scheme)
-	if err != nil {
-		return nil, err
-	}
-	if scheme.Rows < 2 {
-		return nil, fmt.Errorf("minhash: multi-probe needs Rows >= 2, have %d", scheme.Rows)
-	}
-	ix.probes = true
-	return ix, nil
-}
-
 // Scheme returns the index's scheme.
 func (ix *Index[Ref]) Scheme() Scheme { return ix.scheme }
 
-// MultiProbe reports whether the index carries the leave-one-out expansion.
-func (ix *Index[Ref]) MultiProbe() bool { return ix.probes }
-
-// keys returns the bucket keys of a signature under the index's probing mode.
-func (ix *Index[Ref]) keys(sig Signature) []uint64 {
-	if ix.probes {
-		return ix.scheme.ProbeKeys(sig)
-	}
-	return ix.scheme.BandKeys(sig)
-}
-
-// Add registers ref under every band key of the signature (and, on a
-// multi-probe index, under every leave-one-out key).
+// Add registers ref under every band key of the signature.
 func (ix *Index[Ref]) Add(sig Signature, ref Ref) {
-	for _, k := range ix.keys(sig) {
+	for _, k := range ix.scheme.BandKeys(sig) {
 		ix.buckets[k] = append(ix.buckets[k], ref)
 	}
 }
 
 // Candidates returns the deduplicated references colliding with the
-// signature in at least one band (or, on a multi-probe index, in at least
-// one probe bucket). The merged probe results are deduplicated here, once,
-// before any verification work downstream.
+// signature in at least one band.
 func (ix *Index[Ref]) Candidates(sig Signature) []Ref {
 	seen := make(map[Ref]struct{})
 	var out []Ref
-	for _, k := range ix.keys(sig) {
+	for _, k := range ix.scheme.BandKeys(sig) {
 		for _, ref := range ix.buckets[k] {
 			if _, dup := seen[ref]; dup {
 				continue

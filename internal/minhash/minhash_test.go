@@ -151,43 +151,37 @@ func TestIndexCandidatesDeduplicated(t *testing.T) {
 }
 
 // TestIndexEach: the walk visits exactly the (key, ref) entries Add
-// registered — NumKeys per ref, the keys of that ref's signature, and a
-// second registration of the same signature twice — on plain and
-// multi-probe indexes.
+// registered — Bands per ref, the band keys of that ref's signature, and a
+// second registration of the same signature twice.
 func TestIndexEach(t *testing.T) {
-	for _, probes := range []bool{false, true} {
-		ix, err := NewIndex[int](DefaultScheme)
-		if probes {
-			ix, err = NewMultiProbeIndex[int](DefaultScheme)
+	ix, err := NewIndex[int](DefaultScheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[[2]uint64]int{}
+	for ref := 0; ref < 20; ref++ {
+		sig := DefaultScheme.Sign(randomSet(uint64(ref)%15, 200, 32768)) // refs 15–19 repeat 0–4's sets
+		ix.Add(sig, ref)
+		keys := DefaultScheme.BandKeys(sig)
+		if len(keys) != DefaultScheme.Bands {
+			t.Fatalf("%d keys, want %d", len(keys), DefaultScheme.Bands)
 		}
-		if err != nil {
-			t.Fatal(err)
+		for _, k := range keys {
+			want[[2]uint64{k, uint64(ref)}]++
 		}
-		want := map[[2]uint64]int{}
-		for ref := 0; ref < 20; ref++ {
-			sig := DefaultScheme.Sign(randomSet(uint64(ref)%15, 200, 32768)) // refs 15–19 repeat 0–4's sets
-			ix.Add(sig, ref)
-			keys := ix.keys(sig)
-			if len(keys) != DefaultScheme.NumKeys(probes) {
-				t.Fatalf("probes=%v: %d keys, NumKeys says %d", probes, len(keys), DefaultScheme.NumKeys(probes))
-			}
-			for _, k := range keys {
-				want[[2]uint64{k, uint64(ref)}]++
-			}
-		}
-		ix.Add(DefaultScheme.Sign(randomSet(3, 200, 32768)), 3) // ref 3 again, same keys
-		for _, k := range ix.keys(DefaultScheme.Sign(randomSet(3, 200, 32768))) {
-			want[[2]uint64{k, 3}]++
-		}
-		got := map[[2]uint64]int{}
-		ix.Each(func(key uint64, ref int) { got[[2]uint64{key, uint64(ref)}]++ })
-		if len(got) != len(want) {
-			t.Fatalf("probes=%v: Each visited %d distinct entries, want %d", probes, len(got), len(want))
-		}
-		for e, n := range want {
-			if got[e] != n {
-				t.Fatalf("probes=%v: entry %v visited %d times, want %d", probes, e, got[e], n)
-			}
+	}
+	ix.Add(DefaultScheme.Sign(randomSet(3, 200, 32768)), 3) // ref 3 again, same keys
+	for _, k := range DefaultScheme.BandKeys(DefaultScheme.Sign(randomSet(3, 200, 32768))) {
+		want[[2]uint64{k, 3}]++
+	}
+	got := map[[2]uint64]int{}
+	ix.Each(func(key uint64, ref int) { got[[2]uint64{key, uint64(ref)}]++ })
+	if len(got) != len(want) {
+		t.Fatalf("Each visited %d distinct entries, want %d", len(got), len(want))
+	}
+	for e, n := range want {
+		if got[e] != n {
+			t.Fatalf("entry %v visited %d times, want %d", e, got[e], n)
 		}
 	}
 }
@@ -275,70 +269,5 @@ func TestProbeKeysOneRowTolerance(t *testing.T) {
 	}
 	if len(uniq) != len(a) {
 		t.Fatalf("expanded keys alias: %d unique of %d", len(uniq), len(a))
-	}
-}
-
-// TestMultiProbeIndexRecall: under a deliberately selective scheme (one band
-// of many rows), an exact index loses near-duplicates that the multi-probe
-// index still surfaces; on clearly different sets both stay quiet.
-func TestMultiProbeIndexRecall(t *testing.T) {
-	scheme := Scheme{Bands: 2, Rows: 16, Seed: 3}
-	exact, err := NewIndex[int](scheme)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probed, err := NewMultiProbeIndex[int](scheme)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !probed.MultiProbe() || exact.MultiProbe() {
-		t.Fatal("probe mode flags wrong")
-	}
-	const universe = 1 << 20
-	exactMisses, probeHits := 0, 0
-	for i := 0; i < 40; i++ {
-		s := randomSet(uint64(i)+100, 400, universe)
-		sig := scheme.Sign(s)
-		exact.Add(sig, i)
-		probed.Add(sig, i)
-		// A ~97% twin: with 16-row bands a single bad row per band is the
-		// common failure, exactly what the leave-one-out probes recover.
-		twin := scheme.Sign(overlapSet(uint64(i)+9000, s, 0.97, universe))
-		if !hasRef(exact.Candidates(twin), i) {
-			exactMisses++
-			if hasRef(probed.Candidates(twin), i) {
-				probeHits++
-			}
-		} else if !hasRef(probed.Candidates(twin), i) {
-			t.Fatalf("twin %d: exact hit but multi-probe miss", i)
-		}
-	}
-	if exactMisses == 0 {
-		t.Skip("selective scheme produced no exact misses at this seed; probe recovery not exercised")
-	}
-	if probeHits == 0 {
-		t.Fatalf("multi-probe recovered 0 of %d exact misses", exactMisses)
-	}
-	// Different sets must stay non-candidates even with probing.
-	foreign := scheme.Sign(randomSet(0xF0E1, 400, universe))
-	if got := probed.Candidates(foreign); len(got) > 2 {
-		t.Fatalf("foreign set collided with %d entries under multi-probe", len(got))
-	}
-}
-
-func hasRef(refs []int, want int) bool {
-	for _, r := range refs {
-		if r == want {
-			return true
-		}
-	}
-	return false
-}
-
-// TestMultiProbeRejectsSingleRow: Rows=1 would collide everything when the
-// single row is omitted, so construction must refuse it.
-func TestMultiProbeRejectsSingleRow(t *testing.T) {
-	if _, err := NewMultiProbeIndex[int](Scheme{Bands: 8, Rows: 1, Seed: 1}); err == nil {
-		t.Fatal("Rows=1 multi-probe index accepted")
 	}
 }

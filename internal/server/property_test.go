@@ -47,12 +47,12 @@ func checkVerdict(t *testing.T, label string, got, want fingerprint.Verdict) {
 }
 
 // TestServeInvariance is the serving-path determinism property: for any shard
-// count, any batch window, cache on or off, with or without multi-probe
-// candidates, every verdict the batched+sharded+cached service returns
-// equals the dense scan's field for field — concurrency moves wall-clock
-// only. The dense scan is fingerprint.DB.Decide, or on the plain rows a
-// Plain ShardedDB over the same fixture; the sliced rows seed 150 devices a
-// shard, so some shard's sweep crosses three blocks and a partial tail.
+// count, any batch window, cache on or off, every verdict the
+// batched+sharded+cached service returns equals the dense scan's field for
+// field — concurrency moves wall-clock only. The dense scan is
+// fingerprint.DB.Decide, or on the plain rows a Plain ShardedDB over the
+// same fixture; the sliced rows seed 150 devices a shard, so some shard's
+// sweep crosses three blocks and a partial tail.
 func TestServeInvariance(t *testing.T) {
 	type combo struct {
 		shards int
@@ -60,7 +60,6 @@ func TestServeInvariance(t *testing.T) {
 		cache  int
 		plain  bool // expected verdicts from a Plain ShardedDB
 		sliced bool // 150 devices a shard
-		probes bool
 	}
 	combos := []combo{
 		{shards: 1, window: 0, cache: 0, plain: false},
@@ -69,7 +68,7 @@ func TestServeInvariance(t *testing.T) {
 		{shards: 5, window: 1 * time.Millisecond, cache: 64, plain: true},
 		{shards: 2, window: 500 * time.Microsecond, cache: 16, plain: false},
 		{shards: 3, window: 0, cache: 0, sliced: true},
-		{shards: 2, window: 1 * time.Millisecond, cache: 32, sliced: true, probes: true},
+		{shards: 2, window: 1 * time.Millisecond, cache: 32, sliced: true},
 	}
 	for ci, cb := range combos {
 		cb := cb
@@ -97,7 +96,6 @@ func TestServeInvariance(t *testing.T) {
 
 			s, err := New(db, Config{
 				Shards:      cb.shards,
-				Probes:      cb.probes,
 				Workers:     2,
 				BatchWindow: cb.window,
 				MaxBatch:    7, // forces multi-dispatch splits

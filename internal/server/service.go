@@ -52,9 +52,6 @@ type Config struct {
 	Threshold float64
 	// Shards is the database shard count; 0 selects fingerprint.DefaultShards.
 	Shards int
-	// Probes enables multi-probe LSH candidate expansion (leave-one-out
-	// near-miss buckets).
-	Probes bool
 	// Workers bounds the pool a dispatched batch fans across; 0 means one
 	// worker per CPU.
 	Workers int
@@ -167,8 +164,7 @@ func New(seed *fingerprint.DB, cfg Config) (*Service, error) {
 		return nil, err
 	}
 	db, err := store.Open(cfg.Store, store.DBConfig{
-		Threshold: cfg.Threshold, Shards: cfg.Shards,
-		Probes: cfg.Probes, Workers: cfg.Workers,
+		Threshold: cfg.Threshold, Shards: cfg.Shards, Workers: cfg.Workers,
 	})
 	if err != nil {
 		return nil, err

@@ -110,14 +110,10 @@ func runBoundedOracle(t *testing.T, tape int, th float64, workers int) {
 	check := func(step int) {
 		maxSegs = max(maxSegs, tb.SegmentCount())
 		multiBlock = multiBlock || spansBlocks(tb)
-		// The dense verdicts are taken with instrumentation off, since
-		// Distance times every call while it is on.
-		obs.Disable()
 		want := make([]fingerprint.Verdict, len(queries))
 		for qi, q := range queries {
 			want[qi] = dense.Decide(q)
 		}
-		obs.Enable()
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)

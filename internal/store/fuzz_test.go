@@ -29,7 +29,7 @@ func fuzzSegments(tb testing.TB) []fuzzSegment {
 	tb.Helper()
 	entries := testEntries(150, 512)
 	wide := filepath.Join(tb.TempDir(), "seg-000000.pcseg")
-	if err := WriteSegment(wide, entries, signPairs(nil, entries, 0, minhash.DefaultScheme, false), minhash.DefaultScheme, false); err != nil {
+	if err := WriteSegment(wide, entries, signPairs(nil, entries, 0, minhash.DefaultScheme), minhash.DefaultScheme); err != nil {
 		tb.Fatal(err)
 	}
 	narrow := make([]fingerprint.IDEntry, 75)

@@ -16,12 +16,12 @@ import (
 // backend fed the same Add/Remove sequence — flush and compaction timing can
 // never change an answer or an id — and like the dense scan, a Plain
 // ShardedDB fed the same tape. Every Decide equals both field for field,
-// Matches included; Identify must match them too. "indexed" is the default
-// configuration and "sliced-probes" adds multi-probe candidates; each row
-// replays the tape its seed has always drawn, over a first segment of
-// strangers that spans three blocks with a partial tail. Reads run from a
-// pool of goroutines at each checkpoint so the suite exercises concurrent
-// access under -race.
+// Matches included; Identify must match them too. Both rows run the default
+// configuration: "indexed-tape22" is the tape the row that set multi-probe
+// keys drew, kept as a second tape. Each row replays the tape its seed has
+// always drawn, over a first segment of strangers that spans three blocks
+// with a partial tail. Reads run from a pool of goroutines at each
+// checkpoint so the suite exercises concurrent access under -race.
 func TestTieredScanEquivalence(t *testing.T) {
 	const nbits = 1024
 	configs := []struct {
@@ -30,7 +30,7 @@ func TestTieredScanEquivalence(t *testing.T) {
 		tape uint64
 	}{
 		{"indexed", DBConfig{Threshold: fingerprint.DefaultThreshold, Shards: 2}, 23},
-		{"sliced-probes", DBConfig{Threshold: fingerprint.DefaultThreshold, Shards: 2, Probes: true}, 22},
+		{"indexed-tape22", DBConfig{Threshold: fingerprint.DefaultThreshold, Shards: 2}, 22},
 	}
 	for _, cfg := range configs {
 		for _, workers := range []int{1, 4} {

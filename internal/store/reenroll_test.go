@@ -47,8 +47,7 @@ func reenrolled(src *prng.Source, n int) (fps, queries []*bitset.Set) {
 }
 
 // TestTieredDecideReenrollment: a tiered store holding the re-enrollment
-// corpus in four segments plus its memtable, with multi-probe candidates off
-// and on, answers every Decide as the dense scan does, field for field,
+// corpus in four segments plus its memtable answers every Decide as the dense scan does, field for field,
 // Matches included. It holds 4000 devices, 800 under the race detector; an
 // engine whose matching candidates settle their component undercounts
 // Matches at either size.
@@ -66,35 +65,33 @@ func TestTieredDecideReenrollment(t *testing.T) {
 	for qi, q := range queries {
 		want[qi] = dense.Decide(q)
 	}
-	for _, probes := range []bool{false, true} {
-		tb, err := OpenTiered(Config{Dir: t.TempDir(), FlushEntries: 1 << 20},
-			DBConfig{Threshold: fingerprint.DefaultThreshold, Probes: probes})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tb.Close()
-		per := len(fps) / 5
-		for i, fp := range fps {
-			tb.Add(fmt.Sprintf("dev%05d", i), fp)
-			if (i+1)%per == 0 && i+1 < len(fps) {
-				if err := tb.Flush(); err != nil {
-					t.Fatal(err)
-				}
+	tb, err := OpenTiered(Config{Dir: t.TempDir(), FlushEntries: 1 << 20},
+		DBConfig{Threshold: fingerprint.DefaultThreshold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	per := len(fps) / 5
+	for i, fp := range fps {
+		tb.Add(fmt.Sprintf("dev%05d", i), fp)
+		if (i+1)%per == 0 && i+1 < len(fps) {
+			if err := tb.Flush(); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if tb.SegmentCount() != 4 || tb.mem.Len() != per {
-			t.Fatalf("probes=%v: %d segments and %d memtable entries, want 4 and %d", probes, tb.SegmentCount(), tb.mem.Len(), per)
-		}
-		wrong := 0
-		for qi, q := range queries {
-			if got := tb.Decide(q); got != want[qi] {
-				if wrong++; wrong <= 3 {
-					t.Errorf("probes=%v query %d: Decide %+v, dense scan %+v", probes, qi, got, want[qi])
-				}
+	}
+	if tb.SegmentCount() != 4 || tb.mem.Len() != per {
+		t.Fatalf("%d segments and %d memtable entries, want 4 and %d", tb.SegmentCount(), tb.mem.Len(), per)
+	}
+	wrong := 0
+	for qi, q := range queries {
+		if got := tb.Decide(q); got != want[qi] {
+			if wrong++; wrong <= 3 {
+				t.Errorf("query %d: Decide %+v, dense scan %+v", qi, got, want[qi])
 			}
 		}
-		if wrong > 0 {
-			t.Errorf("probes=%v: %d of %d verdicts differ from the dense scan", probes, wrong, len(queries))
-		}
+	}
+	if wrong > 0 {
+		t.Errorf("%d of %d verdicts differ from the dense scan", wrong, len(queries))
 	}
 }

@@ -27,7 +27,7 @@ import (
 //
 //	header   (44 B): magic "PCSEG02\n", version 2, nbits, blockEntries
 //	                 (B ≤ 64), LSH scheme (bands, rows, probes, seed),
-//	                 header CRC
+//	                 header CRC; writers write probes as 0
 //	entry log       : per-entry records [u32 len | u32 crc32(payload) | payload],
 //	                 payload = u64 id, u32 nPos, nPos×u32 positions,
 //	                 u16 nameLen, name — the durable truth, salvageable
@@ -37,7 +37,7 @@ import (
 //	                 permutation, the position-major fingerprint matrix
 //	                 (nbits rows of one word per B-entry block; see
 //	                 bitset.PackSlicedMatrix), and the sorted
-//	                 (LSH key, entry) pairs
+//	                 (LSH band key, entry) pairs
 //	footer   (56 B): magic "PCSEGFTR", logEnd, colStart, id range, counts,
 //	                 columnar CRC, footer CRC
 //
@@ -51,10 +51,12 @@ import (
 //
 // PCSEG01 (magic "PCSEG01\n", version 1) has the same header, log and
 // footer; only its block section differs (band-major blocks with OR-union
-// words). Load still reads it, but never its block section: once the footer
-// and every record check out, the columnar sections are rebuilt in heap from
-// the log, and the tiered engine rewrites the file as PCSEG02 when it opens
-// the store.
+// words). A PCSEG02 file whose header's probes word is 1 holds multi-probe
+// keys (Bands·(1+Rows) an entry) in its key section, which no query uses
+// any more. Load still reads both, but never those sections: once the
+// footer, the columnar CRC and every record check out, the columnar
+// sections are rebuilt in heap from the log with band keys, and the tiered
+// engine rewrites the file as a band-key PCSEG02 when it opens the store.
 
 const (
 	segMagic     = "PCSEG02\n"
@@ -95,20 +97,20 @@ type colData struct {
 	lshIdx   []uint32
 }
 
-// entryKeys returns the LSH keys a fingerprint is indexed under: the keys a
-// query holding the same set probes with, so both sides use one key set.
-func entryKeys(scheme minhash.Scheme, probes bool, fp *bitset.Set) []uint64 {
-	return fingerprint.NewQuery(fp, scheme).Keys(scheme, probes)
+// entryKeys returns the LSH band keys a fingerprint is indexed under: the
+// keys a query holding the same set looks up, so both sides use one key set.
+func entryKeys(scheme minhash.Scheme, fp *bitset.Set) []uint64 {
+	return fingerprint.NewQuery(fp, scheme).Keys(scheme)
 }
 
 // signPairs appends the LSH pairs of entries, numbered from base, by signing
 // each one. It serves only sources that hold no keys under the target
-// scheme: a salvaged or PCSEG01 segment's rebuild, and a compaction source
-// written under another scheme or probes setting. Every other segment is
+// scheme: the rebuild of a salvaged, PCSEG01 or multi-probe segment, and a
+// compaction source written under another scheme. Every other segment is
 // written from the keys its source already holds.
-func signPairs(dst []fingerprint.KeyPos, entries []fingerprint.IDEntry, base int, scheme minhash.Scheme, probes bool) []fingerprint.KeyPos {
+func signPairs(dst []fingerprint.KeyPos, entries []fingerprint.IDEntry, base int, scheme minhash.Scheme) []fingerprint.KeyPos {
 	for i, e := range entries {
-		for _, k := range entryKeys(scheme, probes, e.FP) {
+		for _, k := range entryKeys(scheme, e.FP) {
 			dst = append(dst, fingerprint.KeyPos{Key: k, Pos: uint32(base + i)})
 		}
 	}
@@ -218,12 +220,12 @@ func (c *colData) name(pos int) string {
 
 // WriteSegment writes entries (ascending add-order ids, one shared bit
 // length) as a PCSEG02 segment at path, atomically (temp-fsync-rename), in
-// blocks of bitset.DefaultSlicedEntries. pairs are the entries' LSH (key,
-// position) pairs under scheme and probes, in any order: WriteSegment sorts
-// them and never signs, so a caller passes the keys its source already
-// holds (signPairs' for a source that holds none). A key count that does
-// not match the entries is refused.
-func WriteSegment(path string, entries []fingerprint.IDEntry, pairs []fingerprint.KeyPos, scheme minhash.Scheme, probes bool) error {
+// blocks of bitset.DefaultSlicedEntries. pairs are the entries' LSH (band
+// key, position) pairs under scheme, in any order: WriteSegment sorts them
+// and never signs, so a caller passes the keys its source already holds
+// (signPairs' for a source that holds none). A key count that does not
+// match the entries is refused.
+func WriteSegment(path string, entries []fingerprint.IDEntry, pairs []fingerprint.KeyPos, scheme minhash.Scheme) error {
 	if len(entries) == 0 {
 		return fmt.Errorf("store: refusing to write empty segment %s", path)
 	}
@@ -235,25 +237,25 @@ func WriteSegment(path string, entries []fingerprint.IDEntry, pairs []fingerprin
 		}
 	}
 	col := buildColumnar(entries, pairs, nbits, blockEntries)
-	if i, why := checkKeys(col.lshKeys, col.lshIdx, len(entries), scheme.NumKeys(probes)); i >= 0 {
+	if i, why := checkKeys(col.lshKeys, col.lshIdx, len(entries), scheme.Bands); i >= 0 {
 		return fmt.Errorf("store: segment %s: LSH key section: %s", path, why)
 	}
-	return writeColumnar(path, entries, col, scheme, probes, nbits, blockEntries)
+	return writeColumnar(path, entries, col, scheme, nbits, blockEntries)
 }
 
 // writeColumnar writes an already-built segment atomically, through one
 // buffer flushed before WriteAtomic's fsync.
-func writeColumnar(path string, entries []fingerprint.IDEntry, col *colData, scheme minhash.Scheme, probes bool, nbits, blockEntries int) error {
+func writeColumnar(path string, entries []fingerprint.IDEntry, col *colData, scheme minhash.Scheme, nbits, blockEntries int) error {
 	return samplefile.WriteAtomic(path, func(w io.Writer) error {
 		bw := bufio.NewWriterSize(w, 1<<16)
-		if err := writeSegmentTo(bw, entries, col, scheme, probes, nbits, blockEntries); err != nil {
+		if err := writeSegmentTo(bw, entries, col, scheme, nbits, blockEntries); err != nil {
 			return err
 		}
 		return bw.Flush()
 	})
 }
 
-func writeSegmentTo(w io.Writer, entries []fingerprint.IDEntry, col *colData, scheme minhash.Scheme, probes bool, nbits, blockEntries int) error {
+func writeSegmentTo(w io.Writer, entries []fingerprint.IDEntry, col *colData, scheme minhash.Scheme, nbits, blockEntries int) error {
 	bw := &countWriter{w: w}
 	// Header.
 	hdr := make([]byte, headerSize)
@@ -264,11 +266,7 @@ func writeSegmentTo(w io.Writer, entries []fingerprint.IDEntry, col *colData, sc
 	le.PutUint32(hdr[16:], uint32(blockEntries))
 	le.PutUint32(hdr[20:], uint32(scheme.Bands))
 	le.PutUint32(hdr[24:], uint32(scheme.Rows))
-	pv := uint32(0)
-	if probes {
-		pv = 1
-	}
-	le.PutUint32(hdr[28:], pv)
+	// hdr[28:32], the probes word, stays 0: the key section holds band keys.
 	le.PutUint64(hdr[32:], scheme.Seed)
 	le.PutUint32(hdr[40:], crc32.ChecksumIEEE(hdr[:40]))
 	if _, err := bw.Write(hdr); err != nil {
@@ -420,7 +418,7 @@ func (c *crcWriter) bytesPadded(b []byte) error {
 }
 
 // Segment is one loaded segment file: columnar views (mmap-backed on the
-// fast path, heap-backed after a salvage or for a PCSEG01 file) plus the
+// fast path, heap-backed after a salvage or a legacy rebuild) plus the
 // tombstone flags its owning Tiered engine maintains under its mutex.
 type Segment struct {
 	path         string
@@ -428,11 +426,13 @@ type Segment struct {
 	nbits        int
 	blockEntries int
 	scheme       minhash.Scheme
-	probes       bool
 	count        int
 	minID, maxID uint64
 	salvaged     bool
-	legacy       bool // a PCSEG01 file
+	// legacy marks a PCSEG01 file or a PCSEG02 file holding multi-probe
+	// keys: committed, it serves columnar sections rebuilt from its log,
+	// and OpenTiered rewrites it as a band-key PCSEG02.
+	legacy bool
 
 	col    *colData
 	blocks []*bitset.SlicedBlock // strided views into col.matrix
@@ -453,8 +453,9 @@ type Segment struct {
 // valid footer the file is treated as torn: the longest valid prefix of log
 // records is rebuilt into heap-backed sections (Salvaged reports this) and
 // the tail is dropped, mirroring the WAL's torn-tail rule. A committed
-// PCSEG01 file is verified the same way and its columnar sections rebuilt
-// in heap from the log.
+// PCSEG01 file, or a PCSEG02 file holding multi-probe keys, is verified the
+// same way and its columnar sections rebuilt in heap from the log with band
+// keys.
 func LoadSegment(path string) (*Segment, error) {
 	m, err := mapFile(path)
 	if err != nil {
@@ -498,13 +499,14 @@ func parseSegment(path string, m *mapping) (*Segment, error) {
 			Rows:  int(le.Uint32(data[24:])),
 			Seed:  le.Uint64(data[32:]),
 		},
-		probes: le.Uint32(data[28:]) == 1,
-		legacy: version == segVersionV1,
+		// A probes word of 1 marks a multi-probe key section: rebuilt from
+		// the log like PCSEG01's blocks.
+		legacy: version == segVersionV1 || le.Uint32(data[28:]) == 1,
 	}
 	switch {
 	case seg.blockEntries <= 0:
 		return nil, &CorruptError{Path: path, Offset: 16, Reason: "zero block width"}
-	case seg.blockEntries > bitset.MaxSlicedEntries && seg.legacy:
+	case seg.blockEntries > bitset.MaxSlicedEntries && version == segVersionV1:
 		// PCSEG01 allowed wider blocks; its rebuild packs at the default.
 		seg.blockEntries = bitset.DefaultSlicedEntries
 	case seg.blockEntries > bitset.MaxSlicedEntries:
@@ -698,8 +700,8 @@ func (seg *Segment) decodeLog(data []byte, end int64) []fingerprint.IDEntry {
 	return entries
 }
 
-// rebuild builds the columnar sections in heap from decoded log entries: a
-// salvaged prefix, or a PCSEG01 file's whole log.
+// rebuild builds the columnar sections in heap, with band keys, from decoded
+// log entries: a salvaged prefix, or a legacy file's whole log.
 func (seg *Segment) rebuild(entries []fingerprint.IDEntry) {
 	seg.count = len(entries)
 	seg.dead = make([]bool, seg.count)
@@ -707,7 +709,7 @@ func (seg *Segment) rebuild(entries []fingerprint.IDEntry) {
 		seg.col = &colData{nameOffs: []uint32{0}}
 		return
 	}
-	pairs := signPairs(nil, entries, 0, seg.scheme, seg.probes)
+	pairs := signPairs(nil, entries, 0, seg.scheme)
 	seg.col = buildColumnar(entries, pairs, seg.nbits, seg.blockEntries)
 	seg.blocks = bitset.ViewSlicedMatrix(seg.nbits, seg.blockEntries, seg.col.matrix, seg.col.cards)
 	seg.minID = seg.col.ids[0]
@@ -813,11 +815,11 @@ func (seg *Segment) findName(name string) (int, bool) {
 }
 
 // candidates returns the entry positions colliding with the query in at
-// least one LSH key, ascending and deduplicated. The query's shared
+// least one band key, ascending and deduplicated. The query's shared
 // signature serves unless this segment was written under another scheme.
 func (seg *Segment) candidates(q *fingerprint.Query) []int {
 	var out []int
-	for _, k := range q.Keys(seg.scheme, seg.probes) {
+	for _, k := range q.Keys(seg.scheme) {
 		keys := seg.col.lshKeys
 		i := sort.Search(len(keys), func(i int) bool { return keys[i] >= k })
 		for ; i < len(keys) && keys[i] == k; i++ {
@@ -874,12 +876,11 @@ func (seg *Segment) exportLive(dst []fingerprint.IDEntry) []fingerprint.IDEntry 
 
 // livePairs appends the LSH pairs of the segment's live entries, numbered
 // as exportLive lays them out from base: the key section renumbered past the
-// tombstones it drops. A segment written under another scheme or probes
-// setting holds no usable keys, so live — its exported entries — is signed
-// instead.
-func (seg *Segment) livePairs(dst []fingerprint.KeyPos, live []fingerprint.IDEntry, base int, scheme minhash.Scheme, probes bool) []fingerprint.KeyPos {
-	if seg.scheme != scheme || seg.probes != probes {
-		return signPairs(dst, live, base, scheme, probes)
+// tombstones it drops. A segment written under another scheme holds no
+// usable keys, so live — its exported entries — is signed instead.
+func (seg *Segment) livePairs(dst []fingerprint.KeyPos, live []fingerprint.IDEntry, base int, scheme minhash.Scheme) []fingerprint.KeyPos {
+	if seg.scheme != scheme {
+		return signPairs(dst, live, base, scheme)
 	}
 	renum := make([]uint32, seg.count)
 	next := uint32(base)
@@ -902,12 +903,12 @@ func (seg *Segment) livePairs(dst []fingerprint.KeyPos, live []fingerprint.IDEnt
 // cardinality, and bits must match the columnar sections the queries serve
 // from). The LSH key section is checked too, since the writer takes its keys
 // from the caller rather than from the bits it writes: the key count must
-// be count × keys-per-entry for the header's scheme, the pairs sorted by
-// (key, entry) with every entry in range, and on the kernel self-check's
-// 1-in-(count/64) sample every key re-derived from the entry's log record
-// must sit at that entry's position. A salvaged (torn) file fails
-// verification — triage should see it. A PCSEG01 file is checked through
-// Load's rebuild from its log.
+// be count × Bands for the header's scheme, the pairs sorted by (key,
+// entry) with every entry in range, and on the kernel self-check's
+// 1-in-(count/64) sample every band key re-derived from the entry's log
+// record must sit at that entry's position. A salvaged (torn) file fails
+// verification — triage should see it. A PCSEG01 or multi-probe file is
+// checked through Load's rebuild from its log.
 func VerifySegment(path string) error {
 	seg, err := LoadSegment(path)
 	if err != nil {
@@ -929,7 +930,7 @@ func VerifySegment(path string) error {
 	keyErr := func(pair int, why string) error {
 		return &CorruptError{Path: path, Offset: keysOff + 8*int64(pair), Reason: "LSH key section: " + why}
 	}
-	if i, why := checkKeys(keys, idx, seg.count, seg.scheme.NumKeys(seg.probes)); i >= 0 {
+	if i, why := checkKeys(keys, idx, seg.count, seg.scheme.Bands); i >= 0 {
 		return keyErr(i, why)
 	}
 	le := binary.LittleEndian
@@ -946,7 +947,7 @@ func VerifySegment(path string) error {
 			return &CorruptError{Path: path, Offset: off, Reason: fmt.Sprintf("entry %d diverges between log and columnar sections", pos)}
 		}
 		if pos%step == 0 {
-			for _, k := range entryKeys(seg.scheme, seg.probes, e.FP) {
+			for _, k := range entryKeys(seg.scheme, e.FP) {
 				i := sort.Search(len(keys), func(i int) bool { return keys[i] > k || keys[i] == k && int(idx[i]) >= pos })
 				if i == len(keys) || keys[i] != k || int(idx[i]) != pos {
 					return keyErr(i, fmt.Sprintf("key %#x of entry %d, re-derived from its log record, is not indexed at that entry", k, pos))

@@ -60,10 +60,10 @@ func decideSegment(seg *Segment, q *fingerprint.Query, threshold float64) finger
 	return d.Verdict()
 }
 
-func writeTestSegment(t *testing.T, entries []fingerprint.IDEntry, probes bool) string {
+func writeTestSegment(t *testing.T, entries []fingerprint.IDEntry) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "seg-000000.pcseg")
-	if err := WriteSegment(path, entries, signPairs(nil, entries, 0, minhash.DefaultScheme, probes), minhash.DefaultScheme, probes); err != nil {
+	if err := WriteSegment(path, entries, signPairs(nil, entries, 0, minhash.DefaultScheme), minhash.DefaultScheme); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -79,58 +79,56 @@ func TestSegmentRoundTrip(t *testing.T) {
 	for _, e := range entries {
 		dense.Add(e.Name, e.FP)
 	}
-	for _, probes := range []bool{false, true} {
-		path := writeTestSegment(t, entries, probes)
-		seg, err := LoadSegment(path)
-		if err != nil {
-			t.Fatal(err)
+	path := writeTestSegment(t, entries)
+	seg, err := LoadSegment(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seg.Salvaged() {
+		t.Fatal("clean segment reported salvaged")
+	}
+	if seg.Len() != n || len(seg.blocks) != 3 {
+		t.Fatalf("%d entries in %d blocks, want %d in 3", seg.Len(), len(seg.blocks), n)
+	}
+	for i, e := range entries {
+		if seg.ID(i) != e.ID || seg.Name(i) != e.Name {
+			t.Fatalf("entry %d: (%d,%s) want (%d,%s)", i, seg.ID(i), seg.Name(i), e.ID, e.Name)
 		}
-		if seg.Salvaged() {
-			t.Fatal("clean segment reported salvaged")
+		if !seg.FP(i).Equal(e.FP) {
+			t.Fatalf("entry %d: fingerprint diverged", i)
 		}
-		if seg.Len() != n || len(seg.blocks) != 3 {
-			t.Fatalf("%d entries in %d blocks, want %d in 3", seg.Len(), len(seg.blocks), n)
+	}
+	// Verdicts: a noisy same-device query must hit the right entry with
+	// the dense scan's verdict, field for field.
+	thr := fingerprint.DefaultThreshold
+	for i := 0; i < n; i += 7 {
+		q := noisy(entries[i].FP, uint64(i), 2)
+		v := decideSegment(seg, fingerprint.NewQuery(q, minhash.DefaultScheme), thr)
+		want := dense.Decide(q)
+		want.Index = entries[want.Index].ID
+		if v != want || v.Index != entries[i].ID {
+			t.Fatalf("decide for entry %d = %+v, dense scan %+v", i, v, want)
 		}
-		for i, e := range entries {
-			if seg.ID(i) != e.ID || seg.Name(i) != e.Name {
-				t.Fatalf("entry %d: (%d,%s) want (%d,%s)", i, seg.ID(i), seg.Name(i), e.ID, e.Name)
-			}
-			if !seg.FP(i).Equal(e.FP) {
-				t.Fatalf("entry %d: fingerprint diverged", i)
-			}
+		if name, id, ok := seg.firstMatch(fingerprint.NewQuery(q, minhash.DefaultScheme), thr); !ok || id != entries[i].ID || name != entries[i].Name {
+			t.Fatalf("firstMatch for entry %d = (%s,%d,%v)", i, name, id, ok)
 		}
-		// Verdicts: a noisy same-device query must hit the right entry with
-		// the dense scan's verdict, field for field.
-		thr := fingerprint.DefaultThreshold
-		for i := 0; i < n; i += 7 {
-			q := noisy(entries[i].FP, uint64(i), 2)
-			v := decideSegment(seg, fingerprint.NewQuery(q, minhash.DefaultScheme), thr)
-			want := dense.Decide(q)
-			want.Index = entries[want.Index].ID
-			if v != want || v.Index != entries[i].ID {
-				t.Fatalf("probes=%v decide for entry %d = %+v, dense scan %+v", probes, i, v, want)
-			}
-			if name, id, ok := seg.firstMatch(fingerprint.NewQuery(q, minhash.DefaultScheme), thr); !ok || id != entries[i].ID || name != entries[i].Name {
-				t.Fatalf("probes=%v firstMatch for entry %d = (%s,%d,%v)", probes, i, name, id, ok)
-			}
-		}
-		// Name lookup and tombstones.
-		if pos, ok := seg.findName("dev007"); !ok || pos != 7 {
-			t.Fatalf("findName(dev007) = (%d,%v)", pos, ok)
-		}
-		seg.kill(7)
-		if _, ok := seg.findName("dev007"); ok {
-			t.Fatal("tombstoned name still found")
-		}
-		if v := decideSegment(seg, fingerprint.NewQuery(noisy(entries[7].FP, 7, 2), minhash.DefaultScheme), thr); v.OK() && v.Index == entries[7].ID {
-			t.Fatalf("tombstoned entry still matches: %+v", v)
-		}
-		if seg.Live() != n-1 {
-			t.Fatalf("Live = %d, want %d", seg.Live(), n-1)
-		}
-		if err := seg.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	// Name lookup and tombstones.
+	if pos, ok := seg.findName("dev007"); !ok || pos != 7 {
+		t.Fatalf("findName(dev007) = (%d,%v)", pos, ok)
+	}
+	seg.kill(7)
+	if _, ok := seg.findName("dev007"); ok {
+		t.Fatal("tombstoned name still found")
+	}
+	if v := decideSegment(seg, fingerprint.NewQuery(noisy(entries[7].FP, 7, 2), minhash.DefaultScheme), thr); v.OK() && v.Index == entries[7].ID {
+		t.Fatalf("tombstoned entry still matches: %+v", v)
+	}
+	if seg.Live() != n-1 {
+		t.Fatalf("Live = %d, want %d", seg.Live(), n-1)
+	}
+	if err := seg.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -139,7 +137,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 // and in the last's — are caught.
 func TestSegmentVerify(t *testing.T) {
 	entries := testEntries(multiBlockEntries, 1024)
-	path := writeTestSegment(t, entries, false)
+	path := writeTestSegment(t, entries)
 	if err := VerifySegment(path); err != nil {
 		t.Fatalf("clean segment failed verify: %v", err)
 	}
@@ -196,7 +194,7 @@ func asCorrupt(err error, ce **CorruptError) bool {
 // last partial.
 func TestSegmentTornTail(t *testing.T) {
 	entries := testEntries(multiBlockEntries, 1024)
-	path := writeTestSegment(t, entries, false)
+	path := writeTestSegment(t, entries)
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +237,7 @@ func TestSegmentTornTail(t *testing.T) {
 // TestSegmentRejectsEmpty: segments hold at least one entry by contract.
 func TestSegmentRejectsEmpty(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "seg-000000.pcseg")
-	if err := WriteSegment(path, nil, nil, minhash.DefaultScheme, false); err == nil {
+	if err := WriteSegment(path, nil, nil, minhash.DefaultScheme); err == nil {
 		t.Fatal("empty segment accepted")
 	}
 }
@@ -251,7 +249,7 @@ func TestSegmentOwnScheme(t *testing.T) {
 	entries := testEntries(20, 1024)
 	path := filepath.Join(t.TempDir(), "seg-000000.pcseg")
 	own := minhash.Scheme{Bands: 4, Rows: 2, Seed: 9}
-	if err := WriteSegment(path, entries, signPairs(nil, entries, 0, own, false), own, false); err != nil {
+	if err := WriteSegment(path, entries, signPairs(nil, entries, 0, own), own); err != nil {
 		t.Fatal(err)
 	}
 	seg, err := LoadSegment(path)
@@ -260,7 +258,7 @@ func TestSegmentOwnScheme(t *testing.T) {
 	}
 	defer seg.Close()
 	q := fingerprint.NewQuery(noisy(entries[5].FP, 5, 2), minhash.DefaultScheme)
-	q.Keys(minhash.DefaultScheme, false) // a default-scheme component signed it first
+	q.Keys(minhash.DefaultScheme) // a default-scheme component signed it first
 	found := false
 	for _, pos := range seg.candidates(q) {
 		found = found || pos == 5

@@ -14,7 +14,8 @@
 //     never materializes flushed fingerprints in heap. Segments
 //     accumulate until a compaction merges them (dropping tombstones); a
 //     JSON manifest committed by atomic rename is the engine's commit point.
-//     Opening a store rewrites any PCSEG01 segment, the previous format, as
+//     Opening a store rewrites any PCSEG01 segment, the previous format,
+//     and any PCSEG02 segment holding multi-probe keys as a band-key
 //     PCSEG02.
 //
 // Both tiers run one identify engine: each query is signed once, the
@@ -119,14 +120,12 @@ type SegmentSnapshotter interface {
 type DBConfig struct {
 	Threshold float64
 	Shards    int
-	Probes    bool
 	Workers   int
 }
 
 func (c DBConfig) newShardedDB() (*fingerprint.ShardedDB, error) {
 	scfg := fingerprint.ShardedConfig{Shards: c.Shards}
 	scfg.Index.Workers = c.Workers
-	scfg.Index.Probes = c.Probes
 	return fingerprint.NewShardedDB(c.Threshold, scfg)
 }
 

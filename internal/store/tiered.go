@@ -130,10 +130,11 @@ func OpenTiered(cfg Config, dbCfg DBConfig) (*Tiered, error) {
 			}
 		}
 	}
-	// A PCSEG01 segment serves from columnar sections rebuilt in heap: its
-	// entry log is the durable truth, so rewrite it as PCSEG02 through the
-	// compaction commit sequence before serving. A crash part way leaves a
-	// store that opens the same way.
+	// A legacy segment — PCSEG01, or PCSEG02 holding multi-probe keys —
+	// serves from columnar sections rebuilt in heap with band keys: its
+	// entry log is the durable truth, so rewrite it as a band-key PCSEG02
+	// through the compaction commit sequence before serving, reusing the
+	// rebuilt keys. A crash part way leaves a store that opens the same way.
 	for _, seg := range slices.Clone(t.segs) {
 		if !seg.legacy {
 			continue
@@ -141,7 +142,7 @@ func OpenTiered(cfg Config, dbCfg DBConfig) (*Tiered, error) {
 		i := slices.Index(t.segs, seg)
 		if err := t.rewriteLocked(i, i+1); err != nil {
 			t.Close()
-			return nil, fmt.Errorf("store: rewriting PCSEG01 segment %s as PCSEG02: %w", filepath.Base(seg.path), err)
+			return nil, fmt.Errorf("store: rewriting legacy segment %s (PCSEG01 or multi-probe keys) as a band-key PCSEG02: %w", filepath.Base(seg.path), err)
 		}
 	}
 	t.sweepGraveLocked()
@@ -395,7 +396,7 @@ func (t *Tiered) flushLocked(watermark uint64) error {
 	newSegs := t.segs
 	if len(entries) > 0 {
 		path := filepath.Join(t.cfg.Dir, segmentName(t.nextSeg))
-		if err := WriteSegment(path, entries, pairs, t.scheme, t.dbCfg.Probes); err != nil {
+		if err := WriteSegment(path, entries, pairs, t.scheme); err != nil {
 			return err
 		}
 		t.crash("flush-before-commit")
@@ -446,7 +447,7 @@ func (t *Tiered) compactOnceLocked() error {
 
 // rewriteLocked replaces segments i..j-1 with one segment of their live
 // entries, dropping tombstoned ones: compaction merges a pair, and opening a
-// store rewrites each PCSEG01 segment alone. The new file is committed via
+// store rewrites each legacy segment alone. The new file is committed via
 // the manifest; the replaced segments join the graveyard until their
 // refcounts drain.
 func (t *Tiered) rewriteLocked(i, j int) error {
@@ -456,12 +457,12 @@ func (t *Tiered) rewriteLocked(i, j int) error {
 	for _, seg := range old {
 		base := len(entries)
 		entries = seg.exportLive(entries)
-		pairs = seg.livePairs(pairs, entries[base:], base, t.scheme, t.dbCfg.Probes)
+		pairs = seg.livePairs(pairs, entries[base:], base, t.scheme)
 	}
 	var merged *Segment
 	if len(entries) > 0 {
 		path := filepath.Join(t.cfg.Dir, segmentName(t.nextSeg))
-		if err := WriteSegment(path, entries, pairs, t.scheme, t.dbCfg.Probes); err != nil {
+		if err := WriteSegment(path, entries, pairs, t.scheme); err != nil {
 			return err
 		}
 		t.crash("compact-before-commit")

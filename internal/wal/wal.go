@@ -118,11 +118,6 @@ type Options struct {
 	SegmentBytes int64
 	// Fsync is the append durability policy; the zero value is FsyncBatch.
 	Fsync FsyncMode
-	// BatchWindow is an optional extra wait before a group-commit fsync,
-	// letting more appenders pile onto the same sync. 0 (the default)
-	// relies on natural batching: whatever queued during the previous
-	// fsync joins the next one.
-	BatchWindow time.Duration
 	// FaultPlan, when active, wraps segment writes in transient fault and
 	// latency injection (crash testing). A failed injected write fails the
 	// log exactly like a real one.
@@ -500,9 +495,6 @@ func (l *Log) waitDurable(seq uint64) error {
 		l.syncing = true
 		l.syncMu.Unlock()
 
-		if l.opts.BatchWindow > 0 {
-			time.Sleep(l.opts.BatchWindow)
-		}
 		var t0 time.Time
 		if obs.On() {
 			t0 = time.Now()
