@@ -21,17 +21,20 @@ import (
 
 const (
 	pr8Entries = 100_000
-	pr8Bits    = 4096
 	pr8Seed    = 0x8888
+	// sparseBits is the fingerprint length of the sparse 4096-bit regime
+	// the PR-8 and PR-9 benches share.
+	sparseBits = 4096
 )
 
-// pr8FP builds one ~card-bit synthetic fingerprint; direct pseudo-random
-// generation is what lets the fixture reach 100k entries in milliseconds
-// where the drammodel would take minutes.
-func pr8FP(card int, seed uint64) *bitset.Set {
-	s := bitset.New(pr8Bits)
+// sparseFP builds one card-bit synthetic sparseBits-bit fingerprint for the
+// PR-8 and PR-9 benches; direct pseudo-random generation is what lets their
+// fixtures reach 100k entries in milliseconds where the drammodel would
+// take minutes.
+func sparseFP(card int, seed uint64) *bitset.Set {
+	s := bitset.New(sparseBits)
 	for k := 0; s.Count() < card; k++ {
-		s.Set(int(prng.Hash(seed, uint64(k)) % uint64(pr8Bits)))
+		s.Set(int(prng.Hash(seed, uint64(k)) % uint64(sparseBits)))
 	}
 	return s
 }
@@ -58,7 +61,7 @@ func pr8DB(b testing.TB) *pr8Fixture {
 		f := &pr8Fixture{db: fingerprint.NewDB(fingerprint.DefaultThreshold)}
 		for i := 0; i < pr8Entries; i++ {
 			card := 40 + int(prng.Hash(pr8Seed, uint64(i))%41)
-			f.db.Add(fmt.Sprintf("dev%06d", i), pr8FP(card, pr8Seed^uint64(i)))
+			f.db.Add(fmt.Sprintf("dev%06d", i), sparseFP(card, pr8Seed^uint64(i)))
 		}
 		icfg := fingerprint.IndexedConfig{Workers: 4}
 		if f.indexed, pr8Err = fingerprint.IndexDB(f.db, icfg); pr8Err != nil {
@@ -80,7 +83,7 @@ func pr8DB(b testing.TB) *pr8Fixture {
 			f.wantIdx = append(f.wantIdx, i)
 		}
 		for k := 0; k < each; k++ {
-			f.queries = append(f.queries, pr8FP(40, 0xA15500^prng.Hash(pr8Seed, uint64(k))))
+			f.queries = append(f.queries, sparseFP(40, 0xA15500^prng.Hash(pr8Seed, uint64(k))))
 			f.wantIdx = append(f.wantIdx, -1)
 		}
 		pr8Fix = f

@@ -26,17 +26,8 @@ import (
 
 const (
 	pr9Entries = 100_000
-	pr9Bits    = 4096
 	pr9Seed    = 0x9999
 )
-
-func pr9FP(card int, seed uint64) *bitset.Set {
-	s := bitset.New(pr9Bits)
-	for k := 0; s.Count() < card; k++ {
-		s.Set(int(prng.Hash(seed, uint64(k)) % uint64(pr9Bits)))
-	}
-	return s
-}
 
 // pr9Fixture holds both backends over the identical Add sequence, the query
 // mix, and the tiered build's heap high-water fraction.
@@ -81,7 +72,7 @@ func pr9Backends(b testing.TB) *pr9Fixture {
 		var watermark uint64
 		for i := 0; i < pr9Entries; i++ {
 			card := 40 + int(prng.Hash(pr9Seed, uint64(i))%41)
-			tiered.Add(fmt.Sprintf("dev%06d", i), pr9FP(card, pr9Seed^uint64(i)))
+			tiered.Add(fmt.Sprintf("dev%06d", i), sparseFP(card, pr9Seed^uint64(i)))
 			watermark++
 			if d.NeedsFlush() {
 				if pr9Err = d.Checkpoint(watermark); pr9Err != nil {
@@ -95,7 +86,7 @@ func pr9Backends(b testing.TB) *pr9Fixture {
 		runtime.GC()
 		var m1 runtime.MemStats
 		runtime.ReadMemStats(&m1)
-		corpusBytes := float64(pr9Entries) * float64(pr9Bits) / 8
+		corpusBytes := float64(pr9Entries) * float64(sparseBits) / 8
 		if m1.HeapAlloc > m0.HeapAlloc {
 			f.heapFrac = float64(m1.HeapAlloc-m0.HeapAlloc) / corpusBytes
 		}
@@ -107,7 +98,7 @@ func pr9Backends(b testing.TB) *pr9Fixture {
 		}
 		for i := 0; i < pr9Entries; i++ {
 			card := 40 + int(prng.Hash(pr9Seed, uint64(i))%41)
-			memory.Add(fmt.Sprintf("dev%06d", i), pr9FP(card, pr9Seed^uint64(i)))
+			memory.Add(fmt.Sprintf("dev%06d", i), sparseFP(card, pr9Seed^uint64(i)))
 		}
 		f.memory, f.tiered = memory, tiered
 
@@ -115,14 +106,14 @@ func pr9Backends(b testing.TB) *pr9Fixture {
 		for k := 0; k < each; k++ {
 			i := (k + 1) * (pr9Entries / (each + 1))
 			card := 40 + int(prng.Hash(pr9Seed, uint64(i))%41)
-			q := pr9FP(card, pr9Seed^uint64(i))
+			q := sparseFP(card, pr9Seed^uint64(i))
 			pos := q.Positions()
 			q.Clear(int(pos[prng.Hash(pr9Seed, 0x41, uint64(k))%uint64(len(pos))]))
 			f.queries = append(f.queries, q)
 			f.wantIdx = append(f.wantIdx, i)
 		}
 		for k := 0; k < each; k++ {
-			f.queries = append(f.queries, pr9FP(40, 0xA15500^prng.Hash(pr9Seed, uint64(k))))
+			f.queries = append(f.queries, sparseFP(40, 0xA15500^prng.Hash(pr9Seed, uint64(k))))
 			f.wantIdx = append(f.wantIdx, -1)
 		}
 		pr9Fix = f

@@ -18,7 +18,8 @@
 // acknowledged, converged fingerprints are promoted into the database,
 // and boot replays the log over the last checkpoint — a kill -9 at any
 // point loses nothing that was acked. Graceful shutdown checkpoints the
-// database with its WAL watermark and compacts the log.
+// database with its WAL watermark and compacts the log. Committed state
+// overrides a -db or -snapshot seed.
 //
 // Cluster modes (see internal/cluster and docs/OPERATIONS.md):
 //
@@ -27,7 +28,7 @@
 //     -repl.min-isr N each enrollment ack waits for N follower acks.
 //   - -mode=follower replays the primary's WAL stream into a local,
 //     byte-identical copy; an empty -wal.dir bootstraps from the
-//     primary's snapshot first. Followers serve reads and refuse
+//     primary's committed segments first. Followers serve reads and refuse
 //     mutations; /readyz stays 503 until caught up.
 //   - -mode=router spreads identify reads across healthy replicas,
 //     forwards mutations to the primary, and promotes the most-caught-up
@@ -43,9 +44,9 @@
 //     and sequence continuity, classifying a torn tail (normal after a
 //     crash) vs interior corruption (exit 1), and exits.
 //
-// Tiered storage (-store.backend=tiered, see docs/OPERATIONS.md): the
-// database moves behind mmap'd immutable segment files in -store.dir
-// (default <wal.dir>/store). Enrollments land in an in-RAM memtable that
+// Tiered storage (with -wal.dir, see OPERATIONS.md): the database lives
+// behind mmap'd immutable segment files in -store.dir (default
+// <wal.dir>/store). Enrollments land in an in-RAM memtable that
 // flushes to a new segment once it crosses -store.flush-entries (and at
 // every checkpoint); segments compact once more than
 // -store.compact-segments accumulate. Identify queries stream straight
@@ -67,7 +68,7 @@
 //	GET    /v1/cluster/topology  partition map + per-backend view (scatter router)
 //	GET    /v1/repl/status       replication role, positions, quorum view
 //	GET    /v1/repl/stream       WAL records from ?from= (follower pull)
-//	GET    /v1/repl/snapshot     bootstrap image (db + watermark/floor)
+//	GET    /v1/repl/segments     bootstrap image (segments + manifest)
 //	POST   /v1/repl/promote      follower → primary (failover)
 //	POST   /v1/repl/follow       re-point this follower at a new primary
 //	GET    /healthz              liveness (degraded on critical SLO burn)
@@ -120,7 +121,7 @@ func run(args []string) (err error) {
 	addr := fs.String("addr", "127.0.0.1:8437", "listen address")
 	dbList := fs.String("db", "", "comma-separated fingerprint databases or raw fingerprints to seed from")
 	snapshot := fs.String("snapshot", "", "database snapshot: loaded at startup when present, saved atomically on shutdown")
-	threshold := fs.Float64("threshold", 0, "match threshold (0: take it from the seed database)")
+	threshold := fs.Float64("threshold", 0, fmt.Sprintf("match threshold (0: %g)", fingerprint.DefaultThreshold))
 	shards := fs.Int("shards", 0, fmt.Sprintf("database shard count (0: %d)", fingerprint.DefaultShards))
 	workers := fs.Int("workers", 0, "identification worker pool size (0: one per CPU)")
 	batchWindow := fs.Duration("batch.window", 500*time.Microsecond, "micro-batching coalescing window (0: dispatch immediately)")
@@ -131,7 +132,7 @@ func run(args []string) (err error) {
 	maxBody := fs.Int64("maxbody", 0, fmt.Sprintf("request body cap in bytes (0: %d)", int64(server.DefaultMaxBodyBytes)))
 	faultSpec := fs.String("faults", "", "chaos: fault plan for request ingest, e.g. readerr=0.01,latency=2ms")
 	faultSeed := fs.Uint64("fault.seed", 0xFA17, "fault-injection seed for -faults")
-	walDir := fs.String("wal.dir", "", "durable enrollment directory (WAL segments + checkpoints); enables /v1/enroll")
+	walDir := fs.String("wal.dir", "", "durable enrollment directory (WAL segments + segment store); enables /v1/enroll")
 	walFsync := fs.String("wal.fsync", "batch", "WAL fsync policy: batch (group commit), always, or off")
 	walSegment := fs.Int64("wal.segment", 0, "WAL segment rotation size in bytes (0: 64 MiB)")
 	enrollMax := fs.Int("enroll.max", 0, fmt.Sprintf("max live enrollment sessions (0: %d)", server.DefaultMaxSessions))
@@ -142,7 +143,6 @@ func run(args []string) (err error) {
 	slowK := fs.Int("slow", 0, fmt.Sprintf("slow-request retention for /debug/slowest (0: %d, negative: off)", obs.DefaultSlowRing))
 	mode := fs.String("mode", "serve", "process role: serve (standalone or primary), follower, or router")
 	walVerify := fs.Bool("wal.verify", false, "offline: verify WAL segments in -wal.dir, report torn tail vs interior corruption, and exit")
-	storeBackend := fs.String("store.backend", "", fmt.Sprintf("storage backend: %q (default) or %q (mmap'd segment files)", store.BackendMemory, store.BackendTiered))
 	storeDir := fs.String("store.dir", "", "tiered store directory (default: <wal.dir>/store)")
 	storeFlush := fs.Int("store.flush-entries", 0, fmt.Sprintf("memtable entries that trigger a segment flush (0: %d)", store.DefaultFlushEntries))
 	storeCompact := fs.Int("store.compact-segments", 0, fmt.Sprintf("segment count above which checkpoints compact (0: %d)", store.DefaultCompactSegments))
@@ -176,13 +176,6 @@ func run(args []string) (err error) {
 			return errors.New("-store.verify needs -store.dir (or -wal.dir)")
 		}
 		return runStoreVerify(*storeDir)
-	}
-	if *storeBackend == store.BackendTiered {
-		if *walDir == "" {
-			return errors.New("-store.backend=tiered needs -wal.dir (the WAL is the memtable's durability)")
-		}
-	} else if *storeBackend != "" && *storeBackend != store.BackendMemory {
-		return fmt.Errorf("unknown -store.backend %q (want %q or %q)", *storeBackend, store.BackendMemory, store.BackendTiered)
 	}
 	if *mode == "router" {
 		if *partitions != "" {
@@ -254,6 +247,9 @@ func run(args []string) (err error) {
 		obs.Enable()
 	}
 
+	if *threshold == 0 {
+		*threshold = fingerprint.DefaultThreshold
+	}
 	seed, err := loadSeed(*dbList, *snapshot, *threshold)
 	if err != nil {
 		return err
@@ -273,7 +269,6 @@ func run(args []string) (err error) {
 		SLO:            obs.SLOConfig{Objectives: objectives},
 		SlowRequests:   *slowK,
 		Store: store.Config{
-			Backend:         *storeBackend,
 			Dir:             *storeDir,
 			FlushEntries:    *storeFlush,
 			CompactSegments: *storeCompact,
@@ -289,20 +284,17 @@ func run(args []string) (err error) {
 		if err != nil {
 			return err
 		}
-		// A follower with an empty durable dir seeds itself from the
-		// primary's snapshot: the exported database lands as a local
-		// checkpoint, and the local WAL starts at the snapshot's replay
-		// floor so replicated records keep the primary's sequence numbers.
+		// A follower with an empty durable dir seeds itself by shipping the
+		// primary's immutable segment files into -store.dir, and the local
+		// WAL starts at the shipped replay floor so replicated records keep
+		// the primary's sequence numbers.
 		startSeq := uint64(0)
 		if *mode == "follower" {
 			fresh, err := durableDirFresh(*walDir, *storeDir)
 			if err != nil {
 				return err
 			}
-			if fresh && *storeBackend == store.BackendTiered {
-				// Tiered followers bootstrap by shipping the primary's
-				// immutable segment files — no monolithic export on either
-				// side; BootDurable then recovers from the landed manifest.
+			if fresh {
 				meta, err := cluster.BootstrapFollowerSegments(context.Background(), *storeDir, *replPrimary, nil)
 				if err != nil {
 					return fmt.Errorf("bootstrapping segments from %s: %w", *replPrimary, err)
@@ -310,18 +302,10 @@ func run(args []string) (err error) {
 				startSeq = meta.Floor
 				fmt.Printf("pcserved: bootstrapped segments from %s (watermark %d, floor %d)\n",
 					*replPrimary, meta.Watermark, meta.Floor)
-			} else if fresh {
-				meta, err := cluster.BootstrapFollower(context.Background(), *walDir, *replPrimary, nil)
-				if err != nil {
-					return fmt.Errorf("bootstrapping from %s: %w", *replPrimary, err)
-				}
-				startSeq = meta.Floor
-				fmt.Printf("pcserved: bootstrapped %d entries from %s (watermark %d, floor %d)\n",
-					meta.Entries, *replPrimary, meta.Watermark, meta.Floor)
 			}
 		}
-		// The committed checkpoint in -wal.dir (when one exists) overrides
-		// the seed, and the surviving WAL records replay on top: recovery.
+		// The store's committed state (when there is any) overrides the
+		// seed, and the surviving WAL records replay on top: recovery.
 		svc, err = server.BootDurable(seed, cfg, server.EnrollConfig{
 			Dir: *walDir,
 			WAL: wal.Options{SegmentBytes: *walSegment, Fsync: fsyncMode, StartSeq: startSeq},
@@ -382,7 +366,8 @@ func run(args []string) (err error) {
 	if err := serve(ln, handler, fmt.Sprintf("listening on %s (%d entries, %d shards)", ln.Addr(), st.Entries, len(st.PerShard))); err != nil {
 		return err
 	}
-	// Checkpoint before Close: compaction needs the WAL still open.
+	// Checkpoint and export before Close: compaction needs the WAL still
+	// open, and closing the store unmaps its segments.
 	if *walDir != "" {
 		meta, err := svc.Checkpoint()
 		if err != nil {
@@ -390,14 +375,17 @@ func run(args []string) (err error) {
 		}
 		fmt.Printf("pcserved: checkpointed %d entries at watermark %d\n", meta.Entries, meta.Watermark)
 	}
+	var snap *fingerprint.DB
+	if *snapshot != "" {
+		snap = svc.DB().Export()
+	}
 	svc.Close()
 
-	if *snapshot != "" {
-		db := svc.DB().Export()
-		if err := samplefile.SaveDB(*snapshot, db); err != nil {
+	if snap != nil {
+		if err := samplefile.SaveDB(*snapshot, snap); err != nil {
 			return err
 		}
-		fmt.Printf("pcserved: saved %d entries to %s\n", db.Len(), *snapshot)
+		fmt.Printf("pcserved: saved %d entries to %s\n", snap.Len(), *snapshot)
 	}
 	if obsOpts.Report != "" {
 		// The deferred obs finish writes the file; announce it so drain logs
@@ -424,16 +412,11 @@ func runWalVerify(dir string) error {
 }
 
 // durableDirFresh reports whether the durable directories hold no state yet
-// — no committed checkpoint, no WAL segments, and no tiered-store manifest —
-// i.e. snapshot bootstrap is required before following.
+// — no store manifest, no WAL segments, and no monolithic checkpoint left to
+// migrate — i.e. segment bootstrap is required before following.
 func durableDirFresh(dir, storeDir string) (bool, error) {
-	if _, _, ok, err := samplefile.LoadCheckpoint(dir); err != nil {
-		return false, err
-	} else if ok {
-		return false, nil
-	}
-	if storeDir != "" {
-		if _, err := os.Stat(filepath.Join(storeDir, store.ManifestFile)); err == nil {
+	for _, p := range []string{filepath.Join(storeDir, store.ManifestFile), filepath.Join(dir, samplefile.CheckpointMarker)} {
+		if _, err := os.Stat(p); err == nil {
 			return false, nil
 		} else if !errors.Is(err, os.ErrNotExist) {
 			return false, err
@@ -557,14 +540,24 @@ func serve(ln net.Listener, handler http.Handler, announce string) error {
 	return nil
 }
 
-// loadSeed assembles the startup database: the snapshot when it exists
-// (restart path), else the -db file list (first-boot path), else an empty
-// start. Like pcause identify, each -db file may be a whole PCDB01 database
-// or a single raw fingerprint, detected by magic.
+// loadSeed assembles the startup database at threshold: the snapshot when
+// it exists (restart path), else the -db file list (first-boot path), else
+// an empty start. Like pcause identify, each -db file may be a whole PCDB01
+// database or a single raw fingerprint, detected by magic. Entries are
+// copied into a database at threshold, so a PCDB01 header's float32
+// threshold is never served.
 func loadSeed(dbList, snapshot string, threshold float64) (*fingerprint.DB, error) {
+	db := fingerprint.NewDB(threshold)
 	if snapshot != "" {
 		if _, err := os.Stat(snapshot); err == nil {
-			return samplefile.LoadDB(snapshot)
+			snap, err := samplefile.LoadDB(snapshot)
+			if err != nil {
+				return nil, err
+			}
+			for _, e := range snap.Entries() {
+				db.Add(e.Name, e.FP)
+			}
+			return db, nil
 		} else if !errors.Is(err, os.ErrNotExist) {
 			return nil, err
 		}
@@ -572,10 +565,6 @@ func loadSeed(dbList, snapshot string, threshold float64) (*fingerprint.DB, erro
 	if dbList == "" {
 		return nil, nil
 	}
-	if threshold == 0 {
-		threshold = fingerprint.DefaultThreshold
-	}
-	db := fingerprint.NewDB(threshold)
 	for _, name := range strings.Split(dbList, ",") {
 		data, err := os.ReadFile(name)
 		if err != nil {

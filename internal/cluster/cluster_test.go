@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -170,11 +171,7 @@ func dbBytes(t *testing.T, db *fingerprint.DB) []byte {
 // exportBytes snapshots a service's database encoding.
 func exportBytes(t *testing.T, svc *server.Service) []byte {
 	t.Helper()
-	db, _, _, err := svc.ReplicationSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dbBytes(t, db)
+	return dbBytes(t, svc.DB().Export())
 }
 
 func TestReplicationFollowersConverge(t *testing.T) {
@@ -248,15 +245,24 @@ func TestFollowerRefusesMutationsAndReportsReady(t *testing.T) {
 	}
 }
 
+// TestSnapshotBootstrapAfterCompaction: a follower joining after the
+// primary compacted its WAL bootstraps from the shipped segments, pulls
+// from the replay floor an unconverged session still needs, and lands on
+// the primary's exact bytes — before and after that session converges.
 func TestSnapshotBootstrapAfterCompaction(t *testing.T) {
 	primary := startPrimary(t, 0)
 	defer primary.close()
 	client := &http.Client{Timeout: 5 * time.Second}
 
-	// Enroll devices to convergence, checkpoint (compacting the WAL), and
-	// enroll more so the stream has both pre- and post-snapshot records.
+	// Enroll devices to convergence, open a session that stays unconverged
+	// across the checkpoint (so the replay floor sits below the
+	// watermark), checkpoint (compacting the WAL), and enroll more so the
+	// stream has both pre- and post-checkpoint records.
 	for i := 0; i < 3; i++ {
 		enrollDevice(t, client, primary.url(), i)
+	}
+	if _, code := enrollHTTP(t, client, primary.url(), "sess-9", "dev-9", deviceObs(obsBits, 9, 0)); code != http.StatusOK {
+		t.Fatalf("enroll dev-9: status %d", code)
 	}
 	if _, err := primary.svc.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -270,14 +276,14 @@ func TestSnapshotBootstrapAfterCompaction(t *testing.T) {
 		t.Fatalf("checkpoint did not compact the WAL (first seq %d)", first)
 	}
 
-	// Bootstrap a follower from the snapshot endpoint.
+	// Bootstrap a follower from the primary's segments.
 	dir := t.TempDir()
-	meta, err := BootstrapFollower(context.Background(), dir, primary.url(), client)
+	meta, err := BootstrapFollowerSegments(context.Background(), filepath.Join(dir, "store"), primary.url(), client)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Floor == 0 || meta.Watermark < meta.Floor {
-		t.Fatalf("bootstrap meta %+v", meta)
+	if meta.Floor == 0 || meta.Floor >= meta.Watermark {
+		t.Fatalf("bootstrap meta %+v, want 0 < floor < watermark", meta)
 	}
 	f := startNode(t, "boot", dir, nodeOptions{walStart: meta.Floor, pull: PullConfig{Interval: 5 * time.Millisecond}})
 	defer f.close()
@@ -291,6 +297,21 @@ func TestSnapshotBootstrapAfterCompaction(t *testing.T) {
 	})
 	if pdb, fdb := exportBytes(t, primary.svc), exportBytes(t, f.svc); !bytes.Equal(pdb, fdb) {
 		t.Fatalf("bootstrapped follower diverged (%d vs %d bytes)", len(fdb), len(pdb))
+	}
+
+	// The session opened below the watermark converges on both sides.
+	for trial := 1; trial < 4; trial++ {
+		if _, code := enrollHTTP(t, client, primary.url(), "sess-9", "dev-9", deviceObs(obsBits, 9, trial)); code != http.StatusOK {
+			t.Fatalf("enroll dev-9 trial %d: status %d", trial, code)
+		}
+	}
+	want = primary.svc.AppliedSeq()
+	waitFor(t, 5*time.Second, "post-bootstrap catch-up", func() bool { return f.svc.AppliedSeq() >= want })
+	if _, ok := f.svc.DB().Get("dev-9"); !ok {
+		t.Fatal("session rebuilt from the replay floor never promoted on the follower")
+	}
+	if pdb, fdb := exportBytes(t, primary.svc), exportBytes(t, f.svc); !bytes.Equal(pdb, fdb) {
+		t.Fatalf("follower diverged after the floor session converged (%d vs %d bytes)", len(fdb), len(pdb))
 	}
 }
 

@@ -190,7 +190,6 @@ func (n *Node) Close() {
 //
 //	GET  /v1/repl/status    role, readiness, WAL positions, quorum view
 //	GET  /v1/repl/stream    WAL records from ?from= (follower pull + ack)
-//	GET  /v1/repl/snapshot  bootstrap image: db export + watermark/floor
 //	GET  /v1/repl/segments  bootstrap image: tiered segment files + manifest
 //	POST /v1/repl/promote   follower → primary (failover)
 //	POST /v1/repl/follow    re-point this follower at a new primary
@@ -198,7 +197,6 @@ func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/repl/status", n.handleStatus)
 	mux.HandleFunc("GET /v1/repl/stream", n.handleStream)
-	mux.HandleFunc("GET /v1/repl/snapshot", n.handleSnapshot)
 	mux.HandleFunc("GET /v1/repl/segments", n.handleSegments)
 	mux.HandleFunc("POST /v1/repl/promote", n.handlePromote)
 	mux.HandleFunc("POST /v1/repl/follow", n.handleFollow)
@@ -296,7 +294,7 @@ func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(hdrSynced, strconv.FormatUint(l.SyncedSeq(), 10))
 	if from < first {
 		// The requested history was compacted away; the follower must
-		// re-bootstrap from a snapshot.
+		// re-bootstrap from the segments.
 		writeJSON(w, http.StatusGone, errorJSON{Error: fmt.Sprintf("cluster: seq %d compacted (first available %d)", from, first)})
 		return
 	}
@@ -321,23 +319,6 @@ func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
 	if err != nil && !errors.Is(err, wal.ErrCompacted) {
 		// Headers are gone; the follower sees a short body and re-pulls.
 		obs.Errorf("repl stream read", "from", from, "upTo", upTo, "err", err)
-	}
-}
-
-func (n *Node) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	db, watermark, floor, err := n.svc.ReplicationSnapshot()
-	if err != nil {
-		writeJSON(w, http.StatusServiceUnavailable, errorJSON{Error: err.Error()})
-		return
-	}
-	if obs.On() {
-		cSnapshots.Inc()
-	}
-	w.Header().Set(hdrWatermark, strconv.FormatUint(watermark, 10))
-	w.Header().Set(hdrFloor, strconv.FormatUint(floor, 10))
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if _, err := db.WriteTo(w); err != nil {
-		obs.Errorf("repl snapshot write", "err", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 // puller.go: the follower side of WAL shipping — the incremental pull
-// loop with retry/backoff and frame dedup, and the snapshot re-bootstrap
-// path for followers whose position the primary compacted away.
+// loop with retry/backoff and frame dedup, and the segment-shipping
+// bootstrap for fresh followers and for followers whose position the
+// primary compacted away.
 package cluster
 
 import (
@@ -18,7 +19,6 @@ import (
 	"time"
 
 	"probablecause/internal/faults"
-	"probablecause/internal/fingerprint"
 	"probablecause/internal/obs"
 	"probablecause/internal/prng"
 	"probablecause/internal/retry"
@@ -48,8 +48,9 @@ var (
 
 // ErrNeedsBootstrap reports a follower whose WAL position was compacted
 // away on the primary: incremental pull cannot proceed, the follower
-// must re-seed from a snapshot (BootstrapFollower into a fresh dir).
-var ErrNeedsBootstrap = errors.New("cluster: primary compacted past our position; snapshot bootstrap required")
+// must re-seed from the primary's segments (BootstrapFollowerSegments into
+// a fresh dir).
+var ErrNeedsBootstrap = errors.New("cluster: primary compacted past our position; segment bootstrap required")
 
 // DefaultPullInterval paces the poll loop when the follower is caught
 // up with the primary.
@@ -268,62 +269,20 @@ frames:
 	return applied, err == nil && applied >= synced, err
 }
 
-// BootstrapMeta describes a fetched snapshot.
+// BootstrapMeta describes a fetched segment snapshot.
 type BootstrapMeta struct {
-	// Watermark is the first WAL sequence NOT reflected in the snapshot
-	// database (the checkpoint watermark the follower boots at).
+	// Watermark is the first WAL sequence NOT reflected in the shipped
+	// segments (the checkpoint watermark the follower boots at).
 	Watermark uint64
 	// Floor is the first sequence the follower must pull — the replay
 	// floor covering unconverged sessions. Pass it as wal
 	// Options.StartSeq so the local log starts at the primary's numbering.
 	Floor uint64
-	// Entries is the snapshot database size.
-	Entries int
-}
-
-// BootstrapFollower seeds dir with a checkpoint fetched from the
-// primary so a fresh follower can BootDurable into the primary's fold
-// timeline: the snapshot database lands as a local checkpoint at the
-// primary's watermark, and the returned Floor is the StartSeq for the
-// local WAL. Call only on an empty durable dir; an established follower
-// resumes from its own WAL instead.
-func BootstrapFollower(ctx context.Context, dir, primary string, client *http.Client) (BootstrapMeta, error) {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, primary+"/v1/repl/snapshot", nil)
-	if err != nil {
-		return BootstrapMeta{}, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return BootstrapMeta{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return BootstrapMeta{}, fmt.Errorf("cluster: snapshot returned %s", resp.Status)
-	}
-	watermark, err := strconv.ParseUint(resp.Header.Get(hdrWatermark), 10, 64)
-	if err != nil {
-		return BootstrapMeta{}, fmt.Errorf("cluster: snapshot missing %s header", hdrWatermark)
-	}
-	floor, err := strconv.ParseUint(resp.Header.Get(hdrFloor), 10, 64)
-	if err != nil {
-		return BootstrapMeta{}, fmt.Errorf("cluster: snapshot missing %s header", hdrFloor)
-	}
-	db, err := fingerprint.ReadDB(resp.Body)
-	if err != nil {
-		return BootstrapMeta{}, fmt.Errorf("cluster: snapshot body: %w", err)
-	}
-	if err := samplefile.SaveCheckpoint(dir, db, watermark); err != nil {
-		return BootstrapMeta{}, err
-	}
-	return BootstrapMeta{Watermark: watermark, Floor: floor, Entries: db.Len()}, nil
 }
 
 // BootstrapFollowerSegments seeds storeDir with the primary's committed
-// segment files fetched from /v1/repl/segments — the tiered-store bootstrap
-// that never materializes the database in heap on either side. Files land
+// segment files fetched from /v1/repl/segments — the follower bootstrap,
+// which never materializes the database in heap on either side. Files land
 // under temporary names and the manifest (sent last) is committed by atomic
 // rename only after every segment is fully on disk and fsynced, so a torn
 // download leaves nothing a later BootDurable would trust. Call only on an

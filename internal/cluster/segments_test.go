@@ -4,38 +4,19 @@ import (
 	"bytes"
 	"context"
 	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"probablecause/internal/server"
-	"probablecause/internal/store"
-	"probablecause/internal/wal"
 )
 
-// startTieredNode boots a node whose service runs the tiered segment store
-// (tiny flush threshold so enrollment actually lays down segment files).
+// startTieredNode boots a node with a tiny flush threshold, so enrollment
+// actually lays down segment files.
 func startTieredNode(t *testing.T, id, dir string, opts nodeOptions) *testNode {
 	t.Helper()
-	svc, err := server.BootDurable(nil, server.Config{
-		Store: store.Config{
-			Backend:         store.BackendTiered,
-			Dir:             filepath.Join(dir, "store"),
-			FlushEntries:    4,
-			CompactSegments: 4,
-		},
-	}, server.EnrollConfig{
-		Dir:         dir,
-		Accumulator: fastAcc,
-		WAL:         wal.Options{StartSeq: opts.walStart, SegmentBytes: 512},
-	})
-	if err != nil {
-		t.Fatalf("boot tiered %s: %v", id, err)
-	}
-	node := NewNode(svc, NodeConfig{ID: id, MinISR: opts.minISR, Pull: opts.pull})
-	srv := httptest.NewServer(node.Handler())
-	return &testNode{t: t, id: id, dir: dir, svc: svc, node: node, srv: srv}
+	opts.cfg = func(c *server.Config) { c.Store.FlushEntries, c.Store.CompactSegments = 4, 4 }
+	return startNode(t, id, dir, opts)
 }
 
 // TestSegmentBootstrapTieredFollower proves the segment-shipping bootstrap
@@ -98,17 +79,5 @@ func TestSegmentBootstrapTieredFollower(t *testing.T) {
 	})
 	if pdb, fdb := exportBytes(t, primary.svc), exportBytes(t, f.svc); !bytes.Equal(pdb, fdb) {
 		t.Fatal("follower diverged after post-bootstrap enrollment")
-	}
-}
-
-// TestSegmentBootstrapRefusedByMemoryPrimary: a memory-backend primary has
-// no segments to ship; the endpoint must say so rather than stream garbage.
-func TestSegmentBootstrapRefusedByMemoryPrimary(t *testing.T) {
-	primary := startPrimary(t, 0)
-	defer primary.close()
-	client := &http.Client{Timeout: 5 * time.Second}
-	_, err := BootstrapFollowerSegments(context.Background(), t.TempDir(), primary.url(), client)
-	if err == nil {
-		t.Fatal("segment bootstrap from a memory-backend primary succeeded")
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // Atomic-write discipline shared by every durable artifact in the repo:
-// snapshots (SaveDB), checkpoint markers (SaveCheckpoint), and the tiered
-// store's segment files and manifest (internal/store). The bytes land in a
+// snapshots (SaveDB), the tiered store's segment files and manifest
+// (internal/store), and segments shipped to followers. The bytes land in a
 // temporary file in the target's directory, are fsynced, and rename into
 // place — a crash at any step leaves the previous file fully intact, never a
 // truncated one. Callers that need the rename itself to survive a crash

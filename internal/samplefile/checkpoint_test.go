@@ -1,6 +1,8 @@
 package samplefile
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -22,15 +24,31 @@ func ckptDB(t *testing.T, names ...string) *fingerprint.DB {
 	return db
 }
 
+// writeCheckpoint commits db at watermark in dir the way the monolithic
+// durable path did: the database under a watermark-stamped name, then the
+// CHECKPOINT marker naming it, renamed into place.
+func writeCheckpoint(t *testing.T, dir string, db *fingerprint.DB, watermark uint64) {
+	t.Helper()
+	file := fmt.Sprintf("checkpoint-%020d.pcdb", watermark)
+	if err := SaveDB(filepath.Join(dir, file), db); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(CheckpointMeta{DBFile: file, Watermark: watermark, Entries: db.Len()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(filepath.Join(dir, CheckpointMarker), append(blob, '\n')); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCheckpointRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	if _, _, ok, err := LoadCheckpoint(dir); err != nil || ok {
 		t.Fatalf("empty dir: ok=%v err=%v", ok, err)
 	}
 	db := ckptDB(t, "a", "b", "c")
-	if err := SaveCheckpoint(dir, db, 42); err != nil {
-		t.Fatal(err)
-	}
+	writeCheckpoint(t, dir, db, 42)
 	got, meta, ok, err := LoadCheckpoint(dir)
 	if err != nil || !ok {
 		t.Fatalf("load: ok=%v err=%v", ok, err)
@@ -50,15 +68,15 @@ func TestCheckpointRoundtrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointSupersede: a newer checkpoint replaces the old one
-// atomically and sweeps the stale snapshot file.
+// TestCheckpointSupersede: a newer commit supersedes the old one through
+// the marker alone — the superseded database file left beside it is never
+// read.
 func TestCheckpointSupersede(t *testing.T) {
 	dir := t.TempDir()
-	if err := SaveCheckpoint(dir, ckptDB(t, "old"), 10); err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveCheckpoint(dir, ckptDB(t, "new1", "new2"), 99); err != nil {
-		t.Fatal(err)
+	writeCheckpoint(t, dir, ckptDB(t, "old"), 10)
+	writeCheckpoint(t, dir, ckptDB(t, "new1", "new2"), 99)
+	if _, err := os.Stat(filepath.Join(dir, "checkpoint-00000000000000000010.pcdb")); err != nil {
+		t.Fatalf("superseded database file: %v", err)
 	}
 	got, meta, ok, err := LoadCheckpoint(dir)
 	if err != nil || !ok {
@@ -67,8 +85,8 @@ func TestCheckpointSupersede(t *testing.T) {
 	if meta.Watermark != 99 || got.Len() != 2 {
 		t.Fatalf("loaded stale checkpoint: %+v len %d", meta, got.Len())
 	}
-	if _, err := os.Stat(filepath.Join(dir, "checkpoint-00000000000000000010.pcdb")); !os.IsNotExist(err) {
-		t.Fatalf("stale snapshot not swept: %v", err)
+	if _, ok := got.Get("old"); ok {
+		t.Fatal("superseded entry visible")
 	}
 }
 
@@ -77,9 +95,7 @@ func TestCheckpointSupersede(t *testing.T) {
 // previous checkpoint, or none, still rules.
 func TestCheckpointCrashBeforeCommit(t *testing.T) {
 	dir := t.TempDir()
-	if err := SaveCheckpoint(dir, ckptDB(t, "committed"), 7); err != nil {
-		t.Fatal(err)
-	}
+	writeCheckpoint(t, dir, ckptDB(t, "committed"), 7)
 	// Simulate the crash: a newer snapshot file exists, marker untouched.
 	if err := SaveDB(filepath.Join(dir, "checkpoint-00000000000000000050.pcdb"), ckptDB(t, "torn1", "torn2")); err != nil {
 		t.Fatal(err)
@@ -109,5 +125,11 @@ func TestCheckpointRejectsBadMarker(t *testing.T) {
 	}
 	if _, _, _, err := LoadCheckpoint(dir); err == nil {
 		t.Fatal("garbage marker accepted")
+	}
+	if err := os.WriteFile(filepath.Join(dir, CheckpointMarker), []byte(`{"db_file":"checkpoint-00000000000000000001.pcdb","wal_watermark":1}`), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := LoadCheckpoint(dir); err == nil {
+		t.Fatal("marker naming a missing database accepted")
 	}
 }

@@ -5,8 +5,8 @@ package server
 // record through a per-session fingerprint.Accumulator, and promotes the
 // fingerprint into the sharded database once it converges. The database
 // state is, by construction, a deterministic function of the WAL record
-// sequence — crash recovery replays the log over the last checkpoint
-// snapshot and arrives at the same state, byte for byte.
+// sequence — crash recovery replays the log over the segments the last
+// checkpoint committed and arrives at the same state, byte for byte.
 //
 // Ordering under concurrency: group commit acks appends out of order
 // relative to their fold, so each enroll request waits its turn on a
@@ -24,14 +24,15 @@ package server
 //
 // Replay suppression: a session whose accumulator converges at a
 // sequence below the checkpoint watermark was already promoted into the
-// snapshot — replay marks it promoted without re-adding, which is the
-// double-apply bug the snapshot-then-replay regression test pins.
+// committed segments — replay marks it promoted without re-adding, which
+// is the double-apply bug the snapshot-then-replay regression test pins.
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sync"
 
 	"probablecause/internal/bitset"
@@ -57,7 +58,7 @@ var (
 
 // Enrollment sentinel errors; the HTTP layer maps them onto statuses.
 var (
-	// ErrEnrollmentDisabled: the service was built without EnableEnrollment.
+	// ErrEnrollmentDisabled: the service was built by New, not BootDurable.
 	ErrEnrollmentDisabled = errors.New("server: enrollment not enabled")
 	// ErrSessionLimit: creating this session would exceed MaxSessions.
 	ErrSessionLimit = errors.New("server: enrollment session limit reached")
@@ -71,8 +72,9 @@ const DefaultMaxSessions = 1024
 
 // EnrollConfig parameterizes durable enrollment.
 type EnrollConfig struct {
-	// Dir is the durable directory: WAL segments, checkpoint snapshots,
-	// and the CHECKPOINT marker all live here. Required.
+	// Dir is the durable directory: WAL segments live here, and the
+	// segment store under Dir/store unless Config.Store.Dir names another
+	// place. Required.
 	Dir string
 	// WAL configures the write-ahead log (segment size, fsync policy,
 	// fault plan).
@@ -147,8 +149,9 @@ type EnrollState struct {
 
 // enroller holds the durable-enrollment machinery attached to a Service.
 type enroller struct {
-	cfg EnrollConfig
-	log *wal.Log
+	cfg   EnrollConfig
+	log   *wal.Log
+	store store.DurableBackend // the service's database
 
 	mu         sync.Mutex // guards sessions and the fold chain
 	applyCond  *sync.Cond // signals appliedSeq advances
@@ -157,19 +160,12 @@ type enroller struct {
 	watermark  uint64 // checkpoint watermark; promotions below it are replay-suppressed
 }
 
-// EnableEnrollment opens (or creates) the WAL in cfg.Dir and replays it
-// over the service's current database. watermark is the checkpoint
-// watermark the database was loaded at — the first WAL sequence NOT
-// reflected in it (0 for a fresh or non-checkpoint seed; see
-// BootDurable). Must be called before the service starts taking
-// traffic; replay is not concurrent-safe with serving.
-func (s *Service) EnableEnrollment(cfg EnrollConfig, watermark uint64) error {
-	if s.enroll != nil {
-		return errors.New("server: enrollment already enabled")
-	}
-	if cfg.Dir == "" {
-		return errors.New("server: enrollment needs a durable directory")
-	}
+// enableEnrollment opens (or creates) the WAL in cfg.Dir and replays it
+// over d, the service's database. watermark is the checkpoint watermark d
+// was recovered at — the first WAL sequence NOT reflected in it (0 for a
+// fresh or seeded store). Runs before the service takes traffic; replay is
+// not concurrent-safe with serving.
+func (s *Service) enableEnrollment(cfg EnrollConfig, d store.DurableBackend, watermark uint64) error {
 	cfg = cfg.withDefaults()
 	log, err := wal.Open(cfg.Dir, cfg.WAL)
 	if err != nil {
@@ -178,6 +174,7 @@ func (s *Service) EnableEnrollment(cfg EnrollConfig, watermark uint64) error {
 	e := &enroller{
 		cfg:       cfg,
 		log:       log,
+		store:     d,
 		sessions:  make(map[string]*enrollSession),
 		watermark: watermark,
 	}
@@ -208,75 +205,62 @@ func (s *Service) EnableEnrollment(cfg EnrollConfig, watermark uint64) error {
 	return nil
 }
 
-// BootDurable builds a durably-enrolled service: the committed checkpoint
-// overrides seed and sets the replay watermark, then the WAL replays on top.
-// The result is the deterministic fold of every acked enrollment, whatever
-// mix of snapshots and crashes preceded it.
+// BootDurable builds a durably-enrolled service over the tiered segment
+// store at cfg.Store.Dir (default <ecfg.Dir>/store): committed segments
+// recover mmap'd, the manifest watermark is the replay watermark, and the
+// WAL replays on top. The result is the deterministic fold of every acked
+// enrollment, whatever mix of checkpoints and crashes preceded it.
 //
-// On the memory backend the checkpoint is the monolithic samplefile snapshot
-// in ecfg.Dir, as before. On the tiered backend the store's own manifest is
-// the checkpoint — segments recover mmap'd and the manifest watermark wins.
-// An EMPTY tiered store falls back to a monolithic checkpoint in ecfg.Dir
-// when one exists (a follower bootstrapped by snapshot, or a migration from
-// the memory backend): its entries are ingested and flushed to segments at
-// the checkpoint's watermark before replay, so the fold timeline is
-// preserved exactly.
+// Committed state overrides seed: only an empty store takes the seed, and
+// flushes it to segments before replay. An empty store next to a
+// monolithic checkpoint in ecfg.Dir (a directory written by the in-memory
+// durable path this store replaced) ingests that checkpoint instead, at its
+// watermark, so the fold timeline is preserved exactly. The served
+// threshold is cfg.Threshold (0: fingerprint.DefaultThreshold), never the
+// seed's or the checkpoint's.
 func BootDurable(seed *fingerprint.DB, cfg Config, ecfg EnrollConfig) (*Service, error) {
-	if cfg.Store.Backend == store.BackendTiered {
-		// New boots the store unseeded here, so it cannot vet the seed.
-		if _, err := seedBitLen(seed); err != nil {
-			return nil, err
-		}
-		s, err := New(nil, cfg)
+	if ecfg.Dir == "" {
+		return nil, errors.New("server: enrollment needs a durable directory")
+	}
+	switch cfg.Store.Backend {
+	case "", store.BackendTiered:
+		cfg.Store.Backend = store.BackendTiered
+	default:
+		return nil, fmt.Errorf("server: durable enrollment serves from the %q store, not %q", store.BackendTiered, cfg.Store.Backend)
+	}
+	if cfg.Store.Dir == "" {
+		cfg.Store.Dir = filepath.Join(ecfg.Dir, "store")
+	}
+	// New boots the store unseeded here, so it cannot vet the seed.
+	if _, err := seedBitLen(seed); err != nil {
+		return nil, err
+	}
+	s, err := New(nil, cfg)
+	if err != nil {
+		return nil, err
+	}
+	d := s.db.(store.DurableBackend)
+	watermark := d.Watermark()
+	if watermark == 0 && s.db.Len() == 0 {
+		db, meta, ok, err := samplefile.LoadCheckpoint(ecfg.Dir)
 		if err != nil {
+			s.Close()
 			return nil, err
 		}
-		d := s.db.(store.DurableBackend)
-		watermark := d.Watermark()
-		if seed != nil && (watermark != 0 || s.db.Len() != 0) {
-			s.Close()
-			return nil, fmt.Errorf("server: tiered store %s already holds committed state; refusing to also seed", cfg.Store.Dir)
+		if ok {
+			seed, watermark = db, meta.Watermark
 		}
-		if watermark == 0 && s.db.Len() == 0 {
-			db, meta, ok, err := samplefile.LoadCheckpoint(ecfg.Dir)
-			if err != nil {
+		if seed != nil {
+			for _, e := range seed.Entries() {
+				s.Add(e.Name, e.FP)
+			}
+			if err := d.Checkpoint(watermark); err != nil {
 				s.Close()
 				return nil, err
 			}
-			if ok {
-				seed = db
-				watermark = meta.Watermark
-			}
-			if seed != nil {
-				for _, e := range seed.Entries() {
-					s.Add(e.Name, e.FP)
-				}
-				if err := d.Checkpoint(watermark); err != nil {
-					s.Close()
-					return nil, err
-				}
-			}
 		}
-		if err := s.EnableEnrollment(ecfg, watermark); err != nil {
-			s.Close()
-			return nil, err
-		}
-		return s, nil
 	}
-	db, meta, ok, err := samplefile.LoadCheckpoint(ecfg.Dir)
-	if err != nil {
-		return nil, err
-	}
-	watermark := uint64(0)
-	if ok {
-		seed = db
-		watermark = meta.Watermark
-	}
-	s, err := New(seed, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.EnableEnrollment(ecfg, watermark); err != nil {
+	if err := s.enableEnrollment(ecfg, d, watermark); err != nil {
 		s.Close()
 		return nil, err
 	}
@@ -452,14 +436,12 @@ func (s *Service) EnrollStatus(session string) (EnrollState, bool, error) {
 	return sess.state(session), true, nil
 }
 
-// Checkpoint persists the database at its WAL watermark, then compacts WAL
-// segments no live session depends on. On the memory backend this is the
-// monolithic samplefile snapshot, written outside the fold lock. On the
-// tiered backend it is the store's own Checkpoint — memtable flush to a new
-// segment plus manifest commit — which runs UNDER the fold lock so the
-// flushed state and the watermark agree exactly (the flush cost is one
-// memtable, not the whole database, so the stall is bounded by the flush
-// threshold). Identify traffic continues either way.
+// Checkpoint flushes the memtable to a new segment and commits the store's
+// manifest at the WAL watermark, then compacts WAL segments no live session
+// depends on. The store checkpoint runs UNDER the fold lock so the flushed
+// state and the watermark agree exactly (the flush cost is one memtable, not
+// the whole database, so the stall is bounded by the flush threshold).
+// Identify traffic continues throughout.
 func (s *Service) Checkpoint() (samplefile.CheckpointMeta, error) {
 	e := s.enroll
 	if e == nil {
@@ -469,40 +451,31 @@ func (s *Service) Checkpoint() (samplefile.CheckpointMeta, error) {
 	defer span.End()
 	e.mu.Lock()
 	watermark := e.appliedSeq + 1
-	// Compaction floor: records below the watermark are reflected in the
-	// snapshot, but an unconverged session still needs its history to
-	// rebuild its accumulator on replay.
-	keep := watermark
-	for _, sess := range e.sessions {
-		if !sess.promoted && sess.firstSeq < keep {
-			keep = sess.firstSeq
-		}
-	}
-	if d, ok := s.db.(store.DurableBackend); ok {
-		err := d.Checkpoint(watermark)
-		entries := s.db.Len()
-		e.mu.Unlock()
-		if err != nil {
-			return samplefile.CheckpointMeta{}, err
-		}
-		if _, err := e.log.TruncateBelow(keep); err != nil {
-			return samplefile.CheckpointMeta{}, err
-		}
-		return samplefile.CheckpointMeta{Watermark: watermark, Entries: entries}, nil
-	}
-	db := s.db.Export()
+	keep := e.floorLocked(watermark)
+	err := e.store.Checkpoint(watermark)
+	entries := s.db.Len()
 	e.mu.Unlock()
-	if err := samplefile.SaveCheckpoint(e.cfg.Dir, db, watermark); err != nil {
+	if err != nil {
 		return samplefile.CheckpointMeta{}, err
 	}
 	if _, err := e.log.TruncateBelow(keep); err != nil {
 		return samplefile.CheckpointMeta{}, err
 	}
-	return samplefile.CheckpointMeta{
-		DBFile:    fmt.Sprintf("checkpoint-%020d.pcdb", watermark),
-		Watermark: watermark,
-		Entries:   db.Len(),
-	}, nil
+	return samplefile.CheckpointMeta{Watermark: watermark, Entries: entries}, nil
+}
+
+// floorLocked is the replay floor for a checkpoint at watermark: records
+// below the watermark are reflected in the store, but an unconverged
+// session still needs its history to rebuild its accumulator on replay.
+// Caller holds e.mu.
+func (e *enroller) floorLocked(watermark uint64) uint64 {
+	floor := watermark
+	for _, sess := range e.sessions {
+		if !sess.promoted && sess.firstSeq < floor {
+			floor = sess.firstSeq
+		}
+	}
+	return floor
 }
 
 // maybeAutoFlush schedules a background Checkpoint when the tiered
@@ -510,12 +483,12 @@ func (s *Service) Checkpoint() (samplefile.CheckpointMeta, error) {
 // exactly one scheduler; the flush itself serializes with enrollment on
 // e.mu inside Checkpoint.
 func (s *Service) maybeAutoFlush() {
-	d, ok := s.db.(store.DurableBackend)
-	if !ok || s.enroll == nil || !d.NeedsFlush() || !d.TryStartFlush() {
+	e := s.enroll
+	if e == nil || !e.store.NeedsFlush() || !e.store.TryStartFlush() {
 		return
 	}
 	go func() {
-		defer d.EndFlush()
+		defer e.store.EndFlush()
 		if _, err := s.Checkpoint(); err != nil {
 			obs.Errorf("store auto-flush", "err", err)
 		}

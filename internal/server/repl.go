@@ -14,9 +14,7 @@ import (
 	"errors"
 	"fmt"
 
-	"probablecause/internal/fingerprint"
 	"probablecause/internal/obs"
-	"probablecause/internal/store"
 	"probablecause/internal/wal"
 )
 
@@ -46,7 +44,7 @@ func (s *Service) SetPrimary(primary bool) { s.notPrimary.Store(!primary) }
 func (s *Service) IsPrimary() bool { return !s.notPrimary.Load() }
 
 // SetReady flips the /readyz readiness gate. Services start ready;
-// cluster followers hold not-ready until snapshot bootstrap and WAL
+// cluster followers hold not-ready until segment bootstrap and WAL
 // catch-up complete, so routers and orchestrators keep traffic off
 // warming nodes. Liveness (/healthz) is independent and unchanged.
 func (s *Service) SetReady(ready bool) { s.notReady.Store(!ready) }
@@ -146,68 +144,33 @@ func (s *Service) ApplyReplicated(seq uint64, payload []byte) (applied bool, err
 	return true, nil
 }
 
-// ReplicationSnapshot captures a consistent bootstrap image for a new
-// follower: the database export, the watermark (first WAL sequence NOT
-// reflected in the export), and the replay floor — the first sequence a
-// follower must pull so unconverged sessions rebuild their accumulators
-// (floor ≤ watermark; sessions still converging depend on records below
-// the watermark).
-func (s *Service) ReplicationSnapshot() (db *fingerprint.DB, watermark, floor uint64, err error) {
-	e := s.enroll
-	if e == nil {
-		return nil, 0, 0, ErrEnrollmentDisabled
-	}
-	e.mu.Lock()
-	watermark = e.appliedSeq + 1
-	db = s.db.Export()
-	floor = watermark
-	for _, sess := range e.sessions {
-		if !sess.promoted && sess.firstSeq < floor {
-			floor = sess.firstSeq
-		}
-	}
-	e.mu.Unlock()
-	if first := e.log.FirstSeq(); floor < first {
-		// The needed history was compacted away locally; that cannot happen
-		// for unconverged sessions (Checkpoint keeps their segments), so
-		// this is a belt-and-braces guard for an empty log.
-		floor = first
-	}
-	return db, watermark, floor, nil
-}
-
-// StoreSnapshot captures a segment-shipping bootstrap image from a tiered
-// primary: a checkpoint first drains the memtable so the committed segments
-// plus manifest hold the complete fold prefix, then the files are refcount
-// pinned for streaming — no monolithic database export on either side. The
-// returned manifest bytes name exactly the returned paths; watermark and
-// floor carry the same meaning as ReplicationSnapshot's. Callers must call
-// release when streaming completes.
+// StoreSnapshot captures a bootstrap image for a new follower: a checkpoint
+// first drains the memtable so the committed segments plus manifest hold the
+// complete fold prefix, then the files are refcount pinned for streaming —
+// no database export on either side. The returned manifest bytes name
+// exactly the returned paths; watermark is the first WAL sequence NOT
+// reflected in them, and floor is the first sequence a follower must pull
+// so unconverged sessions rebuild their accumulators (floor ≤ watermark).
+// Callers must call release when streaming completes.
 func (s *Service) StoreSnapshot() (manifest []byte, paths []string, watermark, floor uint64, release func(), err error) {
 	e := s.enroll
 	if e == nil {
 		return nil, nil, 0, 0, nil, ErrEnrollmentDisabled
 	}
-	snap, ok := s.db.(store.SegmentSnapshotter)
-	if !ok {
-		return nil, nil, 0, 0, nil, fmt.Errorf("server: %q backend has no segments; bootstrap from /v1/repl/snapshot", s.cfg.Store.Backend)
-	}
 	if _, err := s.Checkpoint(); err != nil {
 		return nil, nil, 0, 0, nil, err
 	}
-	manifest, paths, watermark, release, err = snap.SnapshotFiles()
+	manifest, paths, watermark, release, err = e.store.SnapshotFiles()
 	if err != nil {
 		return nil, nil, 0, 0, nil, err
 	}
 	e.mu.Lock()
-	floor = watermark
-	for _, sess := range e.sessions {
-		if !sess.promoted && sess.firstSeq < floor {
-			floor = sess.firstSeq
-		}
-	}
+	floor = e.floorLocked(watermark)
 	e.mu.Unlock()
 	if first := e.log.FirstSeq(); floor < first {
+		// The needed history was compacted away locally; that cannot happen
+		// for unconverged sessions (Checkpoint keeps their segments), so
+		// this is a belt-and-braces guard for an empty log.
 		floor = first
 	}
 	return manifest, paths, watermark, floor, release, nil

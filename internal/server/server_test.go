@@ -198,6 +198,16 @@ func TestNewRejectsMixedSeedLengths(t *testing.T) {
 	check("tiered", err)
 }
 
+// TestBootDurableRefusesMemoryBackend: durable enrollment serves from the
+// segment store only, so asking it for the in-memory backend is an error
+// rather than a setting it ignores.
+func TestBootDurableRefusesMemoryBackend(t *testing.T) {
+	_, err := BootDurable(nil, Config{Store: store.Config{Backend: store.BackendMemory}}, EnrollConfig{Dir: t.TempDir()})
+	if err == nil || !strings.Contains(err.Error(), store.BackendMemory) {
+		t.Fatalf("BootDurable on the memory backend: %v, want a refusal naming it", err)
+	}
+}
+
 // TestServeDBEndpoints exercises stats, add, remove, characterize, and cache
 // invalidation on mutation.
 func TestServeDBEndpoints(t *testing.T) {

@@ -47,8 +47,9 @@ var (
 
 // Config parameterizes a Service. The zero value serves with sane defaults.
 type Config struct {
-	// Threshold is the identification threshold; 0 selects the seed DB's
-	// threshold (or fingerprint.DefaultThreshold with no seed).
+	// Threshold is the identification threshold; 0 selects New's seed DB's
+	// threshold, or fingerprint.DefaultThreshold with no seed and always
+	// under BootDurable.
 	Threshold float64
 	// Shards is the database shard count; 0 selects fingerprint.DefaultShards.
 	Shards int
@@ -85,8 +86,9 @@ type Config struct {
 	// obs.DefaultSlowRing, negative disables retention.
 	SlowRequests int
 	// Store selects and parameterizes the storage backend: the zero value is
-	// the in-memory ShardedDB (the pre-tiering behavior); "tiered" puts the
-	// database behind mmap'd immutable segment files in Store.Dir.
+	// the in-memory ShardedDB; "tiered" puts the database behind mmap'd
+	// immutable segment files in Store.Dir. BootDurable always serves from
+	// the tiered store (Store.Dir defaults to <EnrollConfig.Dir>/store).
 	Store store.Config
 	// Partition scopes the service to one partition of a partitioned
 	// cluster (partition.go); the zero value is unpartitioned.
@@ -137,7 +139,7 @@ type Service struct {
 	cache  *verdictCache
 	batch  *batcher
 	inj    *faults.Injector // nil when the fault plan is inactive
-	enroll *enroller        // nil until EnableEnrollment
+	enroll *enroller        // nil unless built by BootDurable
 	slo    *obs.SLOEngine   // nil without objectives
 	slow   *obs.SlowRing    // nil when retention is disabled
 
@@ -384,7 +386,8 @@ type Stats struct {
 	Generation int64                  `json:"generation"`
 	QueueCap   int                    `json:"queue_capacity"`
 	Cache      CacheStats             `json:"cache"`
-	// Store describes the tiered backend; zero-valued on the memory backend.
+	// Store names the storage backend: "tiered" (with its segment count and
+	// manifest watermark) under BootDurable, "memory" otherwise.
 	Store StoreStats `json:"store"`
 	// Partition names the partition this node serves; omitted when
 	// unpartitioned, keeping the body byte-identical to pre-cluster

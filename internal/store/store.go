@@ -1,14 +1,17 @@
-// Package store puts a pluggable storage backend behind the serving layer's
+// Package store puts a storage backend behind the serving layer's
 // fingerprint database. Two backends share one query/mutation surface and one
 // verdict contract:
 //
-//   - Memory: the existing in-RAM fingerprint.ShardedDB, unchanged — every
-//     entry lives in heap, snapshots are monolithic (the pre-PR 9 behavior).
-//   - Tiered: an LSM-shaped engine. Fresh enrollments land in an in-RAM
-//     memtable (a ShardedDB); at each checkpoint the memtable flushes to an
-//     immutable, mmap'd segment file (format PCSEG02, segment.go) carrying
-//     the per-entry error bitsets as one position-major bit-sliced matrix,
-//     the cached cardinalities, and the serialized LSH band index. Queries
+//   - Memory: the in-RAM fingerprint.ShardedDB — every entry lives in heap,
+//     nothing is durable. It serves a service without enrollment (pcserved
+//     without -wal.dir).
+//   - Tiered: an LSM-shaped engine, and the only durable one: every
+//     durably-enrolled service (server.BootDurable) serves from it. Fresh
+//     enrollments land in an in-RAM memtable (a ShardedDB); at each
+//     checkpoint the memtable flushes to an immutable, mmap'd segment file
+//     (format PCSEG02, segment.go) carrying the per-entry error bitsets as
+//     one position-major bit-sliced matrix, the cached cardinalities, and
+//     the serialized LSH band index. Queries
 //     merge the memtable's verdict with per-segment verdicts streamed
 //     straight off the mappings through the matrix sweep, so the hot path
 //     never materializes flushed fingerprints in heap. Segments
@@ -102,15 +105,11 @@ type DurableBackend interface {
 	// concurrent enrollments do not pile up duplicate flush goroutines.
 	TryStartFlush() bool
 	EndFlush()
-}
-
-// SegmentSnapshotter is the segment-shipping bootstrap surface: a backend
-// whose committed state can be streamed as immutable files instead of a
-// monolithic database export. SnapshotFiles pins the current committed
-// segment set (refcounted against compaction sweeps), returning the manifest
-// bytes that name them, their paths, and the manifest's WAL watermark;
-// release must be called when streaming completes.
-type SegmentSnapshotter interface {
+	// SnapshotFiles is the segment-shipping bootstrap surface: it pins the
+	// current committed segment set (refcounted against compaction sweeps),
+	// returning the manifest bytes that name them, their paths, and the
+	// manifest's WAL watermark; release must be called when streaming
+	// completes.
 	SnapshotFiles() (manifest []byte, paths []string, watermark uint64, release func(), err error)
 }
 
@@ -131,7 +130,8 @@ func (c DBConfig) newShardedDB() (*fingerprint.ShardedDB, error) {
 
 // Config selects and parameterizes a backend.
 type Config struct {
-	// Backend is "memory" (default) or "tiered".
+	// Backend is "memory" (default) or "tiered"; server.BootDurable always
+	// selects "tiered".
 	Backend string
 	// Dir is the tiered engine's directory (segment files + manifest).
 	Dir string

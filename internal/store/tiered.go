@@ -188,8 +188,8 @@ func (t *Tiered) Add(name string, fp *bitset.Set) int {
 // Remove tombstones the earliest-added live entry under name: flushed
 // segments hold strictly older ids than the memtable, so they are scanned
 // first, in order. A segment tombstone becomes durable at the next manifest
-// commit (Checkpoint); until then a crash loses it — the same durability the
-// in-memory backend's WAL replay gives Removes.
+// commit (Checkpoint); until then a crash loses it, since Removes never
+// enter the WAL.
 func (t *Tiered) Remove(name string) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -14,8 +14,8 @@ import (
 
 	"probablecause/internal/bitset"
 	"probablecause/internal/fingerprint"
-	"probablecause/internal/samplefile"
 	"probablecause/internal/server"
+	"probablecause/internal/store"
 )
 
 // TestPcservedCrashRecovery is the durability acceptance test: kill -9
@@ -151,21 +151,23 @@ func TestPcservedCrashRecovery(t *testing.T) {
 		t.FailNow()
 	}
 
-	// Restart the daemon on the same directory and snapshot its state;
-	// the checkpoint database must match the in-process replay byte for
-	// byte, and every acked-promoted device must still identify.
+	// Restart the daemon on the same directory and checkpoint its state;
+	// the segments the checkpoint commits must match the in-process replay
+	// byte for byte, and every acked-promoted device must still identify.
 	base2, cmd2 := startPcserved(t, walArgs...)
 	resp, err := http.Post(base2+"/v1/snapshot", "application/json", nil)
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("snapshot after recovery: %v %d", err, resp.StatusCode)
 	}
 	resp.Body.Close()
-	ckdb, _, ok, err := samplefile.LoadCheckpoint(walDir)
-	if err != nil || !ok {
-		t.Fatalf("loading recovery checkpoint: ok=%v err=%v", ok, err)
+	committed, err := store.OpenTiered(store.Config{Dir: filepath.Join(walDir, "store")}, store.DBConfig{Threshold: fingerprint.DefaultThreshold})
+	if err != nil {
+		t.Fatalf("opening the recovery checkpoint's store: %v", err)
 	}
 	var ckBytes bytes.Buffer
-	if _, err := ckdb.WriteTo(&ckBytes); err != nil {
+	_, err = committed.Export().WriteTo(&ckBytes)
+	committed.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(ckBytes.Bytes(), refBytes.Bytes()) {

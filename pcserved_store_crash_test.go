@@ -19,12 +19,12 @@ import (
 )
 
 // TestPcservedStoreCrashRecovery extends the durability acceptance test to
-// the tiered segment store: the daemon runs with -store.backend=tiered and
+// the tiered segment store's flush and compaction: the daemon runs with
 // aggressive flush/compaction thresholds, and each matrix case either
 // SIGKILLs it mid-burst or arms a PCSTORE_CRASH chaos point so the engine
 // hard-exits in the middle of a flush or compaction, on either side of the
-// manifest commit. Recovery must then satisfy the same contract as the
-// memory path:
+// manifest commit. Recovery must then satisfy the same contract as
+// TestPcservedCrashRecovery:
 //
 //   - acked ⊆ replayed ⊆ sent, session by session,
 //   - no device is enrolled twice across the memtable/segment boundary
@@ -66,7 +66,6 @@ func runStoreCrashCase(t *testing.T, crashPoint string) {
 	// burst crosses every chaos point several times over.
 	args := []string{
 		"-wal.dir", walDir,
-		"-store.backend", "tiered",
 		"-store.flush-entries", "2",
 		"-store.compact-segments", "2",
 		"-enroll.minobs", "3", "-enroll.patience", "2",
