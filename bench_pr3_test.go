@@ -1,5 +1,6 @@
-// PR3 benches: the LSH-indexed identification path against the dense scan on
-// a 1000-entry database, and stitch ingestion under the worker pool. The
+// Engine and stitching benches: the sliced serving engine's Decide against
+// the dense scan's on a 1000-entry database, and stitch ingestion under the
+// worker pool. The
 // companion TestBenchSmoke (gated by BENCH_SMOKE=1) guards the machine-
 // independent ratios recorded in BENCH_BASELINE.json, so CI catches an
 // algorithmic regression without depending on runner speed.
@@ -21,14 +22,15 @@ import (
 	"probablecause/internal/workload"
 )
 
-// identifyFixture is a 1000-chip fingerprint database plus fresh outputs to
-// identify, shared across the identify benches (building it dominates any
-// single bench run).
+// identifyFixture is a 1000-chip fingerprint database, the sliced engine
+// over it, and fresh outputs to decide with the dense scan's verdict for
+// each, shared across the decide benches (building it dominates any single
+// bench run).
 type identifyFixture struct {
 	db      *fingerprint.DB
-	indexed *fingerprint.IndexedDB
+	sliced  *fingerprint.SlicedDB
 	queries []*bitset.Set
-	chips   []int
+	want    []fingerprint.Verdict // DB.Decide of each query
 }
 
 var (
@@ -42,6 +44,7 @@ func identifyDB(b *testing.B) *identifyFixture {
 	identFixtureOnce.Do(func() {
 		const chips, queries = 1000, 16
 		f := &identifyFixture{db: fingerprint.NewDB(fingerprint.DefaultThreshold)}
+		var queryChips []int
 		for i := 0; i < chips; i++ {
 			m := drammodel.New(0x1DDB + uint64(i)*0x9E37)
 			vs, err := m.VolatileSet(uint64(i), 0.01)
@@ -50,9 +53,7 @@ func identifyDB(b *testing.B) *identifyFixture {
 				return
 			}
 			f.db.Add(fmt.Sprintf("chip%04d", i), vs.Dense(dram.PageBits))
-			// Query chips spread evenly through the database, so the scan
-			// pays its true average cost instead of early-exiting on the
-			// first entries.
+			// Query chips spread evenly through the database.
 			if i%(chips/queries) == chips/queries-1 {
 				out, err := m.PageErrors(uint64(i), 0.01, 7)
 				if err != nil {
@@ -60,10 +61,13 @@ func identifyDB(b *testing.B) *identifyFixture {
 					return
 				}
 				f.queries = append(f.queries, out.Dense(dram.PageBits))
-				f.chips = append(f.chips, i)
+				queryChips = append(queryChips, i)
 			}
 		}
-		f.indexed, identFixtureErr = fingerprint.IndexDB(f.db, fingerprint.IndexedConfig{})
+		if f.want, identFixtureErr = decideMix(f.db, f.queries, queryChips); identFixtureErr != nil {
+			return
+		}
+		f.sliced, identFixtureErr = fingerprint.SliceDB(f.db, fingerprint.IndexedConfig{})
 		identFixture = f
 	})
 	if identFixtureErr != nil {
@@ -72,38 +76,35 @@ func identifyDB(b *testing.B) *identifyFixture {
 	return identFixture
 }
 
-func benchIdentify(b *testing.B, ident fingerprint.Identifier) {
+func benchDecide(b *testing.B, ident fingerprint.Identifier) {
 	f := identifyDB(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := i % len(f.queries)
-		_, idx, ok := ident.Identify(f.queries[q])
-		if !ok || idx != f.chips[q] {
-			b.Fatalf("query %d identified as %d (ok=%v), want %d", q, idx, ok, f.chips[q])
+		if v := ident.Decide(f.queries[q]); v != f.want[q] {
+			b.Fatalf("query %d decided %+v, want %+v", q, v, f.want[q])
 		}
 	}
 }
 
-// BenchmarkIdentify compares Algorithm 2 as a dense scan over all 1000
-// entries with the LSH-indexed candidate lookup. Both return identical
-// matches (enforced per query); the indexed path checks only the bucket
-// collisions.
-func BenchmarkIdentify(b *testing.B) {
-	b.Run("scan-1k", func(b *testing.B) { benchIdentify(b, identifyDB(b).db) })
-	b.Run("indexed-1k", func(b *testing.B) { benchIdentify(b, identifyDB(b).indexed) })
+// BenchmarkDecide compares the dense scan over all 1000 entries with the
+// sliced engine (LSH candidates, then the bounded block sweep). Both return
+// the dense scan's verdict, field for field (enforced per query).
+func BenchmarkDecide(b *testing.B) {
+	b.Run("scan-1k", func(b *testing.B) { benchDecide(b, identifyDB(b).db) })
+	b.Run("sliced-1k", func(b *testing.B) { benchDecide(b, identifyDB(b).sliced) })
 }
 
-// BenchmarkParallelIdentify measures the batch API fanning the query set
+// BenchmarkParallelDecide measures the batch API fanning the query set
 // across the pool (collapses to the serial loop on a 1-CPU runner).
-func BenchmarkParallelIdentify(b *testing.B) {
+func BenchmarkParallelDecide(b *testing.B) {
 	f := identifyDB(b)
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				matches := fingerprint.ParallelIdentify(f.indexed, f.queries, workers)
-				for q, m := range matches {
-					if !m.OK || m.Index != f.chips[q] {
-						b.Fatalf("query %d → %+v, want chip %d", q, m, f.chips[q])
+				for q, v := range fingerprint.ParallelDecide(f.sliced, f.queries, workers) {
+					if v != f.want[q] {
+						b.Fatalf("query %d → %+v, want %+v", q, v, f.want[q])
 					}
 				}
 			}
@@ -154,8 +155,9 @@ func BenchmarkStitchAdd(b *testing.B) {
 // benchBaseline mirrors BENCH_BASELINE.json: machine-independent ratios the
 // smoke test guards with 2× slack.
 type benchBaseline struct {
-	// IdentifyIndexedSpeedup is scan ns/op ÷ indexed ns/op on the 1k DB.
-	IdentifyIndexedSpeedup float64 `json:"identify_indexed_speedup"`
+	// DecideSlicedSpeedup is DB.Decide ns/op ÷ SlicedDB.Decide ns/op on the
+	// 1k DB.
+	DecideSlicedSpeedup float64 `json:"decide_sliced_speedup"`
 	// StitchAddPerDistance is stitch ingestion ns per sample ÷ the ns of one
 	// dense 32K-page Distance — a calibration that cancels CPU speed.
 	StitchAddPerDistance float64 `json:"stitch_add_per_distance"`
@@ -177,14 +179,14 @@ func TestBenchSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	scan := testing.Benchmark(func(b *testing.B) { benchIdentify(b, identifyDB(b).db) })
-	indexed := testing.Benchmark(func(b *testing.B) { benchIdentify(b, identifyDB(b).indexed) })
-	speedup := float64(scan.NsPerOp()) / float64(indexed.NsPerOp())
-	t.Logf("identify: scan %v, indexed %v → speedup %.1fx (baseline %.1fx)",
-		scan.NsPerOp(), indexed.NsPerOp(), speedup, base.IdentifyIndexedSpeedup)
-	if speedup < base.IdentifyIndexedSpeedup/2 {
-		t.Errorf("indexed identify speedup %.2fx regressed >2x vs baseline %.2fx",
-			speedup, base.IdentifyIndexedSpeedup)
+	scan := testing.Benchmark(func(b *testing.B) { benchDecide(b, identifyDB(b).db) })
+	sliced := testing.Benchmark(func(b *testing.B) { benchDecide(b, identifyDB(b).sliced) })
+	speedup := float64(scan.NsPerOp()) / float64(sliced.NsPerOp())
+	t.Logf("decide: scan %v, sliced %v → speedup %.1fx (baseline %.1fx)",
+		scan.NsPerOp(), sliced.NsPerOp(), speedup, base.DecideSlicedSpeedup)
+	if speedup < base.DecideSlicedSpeedup/2 {
+		t.Errorf("sliced decide speedup %.2fx regressed >2x vs baseline %.2fx",
+			speedup, base.DecideSlicedSpeedup)
 	}
 
 	dist := testing.Benchmark(BenchmarkDistance32KPage)

@@ -57,7 +57,7 @@ func newServeFixture(b *testing.B) (*serveFixture, func()) {
 			b.Fatal(err)
 		}
 		sf.singles = append(sf.singles, blob)
-		sf.expected = append(sf.expected, f.chips[qi])
+		sf.expected = append(sf.expected, f.want[qi].Index)
 	}
 	batchQueries := make([]wireQuery, serveBatchSize)
 	for i := range batchQueries {

@@ -1,10 +1,10 @@
-// PR8 benches: the bit-sliced identification engine against the LSH-indexed
-// path on a 100k-entry synthetic corpus. The query mix is half hits, half
-// misses — misses are where the paths diverge, because an indexed miss falls
-// back to the scalar full scan while a sliced miss runs the bit-major block
-// sweep. The companion TestBenchPR8Smoke (gated by BENCH_SMOKE=1)
-// guards the machine-independent indexed→sliced ratio recorded in
-// BENCH_PR8.json, with a hard ≥10× floor from the PR-8 acceptance criteria.
+// Sparse-regime benches: the bit-sliced engine's Decide against the dense
+// scan's on a 100k-entry synthetic corpus of 4096-bit fingerprints. The
+// query mix is half hits, half misses — a hit's matching candidate bounds
+// the sweep by the threshold, while a miss sweeps under its own best so far.
+// The companion TestBenchPR8Smoke (gated by BENCH_SMOKE=1) guards the
+// machine-independent scan→sliced ratio recorded in BENCH_PR8.json, with a
+// hard ≥10× floor.
 package probablecause_test
 
 import (
@@ -39,14 +39,13 @@ func sparseFP(card int, seed uint64) *bitset.Set {
 	return s
 }
 
-// pr8Fixture is the shared 100k-entry corpus: the plain scan DB, the indexed
-// view, the sliced view, and a hit/miss query mix.
+// pr8Fixture is the shared 100k-entry corpus: the plain scan DB, the sliced
+// view, and a hit/miss query mix with the dense scan's verdict for each.
 type pr8Fixture struct {
 	db      *fingerprint.DB
-	indexed *fingerprint.IndexedDB
 	sliced  *fingerprint.SlicedDB
 	queries []*bitset.Set
-	wantIdx []int // expected identify index; -1 for a miss
+	want    []fingerprint.Verdict // DB.Decide of each query
 }
 
 var (
@@ -63,28 +62,28 @@ func pr8DB(b testing.TB) *pr8Fixture {
 			card := 40 + int(prng.Hash(pr8Seed, uint64(i))%41)
 			f.db.Add(fmt.Sprintf("dev%06d", i), sparseFP(card, pr8Seed^uint64(i)))
 		}
-		icfg := fingerprint.IndexedConfig{Workers: 4}
-		if f.indexed, pr8Err = fingerprint.IndexDB(f.db, icfg); pr8Err != nil {
-			return
-		}
-		if f.sliced, pr8Err = fingerprint.SliceDB(f.db, icfg); pr8Err != nil {
+		if f.sliced, pr8Err = fingerprint.SliceDB(f.db, fingerprint.IndexedConfig{Workers: 4}); pr8Err != nil {
 			return
 		}
 		// Hits: perturbed copies of entries spread through the database (one
-		// volatile bit dropped, the trial-flicker shape). Misses: fresh
-		// random sets, which drive both paths through their fallback scans.
+		// volatile bit dropped, the trial-flicker shape), each deciding for
+		// its entry. Misses: fresh random sets, which match nothing.
 		const each = 8
+		var wantIdx []int // the matched entry; -1 for a miss
 		for k := 0; k < each; k++ {
 			i := (k + 1) * (pr8Entries / (each + 1))
 			q := f.db.Entries()[i].FP.Clone()
 			pos := q.Positions()
 			q.Clear(int(pos[prng.Hash(pr8Seed, 0x41, uint64(k))%uint64(len(pos))]))
 			f.queries = append(f.queries, q)
-			f.wantIdx = append(f.wantIdx, i)
+			wantIdx = append(wantIdx, i)
 		}
 		for k := 0; k < each; k++ {
 			f.queries = append(f.queries, sparseFP(40, 0xA15500^prng.Hash(pr8Seed, uint64(k))))
-			f.wantIdx = append(f.wantIdx, -1)
+			wantIdx = append(wantIdx, -1)
+		}
+		if f.want, pr8Err = decideMix(f.db, f.queries, wantIdx); pr8Err != nil {
+			return
 		}
 		pr8Fix = f
 	})
@@ -94,37 +93,49 @@ func pr8DB(b testing.TB) *pr8Fixture {
 	return pr8Fix
 }
 
-func benchIdentify100k(b *testing.B, ident fingerprint.Identifier) {
+// decideMix returns db's Decide of every query, checking that the mix is
+// what it was built to be: query i matches entry wantIdx[i], or nothing
+// when wantIdx[i] is -1.
+func decideMix(db *fingerprint.DB, queries []*bitset.Set, wantIdx []int) ([]fingerprint.Verdict, error) {
+	want := make([]fingerprint.Verdict, len(queries))
+	for i, q := range queries {
+		want[i] = db.Decide(q)
+		if v := want[i]; v.OK() != (wantIdx[i] >= 0) || (v.OK() && v.Index != wantIdx[i]) {
+			return nil, fmt.Errorf("query %d decided %+v, want entry %d", i, v, wantIdx[i])
+		}
+	}
+	return want, nil
+}
+
+func benchDecide100k(b *testing.B, ident fingerprint.Identifier) {
 	f := pr8DB(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := i % len(f.queries)
-		_, idx, ok := ident.Identify(f.queries[q])
-		if want := f.wantIdx[q]; (want >= 0) != ok || (ok && idx != want) {
-			b.Fatalf("query %d identified as %d (ok=%v), want %d", q, idx, ok, want)
+		if v := ident.Decide(f.queries[q]); v != f.want[q] {
+			b.Fatalf("query %d decided %+v, want %+v", q, v, f.want[q])
 		}
 	}
 }
 
-// BenchmarkIdentify100k compares the three identification paths on the same
-// 100k corpus and query mix. Every op verifies the verdict, so the speed
-// comparison cannot drift from the correctness contract.
-func BenchmarkIdentify100k(b *testing.B) {
-	b.Run("scan-100k", func(b *testing.B) { benchIdentify100k(b, pr8DB(b).db) })
-	b.Run("indexed-100k", func(b *testing.B) { benchIdentify100k(b, pr8DB(b).indexed) })
-	b.Run("sliced-100k", func(b *testing.B) { benchIdentify100k(b, pr8DB(b).sliced) })
+// BenchmarkDecide100k compares the dense scan and the sliced engine on the
+// same 100k corpus and query mix. Every op verifies the verdict, so the
+// speed comparison cannot drift from the correctness contract.
+func BenchmarkDecide100k(b *testing.B) {
+	b.Run("scan-100k", func(b *testing.B) { benchDecide100k(b, pr8DB(b).db) })
+	b.Run("sliced-100k", func(b *testing.B) { benchDecide100k(b, pr8DB(b).sliced) })
 }
 
 // benchPR8Baseline mirrors BENCH_PR8.json.
 type benchPR8Baseline struct {
-	// IdentifySlicedSpeedup is indexed ns/op ÷ sliced ns/op on the 100k
-	// corpus with the half-hit/half-miss query mix.
-	IdentifySlicedSpeedup float64 `json:"identify_sliced_speedup"`
+	// DecideSlicedSpeedup is DB.Decide ns/op ÷ SlicedDB.Decide ns/op on the
+	// 100k corpus with the half-hit/half-miss query mix.
+	DecideSlicedSpeedup float64 `json:"decide_sliced_speedup"`
 }
 
-// TestBenchPR8Smoke guards the indexed→sliced ratio: it must stay within 2×
-// of the recorded baseline AND above the hard 10× floor the PR-8 acceptance
-// criteria demand. Gated by BENCH_SMOKE=1 like TestBenchSmoke.
+// TestBenchPR8Smoke guards the scan→sliced ratio: it must stay within 2×
+// of the recorded baseline AND above the hard 10× floor. Gated by
+// BENCH_SMOKE=1 like TestBenchSmoke.
 func TestBenchPR8Smoke(t *testing.T) {
 	if os.Getenv("BENCH_SMOKE") != "1" {
 		t.Skip("set BENCH_SMOKE=1 to run the bench regression smoke")
@@ -138,17 +149,17 @@ func TestBenchPR8Smoke(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	indexed := testing.Benchmark(func(b *testing.B) { benchIdentify100k(b, pr8DB(b).indexed) })
-	sliced := testing.Benchmark(func(b *testing.B) { benchIdentify100k(b, pr8DB(b).sliced) })
-	speedup := float64(indexed.NsPerOp()) / float64(sliced.NsPerOp())
-	t.Logf("identify-100k: indexed %v, sliced %v → speedup %.1fx (baseline %.1fx)",
-		indexed.NsPerOp(), sliced.NsPerOp(), speedup, base.IdentifySlicedSpeedup)
-	floor := base.IdentifySlicedSpeedup / 2
+	scan := testing.Benchmark(func(b *testing.B) { benchDecide100k(b, pr8DB(b).db) })
+	sliced := testing.Benchmark(func(b *testing.B) { benchDecide100k(b, pr8DB(b).sliced) })
+	speedup := float64(scan.NsPerOp()) / float64(sliced.NsPerOp())
+	t.Logf("decide-100k: scan %v, sliced %v → speedup %.1fx (baseline %.1fx)",
+		scan.NsPerOp(), sliced.NsPerOp(), speedup, base.DecideSlicedSpeedup)
+	floor := base.DecideSlicedSpeedup / 2
 	if floor < 10 {
 		floor = 10
 	}
 	if speedup < floor {
-		t.Errorf("sliced identify speedup %.2fx below floor %.2fx (baseline %.2fx, hard floor 10x)",
-			speedup, floor, base.IdentifySlicedSpeedup)
+		t.Errorf("sliced decide speedup %.2fx below floor %.2fx (baseline %.2fx, hard floor 10x)",
+			speedup, floor, base.DecideSlicedSpeedup)
 	}
 }

@@ -1,7 +1,7 @@
 // PR9 benches: the tiered segment store against the in-memory backend on a
 // 100k-entry corpus, the same band-key sliced configuration and the
 // half-hit/half-miss query mix of the PR-8 benches. Two properties are on the line:
-// identify latency off the mmap'd segments must stay interactive (p99 within
+// Decide latency off the mmap'd segments must stay interactive (p99 within
 // 3× of the all-heap backend), and the tiered engine's resident heap must
 // stay a small fraction of the corpus (< 25%), because flushed fingerprints
 // live in the page cache, not the heap. TestBenchPR9Smoke (BENCH_SMOKE=1)
@@ -30,12 +30,13 @@ const (
 )
 
 // pr9Fixture holds both backends over the identical Add sequence, the query
-// mix, and the tiered build's heap high-water fraction.
+// mix with the dense scan's verdict for each, and the tiered build's heap
+// high-water fraction.
 type pr9Fixture struct {
 	memory   store.Backend
 	tiered   store.Backend
 	queries  []*bitset.Set
-	wantIdx  []int // expected identify index; -1 for a miss
+	want     []fingerprint.Verdict // DB.Decide of each query
 	heapFrac float64
 }
 
@@ -103,6 +104,7 @@ func pr9Backends(b testing.TB) *pr9Fixture {
 		f.memory, f.tiered = memory, tiered
 
 		const each = 8
+		var wantIdx []int // the matched entry; -1 for a miss
 		for k := 0; k < each; k++ {
 			i := (k + 1) * (pr9Entries / (each + 1))
 			card := 40 + int(prng.Hash(pr9Seed, uint64(i))%41)
@@ -110,11 +112,16 @@ func pr9Backends(b testing.TB) *pr9Fixture {
 			pos := q.Positions()
 			q.Clear(int(pos[prng.Hash(pr9Seed, 0x41, uint64(k))%uint64(len(pos))]))
 			f.queries = append(f.queries, q)
-			f.wantIdx = append(f.wantIdx, i)
+			wantIdx = append(wantIdx, i)
 		}
 		for k := 0; k < each; k++ {
 			f.queries = append(f.queries, sparseFP(40, 0xA15500^prng.Hash(pr9Seed, uint64(k))))
-			f.wantIdx = append(f.wantIdx, -1)
+			wantIdx = append(wantIdx, -1)
+		}
+		// The memory backend's export is the dense DB of the same Add
+		// sequence (nothing was removed, so its indices are the ids).
+		if f.want, pr9Err = decideMix(memory.Export(), f.queries, wantIdx); pr9Err != nil {
+			return
 		}
 		pr9Fix = f
 	})
@@ -124,34 +131,33 @@ func pr9Backends(b testing.TB) *pr9Fixture {
 	return pr9Fix
 }
 
-func benchStoreIdentify(b *testing.B, backend store.Backend) {
+func benchStoreDecide(b *testing.B, backend store.Backend) {
 	f := pr9Backends(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := i % len(f.queries)
-		_, idx, ok := backend.Identify(f.queries[q])
-		if want := f.wantIdx[q]; (want >= 0) != ok || (ok && idx != want) {
-			b.Fatalf("query %d identified as %d (ok=%v), want %d", q, idx, ok, want)
+		if v := backend.Decide(f.queries[q]); v != f.want[q] {
+			b.Fatalf("query %d decided %+v, want %+v", q, v, f.want[q])
 		}
 	}
 }
 
-// BenchmarkStoreIdentify100k compares identify latency on the two storage
+// BenchmarkStoreDecide100k compares Decide latency on the two storage
 // backends over identical corpora and queries; every op verifies its
 // verdict, so speed cannot drift from the scan-equivalence contract.
-func BenchmarkStoreIdentify100k(b *testing.B) {
-	b.Run("memory-100k", func(b *testing.B) { benchStoreIdentify(b, pr9Backends(b).memory) })
-	b.Run("tiered-100k", func(b *testing.B) { benchStoreIdentify(b, pr9Backends(b).tiered) })
+func BenchmarkStoreDecide100k(b *testing.B) {
+	b.Run("memory-100k", func(b *testing.B) { benchStoreDecide(b, pr9Backends(b).memory) })
+	b.Run("tiered-100k", func(b *testing.B) { benchStoreDecide(b, pr9Backends(b).tiered) })
 }
 
-// storeP99 measures per-query identify latency over rounds sweeps of the
+// storeP99 measures per-query Decide latency over rounds sweeps of the
 // query mix and returns the 99th percentile.
 func storeP99(f *pr9Fixture, backend store.Backend, rounds int) time.Duration {
 	lat := make([]time.Duration, 0, rounds*len(f.queries))
 	for r := 0; r < rounds; r++ {
 		for _, q := range f.queries {
 			t0 := time.Now()
-			backend.Identify(q)
+			backend.Decide(q)
 			lat = append(lat, time.Since(t0))
 		}
 	}
@@ -165,14 +171,15 @@ func storeP99(f *pr9Fixture, backend store.Backend, rounds int) time.Duration {
 
 // benchPR9Baseline mirrors BENCH_PR9.json.
 type benchPR9Baseline struct {
-	// TieredIdentifyP99Ratio is tiered p99 ÷ memory p99 on the 100k corpus.
-	TieredIdentifyP99Ratio float64 `json:"tiered_identify_p99_ratio"`
+	// TieredDecideP99Ratio is tiered Decide p99 ÷ memory Decide p99 on the
+	// 100k corpus.
+	TieredDecideP99Ratio float64 `json:"tiered_decide_p99_ratio"`
 	// TieredHeapFrac is the tiered build's resident-heap high-water as a
 	// fraction of the raw fingerprint corpus bytes.
 	TieredHeapFrac float64 `json:"tiered_heap_frac"`
 }
 
-// TestBenchPR9Smoke guards the PR-9 acceptance pair: tiered identify p99
+// TestBenchPR9Smoke guards the tiered store's pair: tiered Decide p99
 // within 3× of the in-memory backend (hard ceiling, with headroom over the
 // recorded baseline), and tiered resident heap below 25% of the corpus.
 // Gated by BENCH_SMOKE=1 like the other bench smokes.
@@ -191,20 +198,20 @@ func TestBenchPR9Smoke(t *testing.T) {
 	f := pr9Backends(t)
 	// Warm both paths once so neither p99 carries cold page faults.
 	for _, q := range f.queries {
-		f.memory.Identify(q)
-		f.tiered.Identify(q)
+		f.memory.Decide(q)
+		f.tiered.Decide(q)
 	}
 	memP99 := storeP99(f, f.memory, 30)
 	tierP99 := storeP99(f, f.tiered, 30)
 	ratio := float64(tierP99) / float64(memP99)
-	t.Logf("identify p99: memory %v, tiered %v → ratio %.2fx (baseline %.2fx); tiered heap %.1f%% of corpus (baseline %.1f%%)",
-		memP99, tierP99, ratio, base.TieredIdentifyP99Ratio, 100*f.heapFrac, 100*base.TieredHeapFrac)
-	ceiling := 2 * base.TieredIdentifyP99Ratio
+	t.Logf("decide p99: memory %v, tiered %v → ratio %.2fx (baseline %.2fx); tiered heap %.1f%% of corpus (baseline %.1f%%)",
+		memP99, tierP99, ratio, base.TieredDecideP99Ratio, 100*f.heapFrac, 100*base.TieredHeapFrac)
+	ceiling := 2 * base.TieredDecideP99Ratio
 	if ceiling > 3 {
 		ceiling = 3 // the PR-9 acceptance ceiling is absolute
 	}
 	if ratio > ceiling {
-		t.Errorf("tiered identify p99 is %.2fx the in-memory backend (ceiling %.2fx, hard ceiling 3x)", ratio, ceiling)
+		t.Errorf("tiered decide p99 is %.2fx the in-memory backend (ceiling %.2fx, hard ceiling 3x)", ratio, ceiling)
 	}
 	if f.heapFrac >= 0.25 {
 		t.Errorf("tiered resident heap is %.1f%% of the corpus (hard ceiling 25%%)", 100*f.heapFrac)

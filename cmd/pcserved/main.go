@@ -186,6 +186,19 @@ func run(args []string) (err error) {
 	if *mode != "serve" && *mode != "follower" {
 		return fmt.Errorf("unknown -mode %q (serve, follower, or router)", *mode)
 	}
+	// The segment store only exists under -wal.dir: without it a serving
+	// node runs the memory store, so a store flag would be ignored.
+	if *mode == "serve" && *walDir == "" {
+		var set []string
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "store.dir" || f.Name == "store.flush-entries" || f.Name == "store.compact-segments" {
+				set = append(set, "-"+f.Name)
+			}
+		})
+		if len(set) > 0 {
+			return fmt.Errorf("%s needs -wal.dir", strings.Join(set, " and "))
+		}
+	}
 	// A serving node in a partitioned cluster derives its ownership
 	// predicate and global id namespace from the shared partition map.
 	var partCfg server.PartitionConfig

@@ -11,9 +11,9 @@ import (
 )
 
 // ScaleParams parameterizes the identification-at-scale experiment: a
-// synthetic corpus far beyond the paper's 10-chip population (ROADMAP item
-// 1's regime), used to compare the dense scan, the LSH-indexed path, and the
-// bit-sliced path on identical queries. The corpus is synthetic on purpose —
+// synthetic corpus far beyond the paper's 10-chip population, used to
+// compare the dense scan (DB.Decide) with the bit-sliced serving engine
+// (SlicedDB.Decide) on identical queries. The corpus is synthetic on purpose —
 // drammodel realism adds nothing to a layout benchmark, and direct
 // pseudo-random fingerprints are what lets the experiment reach 100k entries
 // in seconds.
@@ -25,12 +25,12 @@ type ScaleParams struct {
 	MinCard, MaxCard int
 	// HitQueries are perturbed copies of registered fingerprints (one bit
 	// dropped — trial flicker); MissQueries are fresh random sets that match
-	// nothing and drive every path through its fallback scan.
+	// nothing, so the sliced sweep runs under its own best alone.
 	HitQueries, MissQueries int
 	Threshold               float64
 	Seed                    uint64
 	// Workers bounds the index-build signing pool; identification itself is
-	// timed serially so the three paths compare like for like.
+	// timed serially so the two paths compare like for like.
 	Workers int
 }
 
@@ -64,14 +64,14 @@ type ScaleResult struct {
 	Queries int
 	Hits    int
 	Misses  int
-	// Mismatches counts queries where the indexed or sliced verdict differed
-	// from the dense scan — the invariance the sliced engine promises, so
+	// Mismatches counts queries whose sliced verdict differed from the dense
+	// scan's in any field — the invariance the sliced engine promises, so
 	// RunScale fails loudly when it is nonzero.
 	Mismatches int
-	// Per-query mean identify latency per path (wall clock, serial).
-	ScanPerQuery, IndexedPerQuery, SlicedPerQuery time.Duration
-	// Speedups versus the dense scan and versus the indexed path.
-	IndexedSpeedup, SlicedSpeedup, SlicedVsIndexed float64
+	// Per-query mean Decide latency per path (wall clock, serial).
+	ScanPerQuery, SlicedPerQuery time.Duration
+	// SlicedSpeedup is the dense scan's latency over the sliced engine's.
+	SlicedSpeedup float64
 
 	verdicts []fingerprint.Verdict
 	kinds    []string
@@ -87,9 +87,9 @@ func scaleFP(nbits, card int, seed uint64) *bitset.Set {
 	return s
 }
 
-// RunScale builds the corpus once, stands up all three identification paths
-// over the same shared DB, checks verdict agreement on every query, and
-// times serial Identify sweeps per path.
+// RunScale builds the corpus once, stands the sliced engine up over the
+// same shared DB, checks that it decides every query as the dense scan does,
+// and times serial Decide sweeps per path.
 func RunScale(p ScaleParams) (*ScaleResult, error) {
 	if p.Entries < 1 || p.Bits < 1 || p.MinCard < 1 || p.MaxCard < p.MinCard {
 		return nil, fmt.Errorf("experiment: bad scale params %+v", p)
@@ -99,12 +99,7 @@ func RunScale(p ScaleParams) (*ScaleResult, error) {
 		card := p.MinCard + int(prng.Hash(p.Seed, uint64(i))%uint64(p.MaxCard-p.MinCard+1))
 		db.Add(fmt.Sprintf("dev%07d", i), scaleFP(p.Bits, card, p.Seed^uint64(i)))
 	}
-	icfg := fingerprint.IndexedConfig{Workers: p.Workers}
-	ix, err := fingerprint.IndexDB(db, icfg)
-	if err != nil {
-		return nil, err
-	}
-	sx, err := fingerprint.SliceDB(db, icfg)
+	sx, err := fingerprint.SliceDB(db, fingerprint.IndexedConfig{Workers: p.Workers})
 	if err != nil {
 		return nil, err
 	}
@@ -125,42 +120,37 @@ func RunScale(p ScaleParams) (*ScaleResult, error) {
 	}
 
 	r := &ScaleResult{Params: p, Queries: len(queries), kinds: kinds}
-	// Agreement first (untimed): the three paths must return the identical
-	// identify triple on every query.
+	// Agreement first (untimed): both paths must return the identical
+	// verdict, field for field, on every query.
 	r.verdicts = make([]fingerprint.Verdict, len(queries))
 	for qi, q := range queries {
-		sn, si, sok := db.Identify(q)
-		r.verdicts[qi] = db.Decide(q)
-		if sok {
+		v := db.Decide(q)
+		r.verdicts[qi] = v
+		if v.OK() {
 			r.Hits++
 		} else {
 			r.Misses++
 		}
-		in, ii, iok := ix.Identify(q)
-		xn, xi, xok := sx.Identify(q)
-		if sn != in || si != ii || sok != iok || sn != xn || si != xi || sok != xok {
+		if sx.Decide(q) != v {
 			r.Mismatches++
 		}
 	}
 	if r.Mismatches > 0 {
-		return nil, fmt.Errorf("experiment: %d/%d queries diverged across scan/indexed/sliced", r.Mismatches, r.Queries)
+		return nil, fmt.Errorf("experiment: %d/%d queries diverged between scan and sliced", r.Mismatches, r.Queries)
 	}
 
 	timeSweep := func(ident fingerprint.Identifier) time.Duration {
 		t0 := time.Now()
 		for _, q := range queries {
-			ident.Identify(q)
+			ident.Decide(q)
 		}
 		return time.Since(t0) / time.Duration(len(queries))
 	}
 	// The agreement pass above already touched every fingerprint once, so no
 	// path inherits a cold cache from running first.
 	r.SlicedPerQuery = timeSweep(sx)
-	r.IndexedPerQuery = timeSweep(ix)
 	r.ScanPerQuery = timeSweep(db)
-	r.IndexedSpeedup = float64(r.ScanPerQuery) / float64(r.IndexedPerQuery)
 	r.SlicedSpeedup = float64(r.ScanPerQuery) / float64(r.SlicedPerQuery)
-	r.SlicedVsIndexed = float64(r.IndexedPerQuery) / float64(r.SlicedPerQuery)
 	return r, nil
 }
 
@@ -179,15 +169,13 @@ func (r *ScaleResult) CSV() []byte {
 // Render prints the agreement summary and the timing comparison.
 func (r *ScaleResult) Render() string {
 	var b strings.Builder
-	b.WriteString("identification at scale — scan vs indexed vs bit-sliced\n\n")
+	b.WriteString("identification at scale — dense scan vs bit-sliced Decide\n\n")
 	fmt.Fprintf(&b, "corpus: %d entries × %d bits (cards %d–%d), %d queries (%d hit / %d miss)\n\n",
 		r.Params.Entries, r.Params.Bits, r.Params.MinCard, r.Params.MaxCard, r.Queries, r.Hits, r.Misses)
-	fmt.Fprintf(&b, "verdict agreement: %d/%d queries identical across all three paths\n\n",
+	fmt.Fprintf(&b, "verdict agreement: %d/%d queries identical in every field across both paths\n\n",
 		r.Queries-r.Mismatches, r.Queries)
 	fmt.Fprintf(&b, "%-10s %14s %10s\n", "path", "per query", "vs scan")
 	fmt.Fprintf(&b, "%-10s %14s %10s\n", "scan", r.ScanPerQuery.Round(time.Microsecond), "1.0×")
-	fmt.Fprintf(&b, "%-10s %14s %9.1f×\n", "indexed", r.IndexedPerQuery.Round(time.Microsecond), r.IndexedSpeedup)
 	fmt.Fprintf(&b, "%-10s %14s %9.1f×\n", "sliced", r.SlicedPerQuery.Round(time.Microsecond), r.SlicedSpeedup)
-	fmt.Fprintf(&b, "\nsliced vs indexed: %.1f× (the miss path: pruned block sweep vs scalar fallback scan)\n", r.SlicedVsIndexed)
 	return b.String()
 }

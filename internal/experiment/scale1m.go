@@ -32,7 +32,7 @@ type Scale1MParams struct {
 	FlushEntries int
 	// CompactSegments bounds segment accumulation during enrollment.
 	CompactSegments int
-	// Queries is the interactive identify sweep length (alternating
+	// Queries is the interactive Decide sweep length (alternating
 	// perturbed-hit and random-miss queries) used for the latency quantiles.
 	Queries   int
 	Threshold float64
@@ -76,7 +76,7 @@ func SmallScale1MParams() Scale1MParams {
 }
 
 // Scale1MResult reports corpus placement (segments vs heap) and the
-// interactive identify latency quantiles.
+// interactive Decide latency quantiles.
 type Scale1MResult struct {
 	Params   Scale1MParams
 	Segments int
@@ -90,16 +90,18 @@ type Scale1MResult struct {
 	CorpusBytes uint64
 	HeapBytes   uint64
 	HeapFrac    float64
-	// Hits/Misses split the query sweep by verdict; WrongHits counts
-	// perturbed-hit queries that resolved to a different device (must be 0).
+	// Hits/Misses split the query sweep by verdict (Verdict.OK); WrongHits
+	// counts perturbed-hit queries whose verdict names a different device
+	// (must be 0).
 	Hits, Misses, WrongHits int
-	// Identify latency quantiles over the serial sweep.
+	// Decide latency quantiles over the serial sweep.
 	P50, P90, P99, Max time.Duration
 }
 
 // RunScale1M enrolls the synthetic corpus into a tiered engine, flushing as
 // the memtable fills, then measures resident heap against the corpus size
-// and runs the interactive identify sweep off the mmap'd segments.
+// and runs the interactive Decide sweep off the mmap'd segments — the
+// operation every served identify request runs.
 func RunScale1M(p Scale1MParams) (*Scale1MResult, error) {
 	if p.Entries < 1 || p.Bits < 1 || p.MinCard < 1 || p.MaxCard < p.MinCard ||
 		p.FlushEntries < 1 || p.Queries < 1 {
@@ -184,17 +186,17 @@ func RunScale1M(p Scale1MParams) (*Scale1MResult, error) {
 			r.HeapBytes, r.HeapFrac, r.CorpusBytes, maxFrac)
 	}
 
-	// Interactive sweep: serial Identify calls, alternating a perturbed copy
+	// Interactive sweep: serial Decide calls, alternating a perturbed copy
 	// of a registered fingerprint (one bit dropped) with a fresh random set.
 	lat := make([]time.Duration, 0, p.Queries)
 	for k := 0; k < p.Queries; k++ {
 		query, want := scale1MQuery(p, k, entryCard)
 		qt := time.Now()
-		name, _, ok := b.Identify(query)
+		v := b.Decide(query)
 		lat = append(lat, time.Since(qt))
-		if ok {
+		if v.OK() {
 			r.Hits++
-			if want != "" && name != want {
+			if want != "" && v.Name != want {
 				r.WrongHits++
 			}
 		} else {
@@ -234,14 +236,14 @@ func scale1MQuery(p Scale1MParams, k int, entryCard func(int) int) (q *bitset.Se
 // Render prints the placement and latency summary.
 func (r *Scale1MResult) Render() string {
 	var b strings.Builder
-	b.WriteString("tiered storage at scale — mmap'd segments serving interactive identify\n\n")
+	b.WriteString("tiered storage at scale — mmap'd segments serving interactive Decide\n\n")
 	fmt.Fprintf(&b, "corpus: %d devices × %d bits (%.1f MB fingerprint payload), %d segments after final flush\n",
 		r.Params.Entries, r.Params.Bits, float64(r.CorpusBytes)/(1<<20), r.Segments)
 	fmt.Fprintf(&b, "enroll: %s total, %s/device amortized (includes every mid-stream flush)\n\n",
 		r.EnrollTotal.Round(time.Millisecond), r.PerEnroll.Round(time.Nanosecond))
 	fmt.Fprintf(&b, "resident heap after flush+GC: %.1f MB = %.1f%% of corpus (engine overhead only;\nflushed fingerprints are served from the page cache, not the heap)\n\n",
 		float64(r.HeapBytes)/(1<<20), 100*r.HeapFrac)
-	fmt.Fprintf(&b, "identify sweep: %d queries (%d hit / %d miss), serial\n", r.Hits+r.Misses, r.Hits, r.Misses)
+	fmt.Fprintf(&b, "Decide sweep: %d queries (%d hit / %d miss), serial\n", r.Hits+r.Misses, r.Hits, r.Misses)
 	fmt.Fprintf(&b, "%-6s %12s\n", "p50", r.P50.Round(time.Microsecond))
 	fmt.Fprintf(&b, "%-6s %12s\n", "p90", r.P90.Round(time.Microsecond))
 	fmt.Fprintf(&b, "%-6s %12s\n", "p99", r.P99.Round(time.Microsecond))

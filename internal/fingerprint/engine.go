@@ -10,16 +10,15 @@ import (
 // candidates verified by the single-slot block kernel, and the matrix sweep
 // (bitset.SweepMatrix) under a bound. SlicedDB (the memtable shards) and the
 // tiered store's mmap'd segments are both Components, so the two tiers share
-// one implementation of the sweep and its bound: FirstMatch for Identify,
-// and Decision for a Decide across every component of a node.
+// one implementation of the sweep and its bound: Decision, one Decide across
+// every component of a node.
 
 // Engine metrics: signatures computed (one per query, however many shards
-// and segments it visits, plus one per added entry), blocks an Identify
-// sweep ruled out, the blocks Decide sweeps read out, and bounded Decide
-// sweeps with the blocks they did not read out.
+// and segments it visits, plus one per added entry), the blocks Decide
+// sweeps read out, and bounded Decide sweeps with the blocks they did not
+// read out.
 var (
 	cSignatures      = obs.C("fingerprint.signatures")
-	cIdentifyPruned  = obs.C("fingerprint.identify.pruned")
 	cBlocksRead      = obs.C("fingerprint.decide.blocks_read")
 	cBoundedSweeps   = obs.C("fingerprint.decide.bounded_sweeps")
 	cBlocksAbandoned = obs.C("fingerprint.decide.blocks_abandoned")
@@ -35,8 +34,8 @@ func sign(scheme minhash.Scheme, s *bitset.Set) minhash.Signature {
 
 // Query is one error string on its way through the engine. Its MinHash
 // signature is computed on first use and shared by every shard and segment
-// indexed under the query's scheme, so one Decide or Identify signs the
-// query once however many components it visits. A Query is not safe for
+// indexed under the query's scheme, so one Decide signs the query once
+// however many components it visits. A Query is not safe for
 // concurrent use.
 type Query struct {
 	Set    *bitset.Set
@@ -100,39 +99,6 @@ type Component interface {
 	Blocks() (blocks []*bitset.SlicedBlock, dead []bool)
 	// Entry resolves a position to the entry's name and add-order id.
 	Entry(pos int) (name string, id int)
-}
-
-// FirstMatch is Algorithm 2 over one component: the position of a live
-// entry under the threshold, or -1. The LSH candidates (ascending
-// positions; nil for a component without a candidate stage) are verified
-// first, and the first one under the threshold is returned; when none is,
-// the blocks are swept in order under the threshold as the bound, so the
-// sweep reads out only blocks that may hold an entry under it — an entry at
-// or above it can never be a first match — and stops at the first one it
-// finds. The answer is the dense scan's first match whenever that entry is a
-// candidate or no candidate matches; when a later entry is a matching
-// candidate and an earlier match is not, the candidate is returned.
-func FirstMatch(c Component, cands []int, q *Query, threshold float64) int {
-	blocks, dead := c.Blocks()
-	for _, i := range cands {
-		if live(dead, i) && slotDistance(blocks, q.Set, i) < threshold {
-			return i
-		}
-	}
-	if obs.On() {
-		cIndexFallbacks.Inc()
-	}
-	pos := -1
-	_, skipped := bitset.SweepMatrix(blocks, dead, q.Set, threshold, func(i int, r bitset.KernelResult) (float64, bool) {
-		if kernelDistance(r) < threshold {
-			pos = i
-		}
-		return threshold, pos >= 0
-	})
-	if obs.On() {
-		cIdentifyPruned.Add(int64(skipped))
-	}
-	return pos
 }
 
 // sweep is the one Decide sweep of a component: bitset.SweepMatrix folded

@@ -14,6 +14,9 @@
 //     output (§5.2).
 //   - DB.Identify — Algorithm 2: scan a fingerprint database and return the
 //     first fingerprint within a threshold of the output's error string.
+//     DB.Decide is the full decision every served answer carries: the
+//     nearest fingerprint, its distance, and how many sit under the
+//     threshold.
 //   - Clusterer — Algorithm 4: online clustering of outputs from unknown
 //     devices; matching outputs refine the cluster fingerprint by
 //     intersection, non-matching outputs open a new cluster.
@@ -22,9 +25,9 @@
 // tiered store's segments, all through the engine in engine.go — answer
 // Decide field for field as DB.Decide's dense scan over the same live
 // entries: Name, Index (an add-order id), Distance and Matches. LSH
-// candidates only decide how much of the corpus is read out. Identify
-// returns the dense scan's first match unless a later entry is a matching
-// candidate and an earlier match is not (FirstMatch).
+// candidates only decide how much of the corpus is read out. Decide is the
+// only operation they implement; Algorithm 2's first-match Identify is the
+// dense DB's alone.
 package fingerprint
 
 import (
@@ -294,36 +297,21 @@ func (db *DB) Entries() []Entry { return db.entries }
 // distance to the error string is below the threshold, or ok=false if no
 // fingerprint matches ("return failed").
 func (db *DB) Identify(errorString *bitset.Set) (name string, index int, ok bool) {
-	return db.answer(errorString, db.firstMatch(errorString))
-}
-
-// firstMatch is Algorithm 2's accept loop without obs counters: the index of
-// the first live entry under the threshold in add order, or -1.
-func (db *DB) firstMatch(errorString *bitset.Set) int {
 	for i, e := range db.entries {
 		if db.alive(i) && Distance(errorString, e.FP) < db.threshold {
-			return i
+			if obs.On() {
+				cIdentifyHit.Inc()
+				if db.ambiguousAfter(errorString, i) {
+					cIdentifyAmbig.Inc()
+				}
+			}
+			return e.Name, i, true
 		}
-	}
-	return -1
-}
-
-// answer turns a first-match index (-1 for none) into Identify's triple,
-// recording the identify hit/miss/ambiguous counters.
-func (db *DB) answer(errorString *bitset.Set, i int) (name string, index int, ok bool) {
-	if i < 0 {
-		if obs.On() {
-			cIdentifyMiss.Inc()
-		}
-		return "", -1, false
 	}
 	if obs.On() {
-		cIdentifyHit.Inc()
-		if db.ambiguousAfter(errorString, i) {
-			cIdentifyAmbig.Inc()
-		}
+		cIdentifyMiss.Inc()
 	}
-	return db.entries[i].Name, i, true
+	return "", -1, false
 }
 
 // ambiguityProbes bounds the extra Distance calls the obs-mode ambiguity

@@ -399,3 +399,38 @@ func TestDBGetRemove(t *testing.T) {
 		t.Fatal("Remove disturbed other entries")
 	}
 }
+
+func TestDBGetRemoveWithNameIndex(t *testing.T) {
+	db := NewDB(DefaultThreshold)
+	a := bitset.FromPositions(64, []uint32{1})
+	b := bitset.FromPositions(64, []uint32{2})
+	c := bitset.FromPositions(64, []uint32{3})
+	db.Add("a", a)
+	db.Add("dup", b)
+	db.Add("dup", c)
+	if fp, ok := db.Get("dup"); !ok || !fp.Equal(b) {
+		t.Fatal("Get must return the first entry added under a name")
+	}
+	if !db.Remove("dup") {
+		t.Fatal("Remove returned false for present name")
+	}
+	// The later duplicate is now the first — the index must have been rebuilt.
+	if fp, ok := db.Get("dup"); !ok || !fp.Equal(c) {
+		t.Fatal("after Remove, Get must find the next duplicate")
+	}
+	if !db.Remove("dup") || db.Remove("dup") {
+		t.Fatal("second Remove of dup must succeed exactly once more")
+	}
+	if _, ok := db.Get("missing"); ok {
+		t.Fatal("Get found a missing name")
+	}
+	if db.Remove("missing") {
+		t.Fatal("Remove returned true for missing name")
+	}
+	if fp, ok := db.Get("a"); !ok || !fp.Equal(a) {
+		t.Fatal("unrelated entry disturbed by Remove")
+	}
+	if db.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", db.Len())
+	}
+}

@@ -65,15 +65,12 @@ const DefaultRebuildMinDead = 64
 // Determinism contract: a ShardedDB built by any interleaving of the same
 // Add sequence answers Decide field for field — Name, Index, Distance and
 // Matches — as the dense DB built from that sequence, with Verdict.Index
-// and the identify index reported as the entry's add-order id (stable
-// across Removes, equal to the DB slice index when nothing was removed).
-// Cross-shard combination is by (distance, id) lexicographic minimum for
-// best-match decisions and minimum id for first-match decisions, which
-// reproduces the dense scan's first-strictly-better / first-on-tie
-// behavior. Each query is signed once and the signature shared by every
-// shard, and Decide is one node-wide Decision over the shards. Identify
-// keeps FirstMatch's contract per shard: the dense scan's first match
-// unless a later entry is a matching candidate and an earlier match is not.
+// reported as the entry's add-order id (stable across Removes, equal to the
+// DB slice index when nothing was removed). Cross-shard combination is by
+// (distance, id) lexicographic minimum, which reproduces the dense scan's
+// first-strictly-better / first-on-tie behavior. Each query is signed once
+// and the signature shared by every shard, and Decide is one node-wide
+// Decision over the shards.
 type ShardedDB struct {
 	threshold float64
 	cfg       ShardedConfig
@@ -322,23 +319,6 @@ func (p shardPart) Entry(pos int) (string, int) {
 	return p.sh.db.entries[pos].Name, p.base + p.sh.ids[pos]
 }
 
-// firstMatch answers Algorithm 2 over one shard: the matched entry's name
-// and add-order id, or id -1.
-func (sh *dbShard) firstMatch(q *Query) (name string, id int) {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	var i int
-	if sh.sx != nil {
-		i = sh.sx.firstMatch(q)
-	} else {
-		i = sh.db.firstMatch(q.Set)
-	}
-	if i < 0 {
-		return "", -1
-	}
-	return sh.db.entries[i].Name, sh.ids[i]
-}
-
 // MergeVerdict folds one component's answer into the running cross-component
 // verdict: match counts accumulate and the (distance, id)-lexicographic
 // minimum wins — the single combination rule the sharded fan-out and the
@@ -393,7 +373,7 @@ func (s *ShardedDB) AddTo(d *Decision, base int, span *obs.RSpan) (release func(
 		if sh.sx != nil {
 			var cands []int
 			if !d.Armed() {
-				cands = sh.sx.x.candidates(d.q)
+				cands = sh.sx.candidates(d.q)
 			}
 			d.Add(shardPart{sh: sh, base: base}, cands, nil)
 		} else {
@@ -425,50 +405,6 @@ func (s *ShardedDB) decide(span *obs.RSpan, q *Query) Verdict {
 	v := d.Verdict()
 	dsp.End()
 	return v
-}
-
-// Identify implements Algorithm 2 across the shards: every shard reports its
-// FirstMatch and the minimum add-order id wins — the entry the dense scan in
-// add order would have accepted, unless a shard's answer is a matching
-// candidate that a non-candidate match precedes. The obs ambiguity counter
-// fires when matches surface from more than one shard (a lower bound on the
-// true ambiguity, which Decide counts exactly).
-func (s *ShardedDB) Identify(errorString *bitset.Set) (name string, index int, ok bool) {
-	name, index, matchedShards := s.identify(NewQuery(errorString, s.scheme))
-	if obs.On() {
-		if index < 0 {
-			cIdentifyMiss.Inc()
-		} else {
-			cIdentifyHit.Inc()
-			if matchedShards > 1 {
-				cIdentifyAmbig.Inc()
-			}
-		}
-	}
-	return name, index, index >= 0
-}
-
-// IdentifyQuery is Identify without the obs counters over a prepared query,
-// for callers (the tiered storage engine) that merge first-match answers
-// across components.
-func (s *ShardedDB) IdentifyQuery(q *Query) (name string, index int, ok bool) {
-	name, index, _ = s.identify(q)
-	return name, index, index >= 0
-}
-
-func (s *ShardedDB) identify(q *Query) (name string, index, matchedShards int) {
-	index = -1
-	for _, sh := range s.shards {
-		n, id := sh.firstMatch(q)
-		if id < 0 {
-			continue
-		}
-		matchedShards++
-		if index < 0 || id < index {
-			name, index = n, id
-		}
-	}
-	return name, index, matchedShards
 }
 
 // ShardStats summarizes the sharded database for the /v1/db endpoint.
@@ -569,7 +505,7 @@ func (s *ShardedDB) ExportKeyed() (entries []IDEntry, pairs []KeyPos) {
 				pos[i], _ = slices.BinarySearchFunc(entries, sh.ids[i], func(e IDEntry, id int) int { return cmp.Compare(e.ID, id) })
 			}
 		}
-		sh.sx.x.index.Each(func(key uint64, local int) {
+		sh.sx.index.Each(func(key uint64, local int) {
 			if p := pos[local]; p >= 0 {
 				pairs = append(pairs, KeyPos{Key: key, Pos: uint32(p)})
 			}

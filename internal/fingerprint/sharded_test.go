@@ -70,8 +70,7 @@ func multiBlock(s *ShardedDB) bool {
 // TestShardedMatchesPlainDB is the core equivalence property: for any shard
 // count, the serving engine (LSH-indexed candidates, then the sliced block
 // sweep) and the plain dense-scan shards agree with the dense-scan DB on
-// Decide — field for field — and Identify for matching, missing, and
-// near-miss queries. The "indexed" mode is the default configuration;
+// Decide — field for field — for matching, missing, and near-miss queries. The "indexed" mode is the default configuration;
 // "sliced" holds 150 entries per shard, so some shard's sweep crosses three
 // blocks and a partial tail.
 func TestShardedMatchesPlainDB(t *testing.T) {
@@ -103,23 +102,11 @@ func TestShardedMatchesPlainDB(t *testing.T) {
 					if got != want {
 						t.Errorf("query %d: Decide sharded %+v, plain %+v", qi, got, want)
 					}
-					wn, wi, wok := db.Identify(q)
-					gn, gi, gok := sh.Identify(q)
-					if wn != gn || wi != gi || wok != gok {
-						t.Errorf("query %d: Identify sharded (%s,%d,%v), plain (%s,%d,%v)",
-							qi, gn, gi, gok, wn, wi, wok)
-					}
 				}
-				// The batch APIs must agree slot-for-slot with the serial calls.
+				// The batch API must agree slot-for-slot with the serial calls.
 				for i, v := range ParallelDecide(sh, queries, 4) {
 					if want := db.Decide(queries[i]); v != want {
 						t.Errorf("ParallelDecide[%d] = %+v, want %+v", i, v, want)
-					}
-				}
-				for i, m := range ParallelIdentify(sh, queries, 4) {
-					wn, wi, wok := db.Identify(queries[i])
-					if m.Name != wn || m.Index != wi || m.OK != wok {
-						t.Errorf("ParallelIdentify[%d] = %+v, want (%s,%d,%v)", i, m, wn, wi, wok)
 					}
 				}
 			})
@@ -127,8 +114,8 @@ func TestShardedMatchesPlainDB(t *testing.T) {
 	}
 }
 
-// TestShardedSignsOnce: one Decide or Identify signs the query once and
-// hands the signature to every shard; the exact (Plain) engine never signs.
+// TestShardedSignsOnce: one Decide signs the query once and hands the
+// signature to every shard; the exact (Plain) engine never signs.
 func TestShardedSignsOnce(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
@@ -139,18 +126,10 @@ func TestShardedSignsOnce(t *testing.T) {
 		if plain {
 			want = 0
 		}
-		for _, op := range []struct {
-			name string
-			run  func()
-		}{
-			{"Decide", func() { sh.Decide(q) }},
-			{"Identify", func() { sh.Identify(q) }},
-		} {
-			before := cSignatures.Value()
-			op.run()
-			if got := cSignatures.Value() - before; got != want {
-				t.Errorf("plain=%v %s: %d signatures, want %d", plain, op.name, got, want)
-			}
+		before := cSignatures.Value()
+		sh.Decide(q)
+		if got := cSignatures.Value() - before; got != want {
+			t.Errorf("plain=%v Decide: %d signatures, want %d", plain, got, want)
 		}
 	}
 }
@@ -359,9 +338,6 @@ func TestShardedRemoveTombstone(t *testing.T) {
 			q := noisyQuery(fps[victim], uint64(victim), 60)
 			if v := sh.Decide(q); v.OK() {
 				t.Fatalf("cfg %+v: tombstoned dev%02d still matches Decide: %+v", cfg, victim, v)
-			}
-			if name, _, ok := sh.Identify(q); ok {
-				t.Fatalf("cfg %+v: tombstoned dev%02d still matches Identify: %s", cfg, victim, name)
 			}
 		}
 		if got := sh.Len(); got != n-3 {

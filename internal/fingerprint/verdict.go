@@ -84,69 +84,30 @@ func (db *DB) decideRaw(errorString *bitset.Set) Verdict {
 			v.observe(i, Distance(errorString, e.FP), db.threshold)
 		}
 	}
-	return db.named(v)
-}
-
-// named fills in the name of the verdict's entry.
-func (db *DB) named(v Verdict) Verdict {
 	if v.Index >= 0 {
 		v.Name = db.entries[v.Index].Name
 	}
 	return v
 }
 
-// Decide is DB.Decide over the candidate buckets. When no candidate sits
-// under the threshold, the verified full scan decides instead, so a reported miss carries the true global best and a
-// sub-threshold match is never lost to index recall. As with Identify, the
-// Matches count inspects candidates only on the indexed path; with multiple
-// sub-threshold entries it can undercount relative to a dense scan if the
-// index misses one of them.
-func (x *IndexedDB) Decide(errorString *bitset.Set) Verdict {
-	v := x.decideRaw(errorString)
-	recordVerdict(v)
-	return v
+// Identifier is the decision surface DB, SlicedDB, ShardedDB and the store
+// backends share; ParallelDecide and the tests take it so the dense scan and
+// the serving engines are swappable.
+type Identifier interface {
+	Decide(errorString *bitset.Set) Verdict
 }
 
-func (x *IndexedDB) decideRaw(errorString *bitset.Set) Verdict {
-	v := Verdict{Index: -1, Distance: 2}
-	for _, i := range x.candidates(NewQuery(errorString, x.cfg.Scheme)) {
-		if x.db.alive(i) {
-			v.observe(i, Distance(errorString, x.db.entries[i].FP), x.db.threshold)
-		}
-	}
-	if v.Matches == 0 {
-		if obs.On() {
-			cIndexFallbacks.Inc()
-		}
-		return x.db.decideRaw(errorString)
-	}
-	return x.db.named(v)
-}
+var (
+	_ Identifier = (*DB)(nil)
+	_ Identifier = (*SlicedDB)(nil)
+	_ Identifier = (*ShardedDB)(nil)
+)
 
-// Match is one batch-identification outcome: the fields Identify returns,
-// in struct form so a batch can be returned as a slice.
-type Match struct {
-	Name  string
-	Index int
-	OK    bool
-}
-
-// ParallelIdentify runs db.Identify for every error string across a bounded
+// ParallelDecide runs db.Decide for every error string across a bounded
 // worker pool (pool.Workers semantics: workers <= 0 means one per CPU) and
-// returns the matches in input order. The database is only read, so each
-// slot equals exactly what a serial Identify call returns: fan-out changes
-// the wall-clock, never a decision.
-func ParallelIdentify(db Identifier, errorStrings []*bitset.Set, workers int) []Match {
-	out := make([]Match, len(errorStrings))
-	pool.Map(workers, len(errorStrings), func(i int) {
-		name, idx, ok := db.Identify(errorStrings[i])
-		out[i] = Match{Name: name, Index: idx, OK: ok}
-	})
-	return out
-}
-
-// ParallelDecide is ParallelIdentify for full verdicts: slot i equals a
-// serial db.Decide(errorStrings[i]).
+// returns the verdicts in input order. The database is only read, so slot i
+// equals a serial db.Decide(errorStrings[i]): fan-out changes the
+// wall-clock, never a decision.
 func ParallelDecide(db Identifier, errorStrings []*bitset.Set, workers int) []Verdict {
 	out := make([]Verdict, len(errorStrings))
 	pool.Map(workers, len(errorStrings), func(i int) {

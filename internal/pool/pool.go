@@ -1,5 +1,5 @@
 // Package pool is the shared bounded-worker substrate behind every parallel
-// path in the repository: batch identification (fingerprint.ParallelIdentify),
+// path in the repository: batch identification (fingerprint.ParallelDecide),
 // parallel stitching (stitch.Config.Workers), and the experiment drivers that
 // fan independent trials across cores.
 //

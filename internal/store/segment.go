@@ -851,19 +851,6 @@ func (seg *Segment) Blocks() ([]*bitset.SlicedBlock, []bool) {
 // Entry resolves a position to the entry's name and add-order id.
 func (seg *Segment) Entry(pos int) (string, int) { return seg.col.name(pos), seg.ID(pos) }
 
-// firstMatch is Algorithm 2 over the segment through the shared engine
-// (fingerprint.FirstMatch): a live entry under the threshold, as (name,
-// add-order id) — the first one unless a later entry is a matching
-// candidate and an earlier match is not.
-func (seg *Segment) firstMatch(q *fingerprint.Query, threshold float64) (string, int, bool) {
-	pos := fingerprint.FirstMatch(seg, seg.candidates(q), q, threshold)
-	if pos < 0 {
-		return "", -1, false
-	}
-	name, id := seg.Entry(pos)
-	return name, id, true
-}
-
 // exportLive appends the live entries (materialized) in id order.
 func (seg *Segment) exportLive(dst []fingerprint.IDEntry) []fingerprint.IDEntry {
 	for pos, fp := range seg.fps() {

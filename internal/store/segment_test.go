@@ -106,11 +106,8 @@ func TestSegmentRoundTrip(t *testing.T) {
 		v := decideSegment(seg, fingerprint.NewQuery(q, minhash.DefaultScheme), thr)
 		want := dense.Decide(q)
 		want.Index = entries[want.Index].ID
-		if v != want || v.Index != entries[i].ID {
+		if v != want || !v.OK() || v.Index != entries[i].ID || v.Name != entries[i].Name {
 			t.Fatalf("decide for entry %d = %+v, dense scan %+v", i, v, want)
-		}
-		if name, id, ok := seg.firstMatch(fingerprint.NewQuery(q, minhash.DefaultScheme), thr); !ok || id != entries[i].ID || name != entries[i].Name {
-			t.Fatalf("firstMatch for entry %d = (%s,%d,%v)", i, name, id, ok)
 		}
 	}
 	// Name lookup and tombstones.
@@ -266,7 +263,7 @@ func TestSegmentOwnScheme(t *testing.T) {
 	if !found {
 		t.Fatal("own-scheme segment produced no candidate for its entry")
 	}
-	if name, id, ok := seg.firstMatch(q, fingerprint.DefaultThreshold); !ok || id != entries[5].ID || name != entries[5].Name {
-		t.Fatalf("firstMatch = (%s,%d,%v), want entry 5", name, id, ok)
+	if v := decideSegment(seg, q, fingerprint.DefaultThreshold); !v.OK() || v.Index != entries[5].ID || v.Name != entries[5].Name {
+		t.Fatalf("decide = %+v, want entry 5", v)
 	}
 }

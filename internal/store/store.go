@@ -23,25 +23,22 @@
 //
 // Both tiers run one identify engine: each query is signed once, the
 // memtable shards and every segment turn the shared signature into LSH
-// candidates, and fingerprint.FirstMatch / fingerprint.Decision verify them
-// with the sliced block kernel and sweep the blocks. A Decide is one
-// Decision across every segment and memtable shard: once a candidate
-// verifies under the threshold, or any sweep finds a match, every sweep is
-// bounded by the threshold; until then each sweep is bounded by its own
-// best. Every component is swept, so the candidates decide how much is read
-// out, never the answer.
+// candidates, and fingerprint.Decision verifies them with the sliced block
+// kernel and sweeps the blocks. A Decide is one Decision across every
+// segment and memtable shard: once a candidate verifies under the
+// threshold, or any sweep finds a match, every sweep is bounded by the
+// threshold; until then each sweep is bounded by its own best. Every
+// component is swept, so the candidates decide how much is read out, never
+// the answer. Decide is the only lookup the backends serve.
 //
 // Determinism contract: a Tiered backend built by any interleaving of the
 // same Add/Remove sequence — under any flush or compaction timing — answers
 // Decide field for field (Name, Index, Distance and Matches) as the Memory
 // backend built from that sequence, and as the dense scan, with the same
-// stable add-order ids. Identify returns the dense scan's first match unless
-// a later entry is a matching LSH candidate and an earlier match is not (see
-// fingerprint.FirstMatch); it finds a match whenever one exists. The
-// property suite in property_test.go holds the engine to this under randomized
-// interleavings and -race, and bounded_test.go holds every Decide, Matches
-// included, to the dense scan on tapes with tombstones and ambiguous
-// verdicts.
+// stable add-order ids. The property suite in property_test.go holds the
+// engine to this under randomized interleavings and -race, and
+// bounded_test.go holds every Decide, Matches included, to the dense scan
+// on tapes with tombstones and ambiguous verdicts.
 package store
 
 import (
@@ -52,8 +49,9 @@ import (
 	"probablecause/internal/fingerprint"
 )
 
-// Backend is the storage seam behind server.Service: the full mutation and
-// identification surface of fingerprint.ShardedDB plus lifecycle.
+// Backend is the storage seam behind server.Service: fingerprint.ShardedDB's
+// mutation surface and its Decide — the one lookup a request runs — plus
+// lifecycle.
 type Backend interface {
 	// Add registers a fingerprint and returns its stable add-order id.
 	Add(name string, fp *bitset.Set) int
@@ -74,7 +72,6 @@ type Backend interface {
 	// ExportIDs returns the live entries with their add-order ids.
 	ExportIDs() []fingerprint.IDEntry
 
-	Identify(errorString *bitset.Set) (name string, index int, ok bool)
 	Decide(errorString *bitset.Set) fingerprint.Verdict
 	DecideCtx(ctx context.Context, errorString *bitset.Set) fingerprint.Verdict
 	// ParallelDecide is fingerprint.ParallelDecide over the backend.

@@ -260,28 +260,6 @@ func (t *Tiered) NeedsFlush() bool {
 func (t *Tiered) TryStartFlush() bool { return t.flushReq.CompareAndSwap(false, true) }
 func (t *Tiered) EndFlush()           { t.flushReq.Store(false) }
 
-// Identify implements Algorithm 2 across the tiers: the first component in
-// id order with a match answers — segments hold strictly ascending id ranges
-// below the memtable's, so no later component can hold a smaller id. This is
-// the in-memory ShardedDB's minimum-id rule lifted to memtable+segments, and
-// each component answers with fingerprint.FirstMatch: its first match unless
-// a later entry is a matching candidate and an earlier match is not. The
-// query is signed once for all of them.
-func (t *Tiered) Identify(errorString *bitset.Set) (name string, index int, ok bool) {
-	q := fingerprint.NewQuery(errorString, t.scheme)
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for _, seg := range t.segs {
-		if n, id, hit := seg.firstMatch(q, t.dbCfg.Threshold); hit {
-			return n, id, true
-		}
-	}
-	if n, local, hit := t.mem.IdentifyQuery(q); hit {
-		return n, t.memBase + local, true
-	}
-	return "", -1, false
-}
-
 // Decide is one node-wide fingerprint.Decision over every segment and
 // memtable shard, folded by the same (distance, id)-lexicographic rule the
 // sharded scan uses: the dense scan's verdict field for field, so flush

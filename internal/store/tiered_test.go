@@ -65,8 +65,8 @@ func TestTieredFlushRecover(t *testing.T) {
 	// Flushed entries still answer identically.
 	for i := 0; i < n; i += 5 {
 		q := noisy(entries[i].FP, uint64(i), 2)
-		if name, id, ok := tb.Identify(q); !ok || id != i || name != entries[i].Name {
-			t.Fatalf("post-flush Identify(%d) = (%s,%d,%v)", i, name, id, ok)
+		if v := tb.Decide(q); !v.OK() || v.Index != i || v.Name != entries[i].Name {
+			t.Fatalf("post-flush Decide(%d) = %+v", i, v)
 		}
 	}
 	tb.Close()
@@ -91,8 +91,8 @@ func TestTieredFlushRecover(t *testing.T) {
 	}
 	for i := 0; i < n; i += 5 {
 		q := noisy(entries[i].FP, uint64(i), 2)
-		if name, id, ok := tb.Identify(q); !ok || id != i || name != entries[i].Name {
-			t.Fatalf("recovered Identify(%d) = (%s,%d,%v)", i, name, id, ok)
+		if v := tb.Decide(q); !v.OK() || v.Index != i || v.Name != entries[i].Name {
+			t.Fatalf("recovered Decide(%d) = %+v", i, v)
 		}
 	}
 	if err := VerifyDir(dir); err != nil {
@@ -145,8 +145,8 @@ func TestTieredTombstonePersistence(t *testing.T) {
 	}
 	// The survivors next to the tombstones keep their ids.
 	for _, i := range []int{4, 141} {
-		if name, id, ok := tb.Identify(noisy(entries[i].FP, uint64(i), 2)); !ok || id != i || name != entries[i].Name {
-			t.Fatalf("Identify(%d) = (%s,%d,%v)", i, name, id, ok)
+		if v := tb.Decide(noisy(entries[i].FP, uint64(i), 2)); !v.OK() || v.Index != i || v.Name != entries[i].Name {
+			t.Fatalf("Decide(%d) = %+v", i, v)
 		}
 	}
 }
@@ -181,16 +181,15 @@ func TestTieredCompaction(t *testing.T) {
 		t.Fatalf("Len = %d", tb.Len())
 	}
 	for i, e := range entries {
-		q := noisy(e.FP, uint64(i), 2)
-		name, id, ok := tb.Identify(q)
+		v := tb.Decide(noisy(e.FP, uint64(i), 2))
 		if i == 1 {
-			if ok && id == 1 {
+			if v.OK() && v.Index == 1 {
 				t.Fatal("tombstoned entry matched after compaction")
 			}
 			continue
 		}
-		if !ok || id != i || name != e.Name {
-			t.Fatalf("post-compaction Identify(%d) = (%s,%d,%v)", i, name, id, ok)
+		if !v.OK() || v.Index != i || v.Name != e.Name {
+			t.Fatalf("post-compaction Decide(%d) = %+v", i, v)
 		}
 	}
 	// Compaction dropped the merged tombstone from the persisted set.
@@ -340,9 +339,9 @@ func TestTieredGenerationStability(t *testing.T) {
 	}
 }
 
-// TestTieredSignsOnce: a Decide or Identify over several segments and a
-// non-empty memtable signs the query once — every segment and memtable shard
-// reuses the signature.
+// TestTieredSignsOnce: a Decide over several segments and a non-empty
+// memtable signs the query once — every segment and memtable shard reuses
+// the signature.
 func TestTieredSignsOnce(t *testing.T) {
 	const n, nbits = 24, 1024
 	entries := testEntries(n, nbits)
@@ -367,17 +366,9 @@ func TestTieredSignsOnce(t *testing.T) {
 	q := noisy(entries[3].FP, 3, 2)
 	obs.Enable()
 	defer obs.Disable()
-	for _, op := range []struct {
-		name string
-		run  func()
-	}{
-		{"Decide", func() { tb.Decide(q) }},
-		{"Identify", func() { tb.Identify(q) }},
-	} {
-		before := signatures.Value()
-		op.run()
-		if got := signatures.Value() - before; got != 1 {
-			t.Errorf("%s: %d signatures, want 1", op.name, got)
-		}
+	before := signatures.Value()
+	tb.Decide(q)
+	if got := signatures.Value() - before; got != 1 {
+		t.Errorf("Decide: %d signatures, want 1", got)
 	}
 }

@@ -2,10 +2,13 @@ package probablecause_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -14,6 +17,7 @@ import (
 	"probablecause/internal/fingerprint"
 	"probablecause/internal/samplefile"
 	"probablecause/internal/server"
+	"probablecause/internal/store"
 )
 
 // The restart contract of pcserved's seed and durable state: a -snapshot
@@ -244,5 +248,46 @@ func TestPcservedThresholdFromFlag(t *testing.T) {
 			check(base, "after restart")
 			durStop(t, cmd)
 		})
+	}
+}
+
+// TestPcservedStoreFlagsNeedWalDir: the segment store exists only under
+// -wal.dir, so a serving node given -store.dir, -store.flush-entries or
+// -store.compact-segments without it exits 1 with an error naming -wal.dir,
+// instead of serving the memory store and ignoring the flag. The offline
+// -store.verify of a -store.dir needs no WAL and still passes.
+func TestPcservedStoreFlagsNeedWalDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	bin := buildPcserved(t)
+	storeDir := filepath.Join(t.TempDir(), "store")
+	// A node that accepted the flags would serve until killed.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for _, args := range [][]string{
+		{"-store.dir", storeDir},
+		{"-store.flush-entries", "5"},
+		{"-store.compact-segments", "2"},
+		{"-store.dir", storeDir, "-store.flush-entries", "5"},
+	} {
+		out, err := exec.CommandContext(ctx, bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "needs -wal.dir") {
+			t.Errorf("pcserved %v: %v, output %q; want exit 1 with an error naming -wal.dir", args, err, out)
+		}
+	}
+
+	tb, err := store.OpenTiered(store.Config{Dir: storeDir}, store.DBConfig{Threshold: fingerprint.DefaultThreshold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.Add("dev0", durFP(0))
+	if err := tb.Checkpoint(1); err != nil {
+		t.Fatal(err)
+	}
+	tb.Close()
+	if out, err := exec.Command(bin, "-store.verify", "-store.dir", storeDir).CombinedOutput(); err != nil || !strings.Contains(string(out), "verified clean") {
+		t.Errorf("pcserved -store.verify -store.dir: %v, output %q; want exit 0", err, out)
 	}
 }
