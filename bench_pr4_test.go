@@ -1,8 +1,8 @@
 // PR4 benches: the HTTP serving path on a 1000-entry database — per-request
 // single-query dispatch against 64-query batch requests. On any core count
-// (including CI's single-CPU runners) batching wins by amortizing the
-// per-request HTTP exchange, JSON decode, and queue dispatch across the
-// batch; BENCH_PR4.json records the measured ratio. Regenerate with
+// (including CI's single-CPU runners) the batch body wins by amortizing the
+// per-request HTTP exchange, JSON decode, and admission across the batch;
+// BENCH_PR4.json records the measured ratio. Regenerate with
 // BENCH_PR4=1 go test -run BenchPR4Snapshot.
 package probablecause_test
 

@@ -7,8 +7,9 @@
 //	pcserved -mode=router -router.backends URL[,URL...] [flags]
 //	pcserved -wal.verify -wal.dir DIR
 //
-// The serving path layers micro-batching, an N-way sharded database, and an
-// LRU verdict cache over the parallel identification engine; see
+// The serving path layers an LRU verdict cache, an admission gate that
+// sheds overload with 429 and bounds concurrent decisions to -workers, and
+// an N-way sharded database over the identification engine; see
 // internal/server. On SIGINT/SIGTERM the server drains in-flight requests
 // and, when -snapshot is set, saves the (possibly mutated) database
 // atomically before exiting — restart with the same -snapshot to resume.
@@ -89,6 +90,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -123,12 +125,10 @@ func run(args []string) (err error) {
 	snapshot := fs.String("snapshot", "", "database snapshot: loaded at startup when present, saved atomically on shutdown")
 	threshold := fs.Float64("threshold", 0, fmt.Sprintf("match threshold (0: %g)", fingerprint.DefaultThreshold))
 	shards := fs.Int("shards", 0, fmt.Sprintf("database shard count (0: %d)", fingerprint.DefaultShards))
-	workers := fs.Int("workers", 0, "identification worker pool size (0: one per CPU)")
-	batchWindow := fs.Duration("batch.window", 500*time.Microsecond, "micro-batching coalescing window (0: dispatch immediately)")
-	maxBatch := fs.Int("batch.max", 0, fmt.Sprintf("max identify queries per dispatch (0: %d)", server.DefaultMaxBatch))
-	queue := fs.Int("queue", 0, fmt.Sprintf("identify queue depth; overflow is shed with 429 (0: %d)", server.DefaultQueueDepth))
+	workers := fs.Int("workers", 0, "identify decisions that run at once (0: one per CPU)")
+	queue := fs.Int("queue", 0, fmt.Sprintf("identify queries admitted at once, waiting or deciding; overflow is shed with 429 (0: %d)", server.DefaultQueueDepth))
 	cacheSize := fs.Int("cache", 4096, "verdict cache capacity (0: caching off)")
-	timeout := fs.Duration("timeout", 0, fmt.Sprintf("per-request verdict timeout (0: %s)", server.DefaultRequestTimeout))
+	timeout := fs.Duration("timeout", 0, fmt.Sprintf("per-request timeout: an identify's wait for a worker, an enrollment's wait for its ack (0: %s)", server.DefaultRequestTimeout))
 	maxBody := fs.Int64("maxbody", 0, fmt.Sprintf("request body cap in bytes (0: %d)", int64(server.DefaultMaxBodyBytes)))
 	faultSpec := fs.String("faults", "", "chaos: fault plan for request ingest, e.g. readerr=0.01,latency=2ms")
 	faultSeed := fs.Uint64("fault.seed", 0xFA17, "fault-injection seed for -faults")
@@ -178,6 +178,10 @@ func run(args []string) (err error) {
 		return runStoreVerify(*storeDir)
 	}
 	if *mode == "router" {
+		// A router holds no database, so these would be ignored.
+		if set := setFlags(fs, "db", "snapshot", "wal.dir", "wal.fsync", "wal.segment", "store.dir", "store.flush-entries", "store.compact-segments"); len(set) > 0 {
+			return fmt.Errorf("-mode=router does not take %s: only a serving node reads them", strings.Join(set, ", "))
+		}
 		if *partitions != "" {
 			return runScatterRouter(*addr, *partitions, *routerProbe, *routerFailover, *routerRetries, obsOpts)
 		}
@@ -189,13 +193,7 @@ func run(args []string) (err error) {
 	// The segment store only exists under -wal.dir: without it a serving
 	// node runs the memory store, so a store flag would be ignored.
 	if *mode == "serve" && *walDir == "" {
-		var set []string
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "store.dir" || f.Name == "store.flush-entries" || f.Name == "store.compact-segments" {
-				set = append(set, "-"+f.Name)
-			}
-		})
-		if len(set) > 0 {
+		if set := setFlags(fs, "store.dir", "store.flush-entries", "store.compact-segments"); len(set) > 0 {
 			return fmt.Errorf("%s needs -wal.dir", strings.Join(set, " and "))
 		}
 	}
@@ -272,8 +270,6 @@ func run(args []string) (err error) {
 		Threshold:      *threshold,
 		Shards:         *shards,
 		Workers:        *workers,
-		BatchWindow:    *batchWindow,
-		MaxBatch:       *maxBatch,
 		QueueDepth:     *queue,
 		CacheSize:      *cacheSize,
 		RequestTimeout: *timeout,
@@ -422,6 +418,18 @@ func runWalVerify(dir string) error {
 		return errors.New("interior corruption: this log will not replay; restore from a checkpoint + re-replicate")
 	}
 	return nil
+}
+
+// setFlags returns, as "-name" in flag order, those of names that the
+// command line set explicitly.
+func setFlags(fs *flag.FlagSet, names ...string) []string {
+	var set []string
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains(names, f.Name) {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	return set
 }
 
 // durableDirFresh reports whether the durable directories hold no state yet

@@ -189,11 +189,10 @@ func FuzzSlicedKernel(f *testing.F) {
 // which range from empty to dense. more, when non-zero, sets the entry
 // count — up to 140 blocks, spanning several chunks and ending in a partial
 // block — and pads the seeded entries with random ones, empty ones and near
-// copies of the query. mode picks the fold: 0 bounded (the bound is the
-// threshold, as once a match is known), 1 unbounded (the bound is the best
-// so far, as for a stranger), 2 first match (stop at the first entry under
-// the threshold). wide adds up to 599 random cells to the query, past 255
-// and into the planes above the eighth.
+// copies of the query. mode's parity picks the fold: even bounded (the bound
+// is the threshold, as once a match is known), odd unbounded (the bound is
+// the best so far, as for a stranger). wide adds up to 599 random cells to
+// the query, past 255 and into the planes above the eighth.
 func FuzzMatrixSweep(f *testing.F) {
 	for _, seed := range [][]byte{
 		{100, 3, 8, 17, 0, 1, 2, 3},
@@ -281,12 +280,12 @@ func FuzzMatrixSweep(f *testing.F) {
 			}
 		}
 		// The dense scan: every live entry's exact distance, the best (first
-		// on ties), the matches and the first match.
+		// on ties) and the matches.
 		dist := make([]float64, n)
 		want := struct {
-			idx, matches, first int
-			best                float64
-		}{idx: -1, first: -1, best: 2}
+			idx, matches int
+			best         float64
+		}{idx: -1, best: 2}
 		for g, s := range sets {
 			minC, maxC, diff := MinCardAndNotCount(s, q)
 			dist[g] = kernelDist(KernelResult{minC, maxC, diff})
@@ -295,16 +294,13 @@ func FuzzMatrixSweep(f *testing.F) {
 			}
 			if dist[g] < threshold {
 				want.matches++
-				if want.first < 0 {
-					want.first = g
-				}
 			}
 			if dist[g] < want.best {
 				want.idx, want.best = g, dist[g]
 			}
 		}
 		u0 := threshold
-		if mode%3 == 1 {
+		if mode%2 == 1 {
 			u0 = 2 // above any distance: no bound but the best so far
 		}
 		packed := PackSlicedArena(nbits, width, sets[:(n+1)/2])
@@ -325,9 +321,9 @@ func FuzzMatrixSweep(f *testing.F) {
 				bound float64 // the bound the fold returned
 			}
 			var calls []call
-			best, idx, matches, first := 2.0, -1, 0, -1
+			best, idx, matches := 2.0, -1, 0
 			bound := max(min(u0, best), threshold)
-			read, skipped := SweepMatrix(layout.blocks, dead, q, bound, func(pos int, r KernelResult) (float64, bool) {
+			read, skipped := SweepMatrix(layout.blocks, dead, q, bound, func(pos int, r KernelResult) float64 {
 				minC, maxC, diff := MinCardAndNotCount(sets[pos], q)
 				if r.MinCard != minC || r.MaxCard != maxC || r.Diff != diff {
 					t.Fatalf("%s: entry %d read out as (%d,%d,%d), scalar (%d,%d,%d)",
@@ -348,16 +344,9 @@ func FuzzMatrixSweep(f *testing.F) {
 				}
 				u := max(min(u0, best), threshold)
 				calls = append(calls, call{pos, u})
-				if mode%3 == 2 && d < threshold {
-					first = pos
-					return u, true
-				}
-				return u, false
+				return u
 			})
-			nb, end := len(layout.blocks), n
-			if mode%3 == 2 && first >= 0 {
-				nb, end = first/width+1, first // the sweep stopped at first
-			}
+			nb := len(layout.blocks)
 			folded := make(map[int]bool, len(calls))
 			readBlocks := map[int]bool{}
 			for _, c := range calls {
@@ -374,7 +363,7 @@ func FuzzMatrixSweep(f *testing.F) {
 					bound = calls[ci].bound
 					ci++
 				}
-				for g := bi * width; g < min(bi*width+width, end); g++ {
+				for g := bi * width; g < min(bi*width+width, n); g++ {
 					if folded[g] || (dead != nil && dead[g]) {
 						continue
 					}
@@ -384,10 +373,6 @@ func FuzzMatrixSweep(f *testing.F) {
 				}
 			}
 			switch {
-			case mode%3 == 2:
-				if first != want.first {
-					t.Fatalf("%s: first match %d, dense scan %d", layout.name, first, want.first)
-				}
 			case matches != want.matches:
 				t.Fatalf("%s: %d matches, dense scan %d", layout.name, matches, want.matches)
 			case (u0 > 1 || want.matches > 0) && (idx != want.idx || best != want.best):

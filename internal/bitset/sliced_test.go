@@ -257,9 +257,9 @@ func BenchmarkSlicedSweep(b *testing.B) {
 				q := queries[i%len(queries)]
 				for _, blocks := range layout.components {
 					best := 2.0
-					SweepMatrix(blocks, nil, q, best, func(_ int, r KernelResult) (float64, bool) {
+					SweepMatrix(blocks, nil, q, best, func(_ int, r KernelResult) float64 {
 						best = min(best, kernelDist(r))
-						return max(best, threshold), false
+						return max(best, threshold)
 					})
 				}
 			}

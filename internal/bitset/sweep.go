@@ -242,9 +242,9 @@ func (blk *SlicedBlock) continues(prev *SlicedBlock) bool {
 // but the last, so entry j of block k is position k·B + j — for the query q
 // under a moving distance bound. dead flags tombstoned positions (nil when
 // none is). fold sees, in position order, every live entry the sweep reads
-// out, with exactly the triple MinCardAndNotCount(entry, q) returns; it
-// returns the bound in force from then on, and whether to stop the sweep.
-// bound is the one in force before the first fold.
+// out, with exactly the triple MinCardAndNotCount(entry, q) returns, and
+// returns the bound in force from then on. bound is the one in force before
+// the first fold.
 //
 // The sweep reads out every entry whose distance is under the bound in
 // force when its block is reached, and maybe others: a block it does not
@@ -253,9 +253,8 @@ func (blk *SlicedBlock) continues(prev *SlicedBlock) bool {
 // that takes an entry only when it is strictly better than its best so far
 // therefore ends where it would over every entry, as long as the bound it
 // returns never exceeds its best. read counts the blocks read out and
-// skipped the blocks not read out before the sweep ended. SweepMatrix
-// allocates nothing.
-func SweepMatrix(blocks []*SlicedBlock, dead []bool, q *Set, bound float64, fold func(pos int, r KernelResult) (float64, bool)) (read, skipped int) {
+// skipped the blocks not read out. SweepMatrix allocates nothing.
+func SweepMatrix(blocks []*SlicedBlock, dead []bool, q *Set, bound float64, fold func(pos int, r KernelResult) float64) (read, skipped int) {
 	qc := q.card
 	var buf [sweepPlaneWords]uint64
 	var rs [MaxSlicedEntries]KernelResult
@@ -311,10 +310,7 @@ func SweepMatrix(blocks []*SlicedBlock, dead []bool, q *Set, bound float64, fold
 			c.results(b, mask, blk.cards, rs[:])
 			for ; mask != 0; mask &= mask - 1 {
 				j := bits.TrailingZeros64(mask)
-				var stop bool
-				if bound, stop = fold(base+j, rs[j]); stop {
-					return read, skipped
-				}
+				bound = fold(base+j, rs[j])
 			}
 		}
 		i += w

@@ -122,9 +122,9 @@ func sweep(blocks []*bitset.SlicedBlock, dead []bool, q *bitset.Set, threshold f
 	if bounded {
 		u0 = threshold
 	}
-	read, skipped = bitset.SweepMatrix(blocks, dead, q, max(u0, threshold), func(i int, r bitset.KernelResult) (float64, bool) {
+	read, skipped = bitset.SweepMatrix(blocks, dead, q, max(u0, threshold), func(i int, r bitset.KernelResult) float64 {
 		v.observe(i, kernelDistance(r), threshold)
-		return max(min(u0, v.Distance), threshold), false
+		return max(min(u0, v.Distance), threshold)
 	})
 	return v, read, skipped
 }

@@ -1,8 +1,6 @@
 package fingerprint
 
 import (
-	"context"
-
 	"probablecause/internal/bitset"
 	"probablecause/internal/obs"
 	"probablecause/internal/pool"
@@ -112,28 +110,6 @@ func ParallelDecide(db Identifier, errorStrings []*bitset.Set, workers int) []Ve
 	out := make([]Verdict, len(errorStrings))
 	pool.Map(workers, len(errorStrings), func(i int) {
 		out[i] = db.Decide(errorStrings[i])
-	})
-	return out
-}
-
-// TracedDecider is a decision surface that records its fan-out under the
-// request span a context carries (ShardedDB and the store backends).
-type TracedDecider interface {
-	DecideCtx(ctx context.Context, errorString *bitset.Set) Verdict
-}
-
-// ParallelDecideCtx is ParallelDecide with per-query trace contexts: slot i
-// answers errorStrings[i] under ctxs[i] (nil or missing contexts run
-// untraced), so a coalesced batch records each originating request's
-// fan-out in that request's own span tree.
-func ParallelDecideCtx(db TracedDecider, ctxs []context.Context, errorStrings []*bitset.Set, workers int) []Verdict {
-	out := make([]Verdict, len(errorStrings))
-	pool.Map(workers, len(errorStrings), func(i int) {
-		ctx := context.Background()
-		if i < len(ctxs) && ctxs[i] != nil {
-			ctx = ctxs[i]
-		}
-		out[i] = db.DecideCtx(ctx, errorStrings[i])
 	})
 	return out
 }

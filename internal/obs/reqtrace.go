@@ -16,10 +16,11 @@ import (
 // process-unique trace id and a tree of timed spans. Unlike the
 // chrome://tracing span log (trace.go), which is a process-global flat
 // record stream, a ReqTrace is owned by the request that started it — it
-// travels through context.Context across goroutine hops (the micro-batch
-// dispatcher, the WAL group commit, the shard fan-out), so one batch
-// execution records N child spans, one per coalesced request, and the
-// serving layer can answer "where did THIS request's latency go?".
+// travels through context.Context across goroutine hops (a batch body's
+// queries fanned across workers, the WAL group commit, the shard fan-out),
+// so work done on another goroutine lands in the tree of the request it
+// serves, and the serving layer can answer "where did THIS request's
+// latency go?".
 //
 // The trace id round-trips through the X-PC-Trace HTTP header
 // ("traceid" or "traceid-spanid", both 16 hex digits), so a caller can

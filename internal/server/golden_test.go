@@ -16,9 +16,9 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden serving fixtures")
 
 // goldenConfig is the frozen serving configuration the golden transcript was
-// recorded under. Batching window 0 and one worker make the serial replay
-// fully deterministic; the cache stays on so cached-hit responses are part of
-// the recorded contract.
+// recorded under. One worker makes the serial replay fully deterministic;
+// the cache stays on so cached-hit responses are part of the recorded
+// contract.
 func goldenConfig() Config {
 	return Config{Shards: 4, Workers: 1, CacheSize: 64}
 }

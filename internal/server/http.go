@@ -201,7 +201,7 @@ func (s *Service) decode(w http.ResponseWriter, r *http.Request, into any) (int,
 	return 0, nil
 }
 
-// submitStatus maps batcher admission errors to HTTP statuses.
+// submitStatus maps identify admission and timeout errors to HTTP statuses.
 func submitStatus(err error) int {
 	switch {
 	case errors.Is(err, ErrOverloaded):

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"probablecause/internal/bitset"
 	"probablecause/internal/fingerprint"
@@ -47,32 +46,32 @@ func checkVerdict(t *testing.T, label string, got, want fingerprint.Verdict) {
 }
 
 // TestServeInvariance is the serving-path determinism property: for any shard
-// count, any batch window, cache on or off, every verdict the
-// batched+sharded+cached service returns equals the dense scan's field for
-// field — concurrency moves wall-clock only. The dense scan is
+// count, any worker count, cache on or off, every verdict the
+// sharded+cached service returns to concurrent requests equals the dense
+// scan's field for field — concurrency moves wall-clock only. The dense scan is
 // fingerprint.DB.Decide, or on the plain rows a Plain ShardedDB over the
 // same fixture; the sliced rows seed 150 devices a shard, so some shard's
 // sweep crosses three blocks and a partial tail.
 func TestServeInvariance(t *testing.T) {
 	type combo struct {
-		shards int
-		window time.Duration
-		cache  int
-		plain  bool // expected verdicts from a Plain ShardedDB
-		sliced bool // 150 devices a shard
+		shards  int
+		workers int
+		cache   int
+		plain   bool // expected verdicts from a Plain ShardedDB
+		sliced  bool // 150 devices a shard
 	}
 	combos := []combo{
-		{shards: 1, window: 0, cache: 0, plain: false},
-		{shards: 3, window: 0, cache: 128, plain: false},
-		{shards: 8, window: 2 * time.Millisecond, cache: 0, plain: true},
-		{shards: 5, window: 1 * time.Millisecond, cache: 64, plain: true},
-		{shards: 2, window: 500 * time.Microsecond, cache: 16, plain: false},
-		{shards: 3, window: 0, cache: 0, sliced: true},
-		{shards: 2, window: 1 * time.Millisecond, cache: 32, sliced: true},
+		{shards: 1, workers: 1, cache: 0, plain: false},
+		{shards: 3, workers: 2, cache: 128, plain: false},
+		{shards: 8, workers: 4, cache: 0, plain: true},
+		{shards: 5, workers: 2, cache: 64, plain: true},
+		{shards: 2, workers: 4, cache: 16, plain: false},
+		{shards: 3, workers: 1, cache: 0, sliced: true},
+		{shards: 2, workers: 4, cache: 32, sliced: true},
 	}
 	for ci, cb := range combos {
 		cb := cb
-		t.Run(fmt.Sprintf("shards=%d_window=%s_cache=%d_plain=%v_sliced=%v", cb.shards, cb.window, cb.cache, cb.plain, cb.sliced), func(t *testing.T) {
+		t.Run(fmt.Sprintf("shards=%d_workers=%d_cache=%d_plain=%v_sliced=%v", cb.shards, cb.workers, cb.cache, cb.plain, cb.sliced), func(t *testing.T) {
 			t.Parallel()
 			seed := uint64(0x5EED0 + ci)
 			devices := 24
@@ -95,19 +94,17 @@ func TestServeInvariance(t *testing.T) {
 			qs := propQueries(db, dense, seed)
 
 			s, err := New(db, Config{
-				Shards:      cb.shards,
-				Workers:     2,
-				BatchWindow: cb.window,
-				MaxBatch:    7, // forces multi-dispatch splits
-				CacheSize:   cb.cache,
+				Shards:    cb.shards,
+				Workers:   cb.workers,
+				CacheSize: cb.cache,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.Close()
 
-			// Fire every query concurrently so the dispatcher actually
-			// coalesces, twice so the cache (when on) serves repeats.
+			// Fire every query concurrently so queries contend for the
+			// workers, twice so the cache (when on) serves repeats.
 			for round := 0; round < 2; round++ {
 				var wg sync.WaitGroup
 				for qi := range qs {
@@ -125,7 +122,8 @@ func TestServeInvariance(t *testing.T) {
 				wg.Wait()
 			}
 
-			// The batch entry point must agree with the per-query one.
+			// The batch entry point, whose misses fan across the workers,
+			// must agree with the per-query one.
 			ess := make([]*bitset.Set, len(qs))
 			for i := range qs {
 				ess[i] = qs[i].es

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -320,28 +322,71 @@ func TestServeChaosFaults(t *testing.T) {
 	}
 }
 
-// TestServeRequestTimeout pins the per-request timeout path: a coalescing
-// window longer than the request budget turns into a 503, not a hang.
+// TestServeRequestTimeout pins the per-request timeout: a query still
+// waiting for a worker when RequestTimeout passes is answered 503, not left
+// hanging, while a decision held past the deadline finishes and is
+// answered 200.
 func TestServeRequestTimeout(t *testing.T) {
 	s := newTestService(t, 4, Config{
 		Shards:         2,
 		Workers:        1,
-		BatchWindow:    200 * time.Millisecond,
 		RequestTimeout: 5 * time.Millisecond,
 	})
-	code, body := postJSON(t, s.Handler(), "POST", "/v1/identify", reqFor(testSet(1, 64)))
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("timeout request: %d %s", code, body)
+	h := s.Handler()
+	release := holdSlots(s)
+	blob, _ := json.Marshal(reqFor(testSet(1, 64)))
+	done := make(chan int, 1)
+	go func() {
+		code, _ := postJSON(t, h, "POST", "/v1/identify", string(blob))
+		done <- code
+	}()
+	select {
+	case code := <-done:
+		release()
+		if code != http.StatusServiceUnavailable {
+			t.Fatalf("query waiting past the timeout: %d, want 503", code)
+		}
+	case <-time.After(30 * time.Second):
+		release()
+		t.Fatal("a query waiting for a held worker outlived RequestTimeout")
+	}
+
+	hookDecide(s, func(ctx context.Context, _ *bitset.Set) { <-ctx.Done() })
+	code, body := postJSON(t, h, "POST", "/v1/identify", reqFor(testSet(2, 64)))
+	var v VerdictJSON
+	if code != http.StatusOK || json.Unmarshal(body, &v) != nil {
+		t.Fatalf("decision held past the timeout: %d %s, want 200 with a verdict", code, body)
 	}
 }
 
 // TestServiceDirectContext covers the service API against an
-// already-cancelled context.
+// already-cancelled context: Identify and IdentifyBatch return its error
+// without deciding, whether the only worker slot is free or held, and give
+// their queue places back.
 func TestServiceDirectContext(t *testing.T) {
-	s := newTestService(t, 4, Config{Shards: 2, Workers: 1, BatchWindow: 50 * time.Millisecond})
+	s := newTestService(t, 4, Config{Shards: 2, Workers: 1})
+	var decided atomic.Int64
+	hookDecide(s, func(context.Context, *bitset.Set) { decided.Add(1) })
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := s.Identify(ctx, testSet(1, 64)); err == nil {
-		t.Fatal("cancelled Identify returned no error")
+	for _, held := range []bool{false, true} {
+		release := func() {}
+		if held {
+			release = holdSlots(s)
+		}
+		if _, _, err := s.Identify(ctx, testSet(1, 64)); !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled Identify (slot held %v): %v, want context.Canceled", held, err)
+		}
+		if _, _, err := s.IdentifyBatch(ctx, []*bitset.Set{testSet(2, 64), testSet(3, 64)}); !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled IdentifyBatch (slot held %v): %v, want context.Canceled", held, err)
+		}
+		release()
+	}
+	if n := decided.Load(); n != 0 {
+		t.Fatalf("cancelled queries ran %d decisions, want 0", n)
+	}
+	waitGate(t, s, "every queue place given back", func(g *gate) bool { return g.admitted == 0 })
+	if _, _, err := s.Identify(context.Background(), testSet(1, 64)); err != nil || decided.Load() != 1 {
+		t.Fatalf("live Identify after cancelled ones: %v, %d decisions", err, decided.Load())
 	}
 }

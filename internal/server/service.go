@@ -3,15 +3,15 @@
 // attack queries (§5) at fleet scale — which registered device produced this
 // approximate output?
 //
-// The serving path is layered for throughput on top of the PR 3 parallel
-// engine:
+// The serving path is layered on the storage backend's node-wide Decide:
 //
 //   - an N-way sharded database (fingerprint.ShardedDB): adds and lookups
 //     take per-shard RW locks, so registration traffic does not serialize
 //     identification traffic;
-//   - a micro-batching dispatcher (batcher): concurrent identify requests
-//     coalesce over a short window into one fingerprint.ParallelDecideCtx
-//     batch, amortizing dispatch overhead;
+//   - an admission gate (gate): a request's cache misses are admitted
+//     whole or shed with 429, and each admitted query decides on the
+//     request's own goroutine once it holds one of Config.Workers slots;
+//     a /v1/identify-batch body's misses fan across the same slots;
 //   - an LRU result cache (verdictCache) keyed by the error string's SHA-256
 //     digest and invalidated generationally on every DB mutation;
 //   - production guards: bounded queue with 429 backpressure, per-request
@@ -20,8 +20,8 @@
 //     and latency so the serving path is testable under the same fault
 //     matrix as the offline pipeline.
 //
-// Determinism contract: batching, sharding, and caching change wall-clock
-// behavior only. Every identify answer equals what a serial
+// Determinism contract: admission, worker count, sharding, and caching
+// change wall-clock behavior only. Every identify answer equals what a serial
 // fingerprint.DB.Decide scan over the same entries returns, field for
 // field — Name, Index, Distance and Matches (see fingerprint.Decision). The
 // golden and invariance tests in this package hold the service to that.
@@ -37,6 +37,7 @@ import (
 	"probablecause/internal/faults"
 	"probablecause/internal/fingerprint"
 	"probablecause/internal/obs"
+	"probablecause/internal/pool"
 	"probablecause/internal/store"
 )
 
@@ -53,23 +54,23 @@ type Config struct {
 	Threshold float64
 	// Shards is the database shard count; 0 selects fingerprint.DefaultShards.
 	Shards int
-	// Workers bounds the pool a dispatched batch fans across; 0 means one
-	// worker per CPU.
+	// Workers bounds how many identify decisions run at once, and the pool
+	// that signs entries when a shard's index is bulk-built; 0 means one
+	// per CPU.
 	Workers int
-	// BatchWindow is how long the dispatcher waits for concurrent requests
-	// to coalesce once one is pending. 0 dispatches immediately (coalescing
-	// still happens under load — whatever queued during the previous batch
-	// joins the next).
+	// BatchWindow is ignored: identify queries no longer wait to coalesce.
+	// Any value is accepted.
 	BatchWindow time.Duration
-	// MaxBatch caps identify queries per dispatch; 0 selects 64.
-	MaxBatch int
-	// QueueDepth bounds the identify queue; submissions beyond it are shed
+	// QueueDepth bounds the admitted identify queries, waiting for a worker
+	// or deciding; a request whose cache misses do not all fit is shed
 	// with 429. 0 selects 1024.
 	QueueDepth int
 	// CacheSize is the LRU verdict cache capacity; 0 disables caching.
 	CacheSize int
-	// RequestTimeout bounds how long one request waits for its verdict;
-	// 0 selects 5s.
+	// RequestTimeout bounds how long an identify request's queries wait
+	// for a worker (a decision that has started finishes and is answered)
+	// and how long an enrollment waits for its acknowledgement. 0 selects
+	// 5s.
 	RequestTimeout time.Duration
 	// MaxBodyBytes caps request bodies; 0 selects 8 MiB.
 	MaxBodyBytes int64
@@ -97,7 +98,6 @@ type Config struct {
 
 // Defaults for the zero Config.
 const (
-	DefaultMaxBatch       = 64
 	DefaultQueueDepth     = 1024
 	DefaultRequestTimeout = 5 * time.Second
 	DefaultMaxBodyBytes   = 8 << 20
@@ -111,9 +111,6 @@ func (c Config) withDefaults(seed *fingerprint.DB) Config {
 		} else {
 			c.Threshold = fingerprint.DefaultThreshold
 		}
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = DefaultMaxBatch
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = DefaultQueueDepth
@@ -131,13 +128,13 @@ func (c Config) withDefaults(seed *fingerprint.DB) Config {
 }
 
 // Service is the identification service: the sharded database plus the
-// batching, caching, and guard layers. Create with New, serve its Handler,
+// admission, caching, and guard layers. Create with New, serve its Handler,
 // and Close to drain.
 type Service struct {
 	cfg    Config
 	db     store.Backend
 	cache  *verdictCache
-	batch  *batcher
+	gate   *gate
 	inj    *faults.Injector // nil when the fault plan is inactive
 	enroll *enroller        // nil unless built by BootDurable
 	slo    *obs.SLOEngine   // nil without objectives
@@ -180,7 +177,7 @@ func New(seed *fingerprint.DB, cfg Config) (*Service, error) {
 			db.Add(e.Name, e.FP)
 		}
 	}
-	s := &Service{cfg: cfg, db: db, cache: newVerdictCache(cfg.CacheSize)}
+	s := &Service{cfg: cfg, db: db, cache: newVerdictCache(cfg.CacheSize), gate: newGate(cfg.QueueDepth, pool.Workers(cfg.Workers))}
 	// Seeding advanced the DB generation; align the cache's accepted
 	// generation so post-startup Puts are not dropped as stale.
 	s.cache.Purge(db.Generation())
@@ -203,9 +200,6 @@ func New(seed *fingerprint.DB, cfg Config) (*Service, error) {
 		slowK = obs.DefaultSlowRing
 	}
 	s.slow = obs.NewSlowRing(slowK)
-	s.batch = newBatcher(cfg.QueueDepth, cfg.MaxBatch, cfg.BatchWindow, func(ctxs []context.Context, ess []*bitset.Set) []fingerprint.Verdict {
-		return fingerprint.ParallelDecideCtx(db, ctxs, ess, cfg.Workers)
-	})
 	return s, nil
 }
 
@@ -235,13 +229,13 @@ func (s *Service) DB() store.Backend { return s.db }
 // Config returns the resolved configuration.
 func (s *Service) Config() Config { return s.cfg }
 
-// Close drains the identify queue, stops the dispatcher, closes the
-// enrollment write-ahead log when one is attached, and releases the storage
-// backend (segment mappings). In-flight requests complete; later submissions
-// fail with ErrDraining. Close does not flush — pcserved checkpoints
-// explicitly on drain; an unflushed memtable is recovered from the WAL.
+// Close refuses new identify queries (ErrDraining) and waits for every
+// admitted one to finish, then closes the enrollment write-ahead log when
+// one is attached and releases the storage backend (segment mappings).
+// Close does not flush — pcserved checkpoints explicitly on drain; an
+// unflushed memtable is recovered from the WAL.
 func (s *Service) Close() {
-	s.batch.close()
+	s.gate.close()
 	if s.enroll != nil {
 		s.enroll.log.Close()
 	}
@@ -263,8 +257,9 @@ func (s *Service) checkLen(n int) error {
 	return nil
 }
 
-// Identify answers one identify query through the cache and the batching
-// dispatcher. The bool reports whether the verdict came from the cache.
+// Identify answers one identify query through the cache, or on a miss
+// through the admission gate and one Decide on the calling goroutine. The
+// bool reports whether the verdict came from the cache.
 func (s *Service) Identify(ctx context.Context, es *bitset.Set) (fingerprint.Verdict, bool, error) {
 	key := keyOf(es)
 	csp := obs.SpanFrom(ctx).Child("cache.get")
@@ -274,26 +269,28 @@ func (s *Service) Identify(ctx context.Context, es *bitset.Set) (fingerprint.Ver
 	if ok {
 		return v, true, nil
 	}
-	gen := s.db.Generation()
-	ps, err := s.batch.submit(ctx, []*bitset.Set{es})
-	if err != nil {
+	if err := s.gate.admit(1); err != nil {
 		return fingerprint.Verdict{}, false, err
 	}
-	select {
-	case v := <-ps[0].out:
-		s.cache.Put(gen, key, v)
-		return v, false, nil
-	case <-ctx.Done():
-		if obs.On() {
-			cTimeouts.Inc()
-		}
-		return fingerprint.Verdict{}, false, ctx.Err()
+	gen := s.db.Generation()
+	if err := s.gate.run(ctx, func() { v = s.db.DecideCtx(ctx, es) }); err != nil {
+		return fingerprint.Verdict{}, false, timedOut(err)
 	}
+	s.cache.Put(gen, key, v)
+	return v, false, nil
+}
+
+// timedOut counts a request whose queries gave up waiting for a worker.
+func timedOut(err error) error {
+	if obs.On() {
+		cTimeouts.Inc()
+	}
+	return err
 }
 
 // IdentifyBatch answers a batch of queries, consulting the cache per query
-// and submitting the misses as one atomic unit. cached[i] reports per-query
-// cache service.
+// and admitting the misses as one unit, which then fan across the worker
+// slots. cached[i] reports per-query cache service.
 func (s *Service) IdentifyBatch(ctx context.Context, ess []*bitset.Set) (verdicts []fingerprint.Verdict, cached []bool, err error) {
 	verdicts = make([]fingerprint.Verdict, len(ess))
 	cached = make([]bool, len(ess))
@@ -314,27 +311,19 @@ func (s *Service) IdentifyBatch(ctx context.Context, ess []*bitset.Set) (verdict
 	if len(misses) == 0 {
 		return verdicts, cached, nil
 	}
-	queries := make([]*bitset.Set, len(misses))
-	for j, i := range misses {
-		queries[j] = ess[i]
-	}
-	gen := s.db.Generation()
-	ps, err := s.batch.submit(ctx, queries)
-	if err != nil {
+	if err := s.gate.admit(len(misses)); err != nil {
 		return nil, nil, err
 	}
-	for j, p := range ps {
-		select {
-		case v := <-p.out:
-			i := misses[j]
-			verdicts[i] = v
-			s.cache.Put(gen, keys[i], v)
-		case <-ctx.Done():
-			if obs.On() {
-				cTimeouts.Inc()
-			}
-			return nil, nil, ctx.Err()
-		}
+	gen := s.db.Generation()
+	err = pool.MapErr(pool.Workers(s.cfg.Workers), len(misses), func(j int) error {
+		i := misses[j]
+		return s.gate.run(ctx, func() { verdicts[i] = s.db.DecideCtx(ctx, ess[i]) })
+	})
+	if err != nil {
+		return nil, nil, timedOut(err)
+	}
+	for _, i := range misses {
+		s.cache.Put(gen, keys[i], verdicts[i])
 	}
 	return verdicts, cached, nil
 }

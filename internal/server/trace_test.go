@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -39,10 +41,12 @@ func stageCount(tree *obs.SpanTree) map[string]int {
 }
 
 // TestTracePropagation is the serving-path tracing contract, meant to run
-// under -race: concurrent identify requests — per-request and batched
-// dispatch — each end with a trace ID in the response header that appears
-// in exactly one retained span tree, and every tree decomposes into the
-// queue.wait → batch → shard.identify → decide stages.
+// under -race: concurrent identify requests — single queries and batch
+// bodies — each end with a trace ID in the response header that appears
+// in exactly one retained span tree, and every tree decomposes into
+// cache.get, then per query a queue.wait (the wait for a worker) followed
+// by its decision — shard.identify per shard and decide — all directly
+// under the request root.
 func TestTracePropagation(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
@@ -55,7 +59,6 @@ func TestTracePropagation(t *testing.T) {
 	s := newTestService(t, 8, Config{
 		Shards:       shards,
 		Workers:      2,
-		BatchWindow:  200 * time.Microsecond,
 		SlowRequests: 128, // retain everything: the ring is the trace sink
 	})
 	h := s.Handler()
@@ -128,41 +131,36 @@ func TestTracePropagation(t *testing.T) {
 		if tree.Name != kind {
 			t.Errorf("trace %s: root span %q, want %q", tid, tree.Name, kind)
 		}
-		counts := stageCount(tree)
-		wantQueue := 1
+		queries := 1
 		if kind == "identify_batch" {
-			wantQueue = perBatch
+			queries = perBatch
 		}
-		if counts["queue.wait"] != wantQueue {
-			t.Errorf("trace %s (%s): %d queue.wait spans, want %d", tid, kind, counts["queue.wait"], wantQueue)
+		want := map[string]int{kind: 1, "cache.get": 1, "queue.wait": queries, "shard.identify": queries * shards, "decide": queries}
+		if counts := stageCount(tree); !maps.Equal(counts, want) {
+			t.Errorf("trace %s (%s): spans %v, want %v", tid, kind, counts, want)
 		}
-		if counts["batch"] != wantQueue {
-			t.Errorf("trace %s (%s): %d batch spans, want %d", tid, kind, counts["batch"], wantQueue)
+		// Every span hangs directly under the root, cache.get first. A
+		// query's queue.wait starts before its decision, so the root's
+		// second child is a queue.wait; a single query's stages run in
+		// that order, one after another, so they cannot outlast the root.
+		names := make([]string, len(tree.Children))
+		var sum int64
+		for i, c := range tree.Children {
+			names[i], sum = c.Name, sum+c.DurNS
 		}
-		if counts["shard.identify"] != wantQueue*shards {
-			t.Errorf("trace %s (%s): %d shard.identify spans, want %d", tid, kind, counts["shard.identify"], wantQueue*shards)
+		if len(names) != queries*(shards+2)+1 || names[0] != "cache.get" || names[1] != "queue.wait" {
+			t.Errorf("trace %s (%s): root children %v", tid, kind, names)
 		}
-		if counts["decide"] != wantQueue {
-			t.Errorf("trace %s (%s): %d decide spans, want %d", tid, kind, counts["decide"], wantQueue)
+		single := []string{"cache.get", "queue.wait"}
+		for range shards {
+			single = append(single, "shard.identify")
 		}
-		if counts["cache.get"] != 1 {
-			t.Errorf("trace %s (%s): %d cache.get spans, want 1", tid, kind, counts["cache.get"])
+		single = append(single, "decide")
+		if kind == "identify" && !slices.Equal(names, single) {
+			t.Errorf("trace %s: root children %v, want %v", tid, names, single)
 		}
-		// Stage accounting: queue.wait and batch partition each query's
-		// time inside the handler, so their sums cannot exceed the root
-		// (per query; for a batch root the max per-query chain applies).
-		var qsum, bsum int64
-		tree.Walk(func(n *obs.SpanTree) {
-			switch n.Name {
-			case "queue.wait":
-				qsum += n.DurNS
-			case "batch":
-				bsum += n.DurNS
-			}
-		})
-		slack := int64(2 * time.Millisecond)
-		if kind == "identify" && qsum+bsum > tree.DurNS+slack {
-			t.Errorf("trace %s: stages (queue %d + batch %d) exceed root %d", tid, qsum, bsum, tree.DurNS)
+		if kind == "identify" && sum > tree.DurNS+int64(2*time.Millisecond) {
+			t.Errorf("trace %s: stages sum to %d, exceeding root %d", tid, sum, tree.DurNS)
 		}
 		if tree.DurNS <= 0 {
 			t.Errorf("trace %s: root has no duration", tid)

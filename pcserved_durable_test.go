@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -289,5 +290,65 @@ func TestPcservedStoreFlagsNeedWalDir(t *testing.T) {
 	tb.Close()
 	if out, err := exec.Command(bin, "-store.verify", "-store.dir", storeDir).CombinedOutput(); err != nil || !strings.Contains(string(out), "verified clean") {
 		t.Errorf("pcserved -store.verify -store.dir: %v, output %q; want exit 0", err, out)
+	}
+}
+
+// TestPcservedRouterRefusesServingFlags: a router holds no database, so
+// -mode=router, with or without -partitions, refuses every flag only a
+// serving node reads — naming each one, creating nothing — instead of
+// listening with it ignored. The offline -wal.verify and -store.verify
+// modes still run first.
+func TestPcservedRouterRefusesServingFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	bin := buildPcserved(t)
+	dir := t.TempDir()
+	storeDir := filepath.Join(dir, "store")
+	// A router that accepted the flags would serve until killed.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	routers := [][]string{
+		{"-mode=router", "-router.backends", "http://127.0.0.1:1"},
+		{"-mode=router", "-partitions", "p0=http://127.0.0.1:1"},
+	}
+	for _, flags := range [][]string{
+		{"-db", filepath.Join(dir, "fleet.pcdb")},
+		{"-snapshot", filepath.Join(dir, "snap.pcdb")},
+		{"-wal.dir", filepath.Join(dir, "wal")},
+		{"-wal.fsync", "always"},
+		{"-wal.segment", "4096"},
+		{"-store.dir", storeDir},
+		{"-store.flush-entries", "5"},
+		{"-store.compact-segments", "2"},
+		{"-store.dir", storeDir, "-store.flush-entries", "5"},
+	} {
+		for _, router := range routers {
+			args := append(append([]string{"-addr", "127.0.0.1:0"}, router...), flags...)
+			out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+				t.Errorf("pcserved %v: %v, output %q; want exit 1", args, err, out)
+				continue
+			}
+			for _, f := range flags {
+				if strings.HasPrefix(f, "-") && !strings.Contains(string(out), f) {
+					t.Errorf("pcserved %v: output %q does not name %s", args, out, f)
+				}
+			}
+		}
+	}
+	if _, err := os.Stat(storeDir); !os.IsNotExist(err) {
+		t.Errorf("a refused router created %s (stat: %v)", storeDir, err)
+	}
+
+	// -wal.verify runs before the router refusal.
+	walDir := filepath.Join(dir, "wal")
+	if err := os.Mkdir(walDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.CommandContext(ctx, bin, append(routers[0], "-wal.verify", "-wal.dir", walDir)...).CombinedOutput()
+	if err != nil || strings.Contains(string(out), "-mode=router") {
+		t.Errorf("pcserved -mode=router -wal.verify: %v, output %q; want the offline check", err, out)
 	}
 }
