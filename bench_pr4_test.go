@@ -37,7 +37,7 @@ func newServeFixture(b *testing.B) (*serveFixture, func()) {
 	f := identifyDB(b)
 	// Cache off: the bench measures dispatch cost, and a 16-query rotation
 	// would otherwise degenerate into pure cache hits.
-	svc, err := server.New(f.db, server.Config{Shards: 4, Workers: 1, CacheSize: 0})
+	svc, err := server.New(f.db, server.Config{Workers: 1, CacheSize: 0})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -85,7 +85,7 @@ func identifyOnce(tb testing.TB, h http.Handler, body []byte) {
 func BenchmarkServeObservability(b *testing.B) {
 	bodies := serveBenchBodies(256)
 	b.Run("off", func(b *testing.B) {
-		_, h := serveBenchService(b, server.Config{Shards: 4, Workers: 4})
+		_, h := serveBenchService(b, server.Config{Workers: 4})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			identifyOnce(b, h, bodies[i%len(bodies)])
@@ -99,7 +99,7 @@ func BenchmarkServeObservability(b *testing.B) {
 			b.Fatal(err)
 		}
 		_, h := serveBenchService(b, server.Config{
-			Shards: 4, Workers: 4,
+			Workers:      4,
 			SLO:          obs.SLOConfig{Objectives: objectives},
 			SlowRequests: 16,
 		})
@@ -156,7 +156,7 @@ type benchServeSnapshot struct {
 func measureServe(t *testing.T) benchServeSnapshot {
 	t.Helper()
 	const reqs = 3000
-	_, plainH := serveBenchService(t, server.Config{Shards: 4, Workers: 4})
+	_, plainH := serveBenchService(t, server.Config{Workers: 4})
 	plain := serveLoad(t, plainH, reqs)
 
 	obs.Enable()
@@ -166,7 +166,7 @@ func measureServe(t *testing.T) benchServeSnapshot {
 		t.Fatal(err)
 	}
 	_, obsH := serveBenchService(t, server.Config{
-		Shards: 4, Workers: 4,
+		Workers:      4,
 		SLO:          obs.SLOConfig{Objectives: objectives},
 		SlowRequests: 16,
 	})

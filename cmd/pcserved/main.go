@@ -9,8 +9,7 @@
 //
 // The serving path layers an LRU verdict cache, an admission gate that
 // sheds overload with 429 and bounds concurrent decisions to -workers, and
-// an N-way sharded database over the identification engine; see
-// internal/server. On SIGINT/SIGTERM the server drains in-flight requests
+// the database over the identification engine; see internal/server. On SIGINT/SIGTERM the server drains in-flight requests
 // and, when -snapshot is set, saves the (possibly mutated) database
 // atomically before exiting — restart with the same -snapshot to resume.
 //
@@ -124,7 +123,6 @@ func run(args []string) (err error) {
 	dbList := fs.String("db", "", "comma-separated fingerprint databases or raw fingerprints to seed from")
 	snapshot := fs.String("snapshot", "", "database snapshot: loaded at startup when present, saved atomically on shutdown")
 	threshold := fs.Float64("threshold", 0, fmt.Sprintf("match threshold (0: %g)", fingerprint.DefaultThreshold))
-	shards := fs.Int("shards", 0, fmt.Sprintf("database shard count (0: %d)", fingerprint.DefaultShards))
 	workers := fs.Int("workers", 0, "identify decisions that run at once (0: one per CPU)")
 	queue := fs.Int("queue", 0, fmt.Sprintf("identify queries admitted at once, waiting or deciding; overflow is shed with 429 (0: %d)", server.DefaultQueueDepth))
 	cacheSize := fs.Int("cache", 4096, "verdict cache capacity (0: caching off)")
@@ -268,7 +266,6 @@ func run(args []string) (err error) {
 
 	cfg := server.Config{
 		Threshold:      *threshold,
-		Shards:         *shards,
 		Workers:        *workers,
 		QueueDepth:     *queue,
 		CacheSize:      *cacheSize,
@@ -372,7 +369,7 @@ func run(args []string) (err error) {
 	// serve returns once in-flight HTTP exchanges finish; svc.Close below
 	// then drains the identify queue so every admitted query gets its
 	// verdict.
-	if err := serve(ln, handler, fmt.Sprintf("listening on %s (%d entries, %d shards)", ln.Addr(), st.Entries, len(st.PerShard))); err != nil {
+	if err := serve(ln, handler, fmt.Sprintf("listening on %s (%d entries)", ln.Addr(), st.Entries)); err != nil {
 		return err
 	}
 	// Checkpoint and export before Close: compaction needs the WAL still
@@ -413,7 +410,7 @@ func runWalVerify(dir string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(rep.String())
+	fmt.Println(rep.String())
 	if rep.Corrupt {
 		return errors.New("interior corruption: this log will not replay; restore from a checkpoint + re-replicate")
 	}

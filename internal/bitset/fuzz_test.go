@@ -3,6 +3,7 @@ package bitset
 import (
 	"bytes"
 	"math/bits"
+	"slices"
 	"testing"
 
 	"probablecause/internal/prng"
@@ -101,9 +102,9 @@ func FuzzCachedCard(f *testing.F) {
 // and transpose group is reachable), byte 2 the query density knob, and the
 // rest seeds entry/query bits, so the corpus explores partial tail blocks,
 // non-word-aligned lengths, empty sets, and both cardinality orientations.
-// Every block is checked twice — as the arena owns it and viewed strided in
-// a packed position-major matrix, as segments read it — along with the
-// single-slot kernel and the matrix's one-pass decode.
+// Every block is checked twice — in an arena grown by Add, its matrix
+// doubling, and viewed in a packed position-major matrix, as segments read
+// it — along with the single-slot kernel and the matrix's one-pass decode.
 func FuzzSlicedKernel(f *testing.F) {
 	f.Add([]byte{100, 3, 8, 1, 2, 3})
 	f.Add([]byte{255, 64, 0})
@@ -147,11 +148,11 @@ func FuzzSlicedKernel(f *testing.F) {
 				t.Fatalf("entry %d: matrix decode diverges", i)
 			}
 		}
-		views := ViewSlicedMatrix(nbits, width, matrix, slicedCards(sets))
+		view := ViewMatrix(nbits, width, matrix, slicedCards(sets))
 		var dst []KernelResult
-		for _, blocks := range [][]*SlicedBlock{arena.Blocks(), views} {
-			for bi, blk := range blocks {
-				dst = blk.MinCardAndNotCounts(q, dst)
+		for _, m := range []*Matrix{&arena.Matrix, &view} {
+			for bi := range m.NumBlocks() {
+				dst = m.Block(bi).MinCardAndNotCounts(q, dst)
 				for j, r := range dst {
 					g := bi*width + j
 					minC, maxC, diff := MinCardAndNotCount(sets[g], q)
@@ -159,7 +160,7 @@ func FuzzSlicedKernel(f *testing.F) {
 						t.Fatalf("entry %d: kernel (%d,%d,%d) != scalar (%d,%d,%d)",
 							g, r.MinCard, r.MaxCard, r.Diff, minC, maxC, diff)
 					}
-					if one := blk.MinCardAndNotCountOne(q, j); one != r {
+					if one := m.MinCardAndNotCountOne(q, g); one != r {
 						t.Fatalf("entry %d: single-slot kernel %+v != block kernel %+v", g, one, r)
 					}
 				}
@@ -169,9 +170,13 @@ func FuzzSlicedKernel(f *testing.F) {
 }
 
 // FuzzMatrixSweep holds the matrix sweep (SweepMatrix) under a moving bound
-// to three properties, on every layout a component hands it — blocks an
-// arena owns (runs of one), one position-major matrix (runs of up to 64
-// blocks), and a packed arena that later Adds extended:
+// to three properties, on every shape a component's matrix takes — an
+// arena grown by Add (its stride doubling, so it mostly has spare columns),
+// one packed matrix (a segment's), a packed arena that later Adds extended
+// (filling its part-filled last block in place, then doubling, then
+// filling the new part-filled block), and a packed matrix with spare
+// columns full of set bits that no entry owns — each with the same entries
+// tombstoned (by Kill, before and after the Adds):
 //
 //   - every entry it reads out carries MinCardAndNotCount's triple bit for
 //     bit;
@@ -179,7 +184,8 @@ func FuzzSlicedKernel(f *testing.F) {
 //     part way with its chunk — sits at or above the bound in force when the
 //     sweep reached its block, so in the bounded mode, whose bound is the
 //     threshold, abandon ⇒ every live distance ≥ t;
-//   - the verdict folded from what it reads out equals the dense scan's.
+//   - the verdict folded from what it reads out equals the dense scan's
+//     (DB.Decide's fold: first strictly better, and the matches).
 //
 // data is FuzzBoundedKernel's input: byte 0 picks the bit length (rarely a
 // multiple of 64), byte 1 the block width (1–64, so tail blocks are
@@ -189,10 +195,11 @@ func FuzzSlicedKernel(f *testing.F) {
 // which range from empty to dense. more, when non-zero, sets the entry
 // count — up to 140 blocks, spanning several chunks and ending in a partial
 // block — and pads the seeded entries with random ones, empty ones and near
-// copies of the query. mode's parity picks the fold: even bounded (the bound
-// is the threshold, as once a match is known), odd unbounded (the bound is
-// the best so far, as for a stranger). wide adds up to 599 random cells to
-// the query, past 255 and into the planes above the eighth.
+// copies of the query; it also picks the spare column count (1–3). mode's
+// parity picks the fold: even bounded (the bound is the threshold, as once
+// a match is known), odd unbounded (the bound is the best so far, as for a
+// stranger). wide adds up to 599 random cells to the query, past 255 and
+// into the planes above the eighth.
 func FuzzMatrixSweep(f *testing.F) {
 	for _, seed := range [][]byte{
 		{100, 3, 8, 17, 0, 1, 2, 3},
@@ -211,6 +218,15 @@ func FuzzMatrixSweep(f *testing.F) {
 	f.Add([]byte{211, 7, 3, 40, 0, 5, 9}, uint16(700), uint8(2), uint16(0))
 	f.Add([]byte{150, 63, 1, 60, 0x11, 2, 13}, uint16(4100), uint8(1), uint16(420))
 	f.Add([]byte{99, 0, 11, 30, 0, 0, 6}, uint16(130), uint8(1), uint16(0))
+	// Three-entry blocks, eight entries: the packed half's part-filled last
+	// block takes two Adds in place, the next Add doubles the stride to
+	// four, and the last lands part-filled beside a spare column; both
+	// tombstone patterns, both folds.
+	f.Add([]byte{90, 2, 5, 30, 0x5A, 3, 5, 7}, uint16(7), uint8(1), uint16(0))
+	f.Add([]byte{90, 2, 5, 30, 0xA5, 3, 5, 7}, uint16(7), uint8(0), uint16(0))
+	// 334 five-entry blocks' worth of doublings past a part-filled packed
+	// half, a wide query and tombstones in every chunk.
+	f.Add([]byte{180, 4, 9, 40, 0x33, 2, 9}, uint16(333), uint8(1), uint16(300))
 	f.Fuzz(func(t *testing.T, data []byte, more uint16, mode uint8, wide uint16) {
 		if len(data) < 5 {
 			return
@@ -272,11 +288,18 @@ func FuzzMatrixSweep(f *testing.F) {
 				sets = append(sets, s)
 			}
 		}
-		var dead []bool // nil when no entry is dead, as the engine passes it
+		var dead []bool // nil when no entry is dead
 		if data[4] != 0 {
 			dead = make([]bool, n)
 			for g := range dead {
 				dead[g] = data[4]>>(g%8)&1 == 1
+			}
+		}
+		kill := func(m *Matrix, from, to int) {
+			for g := from; g < to && dead != nil; g++ {
+				if dead[g] {
+					m.Kill(g)
+				}
 			}
 		}
 		// The dense scan: every live entry's exact distance, the best (first
@@ -303,19 +326,33 @@ func FuzzMatrixSweep(f *testing.F) {
 		if mode%2 == 1 {
 			u0 = 2 // above any distance: no bound but the best so far
 		}
-		packed := PackSlicedArena(nbits, width, sets[:(n+1)/2])
-		owned := NewSlicedArena(nbits, width)
+		half := (n + 1) / 2
+		packed := PackSlicedArena(nbits, width, sets[:half])
+		kill(&packed.Matrix, 0, half) // tombstones the Adds then extend
+		arena := NewSlicedArena(nbits, width)
 		for g, s := range sets {
-			owned.Add(s)
-			if g >= (n+1)/2 {
+			arena.Add(s)
+			if g >= half {
 				packed.Add(s)
 			}
 		}
-		views := ViewSlicedMatrix(nbits, width, PackSlicedMatrix(nbits, width, sets), slicedCards(sets))
+		kill(&arena.Matrix, 0, n)
+		kill(&packed.Matrix, half, n)
+		view := ViewMatrix(nbits, width, PackSlicedMatrix(nbits, width, sets), slicedCards(sets))
+		kill(&view, 0, n)
+		spare := spareColumns(view, int(more)%3+1)
 		for _, layout := range []struct {
-			name   string
-			blocks []*SlicedBlock
-		}{{"owned", owned.Blocks()}, {"matrix", views}, {"packed+added", packed.Blocks()}} {
+			name string
+			m    *Matrix
+		}{{"arena", &arena.Matrix}, {"matrix", &view}, {"packed+added", &packed.Matrix}, {"spare", &spare}} {
+			if layout.m.stride < layout.m.NumBlocks() || layout.m.Len() != n {
+				t.Fatalf("%s: %d entries at stride %d over %d blocks", layout.name, layout.m.Len(), layout.m.stride, layout.m.NumBlocks())
+			}
+			for g := range n {
+				if layout.m.Dead(g) != (dead != nil && dead[g]) {
+					t.Fatalf("%s: entry %d tombstone reads %v", layout.name, g, layout.m.Dead(g))
+				}
+			}
 			type call struct {
 				pos   int
 				bound float64 // the bound the fold returned
@@ -323,7 +360,7 @@ func FuzzMatrixSweep(f *testing.F) {
 			var calls []call
 			best, idx, matches := 2.0, -1, 0
 			bound := max(min(u0, best), threshold)
-			read, skipped := SweepMatrix(layout.blocks, dead, q, bound, func(pos int, r KernelResult) float64 {
+			read, skipped := SweepMatrix(layout.m, q, bound, func(pos int, r KernelResult) float64 {
 				minC, maxC, diff := MinCardAndNotCount(sets[pos], q)
 				if r.MinCard != minC || r.MaxCard != maxC || r.Diff != diff {
 					t.Fatalf("%s: entry %d read out as (%d,%d,%d), scalar (%d,%d,%d)",
@@ -346,7 +383,7 @@ func FuzzMatrixSweep(f *testing.F) {
 				calls = append(calls, call{pos, u})
 				return u
 			})
-			nb := len(layout.blocks)
+			nb := layout.m.NumBlocks()
 			folded := make(map[int]bool, len(calls))
 			readBlocks := map[int]bool{}
 			for _, c := range calls {
@@ -380,6 +417,22 @@ func FuzzMatrixSweep(f *testing.F) {
 			}
 		}
 	})
+}
+
+// spareColumns returns m re-laid at a stride extra columns wider, the spare
+// columns' words all ones: a sweep must never read past the block count.
+func spareColumns(m Matrix, extra int) Matrix {
+	stride := m.stride + extra
+	words := make([]uint64, m.nbits*stride)
+	for p := range m.nbits {
+		row := words[p*stride : (p+1)*stride]
+		copy(row, m.words[p*m.stride:(p+1)*m.stride])
+		for k := m.stride; k < stride; k++ {
+			row[k] = ^uint64(0)
+		}
+	}
+	m.words, m.stride, m.dead = words, stride, slices.Clone(m.dead)
+	return m
 }
 
 // kernelDist is Algorithm 3's distance for one kernel triple.

@@ -2,6 +2,7 @@ package bitset
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 )
@@ -27,11 +28,9 @@ import (
 // MinCardAndNotCount's (minCard, maxCard, diff) triple bit-for-bit (the fuzz
 // tests in fuzz_test.go hold it to that).
 //
-// Position p's word is words[p*stride]. A block built by Add owns its words
-// at stride 1. A segment stores its whole fingerprint matrix position-major —
-// row p holds every block's word for cell p — and views block k at stride
-// nBlocks, so the matrix sweep (sweep.go) streams a row's words for a run of
-// blocks at once.
+// A component stores its fingerprints as one position-major matrix (see
+// Matrix): row p holds every block's word for cell p, so the matrix sweep
+// (sweep.go) streams a row's words for a run of blocks at once.
 
 // MaxSlicedEntries is the widest block: entry j owns bit j of every word.
 const MaxSlicedEntries = 64
@@ -56,139 +55,149 @@ func kernelResult(ec, qc, inter int) KernelResult {
 	return KernelResult{MinCard: mc, MaxCard: max(ec, qc), Diff: mc - inter}
 }
 
-// SlicedBlock packs up to B ≤ 64 fingerprints of a common length bit-major:
-// bit j of words[p*stride] is cell p of entry j. The zero value is not
-// usable; construct through a SlicedArena or ViewSlicedMatrix.
-type SlicedBlock struct {
-	b       int      // block width B (entry capacity)
-	n       int      // entries used
-	nbits   int      // bits per entry
-	stride  int      // words between consecutive positions
-	words   []uint64 // position p's word at p*stride
-	cards   []uint32 // per-entry cached cardinality
-	minCard int      // min of cards; 0 when empty
+// Matrix is one component's fingerprints — a segment's or a memtable's — in
+// the position-major layout the matrix sweep reads: for n entries in
+// nBlocks = ⌈n/B⌉ blocks of width B it holds nbits rows of stride ≥ nBlocks
+// words, and bit j of words[p*stride + k] is cell p of entry k*B + j, so
+// entry i lives in block i/B, lane i%B. A segment's stride is its block
+// count; an arena's is its capacity, which doubles as it grows. Beside the
+// words it keeps each entry's cardinality, each block's smallest one and
+// the tombstoned lanes. The zero value holds no entries.
+type Matrix struct {
+	nbits  int
+	b      int      // block width B
+	stride int      // words per row
+	words  []uint64 // nbits rows of stride words
+	cards  []uint32 // per-entry cardinality; its length is the entry count
+	mins   []uint32 // per-block smallest cardinality
+	dead   []uint64 // per-block tombstoned lanes; nil until the first Kill
 }
 
-func newSlicedBlock(nbits, b int) *SlicedBlock {
-	if nbits < 0 || b <= 0 || b > MaxSlicedEntries {
-		panic(fmt.Sprintf("bitset: sliced block shape nbits=%d B=%d", nbits, b))
+func matrixBlocks(n, b int) int {
+	if b <= 0 || b > MaxSlicedEntries {
+		panic(fmt.Sprintf("bitset: sliced block width %d", b))
 	}
-	return &SlicedBlock{
-		b:      b,
-		nbits:  nbits,
-		stride: 1,
-		words:  make([]uint64, nbits),
-		cards:  make([]uint32, 0, b),
-	}
+	return (n + b - 1) / b
 }
 
-// Len returns the number of entries packed into the block.
-func (blk *SlicedBlock) Len() int { return blk.n }
-
-// Cap returns the block width B.
-func (blk *SlicedBlock) Cap() int { return blk.b }
-
-// Card returns the cached cardinality of entry j.
-func (blk *SlicedBlock) Card(j int) int { return int(blk.cards[j]) }
-
-// Add scatters one fingerprint into the next free slot and returns the slot
-// index. It panics when the block is full or the lengths mismatch. A block
-// viewed over a mapped matrix is read-only.
-func (blk *SlicedBlock) Add(s *Set) int {
-	if blk.n >= blk.b {
-		panic("bitset: sliced block full")
+// ViewMatrix wraps a position-major matrix of stride ⌈len(cards)/B⌉ —
+// typically a section of an mmap'd segment file — with the entries'
+// cardinalities, one per entry. Both slices are aliased, not copied, so the
+// sweep reads straight from the mapping; the view's own heap is each
+// block's smallest cardinality, one uint32 per block, until a Kill.
+func ViewMatrix(nbits, b int, words []uint64, cards []uint32) Matrix {
+	nb := matrixBlocks(len(cards), b)
+	if nbits < 0 || len(words) != nbits*nb {
+		panic(fmt.Sprintf("bitset: %d matrix words for %d bits × %d blocks", len(words), nbits, nb))
 	}
-	if s.n != blk.nbits {
-		panic(fmt.Sprintf("bitset: sliced length mismatch %d != %d", s.n, blk.nbits))
+	mins := make([]uint32, nb)
+	for k := range mins {
+		mins[k] = slices.Min(cards[k*b : min(k*b+b, len(cards))])
 	}
-	j := blk.n
-	bit := uint64(1) << j
-	for w, sw := range s.words {
-		for sw != 0 {
-			blk.words[(w<<6|bits.TrailingZeros64(sw))*blk.stride] |= bit
-			sw &= sw - 1
-		}
-	}
-	if j == 0 || s.card < blk.minCard {
-		blk.minCard = s.card
-	}
-	blk.cards = append(blk.cards, uint32(s.card))
-	blk.n++
-	return j
+	return Matrix{nbits: nbits, b: b, stride: nb, words: words, cards: cards, mins: mins}
 }
 
-// Entry materializes packed entry j as a dense Set, one strided load per
+// Len returns the number of entries, tombstoned ones included.
+func (m *Matrix) Len() int { return len(m.cards) }
+
+// NumBlocks returns the number of blocks (the last may be partial).
+func (m *Matrix) NumBlocks() int { return len(m.mins) }
+
+// BlockEntries returns the block width B.
+func (m *Matrix) BlockEntries() int { return m.b }
+
+// Block returns block i; entry j of that block is entry i*BlockEntries+j.
+func (m *Matrix) Block(i int) SlicedBlock {
+	if i < 0 || i >= len(m.mins) {
+		panic(fmt.Sprintf("bitset: sliced block %d out of range [0,%d)", i, len(m.mins)))
+	}
+	return SlicedBlock{m: m, k: i}
+}
+
+// Kill tombstones entry pos and reports whether it was live. The first Kill
+// allocates one word per block.
+func (m *Matrix) Kill(pos int) bool {
+	m.checkEntry(pos)
+	if m.dead == nil {
+		m.dead = make([]uint64, len(m.mins))
+	}
+	k, bit := pos/m.b, uint64(1)<<(pos%m.b)
+	if m.dead[k]&bit != 0 {
+		return false
+	}
+	m.dead[k] |= bit
+	return true
+}
+
+// Dead reports whether entry pos is tombstoned.
+func (m *Matrix) Dead(pos int) bool {
+	return m.dead != nil && m.dead[pos/m.b]>>(pos%m.b)&1 == 1
+}
+
+// Entry materializes entry pos as a dense Set, one strided load per
 // position. Bulk readers decode a whole matrix with DecodeSlicedMatrix.
-func (blk *SlicedBlock) Entry(j int) *Set {
-	if j < 0 || j >= blk.n {
-		panic(fmt.Sprintf("bitset: sliced entry %d out of range [0,%d)", j, blk.n))
-	}
-	s := New(blk.nbits)
-	for p := 0; p < blk.nbits; p++ {
-		s.words[p>>6] |= (blk.words[p*blk.stride] >> j & 1) << (p & 63)
+func (m *Matrix) Entry(pos int) *Set {
+	m.checkEntry(pos)
+	k, j := pos/m.b, pos%m.b
+	s := New(m.nbits)
+	for p := 0; p < m.nbits; p++ {
+		s.words[p>>6] |= (m.words[p*m.stride+k] >> j & 1) << (p & 63)
 	}
 	s.recount()
 	return s
 }
+
+// MinCardAndNotCountOne runs the fused kernel for entry pos alone — the
+// triple MinCardAndNotCount(entry, q) returns — with one single-bit load
+// per set cell of q. Candidate verification uses it: LSH candidates are few
+// and scattered, so sweeping a whole block for one entry would waste the
+// other lanes.
+func (m *Matrix) MinCardAndNotCountOne(q *Set, pos int) KernelResult {
+	m.checkQuery(q)
+	k, j := pos/m.b, pos%m.b
+	inter := 0
+	for w, qw := range q.words {
+		for qw != 0 {
+			inter += int(m.words[(w<<6|bits.TrailingZeros64(qw))*m.stride+k] >> j & 1)
+			qw &= qw - 1
+		}
+	}
+	return kernelResult(int(m.cards[pos]), q.card, inter)
+}
+
+func (m *Matrix) checkEntry(pos int) {
+	if pos < 0 || pos >= len(m.cards) {
+		panic(fmt.Sprintf("bitset: sliced entry %d out of range [0,%d)", pos, len(m.cards)))
+	}
+}
+
+func (m *Matrix) checkQuery(q *Set) {
+	if q.n != m.nbits {
+		panic(fmt.Sprintf("bitset: sliced query length %d != %d", q.n, m.nbits))
+	}
+}
+
+// SlicedBlock is block k of a matrix, for callers that verify block by
+// block; the matrix sweep reads the matrix whole.
+type SlicedBlock struct {
+	m *Matrix
+	k int
+}
+
+// Len returns the number of entries in the block.
+func (blk SlicedBlock) Len() int { return min(blk.m.b, len(blk.m.cards)-blk.k*blk.m.b) }
+
+// Cap returns the block width B.
+func (blk SlicedBlock) Cap() int { return blk.m.b }
+
+// Card returns the cached cardinality of the block's entry j.
+func (blk SlicedBlock) Card(j int) int { return int(blk.m.cards[blk.k*blk.m.b+j]) }
 
 // csa is a carry-save adder over 64 lanes: per lane, a + b + c equals
 // 2·carry + sum.
 func csa(a, b, c uint64) (carry, sum uint64) {
 	u := a ^ b
 	return a&b | u&c, u ^ c
-}
-
-// intersections counts, lane by lane, how many of the block's words at the
-// query's set cells have the lane's bit set — |e_j ∩ q| for entry j — into
-// bit-sliced planes: lane j's count is the sum over k of bit j of planes[k]
-// shifted left by k. The loaded words go through Harley–Seal carry-save steps
-// of eight into the weight-1, -2 and -4 planes, and each step's weight-8
-// carries ripple into the planes above. Counts are at most |q|, so only the
-// low bits.Len(|q|) planes are ever set.
-func (blk *SlicedBlock) intersections(q *Set, planes *[maxPlanes]uint64) {
-	words, stride := blk.words, blk.stride
-	var in [8]uint64
-	var ones, twos, fours, eights uint64
-	k := 0
-	for w, qw := range q.words {
-		for qw != 0 {
-			in[k] = words[(w<<6|bits.TrailingZeros64(qw))*stride]
-			qw &= qw - 1
-			if k++; k < len(in) {
-				continue
-			}
-			ones, twos, fours, eights = harleySeal(ones, twos, fours, &in)
-			carry8(planes, eights)
-			k = 0
-		}
-	}
-	if k > 0 {
-		clear(in[k:])
-		ones, twos, fours, eights = harleySeal(ones, twos, fours, &in)
-		carry8(planes, eights)
-	}
-	planes[0], planes[1], planes[2] = ones, twos, fours
-}
-
-// harleySeal adds eight words to the weight-1, -2 and -4 planes and returns
-// them with the weight-8 carries.
-func harleySeal(ones, twos, fours uint64, in *[8]uint64) (_, _, _, eights uint64) {
-	var twosA, twosB, foursA, foursB uint64
-	twosA, ones = csa(ones, in[0], in[1])
-	twosB, ones = csa(ones, in[2], in[3])
-	foursA, twos = csa(twos, twosA, twosB)
-	twosA, ones = csa(ones, in[4], in[5])
-	twosB, ones = csa(ones, in[6], in[7])
-	foursB, twos = csa(twos, twosA, twosB)
-	eights, fours = csa(fours, foursA, foursB)
-	return ones, twos, fours, eights
-}
-
-// carry8 adds weight-8 carries to the binary counter in planes[3:].
-func carry8(planes *[maxPlanes]uint64, eights uint64) {
-	for p := 3; eights != 0; p++ {
-		planes[p], eights = planes[p]^eights, planes[p]&eights
-	}
 }
 
 // transpose8 transposes the 8×8 bit matrix whose row i is byte i of x: bit
@@ -219,65 +228,28 @@ func transposeBytes(r *[8]uint64) {
 	}
 }
 
-// MinCardAndNotCounts runs the fused Algorithm 3 kernel for every packed
-// entry: dst[j] holds exactly what MinCardAndNotCount(entry_j, q) returns.
-// It loads one word per set cell of q and reads every lane's count out as
-// the matrix sweep does (sweep.go). dst is reused when it has capacity; the
+// MinCardAndNotCounts runs the fused Algorithm 3 kernel for every entry of
+// the block: dst[j] holds exactly what MinCardAndNotCount(entry_j, q)
+// returns. It streams the block's column as a one-block run of the matrix
+// sweep (sweep.go), with no bound. dst is reused when it has capacity; the
 // returned slice has length Len().
-func (blk *SlicedBlock) MinCardAndNotCounts(q *Set, dst []KernelResult) []KernelResult {
-	blk.checkQuery(q)
-	n := blk.n
+func (blk SlicedBlock) MinCardAndNotCounts(q *Set, dst []KernelResult) []KernelResult {
+	m := blk.m
+	m.checkQuery(q)
+	n := blk.Len()
 	if cap(dst) < n {
 		dst = make([]KernelResult, n)
 	}
 	dst = dst[:n]
-	var planes [maxPlanes]uint64
-	blk.intersections(q, &planes)
-	c := newCounter(planes[:], q.card, 1)
-	c.results(0, laneMask(n), blk.cards, dst)
+	var buf [maxPlanes]uint64
+	c := newCounter(buf[:], q.card, 1)
+	c.stream(q, m.words, m.stride, blk.k, math.MinInt)
+	c.results(0, laneMask(n), m.cards[blk.k*m.b:], dst)
 	return dst
 }
 
-// MinCardAndNotCountOne runs the fused kernel for the single packed entry j —
-// the triple MinCardAndNotCount(entry_j, q) returns — with one single-bit
-// load per set cell of q. Candidate verification uses it: LSH candidates are
-// few and scattered, so sweeping the whole block for one entry would waste
-// the other lanes.
-func (blk *SlicedBlock) MinCardAndNotCountOne(q *Set, j int) KernelResult {
-	blk.checkQuery(q)
-	if j < 0 || j >= blk.n {
-		panic(fmt.Sprintf("bitset: sliced entry %d out of range [0,%d)", j, blk.n))
-	}
-	inter := 0
-	for w, qw := range q.words {
-		for qw != 0 {
-			inter += int(blk.words[(w<<6|bits.TrailingZeros64(qw))*blk.stride] >> j & 1)
-			qw &= qw - 1
-		}
-	}
-	return kernelResult(int(blk.cards[j]), q.card, inter)
-}
-
-func (blk *SlicedBlock) checkQuery(q *Set) {
-	if q.n != blk.nbits {
-		panic(fmt.Sprintf("bitset: sliced query length %d != %d", q.n, blk.nbits))
-	}
-}
-
-// A sliced matrix is the position-major form of a sequence of blocks, the
-// layout segment files persist: for n entries in nBlocks = ⌈n/B⌉ blocks of
-// width B it holds nbits rows of nBlocks words, and bit j of
-// matrix[p*nBlocks + k] is cell p of entry k*B + j.
-
-func matrixBlocks(n, b int) int {
-	if b <= 0 || b > MaxSlicedEntries {
-		panic(fmt.Sprintf("bitset: sliced block width %d", b))
-	}
-	return (n + b - 1) / b
-}
-
 // PackSlicedMatrix lays sets — every one nbits long — out as a
-// position-major matrix of B-entry blocks.
+// position-major matrix of B-entry blocks, its stride the block count.
 func PackSlicedMatrix(nbits, b int, sets []*Set) []uint64 {
 	nb := matrixBlocks(len(sets), b)
 	matrix := make([]uint64, nbits*nb)
@@ -296,38 +268,10 @@ func PackSlicedMatrix(nbits, b int, sets []*Set) []uint64 {
 	return matrix
 }
 
-// ViewSlicedMatrix wraps a position-major matrix — typically a section of an
-// mmap'd segment file — as its blocks, block k at stride nBlocks. cards
-// holds the entries' cardinalities, one per entry, so len(cards) is the
-// entry count. Both slices are aliased, not copied: the blocks read straight
-// from the mapping. Block k's words start at matrix[k] and reach to the end
-// of the matrix, so the matrix sweep reads a run of blocks' rows through
-// the first block of the run.
-func ViewSlicedMatrix(nbits, b int, matrix []uint64, cards []uint32) []*SlicedBlock {
-	n := len(cards)
-	nb := matrixBlocks(n, b)
-	if nbits < 0 || len(matrix) != nbits*nb {
-		panic(fmt.Sprintf("bitset: %d matrix words for %d bits × %d blocks", len(matrix), nbits, nb))
-	}
-	backing := make([]SlicedBlock, nb)
-	blocks := make([]*SlicedBlock, nb)
-	for k := range blocks {
-		lo, hi := k*b, min(k*b+b, n)
-		var words []uint64
-		if nbits > 0 {
-			words = matrix[k : k+(nbits-1)*nb+1]
-		}
-		backing[k] = SlicedBlock{b: b, n: hi - lo, nbits: nbits, stride: nb, words: words, cards: cards[lo:hi:hi],
-			minCard: int(slices.Min(cards[lo:hi]))}
-		blocks[k] = &backing[k]
-	}
-	return blocks
-}
-
 // DecodeSlicedMatrix materializes all n entries of a position-major matrix
-// in one row-major pass: it assembles every entry's words, then wraps each
-// entry's run of them as a Set. Bits in lanes past the last entry are
-// ignored.
+// whose stride is its block count in one row-major pass: it assembles every
+// entry's words, then wraps each entry's run of them as a Set. Bits in lanes
+// past the last entry are ignored.
 func DecodeSlicedMatrix(nbits, b, n int, matrix []uint64) []*Set {
 	nb := matrixBlocks(n, b)
 	if nbits < 0 || len(matrix) != nbits*nb {
@@ -356,72 +300,74 @@ func DecodeSlicedMatrix(nbits, b, n int, matrix []uint64) []*Set {
 	return sets
 }
 
-// SlicedArena is an append-only sequence of SlicedBlocks holding
-// fingerprints in add order: global entry i lives in block i/B, slot i%B.
-// It is the sliced mirror of a fingerprint database's entry slice. Blocks
-// Add appends own their words at stride 1; PackSlicedArena lays a corpus
-// known up front out position-major, as a segment stores it.
+// SlicedArena is a growing Matrix holding fingerprints in add order — the
+// sliced mirror of a fingerprint database's entry slice, so a memtable
+// sweeps as one run, as a segment does. Add fills the last block's next
+// lane in place and, once every column is full, doubles the stride,
+// re-laying the rows out: a matrix holds at most twice its entries' words.
 type SlicedArena struct {
-	nbits  int
-	per    int // entries per block (B)
-	count  int
-	blocks []*SlicedBlock
+	Matrix
 }
 
 // NewSlicedArena returns an empty arena for nbits-bit fingerprints packed
 // blockEntries per block. It panics on a width outside [1, MaxSlicedEntries].
 func NewSlicedArena(nbits, blockEntries int) *SlicedArena {
-	if blockEntries <= 0 || blockEntries > MaxSlicedEntries {
-		panic(fmt.Sprintf("bitset: sliced block width %d", blockEntries))
-	}
-	return &SlicedArena{nbits: nbits, per: blockEntries}
+	matrixBlocks(0, blockEntries)
+	return &SlicedArena{Matrix{nbits: nbits, b: blockEntries}}
 }
 
-// PackSlicedArena returns an arena holding sets, every one nbits long, in
-// blocks viewed over one position-major matrix (PackSlicedMatrix), so a
-// corpus known up front sweeps like a segment. Later Adds fill the last
-// block in place, then append owned blocks.
+// PackSlicedArena returns an arena holding sets, every one nbits long, laid
+// out at once (PackSlicedMatrix) with no spare column, as a segment stores
+// them. Later Adds fill the last block in place, then double the matrix.
 func PackSlicedArena(nbits, blockEntries int, sets []*Set) *SlicedArena {
-	a := NewSlicedArena(nbits, blockEntries)
-	if len(sets) == 0 {
-		return a
-	}
 	cards := make([]uint32, len(sets))
 	for i, s := range sets {
 		cards[i] = uint32(s.card)
 	}
-	a.blocks = ViewSlicedMatrix(nbits, a.per, PackSlicedMatrix(nbits, a.per, sets), cards)
-	a.count = len(sets)
-	return a
+	return &SlicedArena{ViewMatrix(nbits, blockEntries, PackSlicedMatrix(nbits, blockEntries, sets), cards)}
 }
 
-// Len returns the number of fingerprints packed.
-func (a *SlicedArena) Len() int { return a.count }
-
-// BlockEntries returns the block width B.
-func (a *SlicedArena) BlockEntries() int { return a.per }
-
-// NumBlocks returns the number of blocks (the last may be partial).
-func (a *SlicedArena) NumBlocks() int { return len(a.blocks) }
-
-// Block returns block i; entry j of that block is global index i*BlockEntries+j.
-func (a *SlicedArena) Block(i int) *SlicedBlock { return a.blocks[i] }
-
-// Blocks returns the blocks in add order (shared, not copied) — the form
-// the identify engine sweeps.
-func (a *SlicedArena) Blocks() []*SlicedBlock { return a.blocks }
-
-// Add packs one fingerprint and returns its global index. The first Add
-// pins the arena's bit length when it was constructed with nbits 0.
+// Add packs one fingerprint into the next lane and returns its global
+// index. The first Add pins the arena's bit length when it was constructed
+// with nbits 0; later ones panic on a length mismatch.
 func (a *SlicedArena) Add(s *Set) int {
-	if a.count == 0 && a.nbits == 0 {
-		a.nbits = s.Len()
+	m := &a.Matrix
+	if len(m.cards) == 0 && m.nbits == 0 {
+		m.nbits = s.n
 	}
-	if len(a.blocks) == 0 || a.blocks[len(a.blocks)-1].n >= a.per {
-		a.blocks = append(a.blocks, newSlicedBlock(a.nbits, a.per))
+	if s.n != m.nbits {
+		panic(fmt.Sprintf("bitset: sliced length mismatch %d != %d", s.n, m.nbits))
 	}
-	a.blocks[len(a.blocks)-1].Add(s)
-	i := a.count
-	a.count++
+	i := len(m.cards)
+	k, j := i/m.b, i%m.b
+	if j == 0 {
+		if k == m.stride {
+			m.grow()
+		}
+		m.mins = append(m.mins, uint32(s.card))
+		if m.dead != nil {
+			m.dead = append(m.dead, 0)
+		}
+	}
+	m.mins[k] = min(m.mins[k], uint32(s.card))
+	bit := uint64(1) << j
+	for w, sw := range s.words {
+		for sw != 0 {
+			m.words[(w<<6|bits.TrailingZeros64(sw))*m.stride+k] |= bit
+			sw &= sw - 1
+		}
+	}
+	m.cards = append(m.cards, uint32(s.card))
 	return i
+}
+
+// grow doubles the matrix's stride (from one column when empty), copying
+// each row's words to the front of its wider row.
+func (m *Matrix) grow() {
+	stride := max(1, 2*m.stride)
+	words := make([]uint64, m.nbits*stride)
+	for p := 0; p < m.nbits; p++ {
+		copy(words[p*stride:], m.words[p*m.stride:(p+1)*m.stride])
+	}
+	m.words, m.stride = words, stride
 }

@@ -6,13 +6,11 @@ import (
 )
 
 // This file is the matrix sweep, the identify engine's one block kernel. A
-// run of blocks that view one position-major matrix — a segment's, or a
-// packed arena's — is cut into chunks of up to 64 blocks. The query's set
-// cells are taken eight at a time: the eight matrix rows they name are
-// streamed across the chunk, one word per row per block, and folded by a
-// Harley–Seal carry-save step into each block's bit-sliced count planes.
-// Lane j of a block's planes then counts |e_j ∩ q|. A block built by Add
-// owns its words at stride 1, so it is a run of one.
+// component's matrix (Matrix) is cut into chunks of up to 64 blocks. The
+// query's set cells are taken eight at a time: the eight matrix rows they
+// name are streamed across the chunk, one word per row per block, and
+// folded by a Harley–Seal carry-save step into each block's bit-sliced
+// count planes. Lane j of a block's planes then counts |e_j ∩ q|.
 //
 // A sweep carries a distance bound u: an entry at distance ≥ u cannot
 // change the caller's fold, so the sweep need not read it out. Algorithm 3's
@@ -24,7 +22,8 @@ import (
 // floor for every one of them. The sweep reads a block out — transposes its
 // planes and hands the caller the exact triples of the lanes that reach the
 // floor — only when a bit-sliced compare on the planes finds a live lane
-// whose count reaches T. It starts from the chunk's smallest MinCard and
+// whose count reaches T. It starts from the chunk's smallest MinCard — the
+// least of its blocks' smallest cardinalities, which the matrix keeps — and
 // raises T to the smallest MinCard among the lanes still reaching it, until
 // none drops out. After each eight-cell pass it also gives a chunk up once
 // no lane's count plus the cells still to come can reach the chunk's T: a
@@ -102,20 +101,20 @@ func newCounter(buf []uint64, qc, w int) counter {
 	return counter{planes: buf[:np*w], w: w, np: np, qc: qc}
 }
 
-// stream counts the query's set cells into the chunk whose first column
-// starts at m[0], stride words per row: eight cells a pass through a
+// stream counts the query's set cells into the chunk of columns k0 onward
+// of the matrix words, stride words per row: eight cells a pass through a
 // Harley–Seal step per column, and the last |q| mod 8 one at a time. It
 // gives the chunk up — returning false, with the counts incomplete — once,
 // after a pass, no lane can reach floor even if every cell still to come hit
 // it.
-func (c *counter) stream(q *Set, m []uint64, stride, floor int) bool {
+func (c *counter) stream(q *Set, words []uint64, stride, k0, floor int) bool {
 	w := c.w
 	clear(c.planes)
 	ones, twos, fours := c.planes[:w], c.planes[w:2*w], c.planes[2*w:3*w]
 	next := cellCursor{words: q.words, w: -1}
 	row := func() []uint64 {
-		off := next.cell() * stride
-		return m[off : off+w : off+w]
+		off := next.cell()*stride + k0
+		return words[off : off+w : off+w]
 	}
 	left := c.qc
 	for ; left >= 8; left -= 8 {
@@ -229,19 +228,9 @@ func (c *counter) results(b int, mask uint64, cards []uint32, dst []KernelResult
 	}
 }
 
-// continues reports whether blk is the column right after prev in one
-// position-major matrix — its words start one word past prev's — so the two
-// stream as one run. A view's words reach to the end of its matrix, which
-// is how a chunk's rows are read through its first block.
-func (blk *SlicedBlock) continues(prev *SlicedBlock) bool {
-	return blk.stride == prev.stride && len(blk.words) > 0 && cap(prev.words) > 1 &&
-		&blk.words[0] == &prev.words[:2][1]
-}
-
-// SweepMatrix sweeps blocks — one component's, every block B entries wide
-// but the last, so entry j of block k is position k·B + j — for the query q
-// under a moving distance bound. dead flags tombstoned positions (nil when
-// none is). fold sees, in position order, every live entry the sweep reads
+// SweepMatrix sweeps m — one component's entries, entry i at position i —
+// for the query q under a moving distance bound, skipping tombstoned
+// entries. fold sees, in position order, every live entry the sweep reads
 // out, with exactly the triple MinCardAndNotCount(entry, q) returns, and
 // returns the bound in force from then on. bound is the one in force before
 // the first fold.
@@ -254,42 +243,39 @@ func (blk *SlicedBlock) continues(prev *SlicedBlock) bool {
 // therefore ends where it would over every entry, as long as the bound it
 // returns never exceeds its best. read counts the blocks read out and
 // skipped the blocks not read out. SweepMatrix allocates nothing.
-func SweepMatrix(blocks []*SlicedBlock, dead []bool, q *Set, bound float64, fold func(pos int, r KernelResult) float64) (read, skipped int) {
+func SweepMatrix(m *Matrix, q *Set, bound float64, fold func(pos int, r KernelResult) float64) (read, skipped int) {
+	if m.Len() > 0 {
+		m.checkQuery(q)
+	}
 	qc := q.card
 	var buf [sweepPlaneWords]uint64
 	var rs [MaxSlicedEntries]KernelResult
 	maxW := min(MaxSlicedEntries, len(buf)/planeCount(qc))
-	for i := 0; i < len(blocks); {
-		head := blocks[i]
-		head.checkQuery(q)
-		w := 1
-		for w < maxW && i+w < len(blocks) && blocks[i+w].continues(blocks[i+w-1]) {
-			w++
-		}
-		run := blocks[i : i+w]
+	for k0 := 0; k0 < len(m.mins); k0 += maxW {
+		w := min(maxW, len(m.mins)-k0)
 		lo := qc // the chunk's smallest MinCard
-		for _, blk := range run {
-			lo = min(lo, blk.minCard)
+		for _, mc := range m.mins[k0 : k0+w] {
+			lo = min(lo, int(mc))
 		}
 		c := newCounter(buf[:], qc, w)
 		floor, floorBound := intersectionFloor(bound, lo), bound
-		if !c.stream(q, head.words[:cap(head.words)], head.stride, floor) {
+		if !c.stream(q, m.words, m.stride, k0, floor) {
 			skipped += w
-			i += w
 			continue
 		}
-		for b, blk := range run {
+		for b := range w {
 			if bound != floorBound { // the fold moved the bound
 				floor, floorBound = intersectionFloor(bound, lo), bound
 			}
-			base := (i + b) * head.b
+			base := (k0 + b) * m.b
+			cards := m.cards[base:min(base+m.b, len(m.cards))]
 			// The lanes reaching the chunk's floor, then the floor of the
 			// smallest MinCard among them, until no lane drops out.
-			mask := c.atLeast(b, floor) & laneMask(blk.n)
+			mask := c.atLeast(b, floor) & laneMask(len(cards))
 			for at := lo; mask != 0; {
 				l := qc
-				for m := mask; m != 0; m &= m - 1 {
-					l = min(l, int(blk.cards[bits.TrailingZeros64(m)]))
+				for x := mask; x != 0; x &= x - 1 {
+					l = min(l, int(cards[bits.TrailingZeros64(x)]))
 				}
 				if l <= at {
 					break
@@ -297,23 +283,20 @@ func SweepMatrix(blocks []*SlicedBlock, dead []bool, q *Set, bound float64, fold
 				at = l
 				mask &= c.atLeast(b, intersectionFloor(bound, l))
 			}
-			for m := mask; m != 0 && dead != nil; m &= m - 1 {
-				if j := bits.TrailingZeros64(m); dead[base+j] {
-					mask &^= 1 << j
-				}
+			if m.dead != nil {
+				mask &^= m.dead[k0+b]
 			}
 			if mask == 0 {
 				skipped++
 				continue
 			}
 			read++
-			c.results(b, mask, blk.cards, rs[:])
+			c.results(b, mask, cards, rs[:])
 			for ; mask != 0; mask &= mask - 1 {
 				j := bits.TrailingZeros64(mask)
 				bound = fold(base+j, rs[j])
 			}
 		}
-		i += w
 	}
 	return read, skipped
 }

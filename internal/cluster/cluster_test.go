@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -105,14 +106,17 @@ func enrollHTTP(t *testing.T, client *http.Client, url, session, name string, es
 	})
 	resp, err := client.Post(url+"/v1/enroll", "application/json", bytes.NewReader(body))
 	if err != nil {
+		t.Logf("enroll %s at %s: %v", name, url, err)
 		return server.EnrollState{}, 0
 	}
 	defer resp.Body.Close()
 	var st server.EnrollState
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatalf("decoding enroll ack: %v", err)
-		}
+	if resp.StatusCode != http.StatusOK {
+		// The refusal's body names its cause; a failing test prints it.
+		msg, _ := io.ReadAll(resp.Body)
+		t.Logf("enroll %s at %s: status %d: %s", name, url, resp.StatusCode, bytes.TrimSpace(msg))
+	} else if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatalf("decoding enroll ack: %v", err)
 	}
 	return st, resp.StatusCode
 }

@@ -393,6 +393,12 @@ func TestScatterFailoverWithinPartition(t *testing.T) {
 
 	client := &http.Client{Timeout: 10 * time.Second}
 	waitScatterReady(t, client, url)
+	// p0 runs with min-isr 1: its first enrollment waits for a follower ack,
+	// so enroll once the follower's first pull has reported in.
+	waitFor(t, 10*time.Second, "p0's tracker to list the follower", func() bool {
+		_, ok := p0.node.Tracker().Progress()[f0.id]
+		return ok
+	})
 	devs := append(devicesOwnedBy(pmap, 0, 2), devicesOwnedBy(pmap, 1, 1)...)
 	for _, i := range devs {
 		enrollDevice(t, client, url, i)

@@ -8,15 +8,15 @@ import (
 
 // This file is the identify engine every serving path runs — LSH
 // candidates verified by the single-slot block kernel, and the matrix sweep
-// (bitset.SweepMatrix) under a bound. SlicedDB (the memtable shards) and the
-// tiered store's mmap'd segments are both Components, so the two tiers share
-// one implementation of the sweep and its bound: Decision, one Decide across
-// every component of a node.
+// (bitset.SweepMatrix) under a bound. SlicedDB (the memtable) and the tiered
+// store's mmap'd segments are both Components, each one matrix, so the two
+// tiers share one implementation of the sweep and its bound: Decision, one
+// Decide across every component of a node.
 
-// Engine metrics: signatures computed (one per query, however many shards
-// and segments it visits, plus one per added entry), the blocks Decide
-// sweeps read out, and bounded Decide sweeps with the blocks they did not
-// read out.
+// Engine metrics: signatures computed (one per query, however many
+// components it visits, plus one per entry added to an indexed database),
+// the blocks Decide sweeps read out, and bounded Decide sweeps with the
+// blocks they did not read out.
 var (
 	cSignatures      = obs.C("fingerprint.signatures")
 	cBlocksRead      = obs.C("fingerprint.decide.blocks_read")
@@ -33,9 +33,9 @@ func sign(scheme minhash.Scheme, s *bitset.Set) minhash.Signature {
 }
 
 // Query is one error string on its way through the engine. Its MinHash
-// signature is computed on first use and shared by every shard and segment
-// indexed under the query's scheme, so one Decide signs the query once
-// however many components it visits. A Query is not safe for
+// signature is computed on first use and shared by the memtable and every
+// segment indexed under the query's scheme, so one Decide signs the query
+// once however many components it visits. A Query is not safe for
 // concurrent use.
 type Query struct {
 	Set    *bitset.Set
@@ -82,21 +82,17 @@ func kernelDistance(r bitset.KernelResult) float64 {
 }
 
 // slotDistance verifies one candidate: the fused kernel over entry i's
-// column of its block only, since candidates are few and scattered.
-func slotDistance(blocks []*bitset.SlicedBlock, q *bitset.Set, i int) float64 {
-	per := blocks[0].Cap()
-	return kernelDistance(blocks[i/per].MinCardAndNotCountOne(q, i%per))
+// lane of its block only, since candidates are few and scattered.
+func slotDistance(m *bitset.Matrix, q *bitset.Set, i int) float64 {
+	return kernelDistance(m.MinCardAndNotCountOne(q, i))
 }
 
-func live(dead []bool, i int) bool { return dead == nil || !dead[i] }
-
-// Component is one independently indexed part of a node's corpus — a
-// memtable shard or a tiered segment — as the engine reads it. Positions
-// number its entries in add order: position p lives in block p/B, slot p%B.
+// Component is one independently indexed part of a node's corpus — the
+// memtable or a tiered segment — as the engine reads it: one position-major
+// matrix whose positions number its entries in add order.
 type Component interface {
-	// Blocks returns the component's sliced blocks and its tombstone mask,
-	// indexed by position (nil when no entry is dead).
-	Blocks() (blocks []*bitset.SlicedBlock, dead []bool)
+	// Matrix returns the component's entries, tombstones included.
+	Matrix() *bitset.Matrix
 	// Entry resolves a position to the entry's name and add-order id.
 	Entry(pos int) (name string, id int)
 }
@@ -116,13 +112,13 @@ type Component interface {
 // best. A bounded sweep's Index and Distance are exact whenever it finds a
 // match, which is all the node's verdict needs: the known match beats
 // anything at or above the threshold.
-func sweep(blocks []*bitset.SlicedBlock, dead []bool, q *bitset.Set, threshold float64, bounded bool) (v Verdict, read, skipped int) {
+func sweep(m *bitset.Matrix, q *bitset.Set, threshold float64, bounded bool) (v Verdict, read, skipped int) {
 	v = Verdict{Index: -1, Distance: 2}
 	u0 := v.Distance // above any distance: no bound but the best so far
 	if bounded {
 		u0 = threshold
 	}
-	read, skipped = bitset.SweepMatrix(blocks, dead, q, max(u0, threshold), func(i int, r bitset.KernelResult) float64 {
+	read, skipped = bitset.SweepMatrix(m, q, max(u0, threshold), func(i int, r bitset.KernelResult) float64 {
 		v.observe(i, kernelDistance(r), threshold)
 		return max(min(u0, v.Distance), threshold)
 	})
@@ -140,8 +136,8 @@ type SweepStats struct {
 }
 
 // Decision is one Decide across every component of a node — its memtable
-// shards and tiered segments — in two phases. Add runs a component's
-// candidate stage; Verdict then sweeps every component.
+// and tiered segments — in two phases. Add runs a component's candidate
+// stage; Verdict then sweeps every component.
 //
 // Once any entry under the threshold is known — a candidate that verified
 // under it, or a match an earlier sweep found — no entry at or above the
@@ -178,8 +174,8 @@ func NewDecision(q *Query, threshold float64) *Decision {
 }
 
 // Armed reports whether the threshold bound is set — a candidate verified
-// under it, or a dense shard's match folded in — so Add would verify no more
-// candidates: callers pass nil and skip the lookup.
+// under it, or a dense database's match folded in — so Add would verify no
+// more candidates: callers pass nil and skip the lookup.
 func (d *Decision) Armed() bool { return d.armed || d.v.Matches > 0 }
 
 // Add is phase 1 for component c: until the bound is armed its LSH
@@ -189,15 +185,15 @@ func (d *Decision) Armed() bool { return d.armed || d.v.Matches > 0 }
 // did. An empty component has nothing to add. c must not change until
 // Verdict returns.
 func (d *Decision) Add(c Component, cands []int, st *SweepStats) {
-	blocks, dead := c.Blocks()
-	if len(blocks) == 0 {
+	m := c.Matrix()
+	if m.Len() == 0 {
 		return
 	}
 	for _, i := range cands {
 		if d.Armed() {
 			break
 		}
-		d.armed = live(dead, i) && slotDistance(blocks, d.q.Set, i) < d.threshold
+		d.armed = !m.Dead(i) && slotDistance(m, d.q.Set, i) < d.threshold
 	}
 	d.parts = append(d.parts, part{c: c, st: st})
 }
@@ -208,9 +204,8 @@ func (d *Decision) Add(c Component, cands []int, st *SweepStats) {
 // answer folded in; the node's verdict is returned.
 func (d *Decision) Verdict() Verdict {
 	for _, p := range d.parts {
-		blocks, dead := p.c.Blocks()
 		bounded := d.Armed()
-		v, read, skipped := sweep(blocks, dead, d.q.Set, d.threshold, bounded)
+		v, read, skipped := sweep(p.c.Matrix(), d.q.Set, d.threshold, bounded)
 		if obs.On() {
 			cBlocksRead.Add(int64(read))
 			if bounded {

@@ -211,15 +211,6 @@ func (db *DB) Len() int { return len(db.entries) - db.deadCount }
 // alive reports whether entry i is not tombstoned.
 func (db *DB) alive(i int) bool { return db.deadCount == 0 || !db.dead[i] }
 
-// deadMask returns the tombstone flags in the form the identify engine
-// takes: nil when no entry is dead.
-func (db *DB) deadMask() []bool {
-	if db.deadCount == 0 {
-		return nil
-	}
-	return db.dead
-}
-
 // BitLen returns the fingerprint length (bits) every entry shares, 0 for an
 // empty database, or an error naming two lengths that differ: Distance is
 // only defined over equal-length sets, so a mixed database cannot serve.

@@ -70,7 +70,7 @@ func TestParallelDecideMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := ShardDB(db, ShardedConfig{Shards: 3})
+	sh, err := ShardDB(db, ShardedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func reenrolled(src *prng.Source, n int) (fps, queries []*bitset.Set) {
 
 // TestShardedDecideReenrollment: on the re-enrollment corpus ShardedDB's
 // Decide equals the dense scan field for field, Matches included. It holds 4000 devices, 800 under the
-// race detector; an engine whose matching candidates settle their shard
+// race detector; an engine whose matching candidates settle their component
 // undercounts Matches at either size.
 func TestShardedDecideReenrollment(t *testing.T) {
 	devices := 4000

@@ -11,94 +11,74 @@ import (
 	"probablecause/internal/bitset"
 	"probablecause/internal/minhash"
 	"probablecause/internal/obs"
-	"probablecause/internal/prng"
 )
 
-// Sharded-DB metrics: mutation volume and the per-shard balance the
-// signature hashing is supposed to deliver.
+// Sharded-DB metrics: mutation volume.
 var (
 	cShardAdds    = obs.C("fingerprint.sharded.adds")
 	cShardRemoves = obs.C("fingerprint.sharded.removes")
 )
 
-// DefaultShards is the shard count a zero ShardedConfig selects: enough that
-// per-shard write locks stop serializing a multi-core serving workload,
-// small enough that the per-query fan-out over shards stays negligible next
-// to one Distance call.
-const DefaultShards = 8
-
 // ShardedConfig parameterizes a ShardedDB.
 type ShardedConfig struct {
-	// Shards is the number of shards; 0 selects DefaultShards.
-	Shards int
-	// Index configures the per-shard LSH candidate stage (scheme, build
-	// workers). The zero value selects minhash.DefaultScheme.
+	// Index configures the LSH candidate stage (scheme, build workers). The
+	// zero value selects minhash.DefaultScheme.
 	Index IndexedConfig
-	// Plain selects the dense reference: every shard answers by DB's dense
-	// scan, with no candidate stage, no sliced blocks and no bound — the
+	// Plain selects the dense reference: the database answers by DB's dense
+	// scan, with no candidate stage, no sliced matrix and no bound — the
 	// oracle the tests and perfbench's oracle gate hold the serving engine
-	// to. Otherwise every shard runs the sliced engine (SlicedDB), whose
-	// verdicts equal it field for field.
+	// to. Otherwise it runs the sliced engine (SlicedDB), whose verdicts
+	// equal it field for field.
 	Plain bool
-	// RebuildMinDead is the per-shard tombstone count at which Remove
-	// physically compacts the shard (drops dead entries and rebuilds the LSH
-	// index and sliced arena). Below it, Remove only tombstones — O(1) instead
-	// of O(shard size) — and lookups skip the dead entries. 0 selects
-	// DefaultRebuildMinDead; 1 restores the eager rebuild-per-Remove behavior.
+	// RebuildMinDead is the tombstone count at which Remove physically
+	// compacts the database (drops dead entries and rebuilds the LSH index
+	// and sliced matrix). Below it, Remove only tombstones — O(1) instead of
+	// O(size) — and lookups skip the dead entries. 0 selects
+	// DefaultRebuildMinDead; 1 restores the eager rebuild-per-Remove
+	// behavior.
 	RebuildMinDead int
 }
 
 // DefaultRebuildMinDead is the tombstone threshold a zero RebuildMinDead
-// selects: large enough that bursty churn amortizes the O(shard) rebuild over
-// many Removes, small enough that dead entries never dominate a shard's scan
-// or memory footprint.
+// selects: large enough that bursty churn amortizes the O(size) rebuild over
+// many Removes, small enough that dead entries never dominate the scan or
+// the memory footprint.
 const DefaultRebuildMinDead = 64
 
-// ShardedDB distributes a fingerprint database over N shards, each an
-// independently locked SlicedDB (a dense DB when Plain), so concurrent adds
-// and lookups scale across cores: queries take per-shard read locks and
-// mutations write-lock only the one shard owning the entry. Entries are
-// assigned to shards by a hash folded over the MinHash signature's band
-// keys — the same signature the per-shard LSH index stores, computed once
-// per Add.
+// ShardedDB is the in-memory database a service serves (store.Memory) and a
+// tiered store's memtable: one SlicedDB (a dense DB when Plain) under one
+// read-write lock, plus what the serving layer needs around it — stable
+// add-order ids, tombstoning Removes with deferred compaction, explicit ids
+// for oracle construction, and a generation counter. Decides share the read
+// lock; a mutation takes the write lock, so it waits for the Decides in
+// flight.
 //
 // Determinism contract: a ShardedDB built by any interleaving of the same
 // Add sequence answers Decide field for field — Name, Index, Distance and
 // Matches — as the dense DB built from that sequence, with Verdict.Index
 // reported as the entry's add-order id (stable across Removes, equal to the
-// DB slice index when nothing was removed). Cross-shard combination is by
-// (distance, id) lexicographic minimum, which reproduces the dense scan's
-// first-strictly-better / first-on-tie behavior. Each query is signed once
-// and the signature shared by every shard, and Decide is one node-wide
-// Decision over the shards.
+// DB slice index when nothing was removed). Each query is signed once, and
+// Decide is one node-wide Decision over the database's one component.
 type ShardedDB struct {
 	threshold float64
 	cfg       ShardedConfig
 	scheme    minhash.Scheme
-	shards    []*dbShard
 
-	mu       sync.Mutex       // serializes mutations and the name bookkeeping
-	names    map[string][]int // name → owning shard of each live entry, in add order
-	nextID   int
-	count    atomic.Int64
+	mu     sync.RWMutex // guards db, sx, ids and nextID
+	db     *DB
+	sx     *SlicedDB // nil when Plain
+	ids    []int     // add-order id of each db entry
+	nextID int
+
 	gen      atomic.Int64
-	rebuilds atomic.Int64 // physical shard compactions triggered by Remove
+	rebuilds atomic.Int64 // physical compactions triggered by Remove
 }
 
-// dbShard is one shard: a plain DB, the sliced engine over it, and the
-// local-index → add-order-id mapping.
-type dbShard struct {
-	mu  sync.RWMutex
-	db  *DB
-	sx  *SlicedDB // nil when ShardedConfig.Plain
-	ids []int
-}
-
-// build constructs the shard's sliced engine over its DB, used at
-// construction and after a Remove rebuild.
-func (sh *dbShard) build(cfg ShardedConfig) (err error) {
-	if !cfg.Plain {
-		sh.sx, err = SliceDB(sh.db, cfg.Index)
+// build constructs the sliced engine over s.db, used at construction and
+// after a Remove rebuild.
+func (s *ShardedDB) build() (err error) {
+	if !s.cfg.Plain {
+		s.sx, err = SliceDB(s.db, s.cfg.Index)
 	}
 	return err
 }
@@ -106,12 +86,6 @@ func (sh *dbShard) build(cfg ShardedConfig) (err error) {
 // NewShardedDB returns an empty sharded database using the given
 // identification threshold.
 func NewShardedDB(threshold float64, cfg ShardedConfig) (*ShardedDB, error) {
-	if cfg.Shards == 0 {
-		cfg.Shards = DefaultShards
-	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("fingerprint: shard count %d", cfg.Shards)
-	}
 	if cfg.Index.Scheme == (minhash.Scheme{}) {
 		cfg.Index.Scheme = minhash.DefaultScheme
 	}
@@ -124,19 +98,9 @@ func NewShardedDB(threshold float64, cfg ShardedConfig) (*ShardedDB, error) {
 	if cfg.RebuildMinDead < 0 {
 		return nil, fmt.Errorf("fingerprint: rebuild threshold %d", cfg.RebuildMinDead)
 	}
-	s := &ShardedDB{
-		threshold: threshold,
-		cfg:       cfg,
-		scheme:    cfg.Index.Scheme,
-		shards:    make([]*dbShard, cfg.Shards),
-		names:     make(map[string][]int),
-	}
-	for i := range s.shards {
-		sh := &dbShard{db: NewDB(threshold)}
-		if err := sh.build(cfg); err != nil {
-			return nil, err
-		}
-		s.shards[i] = sh
+	s := &ShardedDB{threshold: threshold, cfg: cfg, scheme: cfg.Index.Scheme, db: NewDB(threshold)}
+	if err := s.build(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -160,23 +124,18 @@ func (s *ShardedDB) Threshold() float64 { return s.threshold }
 // Threshold returns the identification threshold.
 func (db *DB) Threshold() float64 { return db.threshold }
 
-// Len returns the number of fingerprints across all shards.
-func (s *ShardedDB) Len() int { return int(s.count.Load()) }
+// Len returns the number of live fingerprints.
+func (s *ShardedDB) Len() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.db.Len()
+}
 
 // Generation counts mutations (Adds and Removes). Result caches key their
 // entries to the generation observed before the lookup and drop writes from
 // a stale generation, so a mutation can never resurrect a pre-mutation
 // verdict.
 func (s *ShardedDB) Generation() int64 { return s.gen.Load() }
-
-// shardFor folds the signature's band keys into a shard assignment.
-func (s *ShardedDB) shardFor(sig minhash.Signature) int {
-	h := uint64(0x5113A6DE)
-	for _, k := range s.scheme.BandKeys(sig) {
-		h = prng.Mix64(h ^ k)
-	}
-	return int(h % uint64(len(s.shards)))
-}
 
 // Add registers a fingerprint under a name and returns the entry's
 // stable add-order id (the id Verdict.Index reports). Duplicate names are
@@ -198,9 +157,12 @@ func (s *ShardedDB) AddWithID(id int, name string, fp *bitset.Set) {
 }
 
 // add registers fp under id, or under the next add-order id when id < 0.
+// The signature is computed before the lock is taken.
 func (s *ShardedDB) add(id int, name string, fp *bitset.Set) int {
-	sig := sign(s.scheme, fp)
-	si := s.shardFor(sig)
+	var sig minhash.Signature
+	if !s.cfg.Plain {
+		sig = sign(s.scheme, fp)
+	}
 	s.mu.Lock()
 	if id < 0 {
 		id = s.nextID
@@ -208,17 +170,12 @@ func (s *ShardedDB) add(id int, name string, fp *bitset.Set) int {
 	if id >= s.nextID {
 		s.nextID = id + 1
 	}
-	s.names[name] = append(s.names[name], si)
-	sh := s.shards[si]
-	sh.mu.Lock()
-	if sh.sx != nil {
-		sh.sx.add(name, fp, sig)
+	if s.sx != nil {
+		s.sx.add(name, fp, sig)
 	} else {
-		sh.db.Add(name, fp)
+		s.db.Add(name, fp)
 	}
-	sh.ids = append(sh.ids, id)
-	sh.mu.Unlock()
-	s.count.Add(1)
+	s.ids = append(s.ids, id)
 	s.gen.Add(1)
 	s.mu.Unlock()
 	if obs.On() {
@@ -229,49 +186,33 @@ func (s *ShardedDB) add(id int, name string, fp *bitset.Set) int {
 
 // Get returns the fingerprint stored under name, or ok=false.
 func (s *ShardedDB) Get(name string) (*bitset.Set, bool) {
-	s.mu.Lock()
-	lst := s.names[name]
-	if len(lst) == 0 {
-		s.mu.Unlock()
-		return nil, false
-	}
-	sh := s.shards[lst[0]]
-	s.mu.Unlock()
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.db.Get(name)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.db.Get(name)
 }
 
 // Remove deletes the earliest-added live entry under name and reports
 // whether one existed. The entry is tombstoned — O(1), verdicts exclude it
-// immediately — and the owning shard is physically compacted (dead entries
-// dropped, LSH index and sliced arena rebuilt) only once its tombstone count
-// reaches ShardedConfig.RebuildMinDead, so removal churn no longer pays an
-// O(shard size) rebuild per call. Only the owning shard is ever write-locked;
-// the other shards keep serving.
+// immediately — and the database is physically compacted (dead entries
+// dropped, LSH index and sliced matrix rebuilt) only once its tombstone
+// count reaches ShardedConfig.RebuildMinDead, so removal churn does not pay
+// an O(size) rebuild per call.
 func (s *ShardedDB) Remove(name string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	lst := s.names[name]
-	if len(lst) == 0 {
+	i, ok := s.db.byName[name]
+	if !ok {
 		return false
 	}
-	si := lst[0]
-	if len(lst) == 1 {
-		delete(s.names, name)
+	if s.sx != nil {
+		s.sx.kill(i)
 	} else {
-		s.names[name] = lst[1:]
+		s.db.kill(i)
 	}
-	sh := s.shards[si]
-	sh.mu.Lock()
-	local := sh.db.byName[name]
-	sh.db.kill(local)
-	if sh.db.deadCount >= s.cfg.RebuildMinDead {
-		sh.compact(s.cfg, s.threshold)
+	if s.db.deadCount >= s.cfg.RebuildMinDead {
+		s.compact()
 		s.rebuilds.Add(1)
 	}
-	sh.mu.Unlock()
-	s.count.Add(-1)
 	s.gen.Add(1)
 	if obs.On() {
 		cShardRemoves.Inc()
@@ -279,51 +220,51 @@ func (s *ShardedDB) Remove(name string) bool {
 	return true
 }
 
-// compact drops the shard's tombstoned entries: live entries move to a fresh
-// DB in local order, the add-order id mapping is remapped alongside, and the
-// LSH index and sliced arena are rebuilt over the survivors (O(shard size),
-// amortized over RebuildMinDead tombstone-only Removes). Caller holds sh.mu.
-func (sh *dbShard) compact(cfg ShardedConfig, threshold float64) {
-	ndb := NewDB(threshold)
-	nids := make([]int, 0, len(sh.ids)-sh.db.deadCount)
-	for i, e := range sh.db.entries {
-		if !sh.db.alive(i) {
+// compact drops the tombstoned entries: live entries move to a fresh DB in
+// order, the add-order id mapping is remapped alongside, and the LSH index
+// and sliced matrix are rebuilt over the survivors (O(size), amortized over
+// RebuildMinDead tombstone-only Removes). Caller holds s.mu.
+func (s *ShardedDB) compact() {
+	ndb := NewDB(s.threshold)
+	nids := make([]int, 0, len(s.ids)-s.db.deadCount)
+	for i, e := range s.db.entries {
+		if !s.db.alive(i) {
 			continue
 		}
 		ndb.Add(e.Name, e.FP)
-		nids = append(nids, sh.ids[i])
+		nids = append(nids, s.ids[i])
 	}
-	sh.db, sh.ids, sh.sx = ndb, nids, nil
+	s.db, s.ids, s.sx = ndb, nids, nil
 	// The scheme was validated at construction, so the build cannot fail here.
-	if err := sh.build(cfg); err != nil {
+	if err := s.build(); err != nil {
 		panic("fingerprint: sharded index rebuild: " + err.Error())
 	}
 }
 
-// Rebuilds returns the number of physical shard compactions Remove has
-// triggered — the regression hook proving tombstoning defers the O(shard)
+// Rebuilds returns the number of physical compactions Remove has
+// triggered — the regression hook proving tombstoning defers the O(size)
 // rebuild until RebuildMinDead removals accumulate.
 func (s *ShardedDB) Rebuilds() int64 { return s.rebuilds.Load() }
 
-// shardPart is a sliced shard as a Decision component: positions resolve to
-// the shard's add-order ids, offset by base (the first global id of a tiered
-// store's memtable; 0 otherwise).
-type shardPart struct {
-	sh   *dbShard
+// memPart is the sliced database as a Decision component: positions resolve
+// to add-order ids, offset by base (the first global id of a tiered store's
+// memtable; 0 otherwise).
+type memPart struct {
+	s    *ShardedDB
 	base int
 }
 
-func (p shardPart) Blocks() ([]*bitset.SlicedBlock, []bool) { return p.sh.sx.Blocks() }
+func (p memPart) Matrix() *bitset.Matrix { return p.s.sx.Matrix() }
 
-func (p shardPart) Entry(pos int) (string, int) {
-	return p.sh.db.entries[pos].Name, p.base + p.sh.ids[pos]
+func (p memPart) Entry(pos int) (string, int) {
+	return p.s.db.entries[pos].Name, p.base + p.s.ids[pos]
 }
 
 // MergeVerdict folds one component's answer into the running cross-component
 // verdict: match counts accumulate and the (distance, id)-lexicographic
-// minimum wins — the single combination rule the sharded fan-out and the
-// tiered storage engine's memtable+segment combine share, so neither tracing
-// nor flush timing can ever change an answer.
+// minimum wins — the single combination rule of every Decision across a
+// tiered store's memtable and segments, so neither tracing nor flush timing
+// can ever change an answer.
 func MergeVerdict(v *Verdict, sv Verdict) {
 	v.Matches += sv.Matches
 	if sv.Index < 0 {
@@ -334,19 +275,17 @@ func MergeVerdict(v *Verdict, sv Verdict) {
 	}
 }
 
-// Decide runs the full identification decision across all shards: the
-// (distance, id)-lexicographic best entry and the total sub-threshold match
-// count.
+// Decide runs the full identification decision: the (distance,
+// id)-lexicographic best entry and the sub-threshold match count.
 func (s *ShardedDB) Decide(errorString *bitset.Set) Verdict {
 	return s.DecideCtx(context.Background(), errorString)
 }
 
 // DecideCtx is Decide with request-scoped tracing: when ctx carries a
-// request span (obs.StartRequest), the decision records one shard.identify
-// child span per shard around its candidate stage and a decide span around
-// the cross-shard phase — every shard's sweep, bounded once a match is
-// known, and the combine. The verdict is identical to Decide's — spans
-// observe the scan, they never reorder it.
+// request span (obs.StartRequest), the decision records a shard.identify
+// child span around the candidate stage and a decide span around the
+// sweep. The verdict is identical to Decide's — spans observe the scan,
+// they never reorder it.
 func (s *ShardedDB) DecideCtx(ctx context.Context, errorString *bitset.Set) Verdict {
 	v := s.decide(obs.SpanFrom(ctx), NewQuery(errorString, s.scheme))
 	recordVerdict(v)
@@ -358,45 +297,35 @@ func (s *ShardedDB) DecideRaw(errorString *bitset.Set) Verdict {
 	return s.decide(nil, NewQuery(errorString, s.scheme))
 }
 
-// AddTo runs phase 1 of the node-wide decision d over every shard, with
-// verdict ids offset by base — the tiered store joins its memtable's shards
-// to its segments' decision this way — recording one shard.identify span per
-// shard under span (nil when untraced). A dense (Plain) shard answers
-// exactly on the spot. The shards are read-locked in shard order and stay
-// locked — so each shard's candidate stage and sweep read one state — until
-// release is called, after d.Verdict.
+// AddTo runs phase 1 of the node-wide decision d over the database, with
+// verdict ids offset by base — the tiered store joins its memtable to its
+// segments' decision this way — recording a shard.identify span under span
+// (nil when untraced). A dense (Plain) database answers exactly on the
+// spot. The database is read-locked — so its candidate stage and sweep read
+// one state — until release is called, after d.Verdict.
 func (s *ShardedDB) AddTo(d *Decision, base int, span *obs.RSpan) (release func()) {
-	for i, sh := range s.shards {
-		sp := span.Child("shard.identify")
-		sp.SetAttr("shard", i)
-		sh.mu.RLock()
-		if sh.sx != nil {
-			var cands []int
-			if !d.Armed() {
-				cands = sh.sx.candidates(d.q)
-			}
-			d.Add(shardPart{sh: sh, base: base}, cands, nil)
-		} else {
-			v := sh.db.decideRaw(d.q.Set)
-			if v.Index >= 0 {
-				v.Index = base + sh.ids[v.Index]
-			}
-			MergeVerdict(&d.v, v)
+	sp := span.Child("shard.identify")
+	s.mu.RLock()
+	if s.sx != nil {
+		var cands []int
+		if !d.Armed() {
+			cands = s.sx.candidates(d.q)
 		}
-		sp.End()
+		d.Add(memPart{s: s, base: base}, cands, nil)
+	} else {
+		v := s.db.decideRaw(d.q.Set)
+		if v.Index >= 0 {
+			v.Index = base + s.ids[v.Index]
+		}
+		MergeVerdict(&d.v, v)
 	}
-	return s.runlockShards
+	sp.End()
+	return s.mu.RUnlock
 }
 
-func (s *ShardedDB) runlockShards() {
-	for _, sh := range s.shards {
-		sh.mu.RUnlock()
-	}
-}
-
-// decide is the node-wide decision over the shards: their candidate stages
-// (one shard.identify span each under span, which may be nil), then a decide
-// span over the shards' sweeps and the fold.
+// decide is the node-wide decision over the database: its candidate stage
+// (a shard.identify span under span, which may be nil), then a decide span
+// over the sweep and the fold.
 func (s *ShardedDB) decide(span *obs.RSpan, q *Query) Verdict {
 	d := NewDecision(q, s.threshold)
 	release := s.AddTo(d, 0, span)
@@ -407,23 +336,18 @@ func (s *ShardedDB) decide(span *obs.RSpan, q *Query) Verdict {
 	return v
 }
 
-// ShardStats summarizes the sharded database for the /v1/db endpoint.
+// ShardStats summarizes the database for the /v1/db endpoint. PerShard has
+// one element, the live count.
 type ShardStats struct {
 	Entries  int   `json:"entries"`
 	PerShard []int `json:"per_shard"`
 	Indexed  bool  `json:"indexed"`
 }
 
-// Stats returns the entry distribution across shards.
+// Stats returns the live count.
 func (s *ShardedDB) Stats() ShardStats {
-	st := ShardStats{PerShard: make([]int, len(s.shards)), Indexed: !s.cfg.Plain}
-	for i, sh := range s.shards {
-		sh.mu.RLock()
-		st.PerShard[i] = sh.db.Len()
-		st.Entries += sh.db.Len()
-		sh.mu.RUnlock()
-	}
-	return st
+	n := s.Len()
+	return ShardStats{Entries: n, PerShard: []int{n}, Indexed: !s.cfg.Plain}
 }
 
 // Export reassembles a plain DB holding the live entries in add order —
@@ -449,23 +373,18 @@ type IDEntry struct {
 // ExportIDs returns the live entries sorted by add-order id. Fingerprints are
 // shared, not copied; mutations are blocked for the duration.
 func (s *ShardedDB) ExportIDs() []IDEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.exportLocked()
 }
 
 // exportLocked is ExportIDs with s.mu held.
 func (s *ShardedDB) exportLocked() []IDEntry {
-	all := make([]IDEntry, 0, s.count.Load())
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for i, e := range sh.db.entries {
-			if !sh.db.alive(i) {
-				continue
-			}
-			all = append(all, IDEntry{ID: sh.ids[i], Name: e.Name, FP: e.FP})
+	all := make([]IDEntry, 0, s.db.Len())
+	for i, e := range s.db.entries {
+		if s.db.alive(i) {
+			all = append(all, IDEntry{ID: s.ids[i], Name: e.Name, FP: e.FP})
 		}
-		sh.mu.RUnlock()
 	}
 	slices.SortFunc(all, func(a, b IDEntry) int { return cmp.Compare(a.ID, b.ID) })
 	return all
@@ -479,44 +398,38 @@ type KeyPos struct {
 	Pos uint32
 }
 
-// ExportKeyed is ExportIDs plus the LSH keys the shards' indexes already
-// hold for the exported entries: one pair per key a live entry is indexed
-// under, its Pos the entry's position in entries. The pairs come from a
-// read-only walk of the index buckets that skips tombstoned refs, so no
-// entry is signed again; they are in no particular order. A Plain database
-// has no index, so its pairs are nil. Mutations are blocked for the
-// duration.
+// ExportKeyed is ExportIDs plus the LSH keys the index already holds for
+// the exported entries: one pair per key a live entry is indexed under, its
+// Pos the entry's position in entries. The pairs come from a read-only walk
+// of the index buckets that skips tombstoned refs, so no entry is signed
+// again; they are in no particular order. A Plain database has no index, so
+// its pairs are nil. Mutations are blocked for the duration.
 func (s *ShardedDB) ExportKeyed() (entries []IDEntry, pairs []KeyPos) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	entries = s.exportLocked()
 	if s.cfg.Plain {
 		return entries, nil
 	}
-	pairs = make([]KeyPos, 0, len(entries)*s.scheme.Bands)
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		// pos maps a shard-local index to its position in entries (ids are
-		// unique, so a binary search finds it); -1 marks a tombstone.
-		pos := make([]int, len(sh.db.entries))
-		for i := range pos {
-			pos[i] = -1
-			if sh.db.alive(i) {
-				pos[i], _ = slices.BinarySearchFunc(entries, sh.ids[i], func(e IDEntry, id int) int { return cmp.Compare(e.ID, id) })
-			}
+	// pos maps a local index to its position in entries (ids are unique, so
+	// a binary search finds it); -1 marks a tombstone.
+	pos := make([]int, len(s.db.entries))
+	for i := range pos {
+		pos[i] = -1
+		if s.db.alive(i) {
+			pos[i], _ = slices.BinarySearchFunc(entries, s.ids[i], func(e IDEntry, id int) int { return cmp.Compare(e.ID, id) })
 		}
-		sh.sx.index.Each(func(key uint64, local int) {
-			if p := pos[local]; p >= 0 {
-				pairs = append(pairs, KeyPos{Key: key, Pos: uint32(p)})
-			}
-		})
-		sh.mu.RUnlock()
 	}
+	pairs = make([]KeyPos, 0, len(entries)*s.scheme.Bands)
+	s.sx.index.Each(func(key uint64, local int) {
+		if p := pos[local]; p >= 0 {
+			pairs = append(pairs, KeyPos{Key: key, Pos: uint32(p)})
+		}
+	})
 	return entries, pairs
 }
 
 // String renders a small summary for logs.
 func (s *ShardedDB) String() string {
-	return fmt.Sprintf("shardeddb(entries=%d, shards=%d, plain=%v)",
-		s.Len(), len(s.shards), s.cfg.Plain)
+	return fmt.Sprintf("shardeddb(entries=%d, plain=%v)", s.Len(), s.cfg.Plain)
 }

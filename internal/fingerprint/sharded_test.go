@@ -51,28 +51,40 @@ func buildEquivalent(t *testing.T, n int, cfg ShardedConfig) (*DB, *ShardedDB) {
 	return db, sh
 }
 
-// multiBlock reports whether some shard of s holds at least three sliced
+// multiBlock reports whether the sliced matrix of s holds at least three
 // blocks, the last of them partial — the shape that makes a sweep cross
 // block boundaries and a partial tail.
 func multiBlock(s *ShardedDB) bool {
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		a := sh.sx.arena
-		ok := a.NumBlocks() >= 3 && a.Len()%a.BlockEntries() != 0
-		sh.mu.RUnlock()
-		if ok {
-			return true
-		}
-	}
-	return false
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	m := s.sx.Matrix()
+	return m.NumBlocks() >= 3 && m.Len()%m.BlockEntries() != 0
 }
 
-// TestShardedMatchesPlainDB is the core equivalence property: for any shard
-// count, the serving engine (LSH-indexed candidates, then the sliced block
-// sweep) and the plain dense-scan shards agree with the dense-scan DB on
-// Decide — field for field — for matching, missing, and near-miss queries. The "indexed" mode is the default configuration;
-// "sliced" holds 150 entries per shard, so some shard's sweep crosses three
-// blocks and a partial tail.
+// splitDB is a corpus sharded over several ShardedDBs, each holding a
+// contiguous run of add-order ids from its base, decided as one Decision
+// across them — the way a tiered store joins its memtable to its segments.
+type splitDB struct {
+	parts []*ShardedDB
+	bases []int
+}
+
+func (s *splitDB) Decide(q *bitset.Set) Verdict {
+	d := NewDecision(NewQuery(q, minhash.DefaultScheme), DefaultThreshold)
+	for i, p := range s.parts {
+		defer p.AddTo(d, s.bases[i], nil)()
+	}
+	return d.Verdict()
+}
+
+// TestShardedMatchesPlainDB is the core equivalence property: with the
+// corpus sharded over any number of databases, each holding a contiguous
+// run of ids and all decided as one Decision, the serving engine
+// (LSH-indexed candidates, then the matrix sweep) and the plain dense-scan
+// databases agree with the dense-scan DB on Decide — field for field — for
+// matching, missing, and near-miss queries. The "indexed" mode is the
+// default configuration; "sliced" holds 150 entries per database, so each
+// sweep crosses three blocks and a partial tail.
 func TestShardedMatchesPlainDB(t *testing.T) {
 	for _, shards := range []int{1, 2, 7, 16} {
 		for _, mode := range []string{"indexed", "plain", "sliced"} {
@@ -81,12 +93,27 @@ func TestShardedMatchesPlainDB(t *testing.T) {
 				if mode == "sliced" {
 					entries = 150 * shards
 				}
-				db, sh := buildEquivalent(t, entries, ShardedConfig{Shards: shards, Plain: mode == "plain"})
-				if sh.Len() != db.Len() {
-					t.Fatalf("Len: sharded %d, plain %d", sh.Len(), db.Len())
+				db, whole := buildEquivalent(t, entries, ShardedConfig{Plain: mode == "plain"})
+				if whole.Len() != db.Len() {
+					t.Fatalf("Len: sharded %d, plain %d", whole.Len(), db.Len())
 				}
-				if mode == "sliced" && !multiBlock(sh) {
-					t.Fatal("no shard spans three blocks with a partial tail")
+				var impl Identifier = whole
+				if shards > 1 {
+					split := &splitDB{}
+					for i, e := range db.Entries() {
+						if p := i * shards / entries; p == len(split.parts) {
+							part, err := NewShardedDB(DefaultThreshold, ShardedConfig{Plain: mode == "plain"})
+							if err != nil {
+								t.Fatal(err)
+							}
+							split.parts, split.bases = append(split.parts, part), append(split.bases, i)
+						}
+						split.parts[len(split.parts)-1].Add(e.Name, e.FP)
+					}
+					impl = split
+				}
+				if mode == "sliced" && !multiBlock(whole) {
+					t.Fatal("the matrix does not span three blocks with a partial tail")
 				}
 				var queries []*bitset.Set
 				for i := 0; i < entries; i += entries / 20 {
@@ -98,13 +125,13 @@ func TestShardedMatchesPlainDB(t *testing.T) {
 				}
 				for qi, q := range queries {
 					want := db.Decide(q)
-					got := sh.Decide(q)
+					got := impl.Decide(q)
 					if got != want {
 						t.Errorf("query %d: Decide sharded %+v, plain %+v", qi, got, want)
 					}
 				}
 				// The batch API must agree slot-for-slot with the serial calls.
-				for i, v := range ParallelDecide(sh, queries, 4) {
+				for i, v := range ParallelDecide(impl, queries, 4) {
 					if want := db.Decide(queries[i]); v != want {
 						t.Errorf("ParallelDecide[%d] = %+v, want %+v", i, v, want)
 					}
@@ -114,14 +141,14 @@ func TestShardedMatchesPlainDB(t *testing.T) {
 	}
 }
 
-// TestShardedSignsOnce: one Decide signs the query once and hands the
-// signature to every shard; the exact (Plain) engine never signs.
+// TestShardedSignsOnce: one Decide signs the query once; the exact (Plain)
+// engine never signs.
 func TestShardedSignsOnce(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
 	q := testSet(0xF00D, 4096, 64)
 	for _, plain := range []bool{false, true} {
-		_, sh := buildEquivalent(t, 40, ShardedConfig{Shards: 8, Plain: plain})
+		_, sh := buildEquivalent(t, 40, ShardedConfig{Plain: plain})
 		want := int64(1)
 		if plain {
 			want = 0
@@ -158,7 +185,7 @@ func TestDecideAmbiguity(t *testing.T) {
 		t.Fatalf("miss Decide = %+v", miss)
 	}
 
-	sh, err := ShardDB(db, ShardedConfig{Shards: 4})
+	sh, err := ShardDB(db, ShardedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +214,7 @@ func TestDecideEmptyDB(t *testing.T) {
 // under the name, duplicates allowed) and the add-order Export used for
 // snapshots.
 func TestShardedRemoveExport(t *testing.T) {
-	sh, err := NewShardedDB(DefaultThreshold, ShardedConfig{Shards: 3})
+	sh, err := NewShardedDB(DefaultThreshold, ShardedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +260,7 @@ func TestShardedRemoveExport(t *testing.T) {
 		t.Fatalf("post-remove Decide = %+v, want a/2", v)
 	}
 	st := sh.Stats()
-	if st.Entries != 4 || len(st.PerShard) != 3 {
+	if st.Entries != 4 || !slices.Equal(st.PerShard, []int{4}) {
 		t.Fatalf("Stats = %+v", st)
 	}
 }
@@ -242,7 +269,7 @@ func TestShardedRemoveExport(t *testing.T) {
 // goroutines; run under -race this is the lock-discipline check, and the
 // final state must be consistent.
 func TestShardedConcurrentMutation(t *testing.T) {
-	sh, err := NewShardedDB(DefaultThreshold, ShardedConfig{Shards: 4})
+	sh, err := NewShardedDB(DefaultThreshold, ShardedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,15 +303,15 @@ func TestShardedConcurrentMutation(t *testing.T) {
 	}
 }
 
-// TestShardedSlicedRemoveRebuild: a Remove on a sliced shard rebuilds both
-// the LSH index and the sliced arena; post-remove answers must track the
-// surviving entries and the removed fingerprint must stop matching.
+// TestShardedSlicedRemoveRebuild: a Remove on a sliced database tombstones
+// the entry in the DB and the matrix alike; post-remove answers must track
+// the surviving entries and the removed fingerprint must stop matching.
 func TestShardedSlicedRemoveRebuild(t *testing.T) {
-	sh, err := NewShardedDB(DefaultThreshold, ShardedConfig{Shards: 2})
+	sh, err := NewShardedDB(DefaultThreshold, ShardedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 300 // each shard spans about three blocks
+	const n = 300 // five blocks, the last partial
 	fps := make([]*bitset.Set, n)
 	for i := range fps {
 		fps[i] = testSet(uint64(i)+0x5E, 2048, 40)
@@ -308,13 +335,13 @@ func TestShardedSlicedRemoveRebuild(t *testing.T) {
 }
 
 // TestShardedRemoveTombstone: Remove must exclude the entry from every
-// verdict path immediately while deferring the O(shard) physical rebuild
+// verdict path immediately while deferring the O(size) physical rebuild
 // until RebuildMinDead tombstones accumulate — the PR 8 regression where
 // each Remove rebuilt the whole SlicedArena.
 func TestShardedRemoveTombstone(t *testing.T) {
 	for _, cfg := range []ShardedConfig{
-		{Shards: 1, Plain: true, RebuildMinDead: 4},
-		{Shards: 1, RebuildMinDead: 4},
+		{Plain: true, RebuildMinDead: 4},
+		{RebuildMinDead: 4},
 	} {
 		sh, err := NewShardedDB(DefaultThreshold, cfg)
 		if err != nil {
@@ -343,7 +370,7 @@ func TestShardedRemoveTombstone(t *testing.T) {
 		if got := sh.Len(); got != n-3 {
 			t.Fatalf("cfg %+v: Len = %d, want %d", cfg, got, n-3)
 		}
-		// The fourth remove crosses RebuildMinDead and compacts the shard.
+		// The fourth remove crosses RebuildMinDead and compacts the database.
 		if !sh.Remove("dev00") {
 			t.Fatalf("cfg %+v: Remove(dev00) found nothing", cfg)
 		}
@@ -385,16 +412,16 @@ func TestShardedExportKeyed(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
 	for _, cfg := range []ShardedConfig{
-		{Shards: 3},
-		{Shards: 2, RebuildMinDead: 4},
-		{Shards: 3, Plain: true},
+		{},
+		{RebuildMinDead: 4},
+		{Plain: true},
 	} {
 		_, sh := buildEquivalent(t, 60, cfg)
 		for i := 0; i < 60; i += 3 {
 			sh.Remove(fmt.Sprintf("dev%03d", i))
 		}
 		if cfg.RebuildMinDead > 0 && sh.Rebuilds() == 0 {
-			t.Fatalf("cfg %+v: no shard was rebuilt", cfg)
+			t.Fatalf("cfg %+v: the database was not rebuilt", cfg)
 		}
 		before := cSignatures.Value()
 		entries, pairs := sh.ExportKeyed()
@@ -431,9 +458,9 @@ func TestShardedExportKeyed(t *testing.T) {
 // match — to the dense scan: a Plain ShardedDB fed the same Adds and
 // Removes, so ids survive removals. Verdicts must be equal field for field,
 // Matches included, on random tapes with tombstones, empty sets,
-// near-duplicates in different shards (ambiguous verdicts) and queries that
-// are supersets of entries, across thresholds and concurrent readers, over
-// a corpus in which some shard spans three blocks with a partial tail. Rows
+// near-duplicates (ambiguous verdicts) and queries that are supersets of
+// entries, across thresholds and concurrent readers, over a matrix of at
+// least three blocks with a partial tail. Rows
 // keep the names they had when the block width was a setting (B1 to B64):
 // the width is now always 64, and a row's number only seeds its tape. The
 // tiered store's twin is store.TestBoundedDecideOracle.
@@ -519,7 +546,7 @@ func runShardedOracle(t *testing.T, tape int, th float64, workers int) {
 	const nbits = 512
 	seed := uint64(tape)<<16 ^ uint64(th*1000)<<4 ^ uint64(workers)
 	src := prng.New(seed)
-	cfg := ShardedConfig{Shards: 3, RebuildMinDead: 16}
+	cfg := ShardedConfig{RebuildMinDead: 16}
 	db, err := NewShardedDB(th, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -530,8 +557,8 @@ func runShardedOracle(t *testing.T, tape int, th float64, workers int) {
 		t.Fatal(err)
 	}
 	// 450 strangers from a source of their own, so the tape below draws
-	// what it drew before they were added, spread the shards over three
-	// 64-entry blocks each.
+	// what it drew before they were added, spread the matrix over seven
+	// 64-entry blocks and more.
 	for i, fp := range oraclePool(prng.New(seed^0xF111), nbits, 450) {
 		name := fmt.Sprintf("fill%03d", i)
 		db.Add(name, fp)
@@ -577,6 +604,6 @@ func runShardedOracle(t *testing.T, tape int, th float64, workers int) {
 	}
 	check(300)
 	if !multiBlock(db) {
-		t.Error("no shard spans three blocks with a partial tail")
+		t.Error("the matrix does not span three blocks with a partial tail")
 	}
 }

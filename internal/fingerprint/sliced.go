@@ -14,8 +14,8 @@ import (
 // verification per query.
 var cIndexCandidates = obs.C("fingerprint.identify.candidates")
 
-// IndexedConfig parameterizes a SlicedDB's LSH candidate stage (and so each
-// shard of a ShardedDB).
+// IndexedConfig parameterizes a SlicedDB's LSH candidate stage (and so a
+// ShardedDB's).
 type IndexedConfig struct {
 	// Scheme is the MinHash/LSH scheme used to sign fingerprints and error
 	// strings; the zero value selects minhash.DefaultScheme.
@@ -27,14 +27,14 @@ type IndexedConfig struct {
 
 // SlicedDB is the serving identify engine over an in-memory database: a
 // MinHash/LSH index over the fingerprints in front of a bit-major sliced
-// copy of them (bitset.SlicedArena) in blocks of
-// bitset.DefaultSlicedEntries. The index turns a query into candidates —
-// the entries whose signature collides with it in at least one band — which
-// are verified with the single-slot block kernel; the matrix sweep then
-// runs — one word load per set cell of the query verifies that cell for a
-// whole block, and the sweep's bound reads out only the blocks that may hold
-// an entry under it, giving chunks of blocks up part way through their
-// loads once none can. Both stages are the shared engine (Decision) the
+// copy of them — one position-major matrix (bitset.SlicedArena) in blocks
+// of bitset.DefaultSlicedEntries, which Add grows by doubling. The index
+// turns a query into candidates — the entries whose signature collides
+// with it in at least one band — which are verified with the single-slot
+// block kernel; the matrix sweep then runs — one word load per set cell of
+// the query verifies that cell for a whole block, and the sweep's bound
+// reads out only the blocks that may hold an entry under it, giving chunks
+// of blocks up part way through their loads once none can. Both stages are the shared engine (Decision) the
 // tiered store's segments run too.
 //
 // The block kernel returns the exact (minCard, maxCard, diff) triples the
@@ -96,8 +96,8 @@ func (s *SlicedDB) Add(name string, fp *bitset.Set) {
 	s.add(name, fp, sign(s.cfg.Scheme, fp))
 }
 
-// add is Add with the signature already computed (ShardedDB signs once to
-// pick the shard).
+// add is Add with the signature already computed (ShardedDB signs outside
+// its lock).
 func (s *SlicedDB) add(name string, fp *bitset.Set, sig minhash.Signature) {
 	s.index.Add(sig, len(s.db.entries))
 	s.db.Add(name, fp)
@@ -135,10 +135,14 @@ func (s *SlicedDB) Decide(errorString *bitset.Set) Verdict {
 	return v
 }
 
-// Blocks returns the arena's blocks and the tombstone mask: a SlicedDB is a
-// Component whose positions are its DB indices.
-func (s *SlicedDB) Blocks() ([]*bitset.SlicedBlock, []bool) {
-	return s.arena.Blocks(), s.db.deadMask()
+// Matrix returns the arena's matrix: a SlicedDB is a Component whose
+// positions are its DB indices.
+func (s *SlicedDB) Matrix() *bitset.Matrix { return &s.arena.Matrix }
+
+// kill tombstones entry i in the DB and the matrix alike.
+func (s *SlicedDB) kill(i int) {
+	s.db.kill(i)
+	s.arena.Kill(i)
 }
 
 // Entry resolves a position to its entry's name; the position is the id.

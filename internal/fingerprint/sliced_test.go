@@ -186,10 +186,10 @@ func TestExactSweepAllocs(t *testing.T) {
 		fps[i] = sparseFP(2048, 40+i%41, uint64(i))
 		cards[i] = uint32(fps[i].Count())
 	}
-	blocks := bitset.ViewSlicedMatrix(2048, bitset.DefaultSlicedEntries,
+	m := bitset.ViewMatrix(2048, bitset.DefaultSlicedEntries,
 		bitset.PackSlicedMatrix(2048, bitset.DefaultSlicedEntries, fps), cards)
 	q := sparseFP(2048, 60, 0xA110C)
-	if a := testing.AllocsPerRun(20, func() { sweep(blocks, nil, q, DefaultThreshold, false) }); a != 0 {
+	if a := testing.AllocsPerRun(20, func() { sweep(&m, q, DefaultThreshold, false) }); a != 0 {
 		t.Errorf("exact sweep: %v allocations per run", a)
 	}
 }

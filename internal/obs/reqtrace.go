@@ -17,7 +17,7 @@ import (
 // chrome://tracing span log (trace.go), which is a process-global flat
 // record stream, a ReqTrace is owned by the request that started it — it
 // travels through context.Context across goroutine hops (a batch body's
-// queries fanned across workers, the WAL group commit, the shard fan-out),
+// queries fanned across workers, the WAL group commit, the decision),
 // so work done on another goroutine lands in the tree of the request it
 // serves, and the serving layer can answer "where did THIS request's
 // latency go?".

@@ -12,7 +12,7 @@ import (
 
 // Cache metrics: the hit ratio is the headline number for the serving path —
 // repeated outputs from the same device digest identically, so a warm cache
-// answers them without touching a single shard.
+// answers them without touching the database.
 var (
 	cCacheHits   = obs.C("server.cache.hits")
 	cCacheMisses = obs.C("server.cache.misses")

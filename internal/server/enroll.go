@@ -3,7 +3,7 @@ package server
 // Durable streaming enrollment: the /v1/enroll path appends every
 // observation to a write-ahead log before acknowledging it, folds the
 // record through a per-session fingerprint.Accumulator, and promotes the
-// fingerprint into the sharded database once it converges. The database
+// fingerprint into the database once it converges. The database
 // state is, by construction, a deterministic function of the WAL record
 // sequence — crash recovery replays the log over the segments the last
 // checkpoint committed and arrives at the same state, byte for byte.

@@ -18,7 +18,7 @@ var (
 
 func fuzzHandler(f *testing.F) http.Handler {
 	fuzzOnce.Do(func() {
-		s, err := New(fixtureDB(4), Config{Shards: 2, Workers: 1, CacheSize: 8, MaxLenBits: 1 << 16, MaxBodyBytes: 1 << 16})
+		s, err := New(fixtureDB(4), Config{Workers: 1, CacheSize: 8, MaxLenBits: 1 << 16, MaxBodyBytes: 1 << 16})
 		if err != nil {
 			f.Fatal(err)
 		}

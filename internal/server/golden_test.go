@@ -20,7 +20,7 @@ var update = flag.Bool("update", false, "rewrite the golden serving fixtures")
 // the cache stays on so cached-hit responses are part of the recorded
 // contract.
 func goldenConfig() Config {
-	return Config{Shards: 4, Workers: 1, CacheSize: 64}
+	return Config{Workers: 1, CacheSize: 64}
 }
 
 // goldenSeedDB builds the fixture database deterministically: eight devices

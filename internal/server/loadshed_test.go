@@ -80,7 +80,6 @@ func TestLoadShedding(t *testing.T) {
 
 	const depth = 4
 	s, err := New(fixtureDB(8), Config{
-		Shards:         2,
 		Workers:        1,
 		QueueDepth:     depth,
 		RequestTimeout: time.Minute,
@@ -219,7 +218,6 @@ func settledGoroutines() int {
 func TestBatchAdmissionAtomic(t *testing.T) {
 	const depth = 3
 	s, err := New(fixtureDB(4), Config{
-		Shards:         1,
 		Workers:        1,
 		QueueDepth:     depth,
 		RequestTimeout: time.Minute,
@@ -302,7 +300,7 @@ func TestBatchAdmissionAtomic(t *testing.T) {
 // the 500µs BatchWindow perfbench still sets, which New accepts and ignores.
 func TestHeadOfLineIdentify(t *testing.T) {
 	db := fixtureDB(8)
-	s, err := New(db, Config{Shards: 2, Workers: 2, BatchWindow: 500 * time.Microsecond, RequestTimeout: time.Minute})
+	s, err := New(db, Config{Workers: 2, BatchWindow: 500 * time.Microsecond, RequestTimeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +352,7 @@ func TestHeadOfLineIdentify(t *testing.T) {
 // TestCloseIdempotent guards double-Close (service owner plus t.Cleanup is an
 // easy double call).
 func TestCloseIdempotent(t *testing.T) {
-	s, err := New(fixtureDB(2), Config{Shards: 1, Workers: 1})
+	s, err := New(fixtureDB(2), Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

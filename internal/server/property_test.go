@@ -45,47 +45,42 @@ func checkVerdict(t *testing.T, label string, got, want fingerprint.Verdict) {
 	}
 }
 
-// TestServeInvariance is the serving-path determinism property: for any shard
-// count, any worker count, cache on or off, every verdict the
-// sharded+cached service returns to concurrent requests equals the dense
-// scan's field for field — concurrency moves wall-clock only. The dense scan is
+// TestServeInvariance is the serving-path determinism property: for any
+// corpus size, any worker count, cache on or off, every verdict the cached
+// service returns to concurrent requests equals the dense scan's field for
+// field — concurrency moves wall-clock only. The dense scan is
 // fingerprint.DB.Decide, or on the plain rows a Plain ShardedDB over the
-// same fixture; the sliced rows seed 150 devices a shard, so some shard's
-// sweep crosses three blocks and a partial tail.
+// same fixture; the sliced rows seed 300 or 450 devices, so the sweep
+// crosses five or more blocks and a partial tail.
 func TestServeInvariance(t *testing.T) {
 	type combo struct {
-		shards  int
+		devices int
 		workers int
 		cache   int
 		plain   bool // expected verdicts from a Plain ShardedDB
-		sliced  bool // 150 devices a shard
 	}
 	combos := []combo{
-		{shards: 1, workers: 1, cache: 0, plain: false},
-		{shards: 3, workers: 2, cache: 128, plain: false},
-		{shards: 8, workers: 4, cache: 0, plain: true},
-		{shards: 5, workers: 2, cache: 64, plain: true},
-		{shards: 2, workers: 4, cache: 16, plain: false},
-		{shards: 3, workers: 1, cache: 0, sliced: true},
-		{shards: 2, workers: 4, cache: 32, sliced: true},
+		{devices: 24, workers: 1, cache: 0, plain: false},
+		{devices: 24, workers: 2, cache: 128, plain: false},
+		{devices: 24, workers: 4, cache: 0, plain: true},
+		{devices: 24, workers: 2, cache: 64, plain: true},
+		{devices: 24, workers: 4, cache: 16, plain: false},
+		{devices: 450, workers: 1, cache: 0},
+		{devices: 300, workers: 4, cache: 32},
 	}
 	for ci, cb := range combos {
 		cb := cb
-		t.Run(fmt.Sprintf("shards=%d_workers=%d_cache=%d_plain=%v_sliced=%v", cb.shards, cb.workers, cb.cache, cb.plain, cb.sliced), func(t *testing.T) {
+		t.Run(fmt.Sprintf("devices=%d_workers=%d_cache=%d_plain=%v", cb.devices, cb.workers, cb.cache, cb.plain), func(t *testing.T) {
 			t.Parallel()
 			seed := uint64(0x5EED0 + ci)
-			devices := 24
-			if cb.sliced {
-				devices = 150 * cb.shards
-			}
-			db := fixtureDB(devices)
+			db := fixtureDB(cb.devices)
 			// A twin pair makes ambiguity part of the property.
 			twin := testSet(prng.Hash(seed, 0x77), 64)
 			db.Add("twinA", twin)
 			db.Add("twinB", twin.Clone())
 			var dense fingerprint.Identifier = db
 			if cb.plain {
-				sh, err := fingerprint.ShardDB(db, fingerprint.ShardedConfig{Shards: cb.shards, Plain: true})
+				sh, err := fingerprint.ShardDB(db, fingerprint.ShardedConfig{Plain: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -94,7 +89,6 @@ func TestServeInvariance(t *testing.T) {
 			qs := propQueries(db, dense, seed)
 
 			s, err := New(db, Config{
-				Shards:    cb.shards,
 				Workers:   cb.workers,
 				CacheSize: cb.cache,
 			})
@@ -149,7 +143,7 @@ func TestServeInvarianceUnderMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(fixtureDB(10), Config{Shards: 3, CacheSize: 64, Workers: 1})
+	s, err := New(fixtureDB(10), Config{CacheSize: 64, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

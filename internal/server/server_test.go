@@ -94,7 +94,7 @@ func reqFor(es *bitset.Set) errStringJSON {
 // cache service, and agreement with the offline dense-scan Decide.
 func TestServeIdentify(t *testing.T) {
 	const n = 12
-	s := newTestService(t, n, Config{Shards: 4, CacheSize: 32, Workers: 1})
+	s := newTestService(t, n, Config{CacheSize: 32, Workers: 1})
 	h := s.Handler()
 	offline := fixtureDB(n)
 
@@ -151,7 +151,7 @@ func TestServeIdentify(t *testing.T) {
 // TestServeValidation pins the decoder guards: bad JSON, length mismatch,
 // out-of-range positions, oversized bodies, wrong method.
 func TestServeValidation(t *testing.T) {
-	s := newTestService(t, 4, Config{Shards: 2, MaxBodyBytes: 512, Workers: 1})
+	s := newTestService(t, 4, Config{MaxBodyBytes: 512, Workers: 1})
 	h := s.Handler()
 	cases := []struct {
 		name string
@@ -213,7 +213,7 @@ func TestBootDurableRefusesMemoryBackend(t *testing.T) {
 // TestServeDBEndpoints exercises stats, add, remove, characterize, and cache
 // invalidation on mutation.
 func TestServeDBEndpoints(t *testing.T) {
-	s := newTestService(t, 4, Config{Shards: 2, CacheSize: 16, Workers: 1})
+	s := newTestService(t, 4, Config{CacheSize: 16, Workers: 1})
 	h := s.Handler()
 
 	newFP := testSet(0xAB, 64)
@@ -275,7 +275,7 @@ func TestServeDBEndpoints(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil || code != 200 {
 		t.Fatalf("db stats: %d %s (%v)", code, body, err)
 	}
-	if st.Entries != 5 || st.Shards.Entries != 5 || len(st.Shards.PerShard) != 2 {
+	if st.Entries != 5 || st.Shards.Entries != 5 || len(st.Shards.PerShard) != 1 || st.Shards.PerShard[0] != 5 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -286,7 +286,6 @@ func TestServeDBEndpoints(t *testing.T) {
 func TestServeChaosFaults(t *testing.T) {
 	const n = 8
 	s := newTestService(t, n, Config{
-		Shards:    2,
 		Workers:   1,
 		FaultPlan: faults.Plan{Seed: 0xC4A05, ReadErr: 0.4, Latency: 100 * time.Microsecond},
 	})
@@ -328,7 +327,6 @@ func TestServeChaosFaults(t *testing.T) {
 // answered 200.
 func TestServeRequestTimeout(t *testing.T) {
 	s := newTestService(t, 4, Config{
-		Shards:         2,
 		Workers:        1,
 		RequestTimeout: 5 * time.Millisecond,
 	})
@@ -364,7 +362,7 @@ func TestServeRequestTimeout(t *testing.T) {
 // without deciding, whether the only worker slot is free or held, and give
 // their queue places back.
 func TestServiceDirectContext(t *testing.T) {
-	s := newTestService(t, 4, Config{Shards: 2, Workers: 1})
+	s := newTestService(t, 4, Config{Workers: 1})
 	var decided atomic.Int64
 	hookDecide(s, func(context.Context, *bitset.Set) { decided.Add(1) })
 	ctx, cancel := context.WithCancel(context.Background())

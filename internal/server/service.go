@@ -5,9 +5,9 @@
 //
 // The serving path is layered on the storage backend's node-wide Decide:
 //
-//   - an N-way sharded database (fingerprint.ShardedDB): adds and lookups
-//     take per-shard RW locks, so registration traffic does not serialize
-//     identification traffic;
+//   - an in-memory database (fingerprint.ShardedDB) or a tiered store whose
+//     memtable is one: decisions share its read lock, a registration takes
+//     its write lock;
 //   - an admission gate (gate): a request's cache misses are admitted
 //     whole or shed with 429, and each admitted query decides on the
 //     request's own goroutine once it holds one of Config.Workers slots;
@@ -20,8 +20,8 @@
 //     and latency so the serving path is testable under the same fault
 //     matrix as the offline pipeline.
 //
-// Determinism contract: admission, worker count, sharding, and caching
-// change wall-clock behavior only. Every identify answer equals what a serial
+// Determinism contract: admission, worker count and caching change
+// wall-clock behavior only. Every identify answer equals what a serial
 // fingerprint.DB.Decide scan over the same entries returns, field for
 // field — Name, Index, Distance and Matches (see fingerprint.Decision). The
 // golden and invariance tests in this package hold the service to that.
@@ -52,10 +52,8 @@ type Config struct {
 	// threshold, or fingerprint.DefaultThreshold with no seed and always
 	// under BootDurable.
 	Threshold float64
-	// Shards is the database shard count; 0 selects fingerprint.DefaultShards.
-	Shards int
 	// Workers bounds how many identify decisions run at once, and the pool
-	// that signs entries when a shard's index is bulk-built; 0 means one
+	// that signs entries when the index is bulk-built; 0 means one
 	// per CPU.
 	Workers int
 	// BatchWindow is ignored: identify queries no longer wait to coalesce.
@@ -127,7 +125,7 @@ func (c Config) withDefaults(seed *fingerprint.DB) Config {
 	return c
 }
 
-// Service is the identification service: the sharded database plus the
+// Service is the identification service: the storage backend plus the
 // admission, caching, and guard layers. Create with New, serve its Handler,
 // and Close to drain.
 type Service struct {
@@ -163,7 +161,7 @@ func New(seed *fingerprint.DB, cfg Config) (*Service, error) {
 		return nil, err
 	}
 	db, err := store.Open(cfg.Store, store.DBConfig{
-		Threshold: cfg.Threshold, Shards: cfg.Shards, Workers: cfg.Workers,
+		Threshold: cfg.Threshold, Workers: cfg.Workers,
 	})
 	if err != nil {
 		return nil, err

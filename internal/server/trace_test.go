@@ -45,19 +45,17 @@ func stageCount(tree *obs.SpanTree) map[string]int {
 // bodies — each end with a trace ID in the response header that appears
 // in exactly one retained span tree, and every tree decomposes into
 // cache.get, then per query a queue.wait (the wait for a worker) followed
-// by its decision — shard.identify per shard and decide — all directly
-// under the request root.
+// by its decision — shard.identify (the candidate stage) and decide — all
+// directly under the request root.
 func TestTracePropagation(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
 	const (
-		shards   = 4
 		singles  = 16
 		batches  = 4
 		perBatch = 3
 	)
 	s := newTestService(t, 8, Config{
-		Shards:       shards,
 		Workers:      2,
 		SlowRequests: 128, // retain everything: the ring is the trace sink
 	})
@@ -135,7 +133,7 @@ func TestTracePropagation(t *testing.T) {
 		if kind == "identify_batch" {
 			queries = perBatch
 		}
-		want := map[string]int{kind: 1, "cache.get": 1, "queue.wait": queries, "shard.identify": queries * shards, "decide": queries}
+		want := map[string]int{kind: 1, "cache.get": 1, "queue.wait": queries, "shard.identify": queries, "decide": queries}
 		if counts := stageCount(tree); !maps.Equal(counts, want) {
 			t.Errorf("trace %s (%s): spans %v, want %v", tid, kind, counts, want)
 		}
@@ -148,14 +146,10 @@ func TestTracePropagation(t *testing.T) {
 		for i, c := range tree.Children {
 			names[i], sum = c.Name, sum+c.DurNS
 		}
-		if len(names) != queries*(shards+2)+1 || names[0] != "cache.get" || names[1] != "queue.wait" {
+		if len(names) != 3*queries+1 || names[0] != "cache.get" || names[1] != "queue.wait" {
 			t.Errorf("trace %s (%s): root children %v", tid, kind, names)
 		}
-		single := []string{"cache.get", "queue.wait"}
-		for range shards {
-			single = append(single, "shard.identify")
-		}
-		single = append(single, "decide")
+		single := []string{"cache.get", "queue.wait", "shard.identify", "decide"}
 		if kind == "identify" && !slices.Equal(names, single) {
 			t.Errorf("trace %s: root children %v, want %v", tid, names, single)
 		}
@@ -173,7 +167,7 @@ func TestTracePropagation(t *testing.T) {
 func TestTraceHeaderAdoption(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
-	s := newTestService(t, 4, Config{Shards: 2, Workers: 1, SlowRequests: 8})
+	s := newTestService(t, 4, Config{Workers: 1, SlowRequests: 8})
 	body, _ := json.Marshal(reqFor(testSet(0xAB, 64)))
 	inbound := obs.FormatTraceHeader(0xFEEDFACE, 0x1234)
 	code, _, th := doTraced(t, s.Handler(), "POST", "/v1/identify", string(body), inbound)
@@ -205,7 +199,6 @@ func TestSLOServing(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
 	s := newTestService(t, 4, Config{
-		Shards:  2,
 		Workers: 1,
 		SLO: obs.SLOConfig{Objectives: []obs.Objective{
 			{Name: "identify-p99", Endpoint: "identify", Latency: 1, Target: 0.99}, // 1ns: everything is bad
@@ -258,7 +251,7 @@ func TestSLOServing(t *testing.T) {
 // TestHealthzBytesWithoutSLO pins the no-objective /healthz body to the
 // pre-SLO wire format, byte for byte.
 func TestHealthzBytesWithoutSLO(t *testing.T) {
-	s := newTestService(t, 2, Config{Shards: 2, Workers: 1})
+	s := newTestService(t, 2, Config{Workers: 1})
 	_, body, _ := doTraced(t, s.Handler(), "GET", "/healthz", "", "")
 	if string(body) != `{"status":"ok"}` {
 		t.Fatalf("healthz body %q drifted", body)
@@ -269,7 +262,7 @@ func TestHealthzBytesWithoutSLO(t *testing.T) {
 func TestSlowestEndpoint(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
-	s := newTestService(t, 4, Config{Shards: 2, Workers: 1, SlowRequests: 4})
+	s := newTestService(t, 4, Config{Workers: 1, SlowRequests: 4})
 	h := s.Handler()
 	for i := 0; i < 6; i++ {
 		body, _ := json.Marshal(reqFor(testSet(uint64(i)+1, 64)))
@@ -350,7 +343,7 @@ func TestEnrollRecoveryBytesWithTracing(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
-	s := newTestService(t, 4, Config{Shards: 2, Workers: 1})
+	s := newTestService(t, 4, Config{Workers: 1})
 	h := s.Handler()
 	body, _ := json.Marshal(reqFor(testSet(0xE0, 64)))
 	doTraced(t, h, "POST", "/v1/identify", string(body), "")

@@ -14,7 +14,7 @@ import (
 )
 
 // TestBoundedDecideOracle holds Tiered.Decide — one node-wide Decision over
-// every segment and memtable shard, whose sweeps are bounded once a
+// every segment and the memtable, whose sweeps are bounded once a
 // candidate or a sweep finds a match — to the dense scan: a Plain ShardedDB
 // fed the same Adds and Removes, so ids survive removals and flushes.
 // Verdicts must be equal field for field, Matches included, on random tapes
@@ -61,12 +61,12 @@ func runBoundedOracle(t *testing.T, tape int, th float64, workers int) {
 	seed := uint64(tape)<<16 ^ uint64(th*1000)<<4 ^ uint64(workers) ^ 0x0BAD
 	src := prng.New(seed)
 	tb, err := OpenTiered(Config{Dir: t.TempDir(), FlushEntries: 1 << 20, CompactSegments: 3},
-		DBConfig{Threshold: th, Shards: 2})
+		DBConfig{Threshold: th})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tb.Close()
-	dense, err := fingerprint.NewShardedDB(th, fingerprint.ShardedConfig{Shards: 2, Plain: true})
+	dense, err := fingerprint.NewShardedDB(th, fingerprint.ShardedConfig{Plain: true})
 	if err != nil {
 		t.Fatal(err)
 	}

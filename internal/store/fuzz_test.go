@@ -56,7 +56,7 @@ func fuzzSegments(tb testing.TB) []fuzzSegment {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		ok := !seg.Salvaged() && seg.blockEntries == spec.width && len(seg.blocks) == spec.blocks &&
+		ok := !seg.Salvaged() && seg.blockEntries == spec.width && seg.mat.NumBlocks() == spec.blocks &&
 			seg.Len() == len(out[k].entries) && seg.Len()%spec.width != 0
 		seg.Close()
 		if !ok {

@@ -29,8 +29,8 @@ func TestTieredScanEquivalence(t *testing.T) {
 		db   DBConfig
 		tape uint64
 	}{
-		{"indexed", DBConfig{Threshold: fingerprint.DefaultThreshold, Shards: 2}, 23},
-		{"indexed-tape22", DBConfig{Threshold: fingerprint.DefaultThreshold, Shards: 2}, 22},
+		{"indexed", DBConfig{Threshold: fingerprint.DefaultThreshold}, 23},
+		{"indexed-tape22", DBConfig{Threshold: fingerprint.DefaultThreshold}, 22},
 	}
 	for _, cfg := range configs {
 		for _, workers := range []int{1, 4} {
@@ -54,7 +54,7 @@ func runScanEquivalence(t *testing.T, dbCfg DBConfig, seed uint64, workers, nbit
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, err := fingerprint.NewShardedDB(dbCfg.Threshold, fingerprint.ShardedConfig{Shards: dbCfg.Shards, Plain: true})
+	dense, err := fingerprint.NewShardedDB(dbCfg.Threshold, fingerprint.ShardedConfig{Plain: true})
 	if err != nil {
 		t.Fatal(err)
 	}

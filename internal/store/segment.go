@@ -418,8 +418,9 @@ func (c *crcWriter) bytesPadded(b []byte) error {
 }
 
 // Segment is one loaded segment file: columnar views (mmap-backed on the
-// fast path, heap-backed after a salvage or a legacy rebuild) plus the
-// tombstone flags its owning Tiered engine maintains under its mutex.
+// fast path, heap-backed after a salvage or a legacy rebuild) and the
+// fingerprint matrix the sweep reads, whose tombstones its owning Tiered
+// engine maintains under its mutex.
 type Segment struct {
 	path         string
 	m            *mapping
@@ -434,12 +435,11 @@ type Segment struct {
 	// and OpenTiered rewrites it as a band-key PCSEG02.
 	legacy bool
 
-	col    *colData
-	blocks []*bitset.SlicedBlock // strided views into col.matrix
-
-	// dead flags entries tombstoned by Remove; guarded by the owning
-	// engine's mutex (a Segment alone is immutable).
-	dead      []bool
+	col *colData
+	// mat views col.matrix with col.cards; its tombstones (entries removed
+	// by Remove, nil until the first) and deadCount are guarded by the
+	// owning engine's mutex (a Segment alone is immutable).
+	mat       bitset.Matrix
 	deadCount int
 
 	// refs keeps the mapping alive while replication snapshots stream the
@@ -669,8 +669,7 @@ func (seg *Segment) loadCommitted(data []byte, ftr footer) error {
 		lshKeys:  u64view(keysB),
 		lshIdx:   u32view(idxB)[:ftr.nKeys],
 	}
-	seg.blocks = bitset.ViewSlicedMatrix(seg.nbits, b, seg.col.matrix, seg.col.cards)
-	seg.dead = make([]bool, n)
+	seg.mat = bitset.ViewMatrix(seg.nbits, b, seg.col.matrix, seg.col.cards)
 	return nil
 }
 
@@ -704,14 +703,13 @@ func (seg *Segment) decodeLog(data []byte, end int64) []fingerprint.IDEntry {
 // log entries: a salvaged prefix, or a legacy file's whole log.
 func (seg *Segment) rebuild(entries []fingerprint.IDEntry) {
 	seg.count = len(entries)
-	seg.dead = make([]bool, seg.count)
 	if len(entries) == 0 {
 		seg.col = &colData{nameOffs: []uint32{0}}
 		return
 	}
 	pairs := signPairs(nil, entries, 0, seg.scheme)
 	seg.col = buildColumnar(entries, pairs, seg.nbits, seg.blockEntries)
-	seg.blocks = bitset.ViewSlicedMatrix(seg.nbits, seg.blockEntries, seg.col.matrix, seg.col.cards)
+	seg.mat = bitset.ViewMatrix(seg.nbits, seg.blockEntries, seg.col.matrix, seg.col.cards)
 	seg.minID = seg.col.ids[0]
 	seg.maxID = seg.col.ids[len(seg.col.ids)-1]
 }
@@ -762,9 +760,7 @@ func (seg *Segment) ID(pos int) int { return int(seg.col.ids[pos]) }
 
 // FP materializes entry pos's fingerprint as a dense heap Set (Get only —
 // the query path never calls it, and bulk readers decode the whole matrix).
-func (seg *Segment) FP(pos int) *bitset.Set {
-	return seg.blocks[pos/seg.blockEntries].Entry(pos % seg.blockEntries)
-}
+func (seg *Segment) FP(pos int) *bitset.Set { return seg.mat.Entry(pos) }
 
 // fps materializes every entry's fingerprint, tombstoned ones included, in
 // one row-major pass over the matrix.
@@ -790,8 +786,7 @@ func (seg *Segment) Close() error {
 
 // kill tombstones entry pos (engine mutex held).
 func (seg *Segment) kill(pos int) {
-	if !seg.dead[pos] {
-		seg.dead[pos] = true
+	if seg.mat.Kill(pos) {
 		seg.deadCount++
 	}
 }
@@ -807,7 +802,7 @@ func (seg *Segment) findName(name string) (int, bool) {
 		if seg.col.name(pos) != name {
 			break
 		}
-		if !seg.dead[pos] {
+		if !seg.mat.Dead(pos) {
 			return pos, true
 		}
 	}
@@ -838,15 +833,10 @@ func (seg *Segment) candidates(q *fingerprint.Query) []int {
 	return out[:w]
 }
 
-// Blocks returns the mmap'd sliced blocks and the tombstone flags (nil when
-// no entry is dead): a segment is a fingerprint.Component whose positions
-// are its entry positions.
-func (seg *Segment) Blocks() ([]*bitset.SlicedBlock, []bool) {
-	if seg.deadCount == 0 {
-		return seg.blocks, nil
-	}
-	return seg.blocks, seg.dead
-}
+// Matrix returns the mmap'd fingerprint matrix with its tombstones: a
+// segment is a fingerprint.Component whose positions are its entry
+// positions.
+func (seg *Segment) Matrix() *bitset.Matrix { return &seg.mat }
 
 // Entry resolves a position to the entry's name and add-order id.
 func (seg *Segment) Entry(pos int) (string, int) { return seg.col.name(pos), seg.ID(pos) }
@@ -854,7 +844,7 @@ func (seg *Segment) Entry(pos int) (string, int) { return seg.col.name(pos), seg
 // exportLive appends the live entries (materialized) in id order.
 func (seg *Segment) exportLive(dst []fingerprint.IDEntry) []fingerprint.IDEntry {
 	for pos, fp := range seg.fps() {
-		if !seg.dead[pos] {
+		if !seg.mat.Dead(pos) {
 			dst = append(dst, fingerprint.IDEntry{ID: int(seg.col.ids[pos]), Name: seg.col.name(pos), FP: fp})
 		}
 	}
@@ -873,12 +863,12 @@ func (seg *Segment) livePairs(dst []fingerprint.KeyPos, live []fingerprint.IDEnt
 	next := uint32(base)
 	for pos := range renum {
 		renum[pos] = next
-		if !seg.dead[pos] {
+		if !seg.mat.Dead(pos) {
 			next++
 		}
 	}
 	for i, k := range seg.col.lshKeys {
-		if pos := seg.col.lshIdx[i]; !seg.dead[pos] {
+		if pos := seg.col.lshIdx[i]; !seg.mat.Dead(int(pos)) {
 			dst = append(dst, fingerprint.KeyPos{Key: k, Pos: renum[pos]})
 		}
 	}
@@ -946,7 +936,7 @@ func VerifySegment(path string) error {
 	// The columnar kernel must agree with the scalar one on a live entry.
 	for pos := 0; pos < seg.count; pos += step {
 		fp := fps[pos]
-		r := seg.blocks[pos/seg.blockEntries].MinCardAndNotCountOne(fp, pos%seg.blockEntries)
+		r := seg.mat.MinCardAndNotCountOne(fp, pos)
 		if r.Diff != 0 || r.MinCard != fp.Count() {
 			return &CorruptError{Path: path, Offset: 0, Reason: fmt.Sprintf("self-distance of entry %d is not zero", pos)}
 		}

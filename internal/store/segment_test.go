@@ -2,8 +2,10 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"probablecause/internal/bitset"
@@ -87,8 +89,8 @@ func TestSegmentRoundTrip(t *testing.T) {
 	if seg.Salvaged() {
 		t.Fatal("clean segment reported salvaged")
 	}
-	if seg.Len() != n || len(seg.blocks) != 3 {
-		t.Fatalf("%d entries in %d blocks, want %d in 3", seg.Len(), len(seg.blocks), n)
+	if seg.Len() != n || seg.mat.NumBlocks() != 3 {
+		t.Fatalf("%d entries in %d blocks, want %d in 3", seg.Len(), seg.mat.NumBlocks(), n)
 	}
 	for i, e := range entries {
 		if seg.ID(i) != e.ID || seg.Name(i) != e.Name {
@@ -142,8 +144,8 @@ func TestSegmentVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seg.blocks) != 3 {
-		t.Fatalf("%d entries in %d blocks, want 3", seg.Len(), len(seg.blocks))
+	if seg.mat.NumBlocks() != 3 {
+		t.Fatalf("%d entries in %d blocks, want 3", seg.Len(), seg.mat.NumBlocks())
 	}
 	seg.Close()
 	blob, err := os.ReadFile(path)
@@ -214,8 +216,8 @@ func TestSegmentTornTail(t *testing.T) {
 		if !seg.Salvaged() {
 			t.Fatalf("torn at %d: not reported salvaged", cut)
 		}
-		if seg.Len() < multiBlockEntries-1 || len(seg.blocks) != 3 {
-			t.Fatalf("torn at %d: salvaged %d entries in %d blocks, want ≥ %d in 3", cut, seg.Len(), len(seg.blocks), multiBlockEntries-1)
+		if seg.Len() < multiBlockEntries-1 || seg.mat.NumBlocks() != 3 {
+			t.Fatalf("torn at %d: salvaged %d entries in %d blocks, want ≥ %d in 3", cut, seg.Len(), seg.mat.NumBlocks(), multiBlockEntries-1)
 		}
 		// Whatever survived must be an exact prefix.
 		for i := 0; i < seg.Len(); i++ {
@@ -265,5 +267,64 @@ func TestSegmentOwnScheme(t *testing.T) {
 	}
 	if v := decideSegment(seg, q, fingerprint.DefaultThreshold); !v.OK() || v.Index != entries[5].ID || v.Name != entries[5].Name {
 		t.Fatalf("decide = %+v, want entry 5", v)
+	}
+}
+
+// loadHeld returns the least heap, over three loads, that a loaded segment
+// holds once the load's garbage is collected.
+func loadHeld(t *testing.T, path string) int64 {
+	t.Helper()
+	least := int64(math.MaxInt64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		seg, err := LoadSegment(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		least = min(least, int64(after.HeapAlloc)-int64(before.HeapAlloc))
+		seg.Close()
+	}
+	return least
+}
+
+// TestSegmentLoadHeap guards the heap a loaded segment holds: the matrix,
+// cardinalities and every other columnar section are views of the
+// mapping, so with no tombstones the heap grows by at most 8 bytes per
+// 64-entry block (each block's smallest cardinality) whatever the entry
+// count, and the first Remove allocates the tombstones once.
+func TestSegmentLoadHeap(t *testing.T) {
+	const nbits, small, large = 512, 64, 1 << 14
+	entries := make([]fingerprint.IDEntry, large)
+	for i := range entries {
+		entries[i] = fingerprint.IDEntry{ID: i, Name: fmt.Sprintf("dev%05d", i), FP: testFP(uint64(i), nbits, 8)}
+	}
+	smallPath, largePath := writeTestSegment(t, entries[:small]), writeTestSegment(t, entries)
+	blocks := int64(large/bitset.DefaultSlicedEntries - small/bitset.DefaultSlicedEntries)
+	grew := loadHeld(t, largePath) - loadHeld(t, smallPath)
+	t.Logf("%.1f heap bytes per block", float64(grew)/float64(blocks))
+	if grew > 8*blocks {
+		t.Errorf("a %d-entry segment holds %d heap bytes more than a %d-entry one: %.1f per block, want ≤ 8",
+			large, grew, small, float64(grew)/float64(blocks))
+	}
+
+	seg, err := LoadSegment(largePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	clean := seg.mat
+	if a := testing.AllocsPerRun(3, func() { seg.mat, seg.deadCount = clean, 0; seg.kill(large - 1) }); a != 1 {
+		t.Errorf("first Remove: %v allocations, want 1", a)
+	}
+	pos := 0
+	if a := testing.AllocsPerRun(10, func() { seg.kill(pos); pos++ }); a != 0 {
+		t.Errorf("later Removes: %v allocations, want 0", a)
+	}
+	if seg.Live() != large-12 || !seg.mat.Dead(large-1) || !seg.mat.Dead(10) || seg.mat.Dead(11) {
+		t.Errorf("%d live after 12 Removes, want %d", seg.Live(), large-12)
 	}
 }

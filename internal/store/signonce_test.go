@@ -74,10 +74,10 @@ func checkpointChecked(t *testing.T, tb *Tiered, seen map[*Segment]bool) {
 }
 
 // TestSignOnceSegmentsMatchSigning: flushes write the keys the memtable's
-// shards hold and compactions the keys their source segments hold, and
+// index holds and compactions the keys their source segments hold, and
 // every segment either writes is byte-identical to the one the signing path
 // writes over the same entries — with memtable tombstones below and above
-// RebuildMinDead (so some shards have been rebuilt), segment tombstones
+// RebuildMinDead (so the memtable has been rebuilt), segment tombstones
 // dropped by compaction, duplicate names and an empty fingerprint. Rows keep
 // the names they had when multi-probe keys and the block width were
 // settings (probes=false/B=8, probes=false/B=64): every segment now holds
@@ -87,7 +87,7 @@ func TestSignOnceSegmentsMatchSigning(t *testing.T) {
 	for _, tape := range []int{8, 64} {
 		t.Run(fmt.Sprintf("probes=false/B=%d", tape), func(t *testing.T) {
 			tb, err := OpenTiered(Config{Dir: t.TempDir(), FlushEntries: 1 << 20, CompactSegments: 2},
-				DBConfig{Threshold: fingerprint.DefaultThreshold, Shards: 2})
+				DBConfig{Threshold: fingerprint.DefaultThreshold})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,14 +110,14 @@ func TestSignOnceSegmentsMatchSigning(t *testing.T) {
 			}
 			round(1, 160, 30)
 			if got := tb.mem.Rebuilds(); got != 0 {
-				t.Fatalf("round 1: %d shard rebuilds, want none", got)
+				t.Fatalf("round 1: %d memtable rebuilds, want none", got)
 			}
 			checkpointChecked(t, tb, seen)
-			// About 150 removes a shard: each is rebuilt at 64 and 128
-			// tombstones and flushes with the rest still tombstoned.
+			// 300 removes: the memtable is rebuilt at every 64 tombstones
+			// and flushes with the rest still tombstoned.
 			round(2, 400, 300)
 			if tb.mem.Rebuilds() == 0 {
-				t.Fatal("round 2: no shard was rebuilt")
+				t.Fatal("round 2: the memtable was not rebuilt")
 			}
 			checkpointChecked(t, tb, seen)
 			// Tombstone round 2's segment, so the compaction that merges

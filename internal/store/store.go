@@ -22,14 +22,14 @@
 //     PCSEG02.
 //
 // Both tiers run one identify engine: each query is signed once, the
-// memtable shards and every segment turn the shared signature into LSH
+// memtable and every segment turn the shared signature into LSH
 // candidates, and fingerprint.Decision verifies them with the sliced block
-// kernel and sweeps the blocks. A Decide is one Decision across every
-// segment and memtable shard: once a candidate verifies under the
-// threshold, or any sweep finds a match, every sweep is bounded by the
-// threshold; until then each sweep is bounded by its own best. Every
-// component is swept, so the candidates decide how much is read out, never
-// the answer. Decide is the only lookup the backends serve.
+// kernel and sweeps each component's matrix as one run. A Decide is one
+// Decision across every segment and the memtable: once a candidate
+// verifies under the threshold, or any sweep finds a match, every sweep is
+// bounded by the threshold; until then each sweep is bounded by its own
+// best. Every component is swept, so the candidates decide how much is
+// read out, never the answer. Decide is the only lookup the backends serve.
 //
 // Determinism contract: a Tiered backend built by any interleaving of the
 // same Add/Remove sequence — under any flush or compaction timing — answers
@@ -115,14 +115,11 @@ type DurableBackend interface {
 // already exposes.
 type DBConfig struct {
 	Threshold float64
-	Shards    int
 	Workers   int
 }
 
 func (c DBConfig) newShardedDB() (*fingerprint.ShardedDB, error) {
-	scfg := fingerprint.ShardedConfig{Shards: c.Shards}
-	scfg.Index.Workers = c.Workers
-	return fingerprint.NewShardedDB(c.Threshold, scfg)
+	return fingerprint.NewShardedDB(c.Threshold, fingerprint.ShardedConfig{Index: fingerprint.IndexedConfig{Workers: c.Workers}})
 }
 
 // Config selects and parameterizes a backend.

@@ -37,9 +37,9 @@ import (
 // first, in order.
 //
 // Locking: t.mu guards the tier topology (memtable pointer, segment list,
-// tombstone flags). Queries hold it in read mode for their whole scan —
-// segment kill flags are only written under the write lock — while the
-// memtable's own internal sharded locks handle concurrent access beneath it.
+// segment tombstones). Queries hold it in read mode for their whole scan —
+// segment tombstones are only written under the write lock — while the
+// memtable's own lock handles concurrent access beneath it.
 type Tiered struct {
 	cfg    Config
 	dbCfg  DBConfig
@@ -239,7 +239,7 @@ func (t *Tiered) lenLocked() int {
 // content and do not advance it, so cached verdicts stay valid across them.
 func (t *Tiered) Generation() int64 { return t.gen.Load() }
 
-// Stats reports the live total plus the memtable's shard distribution.
+// Stats reports the live total; PerShard is the memtable's live count.
 func (t *Tiered) Stats() fingerprint.ShardStats {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -260,10 +260,10 @@ func (t *Tiered) NeedsFlush() bool {
 func (t *Tiered) TryStartFlush() bool { return t.flushReq.CompareAndSwap(false, true) }
 func (t *Tiered) EndFlush()           { t.flushReq.Store(false) }
 
-// Decide is one node-wide fingerprint.Decision over every segment and
-// memtable shard, folded by the same (distance, id)-lexicographic rule the
-// sharded scan uses: the dense scan's verdict field for field, so flush
-// timing can never change an answer.
+// Decide is one node-wide fingerprint.Decision over every segment and the
+// memtable, folded by the (distance, id)-lexicographic rule
+// (fingerprint.MergeVerdict): the dense scan's verdict field for field, so
+// flush timing can never change an answer.
 func (t *Tiered) Decide(errorString *bitset.Set) fingerprint.Verdict {
 	return t.DecideCtx(context.Background(), errorString)
 }
@@ -365,8 +365,8 @@ func (t *Tiered) Flush() error {
 }
 
 func (t *Tiered) flushLocked(watermark uint64) error {
-	// The memtable's shards signed every entry when it was added; their
-	// index buckets hand those keys to the writer.
+	// The memtable signed every entry when it was added; its index buckets
+	// hand those keys to the writer.
 	entries, pairs := t.mem.ExportKeyed()
 	for i := range entries {
 		entries[i].ID += t.memBase
@@ -459,7 +459,7 @@ func (t *Tiered) rewriteLocked(i, j int) error {
 	// the persisted set.
 	for _, seg := range old {
 		for pos := 0; pos < seg.Len(); pos++ {
-			if seg.dead[pos] {
+			if seg.mat.Dead(pos) {
 				delete(t.tomb, seg.ID(pos))
 			}
 		}

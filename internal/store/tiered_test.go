@@ -20,7 +20,7 @@ func spansBlocks(tb *Tiered) bool {
 	tb.mu.RLock()
 	defer tb.mu.RUnlock()
 	for _, seg := range tb.segs {
-		if len(seg.blocks) >= 3 && seg.Len()%seg.blockEntries != 0 {
+		if seg.mat.NumBlocks() >= 3 && seg.Len()%seg.blockEntries != 0 {
 			return true
 		}
 	}
@@ -31,7 +31,7 @@ func openTestTiered(t *testing.T, dir string, compact int) *Tiered {
 	t.Helper()
 	tb, err := OpenTiered(
 		Config{Dir: dir, FlushEntries: 8, CompactSegments: compact},
-		DBConfig{Threshold: fingerprint.DefaultThreshold, Shards: 1},
+		DBConfig{Threshold: fingerprint.DefaultThreshold},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +273,7 @@ func TestTieredRefusesTornCommitted(t *testing.T) {
 	if err := os.WriteFile(path, blob[:len(blob)*2/3], 0o666); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenTiered(Config{Dir: dir}, DBConfig{Threshold: fingerprint.DefaultThreshold, Shards: 1}); err == nil {
+	if _, err := OpenTiered(Config{Dir: dir}, DBConfig{Threshold: fingerprint.DefaultThreshold}); err == nil {
 		t.Fatal("torn committed segment opened without error")
 	}
 	if err := VerifyDir(dir); err == nil {
@@ -340,8 +340,8 @@ func TestTieredGenerationStability(t *testing.T) {
 }
 
 // TestTieredSignsOnce: a Decide over several segments and a non-empty
-// memtable signs the query once — every segment and memtable shard reuses
-// the signature.
+// memtable signs the query once — every segment and the memtable reuse the
+// signature.
 func TestTieredSignsOnce(t *testing.T) {
 	const n, nbits = 24, 1024
 	entries := testEntries(n, nbits)

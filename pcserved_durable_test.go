@@ -352,3 +352,19 @@ func TestPcservedRouterRefusesServingFlags(t *testing.T) {
 		t.Errorf("pcserved -mode=router -wal.verify: %v, output %q; want the offline check", err, out)
 	}
 }
+
+// TestPcservedWalVerifyEndsWithNewline: the -wal.verify report ends its
+// last line, so a shell prompt or the next command's output starts on a
+// line of its own.
+func TestPcservedWalVerifyEndsWithNewline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	out, err := exec.Command(buildPcserved(t), "-wal.verify", "-wal.dir", t.TempDir()).Output()
+	if err != nil {
+		t.Fatalf("pcserved -wal.verify on an empty log: %v\n%s", err, out)
+	}
+	if !strings.HasSuffix(string(out), "ok: checksums and sequence continuity verified\n") {
+		t.Errorf("pcserved -wal.verify printed %q; want it to end with the ok line and a newline", out)
+	}
+}

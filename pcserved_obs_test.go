@@ -47,7 +47,7 @@ func TestPcservedObservability(t *testing.T) {
 	}
 
 	base, cmd := startPcservedEnv(t, []string{"OBS_REPORT=" + reportPath},
-		"-db", dbPath, "-shards", "2", "-cache", "0",
+		"-db", dbPath, "-cache", "0",
 		"-wal.dir", filepath.Join(dir, "wal"),
 		"-slo", "identify:p99<50ms,identify:err<1%",
 		"-slow", "8")

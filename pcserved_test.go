@@ -151,7 +151,7 @@ func TestPcservedEndToEnd(t *testing.T) {
 	}
 	snapPath := filepath.Join(dir, "snap.pcdb")
 
-	base, cmd := startPcserved(t, "-db", dbPath, "-snapshot", snapPath, "-shards", "2", "-cache", "16")
+	base, cmd := startPcserved(t, "-db", dbPath, "-snapshot", snapPath, "-cache", "16")
 
 	post := func(path string, body any) (int, []byte) {
 		t.Helper()
