@@ -19,7 +19,7 @@
 // and boot replays the log over the last checkpoint — a kill -9 at any
 // point loses nothing that was acked. Graceful shutdown checkpoints the
 // database with its WAL watermark and compacts the log. Committed state
-// overrides a -db or -snapshot seed.
+// overrides a -db or -snapshot seed, which is then not read at all.
 //
 // Cluster modes (see internal/cluster and docs/OPERATIONS.md):
 //
@@ -259,10 +259,7 @@ func run(args []string) (err error) {
 	if *threshold == 0 {
 		*threshold = fingerprint.DefaultThreshold
 	}
-	seed, err := loadSeed(*dbList, *snapshot, *threshold)
-	if err != nil {
-		return err
-	}
+	readSeed := func() (*fingerprint.DB, error) { return loadSeed(*dbList, *snapshot, *threshold) }
 
 	cfg := server.Config{
 		Threshold:      *threshold,
@@ -311,8 +308,9 @@ func run(args []string) (err error) {
 			}
 		}
 		// The store's committed state (when there is any) overrides the
-		// seed, and the surviving WAL records replay on top: recovery.
-		svc, err = server.BootDurable(seed, cfg, server.EnrollConfig{
+		// seed, which is then never read, and the surviving WAL records
+		// replay on top: recovery.
+		svc, err = server.BootDurableSeed(readSeed, cfg, server.EnrollConfig{
 			Dir: *walDir,
 			WAL: wal.Options{SegmentBytes: *walSegment, Fsync: fsyncMode, StartSeq: startSeq},
 			Accumulator: fingerprint.AccumulatorConfig{
@@ -327,8 +325,14 @@ func run(args []string) (err error) {
 		}
 		es := svc.EnrollStats()
 		fmt.Printf("pcserved: recovered WAL to seq %d (%d open sessions)\n", es.AppliedSeq, es.Sessions)
-	} else if svc, err = server.New(seed, cfg); err != nil {
-		return err
+	} else {
+		seed, err := readSeed()
+		if err != nil {
+			return err
+		}
+		if svc, err = server.New(seed, cfg); err != nil {
+			return err
+		}
 	}
 
 	// With a WAL the node joins the replication surface: /v1/repl/*
@@ -560,10 +564,12 @@ func serve(ln net.Listener, handler http.Handler, announce string) error {
 
 // loadSeed assembles the startup database at threshold: the snapshot when
 // it exists (restart path), else the -db file list (first-boot path), else
-// an empty start. Like pcause identify, each -db file may be a whole PCDB01
-// database or a single raw fingerprint, detected by magic. Entries are
-// copied into a database at threshold, so a PCDB01 header's float32
-// threshold is never served.
+// an empty start. A durable node (-wal.dir) calls it only when it will seed
+// — its store empty at watermark 0 (server.BootDurableSeed) — so a restart
+// never reads a seed its committed state overrides. Like pcause identify,
+// each -db file may be a whole PCDB01 database or a single raw fingerprint,
+// detected by magic. Entries are copied into a database at threshold, so a
+// PCDB01 header's float32 threshold is never served.
 func loadSeed(dbList, snapshot string, threshold float64) (*fingerprint.DB, error) {
 	db := fingerprint.NewDB(threshold)
 	if snapshot != "" {

@@ -14,7 +14,8 @@ import (
 // Decide across every component of a node.
 
 // Engine metrics: signatures computed (one per query, however many
-// components it visits, plus one per entry added to an indexed database),
+// components it visits, plus one per entry an indexed database's key fill
+// covers),
 // the blocks Decide sweeps read out, and bounded Decide sweeps with the
 // blocks they did not read out.
 var (
@@ -24,10 +25,18 @@ var (
 	cBlocksAbandoned = obs.C("fingerprint.decide.blocks_abandoned")
 )
 
+// signHook, when set, sees every set sign signs, on the signing goroutine:
+// the tests' view of which entries were signed, how often, and how many at
+// once.
+var signHook func(*bitset.Set)
+
 // sign computes the MinHash signature of a dense set via its sparse view.
 func sign(scheme minhash.Scheme, s *bitset.Set) minhash.Signature {
 	if obs.On() {
 		cSignatures.Inc()
+	}
+	if signHook != nil {
+		signHook(s)
 	}
 	return scheme.Sign(bitset.Sparse(s.Positions()))
 }

@@ -21,7 +21,7 @@ var (
 
 // ShardedConfig parameterizes a ShardedDB.
 type ShardedConfig struct {
-	// Index configures the LSH candidate stage (scheme, build workers). The
+	// Index configures the LSH candidate stage (scheme, fill workers). The
 	// zero value selects minhash.DefaultScheme.
 	Index IndexedConfig
 	// Plain selects the dense reference: the database answers by DB's dense
@@ -31,11 +31,11 @@ type ShardedConfig struct {
 	// equal it field for field.
 	Plain bool
 	// RebuildMinDead is the tombstone count at which Remove physically
-	// compacts the database (drops dead entries and rebuilds the LSH index
-	// and sliced matrix). Below it, Remove only tombstones — O(1) instead of
-	// O(size) — and lookups skip the dead entries. 0 selects
-	// DefaultRebuildMinDead; 1 restores the eager rebuild-per-Remove
-	// behavior.
+	// compacts the database (drops dead entries, carries the survivors'
+	// keys and repacks the sliced matrix). Below it, Remove only tombstones
+	// — O(1) instead of O(size) — and lookups skip the dead entries. 0
+	// selects DefaultRebuildMinDead; 1 restores the eager
+	// rebuild-per-Remove behavior.
 	RebuildMinDead int
 }
 
@@ -59,6 +59,12 @@ const DefaultRebuildMinDead = 64
 // reported as the entry's add-order id (stable across Removes, equal to the
 // DB slice index when nothing was removed). Each query is signed once, and
 // Decide is one node-wide Decision over the database's one component.
+//
+// Signing contract: Add signs nothing. Each entry is signed at most once,
+// by the first fill that covers it (SlicedDB.FillKeys): the candidate stage
+// of a lookup, ExportKeyed, FillKeys or FillIndex. A tombstone rebuild
+// carries the survivors' keys and signs nothing, and an entry it drops
+// before any fill is never signed.
 type ShardedDB struct {
 	threshold float64
 	cfg       ShardedConfig
@@ -72,15 +78,6 @@ type ShardedDB struct {
 
 	gen      atomic.Int64
 	rebuilds atomic.Int64 // physical compactions triggered by Remove
-}
-
-// build constructs the sliced engine over s.db, used at construction and
-// after a Remove rebuild.
-func (s *ShardedDB) build() (err error) {
-	if !s.cfg.Plain {
-		s.sx, err = SliceDB(s.db, s.cfg.Index)
-	}
-	return err
 }
 
 // NewShardedDB returns an empty sharded database using the given
@@ -99,8 +96,11 @@ func NewShardedDB(threshold float64, cfg ShardedConfig) (*ShardedDB, error) {
 		return nil, fmt.Errorf("fingerprint: rebuild threshold %d", cfg.RebuildMinDead)
 	}
 	s := &ShardedDB{threshold: threshold, cfg: cfg, scheme: cfg.Index.Scheme, db: NewDB(threshold)}
-	if err := s.build(); err != nil {
-		return nil, err
+	if !cfg.Plain {
+		var err error
+		if s.sx, err = SliceDB(s.db, cfg.Index); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }
@@ -157,12 +157,8 @@ func (s *ShardedDB) AddWithID(id int, name string, fp *bitset.Set) {
 }
 
 // add registers fp under id, or under the next add-order id when id < 0.
-// The signature is computed before the lock is taken.
+// It only packs the entry; the next fill signs it.
 func (s *ShardedDB) add(id int, name string, fp *bitset.Set) int {
-	var sig minhash.Signature
-	if !s.cfg.Plain {
-		sig = sign(s.scheme, fp)
-	}
 	s.mu.Lock()
 	if id < 0 {
 		id = s.nextID
@@ -171,7 +167,7 @@ func (s *ShardedDB) add(id int, name string, fp *bitset.Set) int {
 		s.nextID = id + 1
 	}
 	if s.sx != nil {
-		s.sx.add(name, fp, sig)
+		s.sx.Add(name, fp)
 	} else {
 		s.db.Add(name, fp)
 	}
@@ -221,23 +217,38 @@ func (s *ShardedDB) Remove(name string) bool {
 }
 
 // compact drops the tombstoned entries: live entries move to a fresh DB in
-// order, the add-order id mapping is remapped alongside, and the LSH index
-// and sliced matrix are rebuilt over the survivors (O(size), amortized over
-// RebuildMinDead tombstone-only Removes). Caller holds s.mu.
+// order, the add-order id mapping is remapped alongside, the survivors'
+// filled keys move with them, and the sliced matrix is repacked over the
+// survivors (O(size), amortized over RebuildMinDead tombstone-only
+// Removes). Nothing is signed: the next candidate stage files the carried
+// keys in a fresh index, and the next fill signs the survivors the old one
+// had not reached. Caller holds s.mu.
 func (s *ShardedDB) compact() {
 	ndb := NewDB(s.threshold)
 	nids := make([]int, 0, len(s.ids)-s.db.deadCount)
+	var keys, nkeys []uint64
+	b := s.scheme.Bands
+	if s.sx != nil {
+		keys = s.sx.keys
+		nkeys = make([]uint64, 0, min(len(keys), cap(nids)*b))
+	}
 	for i, e := range s.db.entries {
 		if !s.db.alive(i) {
 			continue
 		}
 		ndb.Add(e.Name, e.FP)
 		nids = append(nids, s.ids[i])
+		if (i+1)*b <= len(keys) {
+			nkeys = append(nkeys, keys[i*b:(i+1)*b]...)
+		}
 	}
-	s.db, s.ids, s.sx = ndb, nids, nil
-	// The scheme was validated at construction, so the build cannot fail here.
-	if err := s.build(); err != nil {
-		panic("fingerprint: sharded index rebuild: " + err.Error())
+	s.db, s.ids = ndb, nids
+	if s.sx != nil {
+		var err error
+		// The scheme was validated at construction, so this cannot fail.
+		if s.sx, err = sliceDB(ndb, s.cfg.Index, nkeys); err != nil {
+			panic("fingerprint: sharded rebuild: " + err.Error())
+		}
 	}
 }
 
@@ -375,19 +386,26 @@ type IDEntry struct {
 func (s *ShardedDB) ExportIDs() []IDEntry {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.exportLocked()
+	entries, _ := s.exportLocked()
+	return entries
 }
 
-// exportLocked is ExportIDs with s.mu held.
-func (s *ShardedDB) exportLocked() []IDEntry {
-	all := make([]IDEntry, 0, s.db.Len())
-	for i, e := range s.db.entries {
+// exportLocked is ExportIDs with s.mu held, plus each exported entry's
+// position in the database.
+func (s *ShardedDB) exportLocked() (entries []IDEntry, local []int) {
+	local = make([]int, 0, s.db.Len())
+	for i := range s.db.entries {
 		if s.db.alive(i) {
-			all = append(all, IDEntry{ID: s.ids[i], Name: e.Name, FP: e.FP})
+			local = append(local, i)
 		}
 	}
-	slices.SortFunc(all, func(a, b IDEntry) int { return cmp.Compare(a.ID, b.ID) })
-	return all
+	slices.SortFunc(local, func(a, b int) int { return cmp.Compare(s.ids[a], s.ids[b]) })
+	entries = make([]IDEntry, len(local))
+	for p, i := range local {
+		e := s.db.entries[i]
+		entries[p] = IDEntry{ID: s.ids[i], Name: e.Name, FP: e.FP}
+	}
+	return entries, local
 }
 
 // KeyPos is one LSH pair of an exported entry list: the entry at position
@@ -398,35 +416,50 @@ type KeyPos struct {
 	Pos uint32
 }
 
-// ExportKeyed is ExportIDs plus the LSH keys the index already holds for
-// the exported entries: one pair per key a live entry is indexed under, its
-// Pos the entry's position in entries. The pairs come from a read-only walk
-// of the index buckets that skips tombstoned refs, so no entry is signed
-// again; they are in no particular order. A Plain database has no index, so
-// its pairs are nil. Mutations are blocked for the duration.
+// ExportKeyed is ExportIDs plus the LSH keys of the exported entries: one
+// pair per band key of each live entry, its Pos the entry's position in
+// entries, in no particular order. The pairs come straight from the filled
+// keys, after one fill signs the entries no earlier fill reached. A Plain
+// database has no keys, so its pairs are nil. Mutations are blocked for the
+// duration.
 func (s *ShardedDB) ExportKeyed() (entries []IDEntry, pairs []KeyPos) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	entries = s.exportLocked()
-	if s.cfg.Plain {
+	entries, local := s.exportLocked()
+	if s.sx == nil {
 		return entries, nil
 	}
-	// pos maps a local index to its position in entries (ids are unique, so
-	// a binary search finds it); -1 marks a tombstone.
-	pos := make([]int, len(s.db.entries))
-	for i := range pos {
-		pos[i] = -1
-		if s.db.alive(i) {
-			pos[i], _ = slices.BinarySearchFunc(entries, s.ids[i], func(e IDEntry, id int) int { return cmp.Compare(e.ID, id) })
+	keys, b := s.sx.FillKeys(), s.scheme.Bands
+	pairs = make([]KeyPos, 0, len(entries)*b)
+	for p, i := range local {
+		for _, k := range keys[i*b : (i+1)*b] {
+			pairs = append(pairs, KeyPos{Key: k, Pos: uint32(p)})
 		}
 	}
-	pairs = make([]KeyPos, 0, len(entries)*s.scheme.Bands)
-	s.sx.index.Each(func(key uint64, local int) {
-		if p := pos[local]; p >= 0 {
-			pairs = append(pairs, KeyPos{Key: key, Pos: uint32(p)})
-		}
-	})
 	return entries, pairs
+}
+
+// FillKeys signs every entry added since the last fill, in one pass across
+// the worker pool (SlicedDB.FillKeys), under the read lock — so the flush
+// that follows (ExportKeyed) signs nothing, and lookups only wait for it
+// as they wait for any reader. A Plain database has nothing to sign.
+func (s *ShardedDB) FillKeys() {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.sx != nil {
+		s.sx.FillKeys()
+	}
+}
+
+// FillIndex is FillKeys plus filing the keys in the LSH index: the
+// preparation the next lookup's candidate stage would otherwise make — a
+// seeded server runs it before it serves.
+func (s *ShardedDB) FillIndex() {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.sx != nil {
+		s.sx.FillIndex()
+	}
 }
 
 // String renders a small summary for logs.

@@ -3,9 +3,12 @@ package fingerprint
 import (
 	"fmt"
 	"maps"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"probablecause/internal/bitset"
 	"probablecause/internal/minhash"
@@ -141,22 +144,32 @@ func TestShardedMatchesPlainDB(t *testing.T) {
 	}
 }
 
-// TestShardedSignsOnce: one Decide signs the query once; the exact (Plain)
+// TestShardedSignsOnce: Adds sign nothing; a Decide signs its query once,
+// and the first one also every entry its fill covers; the exact (Plain)
 // engine never signs.
 func TestShardedSignsOnce(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
+	counted := func(f func()) int64 {
+		before := cSignatures.Value()
+		f()
+		return cSignatures.Value() - before
+	}
 	q := testSet(0xF00D, 4096, 64)
 	for _, plain := range []bool{false, true} {
-		_, sh := buildEquivalent(t, 40, ShardedConfig{Plain: plain})
-		want := int64(1)
-		if plain {
-			want = 0
+		var sh *ShardedDB
+		if got := counted(func() { _, sh = buildEquivalent(t, 40, ShardedConfig{Plain: plain}) }); got != 0 {
+			t.Errorf("plain=%v: 40 Adds: %d signatures, want 0", plain, got)
 		}
-		before := cSignatures.Value()
-		sh.Decide(q)
-		if got := cSignatures.Value() - before; got != want {
-			t.Errorf("plain=%v Decide: %d signatures, want %d", plain, got, want)
+		first, later := int64(1+40), int64(1)
+		if plain {
+			first, later = 0, 0
+		}
+		if got := counted(func() { sh.Decide(q) }); got != first {
+			t.Errorf("plain=%v first Decide: %d signatures, want %d", plain, got, first)
+		}
+		if got := counted(func() { sh.Decide(q) }); got != later {
+			t.Errorf("plain=%v Decide: %d signatures, want %d", plain, got, later)
 		}
 	}
 }
@@ -406,8 +419,13 @@ func TestShardedRemoveTombstone(t *testing.T) {
 
 // TestShardedExportKeyed: ExportKeyed returns ExportIDs' entries and, as a
 // multiset, exactly the pairs signing each live entry afresh would give —
-// its band keys under the index's scheme, at its export position — with tombstones below and above RebuildMinDead, and without
-// signing anything. A Plain database reports no keys.
+// its band keys under the index's scheme, at its export position — with
+// tombstones below and above RebuildMinDead, whether or not a Decide filled
+// the keys before the Removes. Its fill signs each entry no earlier fill
+// reached once: every entry still in the database when nothing had filled
+// it, none after the Decide, whose keys the rebuilds carried. A second
+// ExportKeyed signs nothing and returns the same. A Plain database reports
+// no keys and signs nothing.
 func TestShardedExportKeyed(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
@@ -416,39 +434,210 @@ func TestShardedExportKeyed(t *testing.T) {
 		{RebuildMinDead: 4},
 		{Plain: true},
 	} {
-		_, sh := buildEquivalent(t, 60, cfg)
-		for i := 0; i < 60; i += 3 {
-			sh.Remove(fmt.Sprintf("dev%03d", i))
-		}
-		if cfg.RebuildMinDead > 0 && sh.Rebuilds() == 0 {
-			t.Fatalf("cfg %+v: the database was not rebuilt", cfg)
-		}
-		before := cSignatures.Value()
-		entries, pairs := sh.ExportKeyed()
-		if got := cSignatures.Value() - before; got != 0 {
-			t.Fatalf("cfg %+v: ExportKeyed signed %d entries", cfg, got)
-		}
-		if !slices.Equal(entries, sh.ExportIDs()) {
-			t.Fatalf("cfg %+v: ExportKeyed entries differ from ExportIDs", cfg)
-		}
-		if cfg.Plain {
-			if pairs != nil {
-				t.Fatalf("cfg %+v: a Plain database exported %d pairs", cfg, len(pairs))
+		for _, decided := range []bool{false, true} {
+			_, sh := buildEquivalent(t, 60, cfg)
+			if decided {
+				sh.Decide(testSet(0xF00D, 4096, 64))
 			}
-			continue
-		}
-		want := map[KeyPos]int{}
-		for pos, e := range entries {
-			for _, k := range NewQuery(e.FP, minhash.DefaultScheme).Keys(minhash.DefaultScheme) {
-				want[KeyPos{Key: k, Pos: uint32(pos)}]++
+			for i := 0; i < 60; i += 3 {
+				sh.Remove(fmt.Sprintf("dev%03d", i))
+			}
+			if cfg.RebuildMinDead > 0 && sh.Rebuilds() == 0 {
+				t.Fatalf("cfg %+v: the database was not rebuilt", cfg)
+			}
+			// Unfilled, the database still holds all 60 entries, or the 40
+			// survivors once the rebuilds dropped the 20 tombstones.
+			want := int64(60)
+			switch {
+			case cfg.Plain || decided:
+				want = 0
+			case cfg.RebuildMinDead > 0:
+				want = 40
+			}
+			before := cSignatures.Value()
+			entries, pairs := sh.ExportKeyed()
+			if got := cSignatures.Value() - before; got != want {
+				t.Fatalf("cfg %+v decided=%v: ExportKeyed signed %d entries, want %d", cfg, decided, got, want)
+			}
+			before = cSignatures.Value()
+			again, againPairs := sh.ExportKeyed()
+			if got := cSignatures.Value() - before; got != 0 || !slices.Equal(again, entries) || !slices.Equal(againPairs, pairs) {
+				t.Fatalf("cfg %+v decided=%v: a second ExportKeyed signed %d entries or exported differently", cfg, decided, got)
+			}
+			if !slices.Equal(entries, sh.ExportIDs()) {
+				t.Fatalf("cfg %+v: ExportKeyed entries differ from ExportIDs", cfg)
+			}
+			if cfg.Plain {
+				if pairs != nil {
+					t.Fatalf("cfg %+v: a Plain database exported %d pairs", cfg, len(pairs))
+				}
+				continue
+			}
+			want2 := map[KeyPos]int{}
+			for pos, e := range entries {
+				for _, k := range NewQuery(e.FP, minhash.DefaultScheme).Keys(minhash.DefaultScheme) {
+					want2[KeyPos{Key: k, Pos: uint32(pos)}]++
+				}
+			}
+			got := map[KeyPos]int{}
+			for _, p := range pairs {
+				got[p]++
+			}
+			if len(pairs) != len(entries)*minhash.DefaultScheme.Bands || !maps.Equal(got, want2) {
+				t.Fatalf("cfg %+v decided=%v: %d pairs differ from the %d entries' signed keys", cfg, decided, len(pairs), len(entries))
 			}
 		}
-		got := map[KeyPos]int{}
-		for _, p := range pairs {
-			got[p]++
+	}
+}
+
+// TestSignLifecycle: over random interleavings of Adds, Decides (one or two
+// concurrent readers), Removes with tombstone rebuilds, pre-flush fills
+// (FillKeys) and flushes (ExportKeyed, then a fresh database, as a tiered
+// store's memtable goes), each entry is signed at most once in total, and
+// has been by the time a flush exports it or a Decide returns. Adds,
+// Removes and rebuilds sign nothing; each Decide signs its query once plus
+// the entries its fill covered; a flush or a fill signs exactly the entries
+// no earlier fill reached.
+func TestSignLifecycle(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	var mu sync.Mutex
+	signed := map[*bitset.Set]int{}
+	signHook = func(s *bitset.Set) {
+		mu.Lock()
+		signed[s]++
+		mu.Unlock()
+	}
+	defer func() { signHook = nil }()
+	for seed := uint64(1); seed <= 4; seed++ {
+		src := prng.New(0x51F3 + seed)
+		entries := map[*bitset.Set]bool{} // every fingerprint ever added
+		newDB := func() *ShardedDB {
+			sh, err := NewShardedDB(DefaultThreshold, ShardedConfig{RebuildMinDead: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sh
 		}
-		if len(pairs) != len(entries)*minhash.DefaultScheme.Bands || !maps.Equal(got, want) {
-			t.Fatalf("cfg %+v: %d pairs differ from the %d entries' signed keys", cfg, len(pairs), len(entries))
+		sh := newDB()
+		// unsigned counts the entries still in the database — tombstones a
+		// rebuild has not dropped included — that no fill has signed.
+		unsigned := func() (n int64) {
+			mu.Lock()
+			defer mu.Unlock()
+			for _, e := range sh.db.entries {
+				if signed[e.FP] == 0 {
+					n++
+				}
+			}
+			return n
+		}
+		step := func(what string, want int64, f func()) {
+			t.Helper()
+			before := cSignatures.Value()
+			f()
+			if got := cSignatures.Value() - before; got != want {
+				t.Fatalf("seed %d: %s: %d signatures, want %d", seed, what, got, want)
+			}
+			if fills := what != "Add" && what != "Remove"; fills && unsigned() != 0 {
+				t.Fatalf("seed %d: %s left %d entries unsigned", seed, what, unsigned())
+			}
+		}
+		rebuilds := 0
+		for i := 0; i < 400; i++ {
+			switch r := src.Intn(20); {
+			case r < 10:
+				fp := testSet(src.Uint64(), 2048, 20+src.Intn(40))
+				entries[fp] = true
+				step("Add", 0, func() { sh.Add(fmt.Sprintf("dev%02d", src.Intn(20)), fp) })
+			case r < 15:
+				r0 := sh.Rebuilds()
+				step("Remove", 0, func() { sh.Remove(fmt.Sprintf("dev%02d", src.Intn(20))) })
+				rebuilds += int(sh.Rebuilds() - r0)
+			case r < 18:
+				readers := 1 + src.Intn(2)
+				qs := make([]*bitset.Set, readers)
+				for k := range qs {
+					qs[k] = testSet(src.Uint64(), 2048, 40)
+				}
+				step("Decide", int64(readers)+unsigned(), func() {
+					var wg sync.WaitGroup
+					for _, q := range qs {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							sh.Decide(q)
+						}()
+					}
+					wg.Wait()
+				})
+			case r < 19:
+				step("FillKeys", unsigned(), sh.FillKeys)
+			default:
+				var out []IDEntry
+				step("flush", unsigned(), func() { out, _ = sh.ExportKeyed() })
+				mu.Lock()
+				for _, e := range out {
+					if signed[e.FP] != 1 {
+						t.Fatalf("seed %d: a flushed entry was signed %d times", seed, signed[e.FP])
+					}
+				}
+				mu.Unlock()
+				sh = newDB()
+			}
+		}
+		if rebuilds == 0 {
+			t.Fatalf("seed %d: no tombstone rebuild ran", seed)
+		}
+		mu.Lock()
+		for fp, n := range signed {
+			if entries[fp] && n > 1 {
+				t.Fatalf("seed %d: an entry was signed %d times", seed, n)
+			}
+		}
+		mu.Unlock()
+	}
+}
+
+// TestFillWorkersDefaultFansOut: IndexedConfig.Workers 0 means one signer
+// per CPU — with GOMAXPROCS at 2, SliceDB's fill has two entries in signing
+// at once — while Workers 1 signs one entry at a time.
+func TestFillWorkersDefaultFansOut(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	defer func() { signHook = nil }()
+	db := NewDB(DefaultThreshold)
+	for i := 0; i < 8; i++ {
+		db.Add(fmt.Sprintf("dev%d", i), testSet(uint64(i)+0xFA, 2048, 40))
+	}
+	for _, tc := range []struct {
+		workers int
+		wait    time.Duration // how long a signer waits for a second one
+		fans    bool
+	}{
+		{0, 10 * time.Second, true},
+		{1, 20 * time.Millisecond, false},
+	} {
+		var inside atomic.Int32
+		var met atomic.Bool
+		both := make(chan struct{})
+		var once sync.Once
+		signHook = func(*bitset.Set) {
+			if inside.Add(1) > 1 {
+				met.Store(true)
+				once.Do(func() { close(both) })
+			}
+			select {
+			case <-both:
+			case <-time.After(tc.wait): // alone: stop waiting for good
+				once.Do(func() { close(both) })
+			}
+			inside.Add(-1)
+		}
+		if _, err := SliceDB(db, IndexedConfig{Workers: tc.workers}); err != nil {
+			t.Fatal(err)
+		}
+		if met.Load() != tc.fans {
+			t.Errorf("Workers %d: two entries in signing at once = %v, want %v", tc.workers, met.Load(), tc.fans)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package fingerprint
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"probablecause/internal/bitset"
 	"probablecause/internal/minhash"
@@ -20,8 +21,9 @@ type IndexedConfig struct {
 	// Scheme is the MinHash/LSH scheme used to sign fingerprints and error
 	// strings; the zero value selects minhash.DefaultScheme.
 	Scheme minhash.Scheme
-	// Workers bounds the worker pool used to sign entries during bulk index
-	// construction (SliceDB). 0 or 1 signs serially.
+	// Workers bounds the worker pool of the bulk key fill, which signs every
+	// entry added since the last fill: SliceDB's build, and the fill before
+	// a ShardedDB's lookup or flush. 0 means one per CPU (pool.Workers).
 	Workers int
 }
 
@@ -37,6 +39,14 @@ type IndexedConfig struct {
 // of blocks up part way through their loads once none can. Both stages are the shared engine (Decision) the
 // tiered store's segments run too.
 //
+// Add only packs an entry: nothing is signed on the Add path. Every entry's
+// Bands band keys live in one flat slice, filled in one bulk pass over the
+// entries added since the last pass, across the worker pool, when a reader
+// first needs them — the candidate stage, which then files the new keys in
+// the index, or a flush (ShardedDB.ExportKeyed). Keys are a pure function of
+// fingerprint and scheme, and candidates only arm the sweep's bound, so when
+// an entry is signed never changes a verdict or a segment byte.
+//
 // The block kernel returns the exact (minCard, maxCard, diff) triples the
 // scalar MinCardAndNotCount returns, the distance division runs on the same
 // integers, and blocks are visited in add order, so Decide equals
@@ -48,8 +58,14 @@ type IndexedConfig struct {
 type SlicedDB struct {
 	db    *DB
 	cfg   IndexedConfig
-	index *minhash.Index[int]
 	arena *bitset.SlicedArena
+
+	// fill serializes the key fill and the index insert among lookups that
+	// share a reader's lock (ShardedDB.mu); Add needs the database alone.
+	fill    sync.Mutex
+	keys    []uint64 // Bands band keys per entry, for entries [0, len(keys)/Bands)
+	index   *minhash.Index[int]
+	indexed int // entries [0, indexed) are filed in index
 }
 
 // NewSlicedDB returns an empty sliced database with the given identification
@@ -60,11 +76,24 @@ func NewSlicedDB(threshold float64, cfg IndexedConfig) (*SlicedDB, error) {
 
 // SliceDB builds the LSH index and the bit-sliced arena over an existing
 // database — its entries packed position-major, as a segment stores them
-// (bitset.PackSlicedArena) — and returns the sliced view. The DB is shared,
-// not copied: entries added through the returned SlicedDB land in db too.
-// Entries must not be added directly to db afterwards — they would be
-// invisible to the index and the arena.
+// (bitset.PackSlicedArena), and signed in one fill across
+// pool.Workers(cfg.Workers) goroutines — and returns the sliced view. The
+// DB is shared, not copied: entries added through the returned SlicedDB
+// land in db too. Entries must not be added directly to db afterwards —
+// they would be invisible to the index and the arena.
 func SliceDB(db *DB, cfg IndexedConfig) (*SlicedDB, error) {
+	s, err := sliceDB(db, cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	s.FillIndex()
+	return s, nil
+}
+
+// sliceDB packs db's entries into the arena, with keys the band keys of its
+// first len(keys)/Bands entries (carried over by a tombstone rebuild); the
+// rest wait for a fill.
+func sliceDB(db *DB, cfg IndexedConfig, keys []uint64) (*SlicedDB, error) {
 	nbits, err := db.BitLen()
 	if err != nil {
 		return nil, err
@@ -76,32 +105,58 @@ func SliceDB(db *DB, cfg IndexedConfig) (*SlicedDB, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Bulk build: signing dominates (Rows·Bands hashes over every set bit),
-	// so fan it across the pool; the index insert itself is serial.
-	sigs := make([]minhash.Signature, len(db.entries))
-	pool.Map(cfg.Workers, len(db.entries), func(i int) {
-		sigs[i] = sign(cfg.Scheme, db.entries[i].FP)
-	})
 	fps := make([]*bitset.Set, len(db.entries))
-	for i, sig := range sigs {
-		ix.Add(sig, i)
-		fps[i] = db.entries[i].FP
+	for i, e := range db.entries {
+		fps[i] = e.FP
 	}
-	return &SlicedDB{db: db, cfg: cfg, index: ix, arena: bitset.PackSlicedArena(nbits, bitset.DefaultSlicedEntries, fps)}, nil
+	return &SlicedDB{db: db, cfg: cfg, keys: keys, index: ix, arena: bitset.PackSlicedArena(nbits, bitset.DefaultSlicedEntries, fps)}, nil
 }
 
-// Add registers a fingerprint under a name, indexes its signature, and packs
-// it into the sliced arena.
+// Add registers a fingerprint under a name and packs it into the sliced
+// arena. It signs nothing: the next fill signs the entry with every other
+// one added since.
 func (s *SlicedDB) Add(name string, fp *bitset.Set) {
-	s.add(name, fp, sign(s.cfg.Scheme, fp))
-}
-
-// add is Add with the signature already computed (ShardedDB signs outside
-// its lock).
-func (s *SlicedDB) add(name string, fp *bitset.Set, sig minhash.Signature) {
-	s.index.Add(sig, len(s.db.entries))
 	s.db.Add(name, fp)
 	s.arena.Add(fp)
+}
+
+// FillKeys signs every entry added since the last fill, in one pass across
+// pool.Workers(cfg.Workers) goroutines, and returns every entry's band keys:
+// Bands keys per entry, in position order. Lookups sharing a read lock may
+// call it concurrently; the first fills, the rest find nothing to do. The
+// keys must not be modified.
+func (s *SlicedDB) FillKeys() []uint64 {
+	s.fill.Lock()
+	defer s.fill.Unlock()
+	return s.fillLocked()
+}
+
+// fillLocked is FillKeys with s.fill held.
+func (s *SlicedDB) fillLocked() []uint64 {
+	sc := s.cfg.Scheme
+	from, n := len(s.keys)/sc.Bands, len(s.db.entries)
+	if from == n {
+		return s.keys
+	}
+	keys := slices.Grow(s.keys, (n-from)*sc.Bands)[:n*sc.Bands]
+	pool.Map(pool.Workers(s.cfg.Workers), n-from, func(i int) {
+		i += from
+		copy(keys[i*sc.Bands:(i+1)*sc.Bands], sc.BandKeys(sign(sc, s.db.entries[i].FP)))
+	})
+	s.keys = keys
+	return keys
+}
+
+// FillIndex fills the keys (FillKeys) and files every entry not yet in the
+// LSH index under its own: the candidate stage's preparation, which a
+// seeded server runs before it serves.
+func (s *SlicedDB) FillIndex() {
+	s.fill.Lock()
+	defer s.fill.Unlock()
+	keys, b := s.fillLocked(), s.cfg.Scheme.Bands
+	for ; s.indexed < len(keys)/b; s.indexed++ {
+		s.index.Add(keys[s.indexed*b:(s.indexed+1)*b], s.indexed)
+	}
 }
 
 // Len returns the number of fingerprints in the database.
@@ -111,10 +166,12 @@ func (s *SlicedDB) Len() int { return s.db.Len() }
 func (s *SlicedDB) DB() *DB { return s.db }
 
 // candidates returns the entry indices colliding with the query in at least
-// one band, ascending. The index deduplicates the merged buckets, so no
-// entry is verified twice.
+// one band, ascending, once the entries added since the last fill are
+// signed and indexed. The index deduplicates the merged buckets, so no entry
+// is verified twice.
 func (s *SlicedDB) candidates(q *Query) []int {
-	out := s.index.Candidates(q.signature(s.cfg.Scheme))
+	s.FillIndex()
+	out := s.index.Candidates(q.Keys(s.cfg.Scheme))
 	slices.Sort(out)
 	if obs.On() {
 		cIndexCandidates.Add(int64(len(out)))

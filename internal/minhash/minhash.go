@@ -136,13 +136,16 @@ func (s Scheme) ProbeKeys(sig Signature) []uint64 {
 	return keys
 }
 
-// Index is an LSH index mapping band keys to caller-defined references.
+// Index is an LSH index mapping band keys to caller-defined references. It
+// takes keys, not signatures: callers compute them with Scheme.BandKeys —
+// ahead of time and in bulk, where that pays — so the index itself never
+// signs or hashes.
 type Index[Ref comparable] struct {
 	scheme  Scheme
 	buckets map[uint64][]Ref
 }
 
-// NewIndex returns an empty index under the scheme.
+// NewIndex returns an empty index for the band keys of the scheme.
 func NewIndex[Ref comparable](scheme Scheme) (*Index[Ref], error) {
 	if err := scheme.Validate(); err != nil {
 		return nil, err
@@ -153,19 +156,19 @@ func NewIndex[Ref comparable](scheme Scheme) (*Index[Ref], error) {
 // Scheme returns the index's scheme.
 func (ix *Index[Ref]) Scheme() Scheme { return ix.scheme }
 
-// Add registers ref under every band key of the signature.
-func (ix *Index[Ref]) Add(sig Signature, ref Ref) {
-	for _, k := range ix.scheme.BandKeys(sig) {
+// Add registers ref under every one of keys (a signature's BandKeys).
+func (ix *Index[Ref]) Add(keys []uint64, ref Ref) {
+	for _, k := range keys {
 		ix.buckets[k] = append(ix.buckets[k], ref)
 	}
 }
 
-// Candidates returns the deduplicated references colliding with the
-// signature in at least one band.
-func (ix *Index[Ref]) Candidates(sig Signature) []Ref {
+// Candidates returns the deduplicated references registered under at least
+// one of keys (a signature's BandKeys).
+func (ix *Index[Ref]) Candidates(keys []uint64) []Ref {
 	seen := make(map[Ref]struct{})
 	var out []Ref
-	for _, k := range ix.scheme.BandKeys(sig) {
+	for _, k := range keys {
 		for _, ref := range ix.buckets[k] {
 			if _, dup := seen[ref]; dup {
 				continue
@@ -175,18 +178,6 @@ func (ix *Index[Ref]) Candidates(sig Signature) []Ref {
 		}
 	}
 	return out
-}
-
-// Each calls fn once for every (key, ref) entry the index holds — a ref
-// registered under the same key twice is visited twice — in no particular
-// order. It is a read-only walk: the keys come from the buckets, nothing is
-// signed, and fn must not modify the index.
-func (ix *Index[Ref]) Each(fn func(key uint64, ref Ref)) {
-	for k, refs := range ix.buckets {
-		for _, ref := range refs {
-			fn(k, ref)
-		}
-	}
 }
 
 // Len returns the total number of (band, ref) entries held.

@@ -2,6 +2,7 @@ package minhash
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"probablecause/internal/bitset"
@@ -100,11 +101,11 @@ func TestIndexFindsNearDuplicates(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		s := randomSet(uint64(100+i), 328, 32768)
 		sets = append(sets, s)
-		ix.Add(DefaultScheme.Sign(s), i)
+		ix.Add(DefaultScheme.BandKeys(DefaultScheme.Sign(s)), i)
 	}
 	// Query with a 96%-overlap perturbation of set 42 (the trial-noise case).
 	q := overlapSet(999, sets[42], 0.96, 32768)
-	cands := ix.Candidates(DefaultScheme.Sign(q))
+	cands := ix.Candidates(DefaultScheme.BandKeys(DefaultScheme.Sign(q)))
 	found := false
 	for _, c := range cands {
 		if c == 42 {
@@ -125,10 +126,10 @@ func TestIndexNoviceQueryReturnsFewCandidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
-		ix.Add(DefaultScheme.Sign(randomSet(uint64(1000+i), 328, 32768)), i)
+		ix.Add(DefaultScheme.BandKeys(DefaultScheme.Sign(randomSet(uint64(1000+i), 328, 32768))), i)
 	}
 	q := randomSet(77777, 328, 32768) // unrelated page
-	if cands := ix.Candidates(DefaultScheme.Sign(q)); len(cands) > 10 {
+	if cands := ix.Candidates(DefaultScheme.BandKeys(DefaultScheme.Sign(q))); len(cands) > 10 {
 		t.Fatalf("%d false candidates for an unrelated page", len(cands))
 	}
 }
@@ -139,9 +140,9 @@ func TestIndexCandidatesDeduplicated(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := randomSet(8, 300, 32768)
-	sig := DefaultScheme.Sign(s)
-	ix.Add(sig, "x") // identical signature collides in all 8 bands
-	cands := ix.Candidates(sig)
+	keys := DefaultScheme.BandKeys(DefaultScheme.Sign(s))
+	ix.Add(keys, "x") // identical keys collide in all 8 bands
+	cands := ix.Candidates(keys)
 	if len(cands) != 1 || cands[0] != "x" {
 		t.Fatalf("candidates = %v, want exactly [x]", cands)
 	}
@@ -150,39 +151,40 @@ func TestIndexCandidatesDeduplicated(t *testing.T) {
 	}
 }
 
-// TestIndexEach: the walk visits exactly the (key, ref) entries Add
-// registered — Bands per ref, the band keys of that ref's signature, and a
-// second registration of the same signature twice.
-func TestIndexEach(t *testing.T) {
+// TestIndexAddFilesEveryKey: Add files a ref under exactly the keys it is
+// given — Bands per ref, the band keys of that ref's signature, and a second
+// registration of the same keys twice — so a lookup by any one of a ref's
+// keys finds it, and Len counts every registration.
+func TestIndexAddFilesEveryKey(t *testing.T) {
 	ix, err := NewIndex[int](DefaultScheme)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[[2]uint64]int{}
+	want := map[uint64][]int{}
 	for ref := 0; ref < 20; ref++ {
-		sig := DefaultScheme.Sign(randomSet(uint64(ref)%15, 200, 32768)) // refs 15–19 repeat 0–4's sets
-		ix.Add(sig, ref)
-		keys := DefaultScheme.BandKeys(sig)
+		keys := DefaultScheme.BandKeys(DefaultScheme.Sign(randomSet(uint64(ref)%15, 200, 32768))) // refs 15–19 repeat 0–4's sets
 		if len(keys) != DefaultScheme.Bands {
 			t.Fatalf("%d keys, want %d", len(keys), DefaultScheme.Bands)
 		}
+		ix.Add(keys, ref)
 		for _, k := range keys {
-			want[[2]uint64{k, uint64(ref)}]++
+			if !slices.Contains(want[k], ref) {
+				want[k] = append(want[k], ref)
+			}
 		}
 	}
-	ix.Add(DefaultScheme.Sign(randomSet(3, 200, 32768)), 3) // ref 3 again, same keys
-	for _, k := range DefaultScheme.BandKeys(DefaultScheme.Sign(randomSet(3, 200, 32768))) {
-		want[[2]uint64{k, 3}]++
+	again := DefaultScheme.BandKeys(DefaultScheme.Sign(randomSet(3, 200, 32768))) // ref 3 again, same keys
+	ix.Add(again, 3)
+	if got := ix.Len(); got != 21*DefaultScheme.Bands {
+		t.Fatalf("Len = %d, want %d", got, 21*DefaultScheme.Bands)
 	}
-	got := map[[2]uint64]int{}
-	ix.Each(func(key uint64, ref int) { got[[2]uint64{key, uint64(ref)}]++ })
-	if len(got) != len(want) {
-		t.Fatalf("Each visited %d distinct entries, want %d", len(got), len(want))
-	}
-	for e, n := range want {
-		if got[e] != n {
-			t.Fatalf("entry %v visited %d times, want %d", e, got[e], n)
+	for k, refs := range want {
+		if got := ix.Candidates([]uint64{k}); !slices.Equal(got, refs) {
+			t.Fatalf("key %x: candidates %v, want %v", k, got, refs)
 		}
+	}
+	if got := ix.Candidates([]uint64{^uint64(0) - 1}); len(got) != 0 {
+		t.Fatalf("an unregistered key found %v", got)
 	}
 }
 

@@ -212,13 +212,28 @@ func (s *Service) enableEnrollment(cfg EnrollConfig, d store.DurableBackend, wat
 // enrollment, whatever mix of checkpoints and crashes preceded it.
 //
 // Committed state overrides seed: only an empty store takes the seed, and
-// flushes it to segments before replay. An empty store next to a
+// flushes it to segments before replay. Whatever the replay promotes into
+// the memtable is signed before BootDurable returns, so the first identify
+// signs only its query. An empty store next to a
 // monolithic checkpoint in ecfg.Dir (a directory written by the in-memory
 // durable path this store replaced) ingests that checkpoint instead, at its
 // watermark, so the fold timeline is preserved exactly. The served
 // threshold is cfg.Threshold (0: fingerprint.DefaultThreshold), never the
 // seed's or the checkpoint's.
 func BootDurable(seed *fingerprint.DB, cfg Config, ecfg EnrollConfig) (*Service, error) {
+	// The seed is vetted even when committed state will override it.
+	if _, err := seedBitLen(seed); err != nil {
+		return nil, err
+	}
+	return BootDurableSeed(func() (*fingerprint.DB, error) { return seed, nil }, cfg, ecfg)
+}
+
+// BootDurableSeed is BootDurable with the seed read only when the node will
+// seed: loadSeed runs once the store is open, and only when it is empty at
+// watermark 0 and ecfg.Dir holds no monolithic checkpoint — so a restart
+// never reads a seed its committed state overrides. A nil seed starts
+// empty.
+func BootDurableSeed(loadSeed func() (*fingerprint.DB, error), cfg Config, ecfg EnrollConfig) (*Service, error) {
 	if ecfg.Dir == "" {
 		return nil, errors.New("server: enrollment needs a durable directory")
 	}
@@ -231,10 +246,6 @@ func BootDurable(seed *fingerprint.DB, cfg Config, ecfg EnrollConfig) (*Service,
 	if cfg.Store.Dir == "" {
 		cfg.Store.Dir = filepath.Join(ecfg.Dir, "store")
 	}
-	// New boots the store unseeded here, so it cannot vet the seed.
-	if _, err := seedBitLen(seed); err != nil {
-		return nil, err
-	}
 	s, err := New(nil, cfg)
 	if err != nil {
 		return nil, err
@@ -242,13 +253,18 @@ func BootDurable(seed *fingerprint.DB, cfg Config, ecfg EnrollConfig) (*Service,
 	d := s.db.(store.DurableBackend)
 	watermark := d.Watermark()
 	if watermark == 0 && s.db.Len() == 0 {
-		db, meta, ok, err := samplefile.LoadCheckpoint(ecfg.Dir)
+		seed, meta, ok, err := samplefile.LoadCheckpoint(ecfg.Dir)
+		if err == nil && ok {
+			watermark = meta.Watermark
+		} else if err == nil {
+			// New boots the store unseeded here, so it cannot vet the seed.
+			if seed, err = loadSeed(); err == nil {
+				_, err = seedBitLen(seed)
+			}
+		}
 		if err != nil {
 			s.Close()
 			return nil, err
-		}
-		if ok {
-			seed, watermark = db, meta.Watermark
 		}
 		if seed != nil {
 			for _, e := range seed.Entries() {
@@ -264,6 +280,10 @@ func BootDurable(seed *fingerprint.DB, cfg Config, ecfg EnrollConfig) (*Service,
 		s.Close()
 		return nil, err
 	}
+	// The entries the replay promoted into the memtable are signed before
+	// the node serves, as a seed is, so the first identify signs only its
+	// query.
+	s.db.FillIndex()
 	return s, nil
 }
 

@@ -14,6 +14,7 @@ import (
 
 	"probablecause/internal/bitset"
 	"probablecause/internal/fingerprint"
+	"probablecause/internal/obs"
 )
 
 // fastAcc keeps enrollment streams short in tests: converge after 2
@@ -91,6 +92,42 @@ func TestEnrollPromoteIdentify(t *testing.T) {
 	}
 	if _, ok, _ := s.EnrollStatus("nope"); ok {
 		t.Fatal("unknown session reported ok")
+	}
+}
+
+// TestBootDurableSignsReplayBeforeServing: the devices a WAL replay
+// promotes into the memtable are signed once while the node boots, so the
+// first identify after a restart signs only its query.
+func TestBootDurableSignsReplayBeforeServing(t *testing.T) {
+	const n, devices = 256, 4
+	dir := t.TempDir()
+	s := enrollService(t, dir)
+	for i := 0; i < devices; i++ {
+		var st EnrollState
+		for trial := 0; trial < 8 && !st.Promoted; trial++ {
+			st = mustEnroll(t, s, fmt.Sprintf("sess-%d", i), fmt.Sprintf("device-%d", i), deviceObs(n, i, trial))
+		}
+		if !st.Promoted {
+			t.Fatalf("device %d not promoted: %+v", i, st)
+		}
+	}
+	s.Close()
+
+	signatures := obs.C("fingerprint.signatures")
+	obs.Enable()
+	defer obs.Disable()
+	before := signatures.Value()
+	s = enrollService(t, dir)
+	defer s.Close()
+	if got := signatures.Value() - before; got != devices {
+		t.Errorf("boot replaying %d promotions signed %d, want %d", devices, got, devices)
+	}
+	before = signatures.Value()
+	if v, _, err := s.Identify(context.Background(), deviceObs(n, 2, 99)); err != nil || v.Name != "device-2" {
+		t.Fatalf("identify after the restart: %+v, %v", v, err)
+	}
+	if got := signatures.Value() - before; got != 1 {
+		t.Errorf("first identify after the restart signed %d, want 1 (its query)", got)
 	}
 }
 

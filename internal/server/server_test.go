@@ -17,6 +17,7 @@ import (
 	"probablecause/internal/bitset"
 	"probablecause/internal/faults"
 	"probablecause/internal/fingerprint"
+	"probablecause/internal/obs"
 	"probablecause/internal/prng"
 	"probablecause/internal/store"
 )
@@ -198,6 +199,33 @@ func TestNewRejectsMixedSeedLengths(t *testing.T) {
 	_, err = BootDurable(seed, Config{Store: store.Config{Backend: store.BackendTiered, Dir: filepath.Join(dir, "store")}},
 		EnrollConfig{Dir: dir})
 	check("tiered", err)
+}
+
+// TestSeededNewSignsBeforeServing: a seeded New signs every seed entry
+// once, in one fill before it returns — on the memory store and on a
+// tiered store's memtable — so the first identify signs only its query.
+func TestSeededNewSignsBeforeServing(t *testing.T) {
+	signatures := obs.C("fingerprint.signatures")
+	obs.Enable()
+	defer obs.Disable()
+	for _, st := range []store.Config{{}, {Backend: store.BackendTiered, Dir: filepath.Join(t.TempDir(), "store")}} {
+		before := signatures.Value()
+		s, err := New(fixtureDB(50), Config{Store: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := signatures.Value() - before; got != 50 {
+			t.Errorf("%q store: seeding 50 entries signed %d, want 50", st.Backend, got)
+		}
+		before = signatures.Value()
+		if v, _, err := s.Identify(context.Background(), testSet(0x57A, 64)); err != nil || v.OK() {
+			t.Fatalf("%q store: stranger identify: %+v, %v", st.Backend, v, err)
+		}
+		if got := signatures.Value() - before; got != 1 {
+			t.Errorf("%q store: first identify signed %d, want 1 (its query)", st.Backend, got)
+		}
+		s.Close()
+	}
 }
 
 // TestBootDurableRefusesMemoryBackend: durable enrollment serves from the

@@ -53,8 +53,8 @@ type Config struct {
 	// under BootDurable.
 	Threshold float64
 	// Workers bounds how many identify decisions run at once, and the pool
-	// that signs entries when the index is bulk-built; 0 means one
-	// per CPU.
+	// that signs entries in the database's bulk key fill; 0 means one per
+	// CPU.
 	Workers int
 	// BatchWindow is ignored: identify queries no longer wait to coalesce.
 	// Any value is accepted.
@@ -154,6 +154,8 @@ type Service struct {
 // New builds a Service over the seed database (nil for an empty start). With
 // a tiered store backend the on-disk state recovers first; a seed is then
 // only accepted into an empty store (BootDurable manages the combination).
+// A seed is signed and indexed in one fill across the worker pool before
+// New returns, so the first identify signs only its query.
 func New(seed *fingerprint.DB, cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults(seed)
 	seedBits, err := seedBitLen(seed)
@@ -174,6 +176,7 @@ func New(seed *fingerprint.DB, cfg Config) (*Service, error) {
 		for _, e := range seed.Entries() {
 			db.Add(e.Name, e.FP)
 		}
+		db.FillIndex()
 	}
 	s := &Service{cfg: cfg, db: db, cache: newVerdictCache(cfg.CacheSize), gate: newGate(cfg.QueueDepth, pool.Workers(cfg.Workers))}
 	// Seeding advanced the DB generation; align the cache's accepted

@@ -393,7 +393,7 @@ func (s *Stitcher) alignments(sample Sample, sigs []minhash.Signature) []alignme
 // for concurrent use: it reads the index (or cluster maps) only.
 func (s *Stitcher) candidates(fp bitset.Sparse, sigs []minhash.Signature, i int) []pageRef {
 	if !s.cfg.Brute {
-		out := s.index.Candidates(sigs[i])
+		out := s.index.Candidates(s.cfg.Scheme.BandKeys(sigs[i]))
 		if obs.On() {
 			cCandidates.Add(int64(len(out)))
 		}
@@ -558,7 +558,7 @@ func (s *Stitcher) indexPage(cluster, offset int, fp bitset.Sparse, sigs []minha
 	if sig == nil {
 		sig = s.cfg.Scheme.Sign(fp)
 	}
-	s.index.Add(sig, pageRef{cluster: cluster, offset: offset})
+	s.index.Add(s.cfg.Scheme.BandKeys(sig), pageRef{cluster: cluster, offset: offset})
 }
 
 // union merges cluster a into cluster b's component. delta is the offset

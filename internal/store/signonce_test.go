@@ -73,17 +73,22 @@ func checkpointChecked(t *testing.T, tb *Tiered, seen map[*Segment]bool) {
 	tb.sweepGraveLocked()
 }
 
-// TestSignOnceSegmentsMatchSigning: flushes write the keys the memtable's
-// index holds and compactions the keys their source segments hold, and
-// every segment either writes is byte-identical to the one the signing path
+// TestSignOnceSegmentsMatchSigning: flushes write the keys the memtable
+// filled and compactions the keys their source segments hold, and every
+// segment either writes is byte-identical to the one the signing path
 // writes over the same entries — with memtable tombstones below and above
-// RebuildMinDead (so the memtable has been rebuilt), segment tombstones
-// dropped by compaction, duplicate names and an empty fingerprint. Rows keep
-// the names they had when multi-probe keys and the block width were
+// RebuildMinDead (so the memtable has been rebuilt, carrying filled keys),
+// segment tombstones dropped by compaction, duplicate names and an empty
+// fingerprint. Each round decides a stranger part way through its Adds, so
+// a lookup filled part of every flush's keys and the flush the rest. Rows
+// keep the names they had when multi-probe keys and the block width were
 // settings (probes=false/B=8, probes=false/B=64): every segment now holds
 // band keys in 64-entry blocks, and a row's number only seeds its tape.
 func TestSignOnceSegmentsMatchSigning(t *testing.T) {
 	const nbits = 1024
+	signatures := obs.C("fingerprint.signatures")
+	obs.Enable()
+	defer obs.Disable()
 	for _, tape := range []int{8, 64} {
 		t.Run(fmt.Sprintf("probes=false/B=%d", tape), func(t *testing.T) {
 			tb, err := OpenTiered(Config{Dir: t.TempDir(), FlushEntries: 1 << 20, CompactSegments: 2},
@@ -93,12 +98,21 @@ func TestSignOnceSegmentsMatchSigning(t *testing.T) {
 			}
 			defer tb.Close()
 			src := prng.New(0x516E + uint64(tape))
+			strangers := prng.New(0x5753 + uint64(tape))
 			seen := map[*Segment]bool{}
-			// round adds n entries under n/2 names, each twice, plus one
-			// empty fingerprint, then removes the first dead of those
-			// names' entries from the memtable.
+			// round adds n entries under n/2 names, each twice, deciding a
+			// stranger after the first n/3 (its fill signs them), plus one
+			// empty fingerprint, then removes the first dead of those names'
+			// entries from the memtable.
 			round := func(r, n, dead int) {
 				for i := 0; i < n; i++ {
+					if i == n/3 {
+						before := signatures.Value()
+						tb.Decide(testFP(strangers.Uint64(), nbits, 40))
+						if got := signatures.Value() - before; got < int64(1+n/3) {
+							t.Fatalf("round %d: the Decide signed %d, want its query and the %d entries added so far", r, got, n/3)
+						}
+					}
 					tb.Add(fmt.Sprintf("r%d-dev%03d", r, i%(n/2)), testFP(src.Uint64(), nbits, 20+src.Intn(40)))
 				}
 				tb.Add(fmt.Sprintf("r%d-empty", r), bitset.New(nbits))
@@ -141,11 +155,14 @@ func TestSignOnceSegmentsMatchSigning(t *testing.T) {
 	}
 }
 
-// TestSignOnceSignatureCount: with obs on, a flush and a same-scheme
-// compaction compute no signature; a compaction with one source written
-// under another scheme signs exactly that source's entries; and opening
-// the PCSEG01 fixture signs its 48 entries once — in the load-time rebuild —
-// and not again for the rewrite.
+// TestSignOnceSignatureCount: with obs on, Adds compute no signature; a
+// Decide signs its query once plus the memtable entries its fill covers; a
+// flush signs exactly the entries no lookup had filled — the Checkpoint's
+// fill — and writes its segment signing nothing more, and a same-scheme
+// compaction signs nothing; a compaction with one source written under
+// another scheme signs exactly that source's entries beyond the flush's
+// fill; and opening the PCSEG01 fixture signs its 48 entries once — in the
+// load-time rebuild — and not again for the rewrite.
 func TestSignOnceSignatureCount(t *testing.T) {
 	signatures := obs.C("fingerprint.signatures")
 	obs.Enable()
@@ -158,6 +175,14 @@ func TestSignOnceSignatureCount(t *testing.T) {
 		}
 		return signatures.Value() - before
 	}
+	addAll := func(tb *Tiered, entries []fingerprint.IDEntry) func() error {
+		return func() error {
+			for _, e := range entries {
+				tb.Add(e.Name, e.FP)
+			}
+			return nil
+		}
+	}
 	entries := testEntries(60, 1024)
 
 	tb, err := OpenTiered(Config{Dir: t.TempDir(), FlushEntries: 1 << 20, CompactSegments: 1},
@@ -166,19 +191,32 @@ func TestSignOnceSignatureCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tb.Close()
-	for _, e := range entries[:30] {
-		tb.Add(e.Name, e.FP)
+	if got := counted(addAll(tb, entries[:30])); got != 0 {
+		t.Fatalf("30 Adds: %d signatures, want 0", got)
 	}
-	if got := counted(tb.Flush); got != 0 || tb.SegmentCount() != 1 {
-		t.Fatalf("flush: %d signatures and %d segments, want 0 and 1", got, tb.SegmentCount())
+	if got := counted(tb.Flush); got != 30 || tb.SegmentCount() != 1 {
+		t.Fatalf("flush: %d signatures and %d segments, want 30 (the fill) and 1", got, tb.SegmentCount())
 	}
-	for _, e := range entries[30:] {
-		tb.Add(e.Name, e.FP)
+	if got := counted(addAll(tb, entries[30:45])); got != 0 {
+		t.Fatalf("15 Adds: %d signatures, want 0", got)
+	}
+	// A stranger: no segment candidate arms the bound, so the memtable's
+	// candidate stage runs and fills.
+	stranger := testFP(0x57A, 1024, 40)
+	decide := func() error { tb.Decide(stranger); return nil }
+	if got := counted(decide); got != 1+15 {
+		t.Fatalf("first Decide: %d signatures, want 16 (the query and the 15-entry fill)", got)
+	}
+	if got := counted(decide); got != 1 {
+		t.Fatalf("second Decide: %d signatures, want 1", got)
+	}
+	if got := counted(addAll(tb, entries[45:])); got != 0 {
+		t.Fatalf("15 Adds: %d signatures, want 0", got)
 	}
 	tb.Remove(entries[4].Name)
 	tb.Remove(entries[11].Name)
-	if got := counted(tb.Flush); got != 0 || tb.SegmentCount() != 1 {
-		t.Fatalf("flush+compaction: %d signatures and %d segments, want 0 and 1", got, tb.SegmentCount())
+	if got := counted(tb.Flush); got != 15 || tb.SegmentCount() != 1 {
+		t.Fatalf("flush+compaction: %d signatures and %d segments, want 15 (the fill past the Decide's) and 1", got, tb.SegmentCount())
 	}
 	requireSigned(t, tb, map[*Segment]bool{}, "same-scheme compaction")
 
@@ -200,11 +238,11 @@ func TestSignOnceSignatureCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tb.Close()
-	for _, e := range entries[20:50] {
-		tb.Add(e.Name, e.FP)
+	if got := counted(addAll(tb, entries[20:50])); got != 0 {
+		t.Fatalf("30 Adds: %d signatures, want 0", got)
 	}
-	if got := counted(tb.Flush); got != int64(len(foreign)) || tb.SegmentCount() != 1 {
-		t.Fatalf("foreign-scheme compaction: %d signatures and %d segments, want %d and 1", got, tb.SegmentCount(), len(foreign))
+	if got := counted(tb.Flush); got != 30+int64(len(foreign)) || tb.SegmentCount() != 1 {
+		t.Fatalf("foreign-scheme compaction: %d signatures and %d segments, want %d (the 30-entry fill and the foreign source) and 1", got, tb.SegmentCount(), 30+len(foreign))
 	}
 	requireSigned(t, tb, map[*Segment]bool{}, "foreign-scheme compaction")
 
@@ -347,8 +385,9 @@ func TestSortPairs(t *testing.T) {
 
 // BenchmarkCheckpoint times Tiered.Checkpoint of a 16,384-entry memtable —
 // the sweep-cold workload's flush size — of random 40–80-of-2048-cell
-// fingerprints: the keyed memtable export, the segment write and fsync, the
-// manifest commit and the reload. Filling the memtable is not timed, and no
+// fingerprints: the key fill that signs the memtable across the worker pool
+// (Adds no longer sign), the keyed memtable export, the segment write and
+// fsync, the manifest commit and the reload. The Adds are not timed, and no
 // compaction runs.
 func BenchmarkCheckpoint(b *testing.B) {
 	const per = 16384
@@ -375,4 +414,43 @@ func BenchmarkCheckpoint(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkTieredIngest times filling a tiered store as the sweep-cold
+// workload's set-up does: 65,536 Adds of random 40–80-of-2048-cell
+// fingerprints, with a Checkpoint at every 16,384 — the Adds, each
+// flush's key fill, export, segment write and manifest commit. It reports
+// the cost per entry.
+func BenchmarkTieredIngest(b *testing.B) {
+	const total, per = 65536, 16384
+	src := prng.New(0x1E57)
+	fps := make([]*bitset.Set, total)
+	for i := range fps {
+		fps[i] = coldCells(src, 40+src.Intn(41), nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		tb, err := OpenTiered(Config{Dir: b.TempDir(), FlushEntries: per, CompactSegments: 1 << 20},
+			DBConfig{Threshold: fingerprint.DefaultThreshold})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for j, fp := range fps {
+			tb.Add(fmt.Sprintf("dev%05d", j), fp)
+			if (j+1)%per == 0 {
+				if err := tb.Checkpoint(uint64(j + 1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.StopTimer()
+		if err := tb.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*total), "us/entry")
 }

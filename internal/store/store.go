@@ -71,6 +71,10 @@ type Backend interface {
 	Export() *fingerprint.DB
 	// ExportIDs returns the live entries with their add-order ids.
 	ExportIDs() []fingerprint.IDEntry
+	// FillIndex signs every entry added since the last fill, across the
+	// worker pool, and files it in the candidate index, so the next lookup
+	// signs only its query. Add itself signs nothing.
+	FillIndex()
 
 	Decide(errorString *bitset.Set) fingerprint.Verdict
 	DecideCtx(ctx context.Context, errorString *bitset.Set) fingerprint.Verdict
@@ -115,7 +119,9 @@ type DurableBackend interface {
 // already exposes.
 type DBConfig struct {
 	Threshold float64
-	Workers   int
+	// Workers bounds the pool that signs the database's entries in its bulk
+	// key fill (fingerprint.IndexedConfig.Workers); 0 means one per CPU.
+	Workers int
 }
 
 func (c DBConfig) newShardedDB() (*fingerprint.ShardedDB, error) {

@@ -172,7 +172,8 @@ func (t *Tiered) SegmentCount() int {
 }
 
 // Add registers a fingerprint in the memtable and returns its global
-// add-order id.
+// add-order id. It signs nothing: the memtable's next fill does, outside
+// the write lock.
 func (t *Tiered) Add(name string, fp *bitset.Set) int {
 	t.mu.Lock()
 	local := t.mem.Add(name, fp)
@@ -340,7 +341,14 @@ func (t *Tiered) Export() *fingerprint.DB {
 // exceeds Config.CompactSegments, adjacent segments are merged until it does
 // not. The serving layer calls this under its enrollment lock with the
 // watermark captured there, so flushed state and watermark always agree.
+//
+// The memtable's keys are filled first, across the worker pool, under the
+// read lock: identifies keep deciding while the entries are signed, and the
+// flush under the write lock signs only the Adds that slipped in between.
 func (t *Tiered) Checkpoint(watermark uint64) error {
+	t.mu.RLock()
+	t.mem.FillKeys()
+	t.mu.RUnlock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if err := t.flushLocked(watermark); err != nil {
@@ -355,6 +363,15 @@ func (t *Tiered) Checkpoint(watermark uint64) error {
 	return nil
 }
 
+// FillIndex signs every memtable entry added since the last fill, across
+// the worker pool, and files it in the memtable's LSH index, under the read
+// lock, so the next identify signs only its query.
+func (t *Tiered) FillIndex() {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	t.mem.FillIndex()
+}
+
 // Flush is Checkpoint for callers without a WAL (experiments, tests): the
 // current watermark is carried forward unchanged.
 func (t *Tiered) Flush() error {
@@ -365,8 +382,9 @@ func (t *Tiered) Flush() error {
 }
 
 func (t *Tiered) flushLocked(watermark uint64) error {
-	// The memtable signed every entry when it was added; its index buckets
-	// hand those keys to the writer.
+	// Checkpoint filled the memtable's keys before taking the lock, so the
+	// export signs only the entries added since and hands every key to the
+	// writer.
 	entries, pairs := t.mem.ExportKeyed()
 	for i := range entries {
 		entries[i].ID += t.memBase

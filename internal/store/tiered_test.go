@@ -1,12 +1,17 @@
 package store
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"probablecause/internal/bitset"
 	"probablecause/internal/fingerprint"
 	"probablecause/internal/obs"
+	"probablecause/internal/prng"
 )
 
 // multiBlockEntries fills three 64-entry blocks, the last partly: the store
@@ -370,5 +375,73 @@ func TestTieredSignsOnce(t *testing.T) {
 	tb.Decide(q)
 	if got := signatures.Value() - before; got != 1 {
 		t.Errorf("Decide: %d signatures, want 1", got)
+	}
+}
+
+// TestTieredDecidesDuringIngest: identifies keep deciding against one
+// tiered store while a writer adds, removes and checkpoints, so the
+// lookups' fills, Checkpoint's read-locked fill and the flushes and
+// compactions run side by side — under -race this is the locking check for
+// signing off the Add path. Once the writer stops, every Decide equals the
+// dense scan over the same Adds and Removes, field for field.
+func TestTieredDecidesDuringIngest(t *testing.T) {
+	const n, nbits = 600, 1024
+	tb, err := OpenTiered(Config{Dir: t.TempDir(), FlushEntries: 64, CompactSegments: 3},
+		DBConfig{Threshold: fingerprint.DefaultThreshold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	dense, err := fingerprint.NewShardedDB(fingerprint.DefaultThreshold, fingerprint.ShardedConfig{Plain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := prng.New(0x1D6E)
+	fps := make([]*bitset.Set, n)
+	for i := range fps {
+		fps[i] = testFP(src.Uint64(), nbits, 20+src.Intn(40))
+	}
+	// Noisy outputs of entries, which segment candidates may settle, and
+	// strangers, whose every Decide runs the memtable's candidate stage.
+	var qs []*bitset.Set
+	for i := 0; i < 24; i++ {
+		qs = append(qs, noisy(fps[src.Intn(n)], uint64(i), 2), testFP(src.Uint64(), nbits, 40))
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; !stop.Load(); i++ {
+				tb.Decide(qs[i%len(qs)])
+			}
+		}(r)
+	}
+	for i, fp := range fps {
+		name := fmt.Sprintf("dev%03d", i%400)
+		tb.Add(name, fp)
+		dense.Add(name, fp)
+		if i%5 == 2 {
+			victim := fmt.Sprintf("dev%03d", src.Intn(400))
+			if got, want := tb.Remove(victim), dense.Remove(victim); got != want {
+				t.Fatalf("Remove(%s) = %v, dense %v", victim, got, want)
+			}
+		}
+		if i < n-20 && (tb.NeedsFlush() || i%97 == 50) {
+			if err := tb.Checkpoint(uint64(i + 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if tb.SegmentCount() == 0 || tb.mem.Len() == 0 {
+		t.Fatalf("fixture: %d segments, %d memtable entries; want some of each", tb.SegmentCount(), tb.mem.Len())
+	}
+	for qi, q := range qs {
+		if got, want := tb.Decide(q), dense.Decide(q); got != want {
+			t.Errorf("query %d: Decide %+v != dense scan %+v", qi, got, want)
+		}
 	}
 }

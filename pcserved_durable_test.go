@@ -160,6 +160,53 @@ func TestPcservedSnapshotOnDurableNode(t *testing.T) {
 	durStop(t, cmd)
 }
 
+// TestPcservedSnapshotReadOnlyToSeed: a durable node reads -snapshot only
+// when it will seed. A restart whose store has committed state boots and
+// serves it although the snapshot file no longer decodes; a first boot on
+// the same bytes still fails. (Tests run as root, so the file is made
+// undecodable, not unreadable.)
+func TestPcservedSnapshotReadOnlyToSeed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := t.TempDir()
+	snapPath := filepath.Join(dir, "snap.pcdb")
+	garbage := []byte("PCDB01 torn: not a database\n")
+	corrupt := func() {
+		t.Helper()
+		if err := os.WriteFile(snapPath, garbage, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := samplefile.LoadDB(snapPath); err == nil {
+			t.Fatal("the corrupted snapshot decodes")
+		}
+	}
+	args := []string{"-wal.dir", filepath.Join(dir, "wal"), "-snapshot", snapPath}
+	fps := map[string]*bitset.Set{"alpha": durFP(1), "beta": durFP(2)}
+
+	base, cmd := startPcserved(t, args...)
+	durAdd(t, base, "alpha", fps["alpha"])
+	durAdd(t, base, "beta", fps["beta"])
+	durStop(t, cmd)
+
+	corrupt()
+	base, cmd = startPcserved(t, args...)
+	durCheckServes(t, base, fps)
+	durStop(t, cmd)
+
+	// The stop saved a good snapshot; corrupt it again for a node whose
+	// empty store would seed from it.
+	corrupt()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	fresh := []string{"-addr", "127.0.0.1:0", "-wal.dir", filepath.Join(dir, "wal2"), "-snapshot", snapPath}
+	out, err := exec.CommandContext(ctx, buildPcserved(t), fresh...).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || strings.Contains(string(out), "listening on") {
+		t.Errorf("first boot on an undecodable -snapshot: %v, output %q; want exit 1 before listening", err, out)
+	}
+}
+
 // TestPcservedSeedOverriddenByStore: a second boot with the same -db and
 // -wal.dir serves what the first one committed — the seed plus an
 // enrolled device — with no entry seeded twice.
